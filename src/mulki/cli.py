@@ -157,6 +157,11 @@ def cmd_report(args) -> int:
             raise ConfigError(f"no metrics.json under {run_dir}")
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}")
+        if not isinstance(doc, dict):
+            raise ConfigError(f"{path}: expected a JSON object")
+        missing = [name for name in (*METRIC_NAMES, "matrix") if name not in doc]
+        if missing:
+            raise ConfigError(f"{path}: missing key {missing[0]!r}")
         rows.append((run_dir, [doc[name] for name in METRIC_NAMES]))
         for i, matrix_row in enumerate(doc["matrix"]):
             for j, value in enumerate(matrix_row, start=1):

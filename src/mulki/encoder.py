@@ -12,13 +12,11 @@ start at 1.
 
 from __future__ import annotations
 
-import json
-import struct
-
 import numpy as np
 
 from . import tensor as T
 from .errors import ContractError, ShapeMismatchError, UnknownTokenError
+from .jsonutil import read_framed, write_framed
 from .tensor import Tensor
 
 TEMPLATE_TOKEN = 0
@@ -38,7 +36,6 @@ PARAM_ORDER = (
 PARAM_ORDERING_VERSION = 1
 
 CHECKPOINT_FORMAT_VERSION = 1
-_HEADER_LEN = struct.Struct("<I")
 
 
 def _init_param(rng: np.random.Generator, shape: tuple, fan_in: int) -> Tensor:
@@ -216,34 +213,19 @@ def save_checkpoint(model, path) -> None:
         "seed": inner.seed,
         "count": int(vector.size),
     }
-    header = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_HEADER_LEN.pack(len(header)))
-        fh.write(header)
-        fh.write(vector.astype("<f8").tobytes())
+    write_framed(manifest, vector, path)
 
 
 def load_checkpoint(path) -> DualEncoder:
-    """Reconstruct a trainable DualEncoder from a checkpoint file."""
-    with open(path, "rb") as fh:
-        raw_len = fh.read(_HEADER_LEN.size)
-        if len(raw_len) != _HEADER_LEN.size:
-            raise ContractError(f"checkpoint {path} is truncated")
-        (header_len,) = _HEADER_LEN.unpack(raw_len)
-        header = fh.read(header_len)
-        if len(header) != header_len:
-            raise ContractError(f"checkpoint {path} is truncated")
-        manifest = json.loads(header.decode("utf-8"))
-        payload = fh.read()
-    if manifest.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-        raise ContractError(f"unsupported checkpoint format version in {path}")
-    if manifest.get("param_ordering_version") != PARAM_ORDERING_VERSION:
-        raise ContractError(f"unsupported parameter ordering version in {path}")
-    if len(payload) % 8 != 0:
-        raise ContractError(f"checkpoint {path} is truncated")
-    vector = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-    if vector.size != manifest["count"]:
-        raise ContractError(f"checkpoint {path}: expected {manifest['count']} values, found {vector.size}")
-    model = DualEncoder(manifest["seed"], **manifest["dims"])
-    load_flat(model, vector)
+    """Reconstruct a trainable DualEncoder from a checkpoint file.
+
+    A malformed file of any kind raises ContractError.
+    """
+    versions = {"format_version": CHECKPOINT_FORMAT_VERSION, "param_ordering_version": PARAM_ORDERING_VERSION}
+    manifest, vector = read_framed(path, "checkpoint", versions, required=("seed", "dims"))
+    try:
+        model = DualEncoder(manifest["seed"], **manifest["dims"])
+        load_flat(model, vector)
+    except (TypeError, ValueError) as exc:
+        raise ContractError(f"checkpoint {path}: manifest does not describe its payload ({exc})") from exc
     return model

@@ -24,17 +24,21 @@ soft temperature (default 2); the supervised logits use a sharp one
 (default 0.07).
 
 Prototypes and teacher outputs are constants here; gradients flow only
-into the student.
+into the student. Both teachers stay frozen for a whole task, so the
+trainer runs `teacher_outputs` once per teacher per task over the task's
+whole training set (checked once, there) and takes each batch's rows from
+that bundle with `TeacherOutputs.rows`; only the two K x K prototype-text
+distributions depend on the moving prototypes and are rebuilt per batch.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tensor as T
-from .encoder import params_flat_tensor
 from .errors import ConfigError, ContractError, ShapeMismatchError
 from .tensor import Tensor
 
@@ -91,8 +95,10 @@ def ird_loss(
     """
     if protos.ndim != 2 or protos.shape[0] == 0:
         raise ContractError("ird_loss: empty prototype set")
-    t_sims = T.cosine_sim(teacher_feats, protos)
-    s_sims = T.cosine_sim(student_feats, protos)
+    return _relation_gap(T.cosine_sim(teacher_feats, protos), T.cosine_sim(student_feats, protos), row_weights)
+
+
+def _relation_gap(t_sims: Tensor, s_sims: Tensor, row_weights: Tensor | None) -> Tensor:
     diff = T.sub(t_sims, s_sims)
     if row_weights is not None:
         diff = T.mul(T.reshape(row_weights, (row_weights.size, 1)), diff)
@@ -111,9 +117,12 @@ def i2t_loss(teacher_dist: Tensor, student_dist: Tensor, sample_weights: Tensor 
     """Mean soft cross-entropy from teacher to student image-text rows."""
     if teacher_dist.shape != student_dist.shape:
         raise ShapeMismatchError(f"i2t_loss: {teacher_dist.shape} vs {student_dist.shape}")
-    per_sample = T.soft_cross_entropy(teacher_dist, student_dist)
-    if sample_weights is not None:
-        per_sample = T.mul(per_sample, sample_weights)
+    return _weighted_mean(T.soft_cross_entropy(teacher_dist, student_dist), sample_weights)
+
+
+def _weighted_mean(per_sample: Tensor, weights: Tensor | None) -> Tensor:
+    if weights is not None:
+        per_sample = T.mul(per_sample, weights)
     return T.mean(per_sample)
 
 
@@ -150,13 +159,16 @@ def sample_weights(dist_c0: Tensor, dist_prev: Tensor, dist_student: Tensor) -> 
     return Tensor(r0), Tensor(1.0 - r0)
 
 
-def wc_loss(theta_t: Tensor, theta_prev) -> Tensor:
-    """Sum of squared parameter drift from a constant reference vector."""
-    ref = theta_prev if isinstance(theta_prev, Tensor) else Tensor(theta_prev)
-    if theta_t.shape != ref.shape:
-        raise ShapeMismatchError(f"wc_loss: {theta_t.shape} vs {ref.shape}")
-    diff = T.sub(theta_t, ref.detach())
-    return T.tsum(T.mul(diff, diff))
+def wc_loss(theta_t, theta_prev) -> Tensor:
+    """Sum of squared parameter drift from a constant reference vector.
+
+    `theta_t` is a 1-D tensor, or a list of parameter tensors read as one
+    flat vector in order (the trainer passes the model's parameters, so
+    the whole penalty is a single tape node over the leaves).
+    """
+    ref = theta_prev.data if isinstance(theta_prev, Tensor) else theta_prev
+    parts = [theta_t] if isinstance(theta_t, Tensor) else list(theta_t)
+    return T.sum_sq_diff(parts, ref)
 
 
 # ---------------------------------------------------------------------------
@@ -171,21 +183,47 @@ def _check_rows_sum_to_one(dist: Tensor, what: str) -> None:
 
 @dataclass
 class TeacherOutputs:
-    """Everything a frozen teacher contributes for one batch. All constant."""
+    """Everything a frozen teacher contributes for a set of images. All constant.
+
+    Built and checked once per teacher per task over the task's training
+    set; `rows` then cuts out each batch without re-running the checks.
+    `texts` (the teacher's class-text embeddings) is what `rows` needs to
+    rebuild the prototype-text distributions for moved prototypes.
+    """
 
     feats: Tensor
     img_text_dist: Tensor
     proto_text_dist: Tensor
     text_proto_dist: Tensor
+    texts: Tensor | None = None
 
     def __post_init__(self):
-        for name in ("feats", "img_text_dist", "proto_text_dist", "text_proto_dist"):
+        for name in ("feats", "img_text_dist", "proto_text_dist", "text_proto_dist", "texts"):
             value = getattr(self, name)
-            if value.requires_grad:
+            if value is not None and value.requires_grad:
                 raise ContractError(f"TeacherOutputs.{name} must be detached")
         _check_rows_sum_to_one(self.img_text_dist, "TeacherOutputs.img_text_dist")
         _check_rows_sum_to_one(self.proto_text_dist, "TeacherOutputs.proto_text_dist")
         _check_rows_sum_to_one(self.text_proto_dist, "TeacherOutputs.text_proto_dist")
+
+    def rows(self, idx, protos: Tensor, tau: float) -> "TeacherOutputs":
+        """The bundle for image rows `idx`, against the current prototypes.
+
+        Every op on the image rows is row-wise, so this equals
+        `teacher_outputs` on those rows, bit for bit wherever BLAS computes
+        each matmul row independently of the batch around it (checked in
+        the tests). The result skips `__post_init__`: its rows come from
+        this checked bundle, and the two new distributions are softmax rows
+        of constants.
+        """
+        if self.texts is None:
+            raise ContractError("TeacherOutputs.rows needs the teacher's texts")
+        out = copy.copy(self)
+        out.feats = Tensor(self.feats.data[idx])
+        out.img_text_dist = Tensor(self.img_text_dist.data[idx])
+        out.proto_text_dist = image_text_dist(protos, self.texts, tau)
+        out.text_proto_dist = image_text_dist(self.texts, protos, tau)
+        return out
 
 
 @dataclass
@@ -200,7 +238,7 @@ class StudentOutputs:
 
 
 def teacher_outputs(model, x, token_ids, protos: Tensor, tau: float) -> TeacherOutputs:
-    """Run a frozen model over the batch; see StudentOutputs for the live twin."""
+    """Run a frozen model over images `x`; see StudentOutputs for the live twin."""
     feats = model.encode_images(x)
     texts = model.encode_texts(token_ids)
     return TeacherOutputs(
@@ -208,6 +246,7 @@ def teacher_outputs(model, x, token_ids, protos: Tensor, tau: float) -> TeacherO
         img_text_dist=image_text_dist(feats, texts, tau),
         proto_text_dist=image_text_dist(protos, texts, tau),
         text_proto_dist=image_text_dist(texts, protos, tau),
+        texts=texts,
     )
 
 
@@ -313,19 +352,20 @@ def mdd_loss(
             info["fd" + tag] = fd_mean.item()
             terms.append(T.mean(T.mul(per_fd, r)))
         if enable_ird:
-            weighted = ird_loss(teacher.feats, student.feats, protos, row_weights=r)
-            terms.append(T.scale(weighted, alpha))
-            b, k = teacher.feats.shape[0], protos.shape[0]
-            t_sims = T.cosine_sim(teacher.feats, protos).data
-            s_sims = T.cosine_sim(student.feats, protos).data
-            info["ird" + tag] = float(np.linalg.norm(t_sims - s_sims) / np.sqrt(b * k))
+            # ird_loss, with the similarity matrices kept for the unweighted log value
+            t_sims = T.cosine_sim(teacher.feats, protos)
+            s_sims = T.cosine_sim(student.feats, protos)
+            terms.append(T.scale(_relation_gap(t_sims, s_sims, r), alpha))
+            b, k = t_sims.shape
+            info["ird" + tag] = float(np.linalg.norm(t_sims.data - s_sims.data) / np.sqrt(b * k))
         if enable_idd:
-            i2t_weighted = i2t_loss(teacher.img_text_dist, student.img_text_dist, sample_weights=r)
+            # i2t_loss, with the per-sample cross-entropy kept for the unweighted log value
+            per_i2t = T.soft_cross_entropy(teacher.img_text_dist, student.img_text_dist)
             pt = pt_loss(teacher, student.proto_text_dist, student.text_proto_dist)
-            terms.append(T.scale(i2t_weighted, beta))
+            terms.append(T.scale(_weighted_mean(per_i2t, r), beta))
             terms.append(T.scale(pt, 0.5 * beta))
-            i2t_raw = i2t_loss(teacher.img_text_dist, student.img_text_dist)
-            info["idd" + tag] = i2t_raw.item() + pt.item()
+            i2t_raw = float(per_i2t.data.sum() * (1.0 / per_i2t.size))  # T.mean(per_i2t).item()
+            info["idd" + tag] = i2t_raw + pt.item()
     if not terms:
         return None, info
     total = terms[0]
@@ -359,6 +399,8 @@ def total_loss(
     class_ids=None,
     wc_reference=None,
     student_feats: Tensor | None = None,
+    teachers: tuple[TeacherOutputs, TeacherOutputs] | None = None,
+    batch_rows=None,
 ) -> tuple[Tensor, LossBreakdown]:
     """Assemble the full objective for one batch.
 
@@ -367,6 +409,10 @@ def total_loss(
     defaults to positions 0..K-1 of the store's class list order passed
     by the caller. Teachers and prototypes are constants. With every
     component disabled this reduces to plain supervised fine-tuning.
+
+    `teachers` optionally holds the (c0, c_prev) outputs over the whole
+    training set the batch was drawn from, and `batch_rows` the batch's
+    row indices into it; without them both teachers encode `x` here.
     """
     if class_ids is None:
         raise ContractError("total_loss: class_ids (prototype keys, same order as token_ids) is required")
@@ -384,8 +430,11 @@ def total_loss(
         loss = T.add(loss, T.scale(csa, hyper.lambda1))
 
     if hyper.enable_fd or hyper.enable_ird or hyper.enable_idd:
-        c0_out = teacher_outputs(c0, x, token_ids, protos, hyper.tau)
-        prev_out = teacher_outputs(c_prev, x, token_ids, protos, hyper.tau)
+        if teachers is None:
+            c0_out = teacher_outputs(c0, x, token_ids, protos, hyper.tau)
+            prev_out = teacher_outputs(c_prev, x, token_ids, protos, hyper.tau)
+        else:
+            c0_out, prev_out = (t.rows(batch_rows, protos, hyper.tau) for t in teachers)
         mdd, info = mdd_loss(
             c0_out,
             prev_out,
@@ -410,7 +459,7 @@ def total_loss(
             loss = T.add(loss, T.scale(mdd, hyper.lambda2))
 
     if hyper.enable_wc and wc_reference is not None:
-        wc = wc_loss(params_flat_tensor(student_model), wc_reference)
+        wc = wc_loss(student_model.parameters(), wc_reference)
         bd.wc = wc.item()
         loss = T.add(loss, T.scale(wc, hyper.lambda_wc))
 

@@ -7,11 +7,16 @@ weight ensemble averages the parameter trajectory. The model a task
 hands onward - evaluated, checkpointed, and used as the next task's
 teacher - is the ensemble, not the raw last iterate.
 
-Per-iteration order: sample batch -> update prototypes with detached
-student features -> build the loss -> backward -> AdamW step -> fold
-parameters into the ensemble (and, in "ewe" mode, periodically overwrite
-the live parameters with it). All randomness is derived from the run
-seed; a run is a pure function of (stream, hyper, seed, initial model).
+Per task, before the first iteration: seed the prototype store from the
+initial model, and (when any distillation channel is on) run each frozen
+teacher once over the task's whole training set. Per-iteration order:
+sample batch (with its row indices) -> encode it with the student ->
+update prototypes with the detached student features -> build the loss,
+taking the teachers' rows for the batch from the per-task bundles ->
+backward -> AdamW step -> fold parameters into the ensemble (and, in
+"ewe" mode, periodically overwrite the live parameters with it). All
+randomness is derived from the run seed; a run is a pure function of
+(stream, hyper, seed, initial model).
 """
 
 from __future__ import annotations
@@ -200,13 +205,19 @@ def train_task(
     position_of = {c.class_id: i for i, c in enumerate(task.classes)}
     token_ids = task.token_ids
     class_ids = task.class_ids
+    teachers = None
+    if hyper.enable_fd or hyper.enable_ird or hyper.enable_idd:
+        protos = store.matrix(class_ids).detach()
+        teachers = tuple(
+            losses.teacher_outputs(teacher, task.train_x, token_ids, protos, hyper.tau) for teacher in (c0, c_prev)
+        )
 
     mode = hyper.ensemble_mode()
     we_state = we_init(params_flat(student), hyper.we_interval, hyper.ewe_eta, mode) if mode != "off" else None
     opt = _adamw(student, hyper)
     loss_rows = []
 
-    for k, (x, labels) in enumerate(
+    for k, (x, labels, rows) in enumerate(
         taskgen.batches(task, hyper.batch_size, seed, hyper.iterations_per_task), start=1
     ):
         feats = student.encode_images(x)
@@ -229,6 +240,8 @@ def train_task(
             class_ids=class_ids,
             wc_reference=wc_reference if hyper.enable_wc else None,
             student_feats=feats,
+            teachers=teachers,
+            batch_rows=rows,
         )
         if not math.isfinite(bd.total):
             raise TrainingDivergedError(

@@ -298,6 +298,7 @@ def _pretrain_pool(tasks, config: StreamConfig, seed: int):
 def batches(task: TaskSpec, batch_size: int, seed: int, iterations: int):
     """Yield `iterations` batches sampled with replacement from task.train.
 
+    Each batch is (images, class ids, row indices into task.train_x).
     Batch i is a pure function of (seed, task_id, i): regenerating the
     stream and re-running gives identical batches.
     """
@@ -307,7 +308,7 @@ def batches(task: TaskSpec, batch_size: int, seed: int, iterations: int):
     for it in range(1, iterations + 1):
         rng = _rng(seed, _TAG_BATCH, task.task_id, it)
         idx = rng.integers(0, n, size=batch_size)
-        yield Tensor(task.train_x[idx]), task.train_y[idx]
+        yield Tensor(task.train_x[idx]), task.train_y[idx], idx
 
 
 # ---------------------------------------------------------------------------

@@ -133,13 +133,16 @@ def _wrap(value) -> Tensor:
 
 
 class GradTape:
-    """Topologically ordered record of the nodes reachable from a root.
+    """Topologically ordered record of the gradient-carrying nodes reachable from a root.
 
-    The order is a pure function of graph construction, so replaying the
+    Constants are left off the tape: no gradient ever reaches them. The
+    order is a pure function of graph construction, so replaying the
     tape on identical inputs yields bitwise-identical gradients. While a
     pass runs, gradients flow through a pass-local buffer (keyed by node
-    identity) and are flushed into .grad at the end; .grad therefore only
-    ever holds completed passes, and repeated passes add up cleanly.
+    identity); at the end only leaves (nodes without a backward rule, such
+    as parameters) get them flushed into .grad. .grad therefore only ever
+    holds completed passes, repeated passes add up cleanly, and
+    intermediate nodes never hold a .grad.
     """
 
     _pass_buffers: dict | None = None
@@ -162,7 +165,7 @@ class GradTape:
             visited.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
-                if id(parent) not in visited:
+                if parent.requires_grad and id(parent) not in visited:
                     stack.append((parent, False))
         return cls(order)
 
@@ -179,7 +182,7 @@ class GradTape:
         finally:
             GradTape._pass_buffers = None
         for node in self.nodes:
-            if node.requires_grad:
+            if node._backward is None:
                 g = buffers.get(id(node))
                 if g is not None:
                     node._accumulate(g)
@@ -310,6 +313,32 @@ def concat1d(parts: list) -> Tensor:
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
             if p.requires_grad:
                 p._accumulate(g[lo:hi])
+
+    return _result(data, tuple(parts), backward)
+
+
+def sum_sq_diff(parts: list, ref: np.ndarray) -> Tensor:
+    """||concat(flatten(parts)) - ref||^2 as one node; `ref` is a constant.
+
+    The backward pass hands each part its slice of 2 * g * (theta - ref),
+    so a list of parameter leaves gets one contribution each without any
+    intermediate reshape or concatenation nodes on the tape.
+    """
+    if not parts:
+        raise ContractError("sum_sq_diff needs at least one tensor")
+    ref = _as_array(ref)
+    flat = np.concatenate([p.data.reshape(-1) for p in parts])
+    if flat.shape != ref.shape:
+        raise ShapeMismatchError(f"sum_sq_diff: {flat.shape} vs {ref.shape}")
+    diff = flat - ref
+    data = (diff * diff).sum()
+    offsets = np.cumsum([0] + [p.size for p in parts])
+
+    def backward(g):
+        grad = 2.0 * (g * diff)  # exactly (g * diff) + (g * diff), the product rule's two terms
+        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
+            if p.requires_grad:
+                p._accumulate(grad[lo:hi].reshape(p.shape))
 
     return _result(data, tuple(parts), backward)
 

@@ -15,17 +15,15 @@ bookkeeping and its serialization.
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError
+from .jsonutil import read_framed, write_framed
 
 MODES = ("we", "ewe", "off")
 
-_HEADER_LEN = struct.Struct("<I")
 STATE_FORMAT_VERSION = 1
 
 
@@ -116,35 +114,16 @@ def save_we_state(state: WEState, path) -> None:
         "mode": state.mode,
         "count": int(state.theta_hat.size),
     }
-    header = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_HEADER_LEN.pack(len(header)))
-        fh.write(header)
-        fh.write(state.theta_hat.astype("<f8").tobytes())
+    write_framed(manifest, state.theta_hat, path)
 
 
 def load_we_state(path) -> WEState:
-    with open(path, "rb") as fh:
-        raw_len = fh.read(_HEADER_LEN.size)
-        if len(raw_len) != _HEADER_LEN.size:
-            raise ContractError(f"ensemble state {path} is truncated")
-        (header_len,) = _HEADER_LEN.unpack(raw_len)
-        header = fh.read(header_len)
-        if len(header) != header_len:
-            raise ContractError(f"ensemble state {path} is truncated")
-        manifest = json.loads(header.decode("utf-8"))
-        payload = fh.read()
-    if manifest.get("format_version") != STATE_FORMAT_VERSION:
-        raise ContractError(f"unsupported ensemble state version in {path}")
-    if len(payload) % 8 != 0:
-        raise ContractError(f"ensemble state {path} is truncated")
-    theta_hat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-    if theta_hat.size != manifest["count"]:
-        raise ContractError(f"ensemble state {path}: expected {manifest['count']} values, found {theta_hat.size}")
-    return WEState(
-        theta_hat=theta_hat,
-        m=int(manifest["m"]),
-        interval=int(manifest["interval"]),
-        eta=int(manifest["eta"]),
-        mode=manifest["mode"],
+    """Read an ensemble state; a malformed file of any kind raises ContractError."""
+    manifest, theta_hat = read_framed(
+        path, "ensemble state", {"format_version": STATE_FORMAT_VERSION}, required=("m", "interval", "eta", "mode")
     )
+    try:
+        m, interval, eta = (int(manifest[key]) for key in ("m", "interval", "eta"))
+    except (TypeError, ValueError) as exc:
+        raise ContractError(f"ensemble state {path}: non-integer count in manifest ({exc})") from exc
+    return WEState(theta_hat=theta_hat, m=m, interval=interval, eta=eta, mode=manifest["mode"])

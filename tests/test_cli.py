@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 from types import SimpleNamespace
 
 import pytest
@@ -224,3 +225,44 @@ def test_report_missing_metrics_exits_2(tmp_path, capsys):
     code = main(["report", str(empty), "--out", str(tmp_path / "t.csv")])
     assert code == 2
     assert "metrics.json" in capsys.readouterr().err
+
+
+def test_report_missing_metric_key_exits_2(pipeline, tmp_path, capsys):
+    run = tmp_path / "partial"
+    run.mkdir()
+    doc = json.loads((pipeline.run_a / "seed_00" / "metrics.json").read_text())
+    del doc["avg"]
+    (run / "metrics.json").write_text(json.dumps(doc))
+    code = main(["report", str(run), "--out", str(tmp_path / "t.csv")])
+    assert code == 2
+    assert "'avg'" in capsys.readouterr().err
+
+
+def _drop_count(header: bytes) -> bytes:
+    manifest = json.loads(header)
+    del manifest["count"]
+    return json.dumps(manifest).encode()
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda header: header[:-1], "corrupt header"),  # JSON cut short
+        (lambda header: b"\xff" + header[1:], "corrupt header"),  # not UTF-8
+        (_drop_count, "'count'"),
+    ],
+    ids=["json", "utf8", "count"],
+)
+def test_corrupt_checkpoint_exits_2(pipeline, tmp_path, capsys, edit, message):
+    raw = pipeline.c0.read_bytes()
+    (hlen,) = struct.unpack_from("<I", raw)
+    header = edit(raw[4 : 4 + hlen])
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(struct.pack("<I", len(header)) + header + raw[4 + hlen :])
+    code = main([
+        "run", "--config", str(pipeline.cfg),
+        "--stream", str(pipeline.stream), "--c0", str(bad),
+        "--out", str(tmp_path / "x"),
+    ])
+    assert code == 2
+    assert message in capsys.readouterr().err

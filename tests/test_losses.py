@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gradcheck import check_grads, unit_rows
+from mulki import tensor as T
 from mulki.encoder import DualEncoder, snapshot
 from mulki.errors import ConfigError, ContractError, ShapeMismatchError
 from mulki.losses import (
@@ -314,6 +315,35 @@ def test_wc_values_and_grad(rng):
     check_grads(lambda p: wc_loss(p[0], Tensor(ref)), [theta.data], rel=1e-6)
 
 
+def test_wc_on_parameter_list_is_one_node_matching_the_flat_chain():
+    from mulki.encoder import params_flat, params_flat_tensor
+    from mulki.tensor import GradTape
+
+    def run(penalty):
+        model = DualEncoder(3, vocab_size=5, d_in=6, d_tok=4, hidden=8, embed_dim=6)
+        ref = params_flat(model) + np.random.default_rng(0).normal(scale=0.01, size=params_flat(model).size)
+        # a forward contribution too, so each leaf sums two gradients as in training
+        loss = Tensor(0.0)
+        for p in model.parameters():
+            loss = loss + T.tsum(T.mul(p, p))
+        loss = loss + penalty(model, ref) * 0.1
+        loss.backward()
+        return loss.data.tobytes(), [p.grad.tobytes() for p in model.parameters()]
+
+    def old_chain(model, ref):
+        diff = T.sub(params_flat_tensor(model), Tensor(ref))
+        return T.tsum(T.mul(diff, diff))
+
+    assert run(lambda model, ref: wc_loss(model.parameters(), ref)) == run(old_chain)
+
+    model = DualEncoder(3, vocab_size=5, d_in=6, d_tok=4, hidden=8, embed_dim=6)
+    ref = np.random.default_rng(1).normal(size=params_flat(model).size)
+    assert len(GradTape.trace(wc_loss(model.parameters(), ref)).nodes) == 1 + len(model.parameters())
+    check_grads(lambda ps: wc_loss(ps, ref), [p.data for p in model.parameters()], rel=1e-6)
+    with pytest.raises(ShapeMismatchError):
+        wc_loss(model.parameters(), ref[:-1])
+
+
 def test_wc_permutation_invariant(rng):
     a, b = rng.normal(size=10), rng.normal(size=10)
     perm = rng.permutation(10)
@@ -442,6 +472,46 @@ def test_teacher_outputs_rows_must_sum_to_one(rng):
     bad = Tensor(np.full((2, 3), 0.5))
     with pytest.raises(ContractError):
         TeacherOutputs(feats=feats, img_text_dist=bad, proto_text_dist=bad, text_proto_dist=bad)
+
+
+def test_teacher_rows_equal_per_batch_teacher_outputs(tiny_stream):
+    from mulki.taskgen import batches
+
+    task = tiny_stream.tasks[0]
+    teacher = snapshot(DualEncoder(5, vocab_size=tiny_stream.vocab_size, d_in=tiny_stream.d_in, d_tok=8, hidden=16, embed_dim=8))
+    store = PrototypeStore.init_from_model(teacher, task.images_by_class())
+    protos = store.matrix(task.class_ids).detach()
+    whole = teacher_outputs(teacher, task.train_x, task.token_ids, protos, tau=2.0)
+    for it, (x, _, idx) in enumerate(batches(task, 8, seed=3, iterations=40)):
+        moved = Tensor(np.roll(protos.data, it, axis=1))  # prototypes drift between batches
+        fresh = teacher_outputs(teacher, x, task.token_ids, moved, tau=2.0)
+        cut = whole.rows(idx, moved, tau=2.0)
+        for name in ("feats", "img_text_dist", "proto_text_dist", "text_proto_dist", "texts"):
+            assert np.array_equal(getattr(cut, name).data, getattr(fresh, name).data), (it, name)
+
+
+def test_teacher_rows_skip_the_checks(monkeypatch, rng):
+    out, protos = teacher_pack(rng, 4, 3, 5)
+    out.texts = Tensor(unit_rows(rng, 3, 5))
+    calls = []
+    monkeypatch.setattr(TeacherOutputs, "__post_init__", lambda self: calls.append(self))
+    out.rows([0, 2], protos, tau=2.0)
+    assert calls == []
+
+
+def test_total_loss_with_teacher_bundles_matches_per_batch():
+    student, c0, c_prev, store, x, labels, token_ids, hyper = total_loss_setup(seed=6)
+    pool = np.random.default_rng(1).normal(size=(10, 6))
+    rows = np.array([3, 1, 4, 1, 5, 9])
+    protos = store.matrix([0, 1, 2]).detach()
+    teachers = tuple(teacher_outputs(t, pool, token_ids, protos, hyper.tau) for t in (c0, c_prev))
+    _, fresh = total_loss(pool[rows], labels, token_ids, student, c0, c_prev, store, hyper, class_ids=[0, 1, 2])
+    _, cached = total_loss(
+        pool[rows], labels, token_ids, student, c0, c_prev, store, hyper, class_ids=[0, 1, 2],
+        teachers=teachers, batch_rows=rows,
+    )
+    assert fresh.values() == cached.values()
+    assert fresh.per_sample_r0 == cached.per_sample_r0
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,7 @@ def test_continual_ft_bitwise_matches_reference_loop(tiny_stream):
             weight_decay=hyper.weight_decay,
         )
         position_of = {cid: p for p, cid in enumerate(task.class_ids)}
-        for x, labels in taskgen.batches(task, hyper.batch_size, seed, hyper.iterations_per_task):
+        for x, labels, _ in taskgen.batches(task, hyper.batch_size, seed, hyper.iterations_per_task):
             feats = student.encode_images(x)
             texts = student.encode_texts(task.token_ids)
             dist = losses.image_text_dist(feats, texts, hyper.tau_ce)

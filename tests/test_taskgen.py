@@ -114,8 +114,8 @@ def test_train_test_disjoint():
 def test_batches_deterministic_and_varied():
     stream = generate_stream(small_config())
     task = stream.tasks[0]
-    run1 = [(x.data.copy(), y.copy()) for x, y in batches(task, 8, seed=5, iterations=4)]
-    run2 = [(x.data.copy(), y.copy()) for x, y in batches(task, 8, seed=5, iterations=4)]
+    run1 = [(x.data.copy(), y.copy()) for x, y, _ in batches(task, 8, seed=5, iterations=4)]
+    run2 = [(x.data.copy(), y.copy()) for x, y, _ in batches(task, 8, seed=5, iterations=4)]
     for (x1, y1), (x2, y2) in zip(run1, run2):
         assert np.array_equal(x1, x2) and np.array_equal(y1, y2)
     assert not np.array_equal(run1[0][0], run1[1][0])  # iterations differ
@@ -126,6 +126,13 @@ def test_batches_deterministic_and_varied():
     for x, y in run1:
         assert x.shape == (8, stream.d_in)
         assert set(y) <= set(task.class_ids)
+
+
+def test_batch_indices_select_the_batch():
+    task = generate_stream(small_config()).tasks[0]
+    for x, y, idx in batches(task, 8, seed=5, iterations=3):
+        assert np.array_equal(x.data, task.train_x[idx])
+        assert np.array_equal(y, task.train_y[idx])
 
 
 def test_batches_rejects_bad_size():

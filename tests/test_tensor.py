@@ -338,3 +338,32 @@ def test_gradtape_order_root_last():
     tape = GradTape.trace(y)
     assert tape.nodes[-1] is y
     assert x in tape.nodes
+
+
+def test_backward_flushes_only_leaves(rng):
+    x = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
+    w = Tensor(rng.normal(size=(6, 5)), requires_grad=True)
+    loss = _composite(x, w)
+    tape = GradTape.trace(loss)
+    # replay the pass by hand to see every node's gradient buffer
+    GradTape._pass_buffers = buffers = {id(loss): np.ones_like(loss.data)}
+    try:
+        for node in reversed(tape.nodes):
+            if id(node) in buffers and node._backward is not None:
+                node._backward(buffers[id(node)])
+    finally:
+        GradTape._pass_buffers = None
+
+    loss.backward()
+    assert all(node.grad is None for node in tape.nodes if node._backward is not None)
+    assert x.grad.tobytes() == buffers[id(x)].tobytes()
+    assert w.grad.tobytes() == buffers[id(w)].tobytes()
+
+
+def test_tape_leaves_out_constants(rng):
+    x = Tensor(rng.normal(size=3), requires_grad=True)
+    c = Tensor(rng.normal(size=3))
+    tape = GradTape.trace(T.tsum(T.mul(x, c)))
+    assert c not in tape.nodes and x in tape.nodes
+    assert all(node.requires_grad for node in tape.nodes)
+

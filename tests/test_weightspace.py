@@ -1,5 +1,7 @@
 """Weight-space averaging: state machine, exact means, serialization."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -152,5 +154,17 @@ def test_load_truncated_error(tmp_path, rng):
     save_we_state(state, path)
     blob = path.read_bytes()
     path.write_bytes(blob[: len(blob) - 5])
+    with pytest.raises(ContractError):
+        load_we_state(path)
+
+
+@pytest.mark.parametrize(
+    "header",
+    [b"{not json", b"\xff\xfe", b"[1, 2]", b'{"format_version": 1, "m": 0, "interval": 1, "eta": 5, "mode": "we"}'],
+    ids=["json", "utf8", "not-object", "no-count"],
+)
+def test_load_corrupt_header_error(tmp_path, header):
+    path = tmp_path / "ensemble.bin"
+    path.write_bytes(struct.pack("<I", len(header)) + header + np.zeros(3).tobytes())
     with pytest.raises(ContractError):
         load_we_state(path)
