@@ -8,7 +8,7 @@ the last iterate. Everything runs on a small numpy autodiff core; no
 GPU framework is involved.
 """
 
-from .config import VARIANTS, ExperimentConfig, apply_variant, config_from_dict, load_config
+from .config import VARIANTS, ExperimentConfig, HyperParams, ModelConfig, apply_variant, config_from_dict, load_config
 from .encoder import (
     DualEncoder,
     ModelSnapshot,
@@ -41,15 +41,7 @@ from .losses import (
 from .metrics import AccuracyMatrix, avg, current_avg, evaluate, last, transfer
 from .optim import AdamW
 from .prototypes import PrototypeStore
-from .runner import (
-    HyperParams,
-    ModelConfig,
-    RunRecord,
-    pretrain,
-    run_stream,
-    save_run_record,
-    train_task,
-)
+from .runner import RunRecord, pretrain, run_stream, save_run_record, train_task
 from .taskgen import StreamConfig, StreamSpec, generate_stream, load_stream, save_stream
 from .tensor import GradTape, Tensor
 from .weightspace import WEState, ewe_step, final_params, we_init, we_step

@@ -72,51 +72,38 @@ def cmd_pretrain(args) -> int:
 
 def cmd_run(args) -> int:
     cfg = _load_experiment(args)
-    if args.variant:
-        if args.variant not in VARIANTS:
-            raise ConfigError(f"unknown variant {args.variant!r}; expected one of {sorted(VARIANTS)}")
-        cfg.variant = args.variant
+    cfg.variant = args.variant or cfg.variant
+    hyper = apply_variant(cfg.hyper, cfg.variant)
     stream = load_stream(args.stream)
     c0 = snapshot(load_checkpoint(args.c0))
-    hyper = apply_variant(cfg.hyper, cfg.variant)
     out_root = _out_dir(args, cfg)
     echo = cfg.echo()
     for seed in cfg.seeds:
         record = run_stream(stream, hyper, seed, c0, config_echo=echo)
         run_dir = os.path.join(out_root, f"seed_{seed:02d}")
         save_run_record(record, run_dir)
-        print(f"seed {seed}: " + ", ".join(f"{k}={record_metric(record.matrix, k):.4f}" for k in METRIC_NAMES))
+        print(f"seed {seed}: " + ", ".join(f"{k}={v:.4f}" for k, v in metrics.summaries(record.matrix).items()))
     print(f"wrote {len(cfg.seeds)} run(s) under {out_root}")
     return 0
 
 
-def record_metric(matrix, name: str) -> float:
-    return getattr(metrics, name)(matrix)
-
-
 def cmd_ablate(args) -> int:
     cfg = _load_experiment(args)
+    names = [v for v in args.variant.split(",") if v] if args.variant else list(VARIANTS)
+    arms = [(name, apply_variant(cfg.hyper, name)) for name in names]  # every name checked before any run
     stream = load_stream(args.stream)
     c0 = snapshot(load_checkpoint(args.c0))
     out_root = _out_dir(args, cfg)
-    if args.variant:
-        names = [v for v in args.variant.split(",") if v]
-        for name in names:
-            if name not in VARIANTS:
-                raise ConfigError(f"unknown variant {name!r}; expected one of {sorted(VARIANTS)}")
-    else:
-        names = list(VARIANTS)
 
     echo = cfg.echo()
     table: dict[str, dict] = {}
-    for name in names:
-        hyper = apply_variant(cfg.hyper, name)
+    for name, hyper in arms:
         per_seed = {metric: [] for metric in METRIC_NAMES}
         for seed in cfg.seeds:
             record = run_stream(stream, hyper, seed, c0, config_echo=echo)
             save_run_record(record, os.path.join(out_root, name, f"seed_{seed:02d}"))
-            for metric in METRIC_NAMES:
-                per_seed[metric].append(record_metric(record.matrix, metric))
+            for metric, value in metrics.summaries(record.matrix).items():
+                per_seed[metric].append(value)
         table[name] = {
             metric: {
                 "mean": float(np.mean(values)),

@@ -152,9 +152,6 @@ def metrics_document(matrix, zero_shot_row) -> dict:
     a = _as_matrix(matrix)
     return {
         "matrix": [[float(v) for v in row] for row in a],
-        "transfer": transfer(a),
-        "avg": avg(a),
-        "last": last(a),
-        "current_avg": current_avg(a),
+        **summaries(a),
         "zero_shot_row": [float(v) for v in zero_shot_row],
     }

@@ -99,12 +99,11 @@ class PrototypeStore:
             raise ContractError("matrix: empty class list")
         return Tensor(np.stack(rows))
 
-    def ema_update(self, features_by_class: dict, advance_gamma: bool = True) -> None:
+    def ema_update(self, features_by_class: dict) -> None:
         """Blend each present class's prototype toward its batch feature mean.
 
         All classes in the call share the same gamma; the schedule then
-        advances once (unless advance_gamma=False, for callers composing
-        several partial updates into one logical iteration).
+        advances once.
         """
         means = {}
         for class_id, feats in features_by_class.items():
@@ -115,8 +114,7 @@ class PrototypeStore:
         for class_id, m in means.items():
             blended = g * self._protos[class_id] + (1.0 - g) * m
             self._protos[class_id] = _normalize(blended, class_id)
-        if advance_gamma:
-            self._updates += 1
+        self._updates += 1
 
     def purge(self) -> None:
         """Drop every prototype and reset gamma; idempotent."""

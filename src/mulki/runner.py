@@ -23,11 +23,12 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import losses, metrics, taskgen
+from .config import HyperParams, ModelConfig
 from .encoder import DualEncoder, ModelSnapshot, load_flat, params_flat, save_checkpoint, snapshot
 from .errors import ConfigError, TrainingDivergedError
 from .jsonutil import format_float, write_canonical
@@ -39,82 +40,11 @@ _TAG_PRETRAIN_BATCH = 21
 
 
 @dataclass
-class ModelConfig:
-    """Encoder dimensions; input width and vocabulary come from the stream."""
-
-    d_tok: int = 16
-    hidden: int = 64
-    embed_dim: int = 16
-
-
-@dataclass
-class HyperParams:
-    """Every knob of a run, with the package defaults.
-
-    enable_wc is honored only on multi-domain streams; run_stream drops
-    the drift penalty in class-incremental mode regardless of the flag.
-    """
-
-    tau: float = 2.0            # distillation temperature
-    tau_ce: float = 0.07        # supervised / contrastive logit temperature
-    alpha: float = 1.0          # weight of the relation-distance channel
-    beta: float = 1.0           # weight of the distribution channels
-    lambda1: float = 1.0        # weight of prototype-text alignment
-    lambda2: float = 1.0        # weight of the dual-teacher distillation block
-    lambda_wc: float = 0.1      # weight of the parameter drift penalty
-    gamma0: float = 0.0         # prototype EMA schedule start
-    gamma_step: float = 0.04    # prototype EMA schedule increment per iteration
-    gamma_max: float = 0.98     # prototype EMA schedule cap
-    iterations_per_task: int = 300
-    pretrain_iterations: int = 500
-    batch_size: int = 32
-    lr: float = 1e-3
-    weight_decay: float = 1e-4
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    we_interval: int = 50       # iterations between ensemble averagings
-    ewe_eta: int = 5            # averagings between live-parameter overwrites
-    weighting_mode: str = "similarity"
-    enable_csa: bool = True
-    enable_fd: bool = True
-    enable_ird: bool = True
-    enable_idd: bool = True
-    enable_wc: bool = True
-    enable_we: bool = True
-    enable_ewe: bool = False
-
-    def validate(self) -> None:
-        if self.weighting_mode not in losses.WEIGHTING_MODES:
-            raise ConfigError(
-                f"hyper.weighting_mode must be one of {losses.WEIGHTING_MODES}, got {self.weighting_mode!r}"
-            )
-        for name in ("tau", "tau_ce", "lr"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"hyper.{name} must be > 0")
-        for name in ("iterations_per_task", "batch_size", "we_interval", "ewe_eta"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"hyper.{name} must be >= 1")
-        if self.pretrain_iterations < 0:
-            raise ConfigError("hyper.pretrain_iterations must be >= 0")
-        if not 0.0 <= self.gamma0 <= self.gamma_max <= 1.0:
-            raise ConfigError("hyper gamma schedule must satisfy 0 <= gamma0 <= gamma_max <= 1")
-
-    def ensemble_mode(self) -> str:
-        if self.enable_ewe:
-            return "ewe"
-        if self.enable_we:
-            return "we"
-        return "off"
-
-
-@dataclass
 class TaskResult:
     """What one task's training window leaves behind."""
 
     checkpoint: ModelSnapshot
     loss_rows: list
-    we_state: object | None
 
 
 @dataclass
@@ -186,7 +116,6 @@ def train_task(
     hyper: HyperParams,
     seed: int,
     wc_reference: np.ndarray | None = None,
-    store_cls=PrototypeStore,
 ) -> TaskResult:
     """Train `student` on one task against both teachers, in place.
 
@@ -195,7 +124,7 @@ def train_task(
     lives only inside this window: seeded from the initial model before
     the first iteration, purged after the last.
     """
-    store = store_cls.init_from_model(
+    store = PrototypeStore.init_from_model(
         c0,
         task.images_by_class(),
         gamma0=hyper.gamma0,
@@ -213,7 +142,7 @@ def train_task(
         )
 
     mode = hyper.ensemble_mode()
-    we_state = we_init(params_flat(student), hyper.we_interval, hyper.ewe_eta, mode) if mode != "off" else None
+    we_state = we_init(params_flat(student), hyper.we_interval, hyper.ewe_eta, mode) if mode else None
     opt = _adamw(student, hyper)
     loss_rows = []
 
@@ -261,7 +190,7 @@ def train_task(
 
     load_flat(student, final_params(we_state, params_flat(student)))
     store.purge()
-    return TaskResult(checkpoint=snapshot(student), loss_rows=loss_rows, we_state=we_state)
+    return TaskResult(checkpoint=snapshot(student), loss_rows=loss_rows)
 
 
 def evaluate_row(model, stream, model_row: int) -> np.ndarray:
@@ -280,7 +209,6 @@ def run_stream(
     seed: int,
     c0: ModelSnapshot,
     config_echo: dict | None = None,
-    store_cls=PrototypeStore,
 ) -> RunRecord:
     """Sequential pass over the stream's tasks starting from `c0`.
 
@@ -302,7 +230,7 @@ def run_stream(
     for i, task in enumerate(stream.tasks, start=1):
         c_prev = snapshot(student)
         wc_reference = c_prev.params_flat() if use_wc else None
-        result = train_task(student, c0, c_prev, task, hyper, seed, wc_reference=wc_reference, store_cls=store_cls)
+        result = train_task(student, c0, c_prev, task, hyper, seed, wc_reference=wc_reference)
         loss_rows.extend(result.loss_rows)
         checkpoints.append(result.checkpoint)
         matrix[i] = evaluate_row(result.checkpoint, stream, i)
@@ -339,24 +267,3 @@ def save_run_record(record: RunRecord, out_dir) -> None:
         lines.append(",".join(row))
     with open(os.path.join(out_dir, "losses.csv"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def hyper_from_dict(raw: dict) -> HyperParams:
-    allowed = {f.name for f in dc_fields(HyperParams)}
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ConfigError(f"unknown hyper config key {sorted(unknown)[0]!r}")
-    hyper = HyperParams(**raw)
-    hyper.validate()
-    return hyper
-
-
-def model_config_from_dict(raw: dict) -> ModelConfig:
-    allowed = {f.name for f in dc_fields(ModelConfig)}
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ConfigError(f"unknown model config key {sorted(unknown)[0]!r}")
-    for name in ("d_tok", "hidden", "embed_dim"):
-        if raw.get(name, 1) < 1:
-            raise ConfigError(f"model.{name} must be >= 1")
-    return ModelConfig(**raw)

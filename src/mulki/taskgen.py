@@ -23,7 +23,7 @@ are derived from the seed, and per-iteration batch sampling is keyed by
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields as dc_fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -469,14 +469,3 @@ def load_stream(path) -> StreamSpec:
     if not tasks:
         raise StreamFormatError("field tasks: must contain at least one task")
     return StreamSpec(mode=mode, seed=seed, d_in=d_in, pretrain_x=pool_x, pretrain_tokens=pool_tokens, tasks=tasks)
-
-
-def stream_config_from_dict(raw: dict) -> StreamConfig:
-    """Build a StreamConfig from plain keys, rejecting unknown ones."""
-    allowed = {f.name for f in dc_fields(StreamConfig)}
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ConfigError(f"unknown stream config key {sorted(unknown)[0]!r}")
-    config = StreamConfig(**raw)
-    config.validate()
-    return config

@@ -347,16 +347,6 @@ def sum_sq_diff(parts: list, ref: np.ndarray) -> Tensor:
 # elementwise nonlinearities
 
 
-def exp(a: Tensor) -> Tensor:
-    data = np.exp(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * data)
-
-    return _result(data, (a,), backward)
-
-
 def log(a: Tensor) -> Tensor:
     data = np.log(a.data)
 
@@ -373,16 +363,6 @@ def tanh(a: Tensor) -> Tensor:
     def backward(g):
         if a.requires_grad:
             a._accumulate(g * (1.0 - data * data))
-
-    return _result(data, (a,), backward)
-
-
-def relu(a: Tensor) -> Tensor:
-    data = np.maximum(a.data, 0.0)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * (a.data > 0.0))
 
     return _result(data, (a,), backward)
 

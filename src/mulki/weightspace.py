@@ -10,7 +10,7 @@ trajectory.
 
 The drift penalty (squared distance to the previous task's final
 parameters) lives in losses.wc_loss; this module owns the ensemble
-bookkeeping and its serialization.
+bookkeeping.
 """
 
 from __future__ import annotations
@@ -20,11 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
-from .jsonutil import read_framed, write_framed
 
-MODES = ("we", "ewe", "off")
-
-STATE_FORMAT_VERSION = 1
+MODES = ("we", "ewe")
 
 
 @dataclass
@@ -73,7 +70,7 @@ def we_step(state: WEState, theta_current: np.ndarray, k: int) -> bool:
     """
     if k < 1:
         raise ContractError(f"iteration index must be >= 1, got {k}")
-    if state.mode == "off" or k % state.interval != 0:
+    if k % state.interval != 0:
         return False
     theta_current = np.asarray(theta_current, dtype=np.float64)
     if theta_current.shape != state.theta_hat.shape:
@@ -98,32 +95,8 @@ def ewe_step(state: WEState, k: int) -> bool:
 
 
 def final_params(state: WEState | None, raw_params: np.ndarray) -> np.ndarray:
-    """The parameters a task hands onward: the ensemble unless mode is off."""
-    if state is None or state.mode == "off":
+    """The parameters a task hands onward: the ensemble, if one ran."""
+    if state is None:
         return np.asarray(raw_params, dtype=np.float64).copy()
     return state.theta_hat.copy()
 
-
-def save_we_state(state: WEState, path) -> None:
-    """Length-prefixed JSON manifest + raw little-endian float64 payload."""
-    manifest = {
-        "format_version": STATE_FORMAT_VERSION,
-        "m": state.m,
-        "interval": state.interval,
-        "eta": state.eta,
-        "mode": state.mode,
-        "count": int(state.theta_hat.size),
-    }
-    write_framed(manifest, state.theta_hat, path)
-
-
-def load_we_state(path) -> WEState:
-    """Read an ensemble state; a malformed file of any kind raises ContractError."""
-    manifest, theta_hat = read_framed(
-        path, "ensemble state", {"format_version": STATE_FORMAT_VERSION}, required=("m", "interval", "eta", "mode")
-    )
-    try:
-        m, interval, eta = (int(manifest[key]) for key in ("m", "interval", "eta"))
-    except (TypeError, ValueError) as exc:
-        raise ContractError(f"ensemble state {path}: non-integer count in manifest ({exc})") from exc
-    return WEState(theta_hat=theta_hat, m=m, interval=interval, eta=eta, mode=manifest["mode"])

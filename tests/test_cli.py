@@ -180,6 +180,16 @@ def test_unknown_variant_exits_2(pipeline, tmp_path, capsys):
     ])
     assert code == 2
     assert "fancy" in capsys.readouterr().err
+    # ablate checks every named arm before the first run
+    out = tmp_path / "grid"
+    code = main([
+        "ablate", "--config", str(pipeline.cfg),
+        "--stream", str(pipeline.stream), "--c0", str(pipeline.c0),
+        "--out", str(out), "--variant", "full,fancy",
+    ])
+    assert code == 2
+    assert "fancy" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bad_seeds_flag_exits_2(pipeline, tmp_path, capsys):
@@ -208,6 +218,24 @@ def test_bad_config_key_exits_2(tmp_path, capsys):
     code = main(["generate", "--config", str(cfg), "--out", str(tmp_path / "s.json")])
     assert code == 2
     assert "lamda1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [("hyper", "lr", "x"), ("model", "hidden", "x"), ("stream", "n_tasks", "x"),
+     ("hyper", "batch_size", 2.5), ("hyper", "enable_fd", "no")],
+)
+@pytest.mark.parametrize("source", ["file", "env"])
+def test_wrongly_typed_config_value_exits_2(tmp_path, capsys, monkeypatch, section, key, value, source):
+    cfg = tmp_path / "typed.json"
+    if source == "file":
+        cfg.write_text(json.dumps({section: {key: value}}))
+    else:
+        cfg.write_text("{}")
+        monkeypatch.setenv(f"MULKI_{section.upper()}__{key.upper()}", value if isinstance(value, str) else json.dumps(value))
+    code = main(["generate", "--config", str(cfg), "--out", str(tmp_path / "s.json")])
+    assert code == 2
+    assert f"{section}.{key}" in capsys.readouterr().err
 
 
 def test_no_output_location_exits_2(pipeline, capsys):
@@ -250,8 +278,9 @@ def _drop_count(header: bytes) -> bytes:
         (lambda header: header[:-1], "corrupt header"),  # JSON cut short
         (lambda header: b"\xff" + header[1:], "corrupt header"),  # not UTF-8
         (_drop_count, "'count'"),
+        (lambda header: b"[1, 2]", "not a JSON object"),
     ],
-    ids=["json", "utf8", "count"],
+    ids=["json", "utf8", "count", "not-object"],
 )
 def test_corrupt_checkpoint_exits_2(pipeline, tmp_path, capsys, edit, message):
     raw = pipeline.c0.read_bytes()

@@ -7,13 +7,13 @@ import pytest
 from mulki.config import (
     VARIANTS,
     ExperimentConfig,
+    HyperParams,
     apply_env_overrides,
     apply_variant,
     config_from_dict,
     load_config,
 )
 from mulki.errors import ConfigError
-from mulki.runner import HyperParams
 
 
 def test_defaults():
@@ -61,6 +61,39 @@ def test_unknown_keys_named():
     assert "width" in str(err.value)
 
 
+WRONG_TYPES = [
+    ({"hyper": {"lr": "x"}}, "lr"),
+    ({"model": {"hidden": "x"}}, "hidden"),
+    ({"stream": {"n_tasks": "x"}}, "n_tasks"),
+    ({"hyper": {"batch_size": 2.5}}, "batch_size"),
+    ({"hyper": {"enable_fd": "no"}}, "enable_fd"),
+    ({"hyper": {"enable_we": 1}}, "enable_we"),
+    ({"hyper": {"iterations_per_task": True}}, "iterations_per_task"),
+    ({"hyper": {"tau": False}}, "tau"),
+    ({"hyper": {"weighting_mode": 2}}, "weighting_mode"),
+]
+
+
+@pytest.mark.parametrize("raw, key", WRONG_TYPES, ids=[key for _, key in WRONG_TYPES])
+def test_wrongly_typed_value_named(raw, key):
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(raw)
+    assert key in str(err.value)
+
+
+def test_wrongly_typed_env_override_named(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text("{}")
+    with pytest.raises(ConfigError) as err:
+        load_config(path, environ={"MULKI_HYPER__LR": "abc"})
+    assert "lr" in str(err.value)
+
+
+def test_float_fields_keep_integers_as_given():
+    cfg = config_from_dict({"hyper": {"lr": 1, "tau": 3}})
+    assert type(cfg.hyper.lr) is int and type(cfg.hyper.tau) is int  # so the echo keeps "1", not "1.0"
+
+
 def test_seeds_validation():
     for bad in ([], "0,1", [0, "1"], [True], 5):
         with pytest.raises(ConfigError):
@@ -71,6 +104,8 @@ def test_variant_validation():
     with pytest.raises(ConfigError) as err:
         config_from_dict({"variant": "fancy"})
     assert "fancy" in str(err.value)
+    with pytest.raises(ConfigError):
+        config_from_dict({"variant": ["full"]})
     with pytest.raises(ConfigError):
         config_from_dict({"out_dir": 3})
     with pytest.raises(ConfigError):
@@ -111,6 +146,10 @@ def test_env_override_errors():
         apply_env_overrides({}, environ={"MULKI_HYPER": "{}"})  # bare section key
     with pytest.raises(ConfigError):
         apply_env_overrides({}, environ={"MULKI_COLOR": "red"})
+    with pytest.raises(ConfigError):
+        apply_env_overrides({"hyper": []}, environ={"MULKI_HYPER__LR": "1"})
+    with pytest.raises(ConfigError):
+        apply_env_overrides([1, 2], environ={})
 
 
 def test_env_overrides_do_not_mutate_input():
@@ -134,7 +173,7 @@ def test_continual_ft_variant_disables_everything():
          hyper.enable_wc, hyper.enable_we, hyper.enable_ewe)
     )
     assert hyper.lambda1 == 0.0 and hyper.lambda2 == 0.0
-    assert hyper.ensemble_mode() == "off"
+    assert hyper.ensemble_mode() is None
 
 
 def test_weighting_variants_change_only_the_mode():

@@ -1,12 +1,12 @@
-"""Golden sha256 hashes of the smoke pipeline's artifacts.
+"""Golden sha256 hashes of the pipeline's artifacts on the shipped configs.
 
-`generate`, `pretrain` and `run --seeds 0` on configs/smoke.json must
-reproduce the recorded bytes of metrics.json, losses.csv and every
-task checkpoint. Float results depend on the numpy/BLAS stack, so the
-test skips (and says why) on a stack other than the one the hashes were
-recorded on.
+`generate`, `pretrain` and `run --seeds 0 --variant full` on
+configs/smoke.json and on configs/default.json must reproduce the
+recorded bytes of metrics.json, losses.csv and every task checkpoint.
+Float results depend on the numpy/BLAS stack, so the tests skip (and say
+why) on a stack other than the one the hashes were recorded on.
 
-Re-record, only when a change is meant to move the bytes:
+Re-record both entries, only when a change is meant to move the bytes:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -23,7 +23,7 @@ import pytest
 from mulki.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
-SMOKE = ROOT / "configs" / "smoke.json"
+CONFIGS = {"smoke": ROOT / "configs" / "smoke.json", "default": ROOT / "configs" / "default.json"}
 GOLDEN = Path(__file__).resolve().parent / "golden.json"
 
 
@@ -39,19 +39,21 @@ def numeric_stack() -> dict:
     }
 
 
-def smoke_hashes(work: Path) -> dict:
-    """Run the smoke pipeline under `work`; sha256 of each artifact by name."""
+def pipeline_hashes(config: Path, work: Path) -> dict:
+    """Run the pipeline on `config` under `work`; sha256 of each artifact by name."""
     stream, c0, out = work / "stream.json", work / "c0.ckpt", work / "run"
-    base = ["--config", str(SMOKE)]
+    base = ["--config", str(config)]
     assert main(["generate", *base, "--out", str(stream)]) == 0
     assert main(["pretrain", *base, "--stream", str(stream), "--out", str(c0)]) == 0
-    assert main(["run", *base, "--stream", str(stream), "--c0", str(c0), "--out", str(out), "--seeds", "0"]) == 0
+    assert main([
+        "run", *base, "--stream", str(stream), "--c0", str(c0), "--out", str(out), "--seeds", "0", "--variant", "full",
+    ]) == 0
     run_dir = out / "seed_00"
     names = ["metrics.json", "losses.csv", *sorted(p.name for p in run_dir.glob("task_*.ckpt"))]
     return {name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest() for name in names}
 
 
-def test_smoke_artifacts_match_golden_hashes(tmp_path, monkeypatch):
+def check_golden(entry: str, work: Path, monkeypatch) -> None:
     golden = json.loads(GOLDEN.read_text())
     stack = numeric_stack()
     if stack != golden["stack"]:
@@ -59,13 +61,23 @@ def test_smoke_artifacts_match_golden_hashes(tmp_path, monkeypatch):
     for name in list(os.environ):
         if name.startswith("MULKI_"):
             monkeypatch.delenv(name)
-    assert smoke_hashes(tmp_path) == golden["smoke"]
+    assert pipeline_hashes(CONFIGS[entry], work) == golden[entry]
+
+
+def test_smoke_artifacts_match_golden_hashes(tmp_path, monkeypatch):
+    check_golden("smoke", tmp_path, monkeypatch)
+
+
+def test_default_seed0_artifacts_match_golden_hashes(tmp_path, monkeypatch):
+    check_golden("default", tmp_path, monkeypatch)
 
 
 if __name__ == "__main__":
     import tempfile
 
-    with tempfile.TemporaryDirectory() as work:
-        doc = {"stack": numeric_stack(), "smoke": smoke_hashes(Path(work))}
+    doc = {"stack": numeric_stack()}
+    for entry, config in CONFIGS.items():
+        with tempfile.TemporaryDirectory() as work:
+            doc[entry] = pipeline_hashes(config, Path(work))
     GOLDEN.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN}", file=sys.stderr)

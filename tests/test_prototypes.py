@@ -122,19 +122,21 @@ def test_absent_classes_unchanged(rng):
 
 
 def test_partition_commutes_with_gamma_control(rng):
+    # with the schedule held still, per-class calls equal one joint call:
+    # a split update differs from a joint one only through gamma
     images = {0: rng.normal(size=(2, 4)), 1: rng.normal(size=(2, 4))}
     batch0, batch1 = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
 
-    joint = PrototypeStore.init_from_model(StubEncoder(), images)
-    split = PrototypeStore.init_from_model(StubEncoder(), images)
+    joint = PrototypeStore.init_from_model(StubEncoder(), images, gamma0=0.3, gamma_step=0.0)
+    split = PrototypeStore.init_from_model(StubEncoder(), images, gamma0=0.3, gamma_step=0.0)
     for _ in range(5):
         joint.ema_update({0: batch0, 1: batch1})
-        split.ema_update({0: batch0}, advance_gamma=False)
+        split.ema_update({0: batch0})
         split.ema_update({1: batch1})
 
     assert np.array_equal(joint.get(0), split.get(0))
     assert np.array_equal(joint.get(1), split.get(1))
-    assert joint.gamma == split.gamma
+    assert joint.gamma == split.gamma == 0.3
 
 
 def test_update_validates_before_mutating(rng):

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import mulki.losses as losses
+import mulki.runner as runner
 import mulki.taskgen as taskgen
-from mulki.config import apply_variant
+from mulki.config import apply_variant, config_from_dict
 from mulki.encoder import DualEncoder, load_flat, params_flat, snapshot
 from mulki.errors import ConfigError, TrainingDivergedError
 from mulki.optim import AdamW
@@ -16,8 +17,6 @@ from mulki.runner import (
     HyperParams,
     ModelConfig,
     evaluate_row,
-    hyper_from_dict,
-    model_config_from_dict,
     pretrain,
     run_stream,
     save_run_record,
@@ -102,20 +101,21 @@ class InstrumentedStore(PrototypeStore):
         cls.events.append(("init", sorted(images_by_class)))
         return store
 
-    def ema_update(self, feats_by_class, advance_gamma=True):
+    def ema_update(self, feats_by_class):
         type(self).events.append(("update", sorted(feats_by_class)))
-        return super().ema_update(feats_by_class, advance_gamma=advance_gamma)
+        return super().ema_update(feats_by_class)
 
     def purge(self):
         type(self).events.append(("purge", len(self)))
         super().purge()
 
 
-def test_prototype_store_lifecycle(tiny_stream):
+def test_prototype_store_lifecycle(tiny_stream, monkeypatch):
     c0 = make_c0(tiny_stream)
     InstrumentedStore.events = []
+    monkeypatch.setattr(runner, "PrototypeStore", InstrumentedStore)
     hyper = fast_hyper()
-    run_stream(tiny_stream, hyper, 1, c0, store_cls=InstrumentedStore)
+    run_stream(tiny_stream, hyper, 1, c0)
 
     events = InstrumentedStore.events
     kinds = [kind for kind, _ in events]
@@ -160,25 +160,41 @@ def test_divergence_is_reported(tiny_stream, monkeypatch):
     assert err.value.breakdown is bad
 
 
-def test_we_state_accounting(tiny_stream):
+def capture_we_states(monkeypatch) -> list:
+    """Record every ensemble state train_task starts, by wrapping runner.we_init."""
+    states = []
+    we_init = runner.we_init
+
+    def recording_we_init(*args, **kwargs):
+        states.append(we_init(*args, **kwargs))
+        return states[-1]
+
+    monkeypatch.setattr(runner, "we_init", recording_we_init)
+    return states
+
+
+def test_we_state_accounting(tiny_stream, monkeypatch):
     c0 = make_c0(tiny_stream)
+    states = capture_we_states(monkeypatch)
     hyper = fast_hyper(iterations_per_task=10, we_interval=3)
     student = c0.trainable_copy()
     result = train_task(student, c0, c0, tiny_stream.tasks[0], hyper, 2)
-    assert result.we_state.m == 3  # floor(10 / 3)
-    assert np.array_equal(params_flat(student), result.we_state.theta_hat)
-    assert np.array_equal(result.checkpoint.params_flat(), result.we_state.theta_hat)
+    (state,) = states
+    assert state.m == 3  # floor(10 / 3)
+    assert np.array_equal(params_flat(student), state.theta_hat)
+    assert np.array_equal(result.checkpoint.params_flat(), state.theta_hat)
 
 
-def test_ensembling_changes_final_parameters(tiny_stream):
+def test_ensembling_changes_final_parameters(tiny_stream, monkeypatch):
     c0 = make_c0(tiny_stream)
+    states = capture_we_states(monkeypatch)
     raw = train_task(
         c0.trainable_copy(), c0, c0, tiny_stream.tasks[0], fast_hyper(enable_we=False), 2
     )
+    assert states == []  # no ensemble is started
     averaged = train_task(
         c0.trainable_copy(), c0, c0, tiny_stream.tasks[0], fast_hyper(we_interval=2), 2
     )
-    assert raw.we_state is None
     assert not np.array_equal(raw.checkpoint.params_flat(), averaged.checkpoint.params_flat())
 
 
@@ -237,25 +253,25 @@ def test_run_validates_hyper(tiny_stream):
 
 
 def test_hyper_and_model_dict_parsing():
-    hyper = hyper_from_dict({"lr": 0.002, "iterations_per_task": 7})
+    hyper = config_from_dict({"hyper": {"lr": 0.002, "iterations_per_task": 7}}).hyper
     assert hyper.lr == 0.002 and hyper.iterations_per_task == 7
     with pytest.raises(ConfigError) as err:
-        hyper_from_dict({"learning_rate": 0.002})
+        config_from_dict({"hyper": {"learning_rate": 0.002}})
     assert "learning_rate" in str(err.value)
     with pytest.raises(ConfigError):
-        hyper_from_dict({"tau": -1.0})
+        config_from_dict({"hyper": {"tau": -1.0}})
 
-    cfg = model_config_from_dict({"hidden": 32})
+    cfg = config_from_dict({"model": {"hidden": 32}}).model
     assert cfg.hidden == 32
     with pytest.raises(ConfigError) as err:
-        model_config_from_dict({"hiden": 32})
+        config_from_dict({"model": {"hiden": 32}})
     assert "hiden" in str(err.value)
     with pytest.raises(ConfigError):
-        model_config_from_dict({"embed_dim": 0})
+        config_from_dict({"model": {"embed_dim": 0}})
 
 
 def test_ensemble_mode_mapping():
-    assert HyperParams(enable_we=False, enable_ewe=False).ensemble_mode() == "off"
+    assert HyperParams(enable_we=False, enable_ewe=False).ensemble_mode() is None
     assert HyperParams(enable_we=True, enable_ewe=False).ensemble_mode() == "we"
     assert HyperParams(enable_we=False, enable_ewe=True).ensemble_mode() == "ewe"
 

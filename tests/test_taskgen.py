@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from mulki.config import config_from_dict
 from mulki.errors import ConfigError, StreamFormatError
 from mulki.taskgen import (
     StreamConfig,
@@ -12,7 +13,6 @@ from mulki.taskgen import (
     generate_stream,
     load_stream,
     save_stream,
-    stream_config_from_dict,
 )
 
 from conftest import tiny_stream_config
@@ -175,10 +175,10 @@ def test_config_validation_bounds():
 
 
 def test_stream_config_from_dict():
-    cfg = stream_config_from_dict({"n_tasks": 2, "classes_per_task": 4, "seed": 3})
+    cfg = config_from_dict({"stream": {"n_tasks": 2, "classes_per_task": 4, "seed": 3}}).stream
     assert cfg.n_tasks == 2 and cfg.classes_per_task == 4 and cfg.seed == 3
     with pytest.raises(ConfigError) as err:
-        stream_config_from_dict({"n_task": 2})
+        config_from_dict({"stream": {"n_task": 2}})
     assert "n_task" in str(err.value)
 
 

@@ -57,13 +57,11 @@ def test_add_shape_error():
 def test_elementwise_grads(rng):
     a = rng.uniform(0.2, 1.0, size=(2, 3))
     signed = rng.uniform(-1, 1, size=(2, 3))
-    check_grads(lambda p: T.tsum(T.exp(p[0])), [signed])
     check_grads(lambda p: T.tsum(T.log(p[0])), [a])
     check_grads(lambda p: T.tsum(T.tanh(p[0])), [signed])
     check_grads(lambda p: T.tsum(T.sqrt(p[0])), [a])
-    # keep relu/maximum entries away from their kinks
+    # keep maximum entries away from its kink
     off_kink = signed + np.where(signed >= 0, 0.5, -0.5)
-    check_grads(lambda p: T.tsum(T.relu(p[0])), [off_kink])
     check_grads(lambda p: T.tsum(T.maximum_scalar(p[0], 0.1)), [off_kink])
 
 

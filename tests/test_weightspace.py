@@ -1,12 +1,10 @@
-"""Weight-space averaging: state machine, exact means, serialization."""
-
-import struct
+"""Weight-space averaging: state machine and exact means."""
 
 import numpy as np
 import pytest
 
 from mulki.errors import ContractError
-from mulki.weightspace import WEState, ewe_step, final_params, load_we_state, save_we_state, we_init, we_step
+from mulki.weightspace import WEState, ewe_step, final_params, we_init, we_step
 
 
 def test_init_copies_start(rng):
@@ -82,12 +80,6 @@ def test_step_errors(rng):
         we_step(state, rng.normal(size=5), 2)
 
 
-def test_mode_off_never_averages(rng):
-    state = we_init(rng.normal(size=4), interval=1, mode="off")
-    assert not we_step(state, rng.normal(size=4), 1)
-    assert state.m == 0
-
-
 def test_ewe_overwrite_schedule(rng):
     state = we_init(rng.normal(size=4), interval=2, eta=3, mode="ewe")
     # before any averaging has happened, never fire
@@ -105,10 +97,7 @@ def test_ewe_inactive_in_we_mode(rng):
 
 def test_final_params(rng):
     raw = rng.normal(size=7)
-    assert np.array_equal(final_params(None, raw), raw)
-
-    off = we_init(rng.normal(size=7), interval=1, mode="off")
-    got = final_params(off, raw)
+    got = final_params(None, raw)
     assert np.array_equal(got, raw)
     got[0] = 42.0
     assert raw[0] != 42.0
@@ -126,45 +115,9 @@ def test_state_validation(rng):
         WEState(theta_hat=rng.normal(size=3), m=0, interval=0, eta=5, mode="we")
     with pytest.raises(ContractError):
         WEState(theta_hat=rng.normal(size=3), m=0, interval=1, eta=0, mode="we")
-    with pytest.raises(ContractError):
-        WEState(theta_hat=rng.normal(size=3), m=0, interval=1, eta=5, mode="cyclic")
+    for mode in ("cyclic", "off"):  # no ensemble is a None state, not a mode
+        with pytest.raises(ContractError):
+            WEState(theta_hat=rng.normal(size=3), m=0, interval=1, eta=5, mode=mode)
     with pytest.raises(ContractError):
         WEState(theta_hat=rng.normal(size=3), m=-1, interval=1, eta=5, mode="we")
 
-
-def test_save_load_round_trip(tmp_path, rng):
-    state = we_init(rng.normal(size=11), interval=4, eta=2, mode="ewe")
-    for k in range(1, 9):
-        we_step(state, rng.normal(size=11), k)
-    path = tmp_path / "ensemble.bin"
-    save_we_state(state, path)
-    loaded = load_we_state(path)
-    assert np.array_equal(loaded.theta_hat, state.theta_hat)
-    assert (loaded.m, loaded.interval, loaded.eta, loaded.mode) == (state.m, state.interval, state.eta, state.mode)
-
-    # byte-stable re-save
-    second = tmp_path / "again.bin"
-    save_we_state(loaded, second)
-    assert path.read_bytes() == second.read_bytes()
-
-
-def test_load_truncated_error(tmp_path, rng):
-    state = we_init(rng.normal(size=8), interval=1)
-    path = tmp_path / "ensemble.bin"
-    save_we_state(state, path)
-    blob = path.read_bytes()
-    path.write_bytes(blob[: len(blob) - 5])
-    with pytest.raises(ContractError):
-        load_we_state(path)
-
-
-@pytest.mark.parametrize(
-    "header",
-    [b"{not json", b"\xff\xfe", b"[1, 2]", b'{"format_version": 1, "m": 0, "interval": 1, "eta": 5, "mode": "we"}'],
-    ids=["json", "utf8", "not-object", "no-count"],
-)
-def test_load_corrupt_header_error(tmp_path, header):
-    path = tmp_path / "ensemble.bin"
-    path.write_bytes(struct.pack("<I", len(header)) + header + np.zeros(3).tobytes())
-    with pytest.raises(ContractError):
-        load_we_state(path)
