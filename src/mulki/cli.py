@@ -28,8 +28,6 @@ from .jsonutil import format_float, write_canonical
 from .runner import evaluate_row, pretrain, run_stream, save_run_record
 from .taskgen import generate_stream, load_stream, save_stream
 
-METRIC_NAMES = ("transfer", "avg", "last", "current_avg")
-
 
 def _load_experiment(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else ExperimentConfig()
@@ -98,7 +96,7 @@ def cmd_ablate(args) -> int:
     echo = cfg.echo()
     table: dict[str, dict] = {}
     for name, hyper in arms:
-        per_seed = {metric: [] for metric in METRIC_NAMES}
+        per_seed = {metric: [] for metric in metrics.SUMMARIES}
         for seed in cfg.seeds:
             record = run_stream(stream, hyper, seed, c0, config_echo=echo)
             save_run_record(record, os.path.join(out_root, name, f"seed_{seed:02d}"))
@@ -112,17 +110,17 @@ def cmd_ablate(args) -> int:
             }
             for metric, values in per_seed.items()
         }
-        means = ", ".join(f"{metric}={table[name][metric]['mean']:.4f}" for metric in METRIC_NAMES)
+        means = ", ".join(f"{metric}={table[name][metric]['mean']:.4f}" for metric in metrics.SUMMARIES)
         print(f"{name}: {means}")
 
     write_canonical({"seeds": list(cfg.seeds), "variants": table}, os.path.join(out_root, "ablation.json"))
     header = ["variant"]
-    for metric in METRIC_NAMES:
+    for metric in metrics.SUMMARIES:
         header.extend([f"{metric}_mean", f"{metric}_std"])
     lines = [",".join(header)]
     for name in names:
         row = [name]
-        for metric in METRIC_NAMES:
+        for metric in metrics.SUMMARIES:
             row.append(format_float(table[name][metric]["mean"]))
             row.append(format_float(table[name][metric]["std"]))
         lines.append(",".join(row))
@@ -146,15 +144,15 @@ def cmd_report(args) -> int:
             raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}")
         if not isinstance(doc, dict):
             raise ConfigError(f"{path}: expected a JSON object")
-        missing = [name for name in (*METRIC_NAMES, "matrix") if name not in doc]
+        missing = [name for name in (*metrics.SUMMARIES, "matrix") if name not in doc]
         if missing:
             raise ConfigError(f"{path}: missing key {missing[0]!r}")
-        rows.append((run_dir, [doc[name] for name in METRIC_NAMES]))
+        rows.append((run_dir, [doc[name] for name in metrics.SUMMARIES]))
         for i, matrix_row in enumerate(doc["matrix"]):
             for j, value in enumerate(matrix_row, start=1):
                 series.append((run_dir, i, j, value))
 
-    lines = [",".join(["run", *METRIC_NAMES])]
+    lines = [",".join(["run", *metrics.SUMMARIES])]
     for run_dir, values in rows:
         lines.append(",".join([run_dir, *(format_float(float(v)) for v in values)]))
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:

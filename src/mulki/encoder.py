@@ -12,11 +12,13 @@ start at 1.
 
 from __future__ import annotations
 
+import json
+import struct
+
 import numpy as np
 
 from . import tensor as T
 from .errors import ContractError, ShapeMismatchError, UnknownTokenError
-from .jsonutil import read_framed, write_framed
 from .tensor import Tensor
 
 TEMPLATE_TOKEN = 0
@@ -36,6 +38,7 @@ PARAM_ORDER = (
 PARAM_ORDERING_VERSION = 1
 
 CHECKPOINT_FORMAT_VERSION = 1
+_HEADER_LEN = struct.Struct("<I")
 
 
 def _init_param(rng: np.random.Generator, shape: tuple, fan_in: int) -> Tensor:
@@ -95,9 +98,8 @@ class DualEncoder:
             raise ShapeMismatchError(f"encode_images expects [B, {self.d_in}], got {x.shape}")
         if x.shape[0] == 0:
             return Tensor(np.zeros((0, self.embed_dim)))
-        h = T.tanh(T.add(T.matmul(x, self.img_w1), self.img_b1))
-        e = T.add(T.matmul(h, self.img_w2), self.img_b2)
-        return T.l2_normalize(e, axis=1)
+        h = T.tanh(T.linear(x, self.img_w1, self.img_b1))
+        return T.l2_normalize(T.linear(h, self.img_w2, self.img_b2), axis=1)
 
     def encode_texts(self, token_ids) -> Tensor:
         """Map class token ids to unit-norm [K, embed_dim] embeddings.
@@ -116,9 +118,8 @@ class DualEncoder:
             picker[row, t] += 0.5
             picker[row, TEMPLATE_TOKEN] += 0.5
         emb = T.matmul(Tensor(picker), self.token_table)
-        h = T.tanh(T.add(T.matmul(emb, self.txt_w1), self.txt_b1))
-        e = T.add(T.matmul(h, self.txt_w2), self.txt_b2)
-        return T.l2_normalize(e, axis=1)
+        h = T.tanh(T.linear(emb, self.txt_w1, self.txt_b1))
+        return T.l2_normalize(T.linear(h, self.txt_w2, self.txt_b2), axis=1)
 
 
 class ModelSnapshot:
@@ -193,13 +194,9 @@ def load_flat(model: DualEncoder, vector: np.ndarray) -> None:
         offset += n
 
 
-def params_flat_tensor(model: DualEncoder) -> Tensor:
-    """Differentiable flat view of the parameters, for penalties on weights."""
-    return T.concat1d([T.reshape(p, (-1,)) for p in model.parameters()])
-
-
 def save_checkpoint(model, path) -> None:
-    """Write a checkpoint: length-prefixed JSON manifest + raw float64 payload.
+    """Write a checkpoint: a little-endian uint32 header length, a compact
+    sorted-key JSON manifest, then the raw float64 payload.
 
     The payload is the flat parameter vector in PARAM_ORDER, little-endian.
     Round trips are bit-exact.
@@ -213,16 +210,47 @@ def save_checkpoint(model, path) -> None:
         "seed": inner.seed,
         "count": int(vector.size),
     }
-    write_framed(manifest, vector, path)
+    header = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(_HEADER_LEN.pack(len(header)))
+        fh.write(header)
+        fh.write(vector.astype("<f8").tobytes())
 
 
 def load_checkpoint(path) -> DualEncoder:
     """Reconstruct a trainable DualEncoder from a checkpoint file.
 
-    A malformed file of any kind raises ContractError.
+    A malformed file of any kind - truncation, an undecodable or non-object
+    header, another format or parameter-ordering version, a missing
+    "count"/"seed"/"dims", or a payload that disagrees with its manifest -
+    raises ContractError.
     """
-    versions = {"format_version": CHECKPOINT_FORMAT_VERSION, "param_ordering_version": PARAM_ORDERING_VERSION}
-    manifest, vector = read_framed(path, "checkpoint", versions, required=("seed", "dims"))
+    with open(path, "rb") as fh:
+        raw_len = fh.read(_HEADER_LEN.size)
+        if len(raw_len) != _HEADER_LEN.size:
+            raise ContractError(f"checkpoint {path} is truncated")
+        (header_len,) = _HEADER_LEN.unpack(raw_len)
+        header = fh.read(header_len)
+        if len(header) != header_len:
+            raise ContractError(f"checkpoint {path} is truncated")
+        payload = fh.read()
+    try:
+        manifest = json.loads(header.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ContractError(f"checkpoint {path}: corrupt header ({exc})") from exc
+    if not isinstance(manifest, dict):
+        raise ContractError(f"checkpoint {path}: header is not a JSON object")
+    for key, want in (("format_version", CHECKPOINT_FORMAT_VERSION), ("param_ordering_version", PARAM_ORDERING_VERSION)):
+        if manifest.get(key) != want:
+            raise ContractError(f"checkpoint {path}: unsupported {key} {manifest.get(key)!r}")
+    for key in ("count", "seed", "dims"):
+        if key not in manifest:
+            raise ContractError(f"checkpoint {path}: header lacks {key!r}")
+    if len(payload) % 8 != 0:
+        raise ContractError(f"checkpoint {path} is truncated")
+    vector = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+    if vector.size != manifest["count"]:
+        raise ContractError(f"checkpoint {path}: expected {manifest['count']!r} values, found {vector.size}")
     try:
         model = DualEncoder(manifest["seed"], **manifest["dims"])
         load_flat(model, vector)

@@ -23,6 +23,15 @@ the supervised signal. Temperatures: distillation distributions use a
 soft temperature (default 2); the supervised logits use a sharp one
 (default 0.07).
 
+Each term is one tape node: `csa_loss`, `fd_loss` and `ird_loss` here,
+i2t and p&t through `tensor.soft_ce_mean`, the distributions through
+`tensor.cosine_softmax`. A node runs the same numpy expressions, in the
+same order, as the generic-op chain it replaced (kept in
+tests/reference_ops.py), so losses, gradients and every artifact are
+bit-identical to the chains'. `fd_loss`, `ird_loss` and `i2t_loss` also
+return the unweighted value the breakdown logs, read off the same
+forward arrays.
+
 Prototypes and teacher outputs are constants here; gradients flow only
 into the student. Both teachers stay frozen for a whole task, so the
 trainer runs `teacher_outputs` once per teacher per task over the task's
@@ -50,11 +59,12 @@ WEIGHTING_MODES = ("similarity", "average", "only_c0", "only_prev")
 
 
 def csa_loss(protos: Tensor, texts: Tensor, tau: float) -> Tensor:
-    """Symmetric contrastive alignment between prototypes and text embeddings.
+    """Symmetric contrastive alignment between prototypes and text embeddings, as one node.
 
-    Row k of each side is class k; the diagonal pairs are positives. The
-    prototypes are constants, so this term trains the text tower toward
-    the prototype anchors.
+    Row k of each side is class k; the diagonal pairs are positives:
+    0.5 * (mean CE(eye, softmax rows) + mean CE(eye, softmax columns)) of
+    the cosines over tau. The prototypes are constants, so this term trains
+    the text tower toward the prototype anchors.
     """
     if protos.ndim != 2 or texts.ndim != 2:
         raise ShapeMismatchError(f"csa_loss needs 2-D inputs, got {protos.shape} and {texts.shape}")
@@ -63,73 +73,118 @@ def csa_loss(protos: Tensor, texts: Tensor, tau: float) -> Tensor:
     k = protos.shape[0]
     if k == 0:
         raise ContractError("csa_loss: empty class set")
-    logits = T.scale(T.cosine_sim(protos, texts), 1.0 / tau)
-    eye = Tensor(np.eye(k))
-    proto_to_text = T.mean(T.soft_cross_entropy(eye, T.softmax(logits, axis=1)))
-    text_to_proto = T.mean(T.soft_cross_entropy(eye, T.transpose(T.softmax(logits, axis=0))))
-    return T.scale(T.add(proto_to_text, text_to_proto), 0.5)
+    up, ut, sims = T.cosine_forward(protos, texts)
+    c = float(1.0 / tau)
+    logits = sims * c
+    eye = np.eye(k)
+    proto_to_text = T.softmax_forward(logits, 1)
+    by_column = T.softmax_forward(logits, 0)
+    text_to_proto = by_column.T.copy()
+    n = float(1.0 / k)
+    data = (T.soft_ce_rows(eye, proto_to_text).sum() * n + T.soft_ce_rows(eye, text_to_proto).sum() * n) * 0.5
+
+    def backward(g):
+        g_sum = g * 0.5 * n
+        g_logits = T.softmax_backward(T.soft_ce_backward(g_sum, eye, proto_to_text), proto_to_text, 1) + T.softmax_backward(
+            T.soft_ce_backward(g_sum, eye, text_to_proto).T, by_column, 0
+        )
+        T.cosine_backward(g_logits * c, protos, texts, up, ut)
+
+    return T.node(data, (protos, texts), backward)
 
 
-def fd_loss(teacher_feats: Tensor, student_feats: Tensor) -> tuple[Tensor, Tensor]:
-    """Squared L2 distance between embeddings, per sample and batch mean."""
+def fd_loss(teacher_feats: Tensor, student_feats: Tensor, weights: Tensor | None = None) -> tuple[Tensor, float]:
+    """Feature distance: (mean over rows of weights * ||t - s||^2 as one node, unweighted mean).
+
+    The teacher side is a constant; the weights, one per row, too.
+    """
     if teacher_feats.shape != student_feats.shape:
         raise ShapeMismatchError(f"fd_loss: {teacher_feats.shape} vs {student_feats.shape}")
     if teacher_feats.ndim != 2 or teacher_feats.shape[0] == 0:
         raise ContractError(f"fd_loss: need a non-empty [B, d] batch, got {teacher_feats.shape}")
-    diff = T.sub(teacher_feats, student_feats)
-    per_sample = T.tsum(T.mul(diff, diff), axis=1)
-    return per_sample, T.mean(per_sample)
+    if teacher_feats.requires_grad:
+        raise ContractError("fd_loss: teacher features must be detached")
+    w = None if weights is None else weights.data
+    diff = teacher_feats.data - student_feats.data
+    rows = (diff * diff).sum(axis=1)
+    c = float(1.0 / rows.size)
+    data = (rows if w is None else rows * w).sum() * c
+
+    def backward(g):
+        half = T.row_terms_backward(g * c, diff.shape, w) * diff
+        student_feats._accumulate(-(half + half))
+
+    return T.node(data, (student_feats,), backward), float(rows.sum() * c)
 
 
 def ird_loss(
     teacher_feats: Tensor,
     student_feats: Tensor,
     protos: Tensor,
-    row_weights: Tensor | None = None,
-) -> Tensor:
-    """Frobenius gap between teacher and student image-prototype similarities.
+    weights: Tensor | None = None,
+    alpha: float = 1.0,
+) -> tuple[Tensor, float]:
+    """Relation distance: (alpha * weighted gap as one node, unweighted gap).
 
-    Normalized by sqrt(B * K) so the value is comparable across batch and
-    class-set sizes. Optional per-sample weights scale the difference rows
-    before aggregation.
+    The gap is the Frobenius norm of the difference between teacher and
+    student image-prototype cosine matrices, over sqrt(B * K) so the value
+    is comparable across batch and class-set sizes. Optional per-sample
+    weights scale the difference rows first. At a zero gap the gradient is
+    zero. Teacher features and prototypes are constants.
     """
     if protos.ndim != 2 or protos.shape[0] == 0:
         raise ContractError("ird_loss: empty prototype set")
-    return _relation_gap(T.cosine_sim(teacher_feats, protos), T.cosine_sim(student_feats, protos), row_weights)
+    if teacher_feats.requires_grad:
+        raise ContractError("ird_loss: teacher features must be detached")
+    t_sims = T.cosine_sim(teacher_feats, protos).data
+    us, up, s_sims = T.cosine_forward(student_feats, protos)
+    diff = t_sims - s_sims
+    r = None if weights is None else weights.data.reshape((weights.size, 1))
+    gap = diff if r is None else r * diff
+    total = (gap * gap).sum()
+    norm = np.sqrt(total)
+    b, k = gap.shape
+    c = float(1.0 / np.sqrt(b * k))
+    a = float(alpha)
+    data = norm * c * a
 
+    def backward(g):
+        g_norm = g * a * c
+        g_total = np.where(total > 0.0, g_norm * 0.5 / np.where(total > 0.0, norm, 1.0), 0.0)
+        half = np.broadcast_to(g_total, gap.shape).copy() * gap
+        g_diff = half + half
+        if r is not None:
+            g_diff = g_diff * r
+        T.cosine_backward(-g_diff, student_feats, protos, us, up)
 
-def _relation_gap(t_sims: Tensor, s_sims: Tensor, row_weights: Tensor | None) -> Tensor:
-    diff = T.sub(t_sims, s_sims)
-    if row_weights is not None:
-        diff = T.mul(T.reshape(row_weights, (row_weights.size, 1)), diff)
-    b, k = diff.shape
-    return T.scale(T.frobenius_norm(diff), 1.0 / np.sqrt(b * k))
+    return T.node(data, (student_feats,), backward), float(np.linalg.norm(diff) / np.sqrt(b * k))
 
 
 def image_text_dist(feats: Tensor, texts: Tensor, tau: float) -> Tensor:
     """Rows of softmax(cosine(feats, texts) / tau): one distribution per row."""
     if texts.ndim != 2 or texts.shape[0] == 0:
         raise ContractError("image_text_dist: empty text set")
-    return T.softmax(T.scale(T.cosine_sim(feats, texts), 1.0 / tau), axis=1)
+    return T.cosine_softmax(feats, texts, tau)
 
 
-def i2t_loss(teacher_dist: Tensor, student_dist: Tensor, sample_weights: Tensor | None = None) -> Tensor:
-    """Mean soft cross-entropy from teacher to student image-text rows."""
+def i2t_loss(
+    teacher_dist: Tensor,
+    student_dist: Tensor,
+    weights: Tensor | None = None,
+    beta: float = 1.0,
+) -> tuple[Tensor, float]:
+    """Image-text distillation: (beta * mean of weights * soft CE from teacher to student rows, unweighted mean)."""
     if teacher_dist.shape != student_dist.shape:
         raise ShapeMismatchError(f"i2t_loss: {teacher_dist.shape} vs {student_dist.shape}")
-    return _weighted_mean(T.soft_cross_entropy(teacher_dist, student_dist), sample_weights)
-
-
-def _weighted_mean(per_sample: Tensor, weights: Tensor | None) -> Tensor:
-    if weights is not None:
-        per_sample = T.mul(per_sample, weights)
-    return T.mean(per_sample)
+    rows = T.soft_ce_rows(teacher_dist.data, student_dist.data)
+    loss = T.soft_ce_mean(teacher_dist, student_dist, weights, scale=beta, rows=rows)
+    return loss, float(rows.sum() * (1.0 / rows.size))
 
 
 def pt_loss(teacher: "TeacherOutputs", student_pt: Tensor, student_tp: Tensor) -> Tensor:
     """Prototype-text and text-prototype distribution matching, summed."""
-    a = T.mean(T.soft_cross_entropy(teacher.proto_text_dist, student_pt))
-    b = T.mean(T.soft_cross_entropy(teacher.text_proto_dist, student_tp))
+    a = T.soft_ce_mean(teacher.proto_text_dist, student_pt)
+    b = T.soft_ce_mean(teacher.text_proto_dist, student_tp)
     return T.add(a, b)
 
 
@@ -348,23 +403,16 @@ def mdd_loss(
         if r is None:
             continue
         if enable_fd:
-            per_fd, fd_mean = fd_loss(teacher.feats, student.feats)
-            info["fd" + tag] = fd_mean.item()
-            terms.append(T.mean(T.mul(per_fd, r)))
+            fd, info["fd" + tag] = fd_loss(teacher.feats, student.feats, r)
+            terms.append(fd)
         if enable_ird:
-            # ird_loss, with the similarity matrices kept for the unweighted log value
-            t_sims = T.cosine_sim(teacher.feats, protos)
-            s_sims = T.cosine_sim(student.feats, protos)
-            terms.append(T.scale(_relation_gap(t_sims, s_sims, r), alpha))
-            b, k = t_sims.shape
-            info["ird" + tag] = float(np.linalg.norm(t_sims.data - s_sims.data) / np.sqrt(b * k))
+            ird, info["ird" + tag] = ird_loss(teacher.feats, student.feats, protos, r, alpha)
+            terms.append(ird)
         if enable_idd:
-            # i2t_loss, with the per-sample cross-entropy kept for the unweighted log value
-            per_i2t = T.soft_cross_entropy(teacher.img_text_dist, student.img_text_dist)
+            i2t, i2t_raw = i2t_loss(teacher.img_text_dist, student.img_text_dist, r, beta)
             pt = pt_loss(teacher, student.proto_text_dist, student.text_proto_dist)
-            terms.append(T.scale(_weighted_mean(per_i2t, r), beta))
+            terms.append(i2t)
             terms.append(T.scale(pt, 0.5 * beta))
-            i2t_raw = float(per_i2t.data.sum() * (1.0 / per_i2t.size))  # T.mean(per_i2t).item()
             info["idd" + tag] = i2t_raw + pt.item()
     if not terms:
         return None, info
@@ -384,7 +432,7 @@ def cross_entropy(dist: Tensor, label_positions) -> Tensor:
         raise ContractError(f"cross_entropy: label positions must lie in [0, {k})")
     onehot = np.zeros((b, k))
     onehot[np.arange(b), labels] = 1.0
-    return T.mean(T.soft_cross_entropy(Tensor(onehot), dist))
+    return T.soft_ce_mean(Tensor(onehot), dist)
 
 
 def total_loss(

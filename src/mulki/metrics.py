@@ -82,13 +82,13 @@ def current_avg(matrix) -> float:
     return float(np.mean(rows))
 
 
+# The summary metrics by name, in report order: metrics.json keys and the
+# columns of `report` and of the ablation table.
+SUMMARIES = {"transfer": transfer, "avg": avg, "last": last, "current_avg": current_avg}
+
+
 def summaries(matrix) -> dict:
-    return {
-        "transfer": transfer(matrix),
-        "avg": avg(matrix),
-        "last": last(matrix),
-        "current_avg": current_avg(matrix),
-    }
+    return {name: summary(matrix) for name, summary in SUMMARIES.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,35 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Just enough machinery for a small dual encoder and its training losses:
-2-D matmul, elementwise arithmetic with limited numpy-style broadcasting,
-reductions, stable softmax, row normalization, and a few composite helpers
-(cosine similarity, soft cross-entropy, Frobenius norm). Every value is a
-contiguous float64 numpy array.
+generic ops (2-D matmul, elementwise arithmetic with limited numpy-style
+broadcasting, reductions, stable softmax, row normalization) and fused
+nodes for the chains the training loop builds every iteration:
+
+  * linear(x, w, b)            x @ w + b
+  * cosine_sim(a, b)           matmul(l2_normalize(a), transpose(l2_normalize(b)))
+  * cosine_softmax(a, b, tau)  softmax(cosine_sim(a, b) / tau) along rows
+  * soft_ce_mean(target, pred, weights, scale)
+                               scale * mean(weights * -sum(target * log(max(pred, LOG_EPS))))
+
+A fused node runs, forward and backward, the same numpy expressions as
+the generic-op chain it replaces, in the same order and on arrays of the
+same memory layout, so its value and every gradient it hands on are
+bit-identical to the chain's (tests/reference_ops.py keeps the chains;
+tests/test_fused_ops.py holds each node to its chain). Gradients a chain
+would sum inside itself are summed in the chain's order before the one
+`_accumulate` call per parent. The kernels they share (`cosine_forward`,
+`cosine_backward`, `softmax_forward`, `softmax_backward`, `soft_ce_rows`,
+`soft_ce_backward`, `row_terms_backward`, and `node` to put a result on
+the tape) are public so that `losses` builds its fused terms from them.
+Every value is a contiguous float64 numpy array.
 
 Op outputs are never mutated after creation. The one sanctioned mutation
 point in the package is leaf parameter storage, which optimizers rewrite
 between tape builds; a graph never survives past the backward pass that
-consumed it.
+consumed it. Because of that, a tensor's unit-row normalization (the
+forward value of `l2_normalize(t, axis=1)`) is computed once and kept on
+the tensor (`unit_rows`), except for trainable leaves; every consumer
+still runs its own backward through it.
 
 Gradients accumulate: calling backward twice without clearing `.grad`
 adds the second pass on top of the first. Optimizers call `zero_grad`.
@@ -40,7 +60,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_unit")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = _as_array(data)
@@ -48,6 +68,7 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self._parents: tuple = ()
         self._backward = None
+        self._unit: UnitRows | None = None
 
     @property
     def shape(self) -> tuple:
@@ -188,7 +209,12 @@ class GradTape:
                     node._accumulate(g)
 
 
-def _result(data: np.ndarray, parents: tuple, backward) -> Tensor:
+def node(data: np.ndarray, parents: tuple, backward) -> Tensor:
+    """Wrap `data` as an op result; on the tape only if some parent requires grad.
+
+    `backward(g)` receives the gradient of the result and calls
+    `_accumulate` on each parent that requires grad.
+    """
     out = Tensor(data)
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
@@ -213,7 +239,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b._accumulate(_unbroadcast(g, b.shape))
 
-    return _result(data, (a, b), backward)
+    return node(data, (a, b), backward)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -228,7 +254,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b._accumulate(_unbroadcast(-g, b.shape))
 
-    return _result(data, (a, b), backward)
+    return node(data, (a, b), backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -243,7 +269,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b._accumulate(_unbroadcast(g * a.data, b.shape))
 
-    return _result(data, (a, b), backward)
+    return node(data, (a, b), backward)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -254,7 +280,7 @@ def scale(a: Tensor, c: float) -> Tensor:
         if a.requires_grad:
             a._accumulate(g * c)
 
-    return _result(data, (a,), backward)
+    return node(data, (a,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +300,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b._accumulate(a.data.T @ g)
 
-    return _result(data, (a, b), backward)
+    return node(data, (a, b), backward)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -286,7 +312,7 @@ def transpose(a: Tensor) -> Tensor:
         if a.requires_grad:
             a._accumulate(g.T)
 
-    return _result(data, (a,), backward)
+    return node(data, (a,), backward)
 
 
 def reshape(a: Tensor, shape: tuple) -> Tensor:
@@ -296,25 +322,7 @@ def reshape(a: Tensor, shape: tuple) -> Tensor:
         if a.requires_grad:
             a._accumulate(g.reshape(a.shape))
 
-    return _result(data, (a,), backward)
-
-
-def concat1d(parts: list) -> Tensor:
-    """Concatenate 1-D tensors; gradient is sliced back to each part."""
-    if not parts:
-        raise ContractError("concat1d needs at least one tensor")
-    for p in parts:
-        if p.ndim != 1:
-            raise ShapeMismatchError(f"concat1d needs 1-D parts, got {p.shape}")
-    data = np.concatenate([p.data for p in parts])
-    offsets = np.cumsum([0] + [p.size for p in parts])
-
-    def backward(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if p.requires_grad:
-                p._accumulate(g[lo:hi])
-
-    return _result(data, tuple(parts), backward)
+    return node(data, (a,), backward)
 
 
 def sum_sq_diff(parts: list, ref: np.ndarray) -> Tensor:
@@ -340,21 +348,11 @@ def sum_sq_diff(parts: list, ref: np.ndarray) -> Tensor:
             if p.requires_grad:
                 p._accumulate(grad[lo:hi].reshape(p.shape))
 
-    return _result(data, tuple(parts), backward)
+    return node(data, tuple(parts), backward)
 
 
 # ---------------------------------------------------------------------------
 # elementwise nonlinearities
-
-
-def log(a: Tensor) -> Tensor:
-    data = np.log(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g / a.data)
-
-    return _result(data, (a,), backward)
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -364,37 +362,7 @@ def tanh(a: Tensor) -> Tensor:
         if a.requires_grad:
             a._accumulate(g * (1.0 - data * data))
 
-    return _result(data, (a,), backward)
-
-
-def sqrt(a: Tensor) -> Tensor:
-    """Elementwise square root.
-
-    At exactly zero the derivative is unbounded; this op uses the zero
-    subgradient there so norms of all-zero differences backpropagate
-    cleanly instead of producing NaN.
-    """
-    data = np.sqrt(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            mask = a.data > 0.0
-            safe = np.where(mask, data, 1.0)
-            a._accumulate(np.where(mask, g * 0.5 / safe, 0.0))
-
-    return _result(data, (a,), backward)
-
-
-def maximum_scalar(a: Tensor, floor: float) -> Tensor:
-    """Clamp from below by a constant; gradient passes only above the floor."""
-    floor = float(floor)
-    data = np.maximum(a.data, floor)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * (a.data > floor))
-
-    return _result(data, (a,), backward)
+    return node(data, (a,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +380,7 @@ def tsum(a: Tensor, axis: int | None = None) -> Tensor:
         else:
             a._accumulate(np.broadcast_to(np.expand_dims(g, axis), a.shape).copy())
 
-    return _result(data, (a,), backward)
+    return node(data, (a,), backward)
 
 
 def mean(a: Tensor, axis: int | None = None) -> Tensor:
@@ -426,73 +394,214 @@ def mean(a: Tensor, axis: int | None = None) -> Tensor:
 # normalizations
 
 
-def softmax(a: Tensor, axis: int) -> Tensor:
-    """Stable softmax along `axis` (max-subtracted before exponentiation)."""
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+def softmax_forward(x: np.ndarray, axis: int) -> np.ndarray:
+    """Stable softmax values along `axis` (max-subtracted before exponentiation)."""
+    shifted = x - x.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
-    data = e / e.sum(axis=axis, keepdims=True)
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def softmax_backward(g: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:
+    """Gradient of the softmax input, given output `y` and its gradient `g`."""
+    inner = (g * y).sum(axis=axis, keepdims=True)
+    return y * (g - inner)
+
+
+def softmax(a: Tensor, axis: int) -> Tensor:
+    """Stable softmax along `axis`."""
+    data = softmax_forward(a.data, axis)
 
     def backward(g):
         if a.requires_grad:
-            inner = (g * data).sum(axis=axis, keepdims=True)
-            a._accumulate(data * (g - inner))
+            a._accumulate(softmax_backward(g, data, axis))
 
-    return _result(data, (a,), backward)
+    return node(data, (a,), backward)
+
+
+def _normalized(x: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    norms = np.sqrt((x * x).sum(axis=axis, keepdims=True))
+    if np.any(norms == 0.0):
+        raise DegenerateInputError("l2_normalize: zero-norm slice")
+    return x / norms, norms
+
+
+def _normalized_backward(g: np.ndarray, unit: np.ndarray, norms: np.ndarray, axis: int) -> np.ndarray:
+    inner = (g * unit).sum(axis=axis, keepdims=True)
+    return (g - unit * inner) / norms
 
 
 def l2_normalize(a: Tensor, axis: int) -> Tensor:
     """Scale slices along `axis` to unit Euclidean norm; zero slices error."""
-    norms = np.sqrt((a.data * a.data).sum(axis=axis, keepdims=True))
-    if np.any(norms == 0.0):
-        raise DegenerateInputError("l2_normalize: zero-norm slice")
-    data = a.data / norms
+    data, norms = _normalized(a.data, axis)
 
     def backward(g):
         if a.requires_grad:
-            inner = (g * data).sum(axis=axis, keepdims=True)
-            a._accumulate((g - data * inner) / norms)
+            a._accumulate(_normalized_backward(g, data, norms, axis))
 
-    return _result(data, (a,), backward)
+    return node(data, (a,), backward)
+
+
+class UnitRows:
+    """Forward value of `l2_normalize(t, axis=1)` for a 2-D tensor `t`.
+
+    `data` holds the unit rows and `norms` the [n, 1] row norms. `t` is
+    `data.T` as the C-contiguous copy a transpose node would hold, made on
+    first use. `grad` is l2_normalize's backward through these rows.
+    """
+
+    __slots__ = ("data", "norms", "_t")
+
+    def __init__(self, x: np.ndarray):
+        self.data, self.norms = _normalized(x, 1)
+        self._t: np.ndarray | None = None
+
+    @property
+    def t(self) -> np.ndarray:
+        if self._t is None:
+            self._t = self.data.T.copy()
+        return self._t
+
+    def grad(self, g: np.ndarray) -> np.ndarray:
+        return _normalized_backward(g, self.data, self.norms, 1)
+
+
+def unit_rows(a: Tensor) -> UnitRows:
+    """`a`'s row normalization, computed on first use and kept on `a`.
+
+    Not kept on trainable leaves (requires_grad, no backward): optimizers
+    rewrite their storage in place.
+    """
+    unit = a._unit
+    if unit is None:
+        unit = UnitRows(a.data)
+        if a._backward is not None or not a.requires_grad:
+            a._unit = unit
+    return unit
 
 
 # ---------------------------------------------------------------------------
-# composite helpers
+# fused nodes (see the module docstring for their contract)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b for [n, i] x, [i, o] w and a bias broadcast over rows, as one node."""
+    if x.ndim != 2 or w.ndim != 2:
+        raise ShapeMismatchError(f"linear needs 2-D x and w, got {x.shape} @ {w.shape}")
+    if x.shape[1] != w.shape[0]:
+        raise ShapeMismatchError(f"linear: inner dims differ, {x.shape} @ {w.shape}")
+    product = x.data @ w.data
+    try:
+        data = product + b.data
+    except ValueError as exc:
+        raise ShapeMismatchError(f"linear: bias {b.shape} vs {product.shape}") from exc
+
+    def backward(g):
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g, b.shape))
+        if x.requires_grad:
+            x._accumulate(g @ w.data.T)
+        if w.requires_grad:
+            w._accumulate(x.data.T @ g)
+
+    return node(data, (x, w, b), backward)
+
+
+def cosine_forward(a: Tensor, b: Tensor) -> tuple[UnitRows, UnitRows, np.ndarray]:
+    """(unit rows of a, unit rows of b, [m, n] row cosines) for [m, d] a and [n, d] b. Zero rows raise."""
+    if a.ndim != 2 or b.ndim != 2:
+        raise ShapeMismatchError(f"cosine_sim needs 2-D inputs, got ranks {a.ndim} and {b.ndim}")
+    if a.shape[1] != b.shape[1]:
+        raise ShapeMismatchError(f"cosine_sim: feature dims differ, {a.shape} vs {b.shape}")
+    ua, ub = unit_rows(a), unit_rows(b)
+    return ua, ub, ua.data @ ub.t
+
+
+def cosine_backward(g: np.ndarray, a: Tensor, b: Tensor, ua: UnitRows, ub: UnitRows) -> None:
+    """Hand the gradient `g` of the cosine matrix to a, then to b."""
+    if a.requires_grad:
+        a._accumulate(ua.grad(g @ ub.t.T))
+    if b.requires_grad:
+        b._accumulate(ub.grad((ua.data.T @ g).T))
 
 
 def cosine_sim(a: Tensor, b: Tensor) -> Tensor:
-    """Cosine similarity.
+    """The [m, n] cosine similarities of every row pair of [m, d] a and [n, d] b."""
+    ua, ub, data = cosine_forward(a, b)
 
-    1-D inputs give a scalar; 2-D inputs of shapes [m, d] and [n, d] give
-    the [m, n] matrix of all row pairs. Zero rows raise.
+    def backward(g):
+        cosine_backward(g, a, b, ua, ub)
+
+    return node(data, (a, b), backward)
+
+
+def cosine_softmax(a: Tensor, b: Tensor, tau: float) -> Tensor:
+    """Rows of softmax(cosine_sim(a, b) / tau): one distribution over b's rows per row of a."""
+    ua, ub, sims = cosine_forward(a, b)
+    c = float(1.0 / tau)
+    data = softmax_forward(sims * c, 1)
+
+    def backward(g):
+        cosine_backward(softmax_backward(g, data, 1) * c, a, b, ua, ub)
+
+    return node(data, (a, b), backward)
+
+
+def soft_ce_rows(target: np.ndarray, pred: np.ndarray) -> np.ndarray:
+    """-sum(target * log(max(pred, LOG_EPS))) along the last axis of 2-D arrays."""
+    return (-target * np.log(np.maximum(pred, LOG_EPS))).sum(axis=1)
+
+
+def row_terms_backward(g_sum, shape: tuple, weights: np.ndarray | None = None) -> np.ndarray:
+    """Gradient of every entry of an [n, k] array `m`, given the gradient
+    `g_sum` of sum(weights * m.sum(axis=1))."""
+    g_rows = np.broadcast_to(g_sum, shape[:1]).copy()
+    if weights is not None:
+        g_rows = g_rows * weights
+    return np.broadcast_to(np.expand_dims(g_rows, 1), shape).copy()
+
+
+def soft_ce_backward(g_sum, target: np.ndarray, pred: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+    """Gradient of `pred` given the gradient `g_sum` of sum(weights * soft_ce_rows(target, pred)).
+
+    No gradient passes where `pred` sits at or below the LOG_EPS floor.
     """
-    if a.ndim == 1 and b.ndim == 1:
-        if a.shape != b.shape:
-            raise ShapeMismatchError(f"cosine_sim: {a.shape} vs {b.shape}")
-        return tsum(mul(l2_normalize(a, axis=0), l2_normalize(b, axis=0)))
-    if a.ndim == 2 and b.ndim == 2:
-        if a.shape[1] != b.shape[1]:
-            raise ShapeMismatchError(f"cosine_sim: feature dims differ, {a.shape} vs {b.shape}")
-        return matmul(l2_normalize(a, axis=1), transpose(l2_normalize(b, axis=1)))
-    raise ShapeMismatchError(f"cosine_sim: unsupported ranks {a.ndim} and {b.ndim}")
+    return row_terms_backward(g_sum, pred.shape, weights) * -target / np.maximum(pred, LOG_EPS) * (pred > LOG_EPS)
 
 
-def soft_cross_entropy(target: Tensor, pred: Tensor) -> Tensor:
-    """-sum(target * log(pred)) along the last axis.
+def soft_ce_mean(
+    target: Tensor,
+    pred: Tensor,
+    weights: Tensor | None = None,
+    scale: float = 1.0,
+    rows: np.ndarray | None = None,
+) -> Tensor:
+    """scale * mean over rows of weights * soft_ce_rows(target, pred), as one node.
 
-    `target` is treated as a constant: no gradient ever flows into it.
-    Probabilities are floored at LOG_EPS before the log. Returns a scalar
-    for 1-D inputs, a per-row vector for 2-D inputs.
+    `target` and the per-row `weights` are constants: no gradient flows
+    into them. `rows` may carry `soft_ce_rows(target.data, pred.data)`
+    when the caller has it already.
     """
     if target.shape != pred.shape:
-        raise ShapeMismatchError(f"soft_cross_entropy: {target.shape} vs {pred.shape}")
-    if pred.ndim not in (1, 2):
-        raise ShapeMismatchError(f"soft_cross_entropy needs 1-D or 2-D input, got {pred.shape}")
-    weights = Tensor(-target.data)  # constant copy: target carries no gradient
-    logp = log(maximum_scalar(pred, LOG_EPS))
-    prod = mul(weights, logp)
-    return tsum(prod) if pred.ndim == 1 else tsum(prod, axis=1)
+        raise ShapeMismatchError(f"soft_ce_mean: {target.shape} vs {pred.shape}")
+    if pred.ndim != 2:
+        raise ShapeMismatchError(f"soft_ce_mean needs 2-D input, got {pred.shape}")
+    if pred.shape[0] == 0:
+        raise ContractError("soft_ce_mean of an empty batch")
+    w = None
+    if weights is not None:
+        if weights.requires_grad:
+            raise ContractError("soft_ce_mean: weights must be constants")
+        if weights.shape != pred.shape[:1]:
+            raise ShapeMismatchError(f"soft_ce_mean: {pred.shape[0]} rows but weights {weights.shape}")
+        w = weights.data
+    if rows is None:
+        rows = soft_ce_rows(target.data, pred.data)
+    c = float(1.0 / rows.size)
+    s = float(scale)
+    data = (rows if w is None else rows * w).sum() * c * s
 
+    def backward(g):
+        if pred.requires_grad:
+            pred._accumulate(soft_ce_backward(g * s * c, target.data, pred.data, w))
 
-def frobenius_norm(a: Tensor) -> Tensor:
-    """sqrt of the sum of squared entries (zero subgradient at zero)."""
-    return sqrt(tsum(mul(a, a)))
+    return node(data, (pred,), backward)

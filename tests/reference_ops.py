@@ -1,0 +1,302 @@
+"""The generic-op chains that the fused nodes replaced, kept as test oracles.
+
+Every function here builds, from mulki.tensor's generic ops, exactly the
+chain the package built before its fused node existed: the same ops on
+the same operands in the same order. A fused node must match its chain
+bit for bit, in the forward value and in every leaf gradient
+(tests/test_fused_ops.py). The elementwise ops only these chains use
+(log, sqrt, maximum_scalar, concat1d) and the composites built from them
+(soft_cross_entropy, frobenius_norm) live here as well, with their tests.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+import mulki.tensor as T
+from mulki.encoder import TEMPLATE_TOKEN
+from mulki.errors import ConfigError, ContractError, ShapeMismatchError
+from mulki.losses import WEIGHTING_MODES, LossBreakdown, StudentOutputs, TeacherOutputs, sample_weights, wc_loss
+from mulki.tensor import LOG_EPS, Tensor
+
+# ---------------------------------------------------------------------------
+# elementwise ops and composites only the chains use
+
+
+def _node(data, parents: tuple, backward) -> Tensor:
+    out = Tensor(data)
+    if any(p.requires_grad for p in parents):
+        out.requires_grad = True
+        out._parents = parents
+        out._backward = backward
+    return out
+
+
+def log(a: Tensor) -> Tensor:
+    data = np.log(a.data)
+
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(g / a.data)
+
+    return _node(data, (a,), backward)
+
+
+def sqrt(a: Tensor) -> Tensor:
+    """Elementwise square root with the zero subgradient at exactly zero."""
+    data = np.sqrt(a.data)
+
+    def backward(g):
+        if a.requires_grad:
+            mask = a.data > 0.0
+            safe = np.where(mask, data, 1.0)
+            a._accumulate(np.where(mask, g * 0.5 / safe, 0.0))
+
+    return _node(data, (a,), backward)
+
+
+def maximum_scalar(a: Tensor, floor: float) -> Tensor:
+    """Clamp from below by a constant; gradient passes only above the floor."""
+    floor = float(floor)
+    data = np.maximum(a.data, floor)
+
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(g * (a.data > floor))
+
+    return _node(data, (a,), backward)
+
+
+def concat1d(parts: list) -> Tensor:
+    """Concatenate 1-D tensors; gradient is sliced back to each part."""
+    if not parts:
+        raise ContractError("concat1d needs at least one tensor")
+    for p in parts:
+        if p.ndim != 1:
+            raise ShapeMismatchError(f"concat1d needs 1-D parts, got {p.shape}")
+    data = np.concatenate([p.data for p in parts])
+    offsets = np.cumsum([0] + [p.size for p in parts])
+
+    def backward(g):
+        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
+            if p.requires_grad:
+                p._accumulate(g[lo:hi])
+
+    return _node(data, tuple(parts), backward)
+
+
+def soft_cross_entropy(target: Tensor, pred: Tensor) -> Tensor:
+    """-sum(target * log(max(pred, LOG_EPS))) along the last axis; target is a constant."""
+    if target.shape != pred.shape:
+        raise ShapeMismatchError(f"soft_cross_entropy: {target.shape} vs {pred.shape}")
+    if pred.ndim not in (1, 2):
+        raise ShapeMismatchError(f"soft_cross_entropy needs 1-D or 2-D input, got {pred.shape}")
+    weights = Tensor(-target.data)
+    logp = log(maximum_scalar(pred, LOG_EPS))
+    prod = T.mul(weights, logp)
+    return T.tsum(prod) if pred.ndim == 1 else T.tsum(prod, axis=1)
+
+
+def frobenius_norm(a: Tensor) -> Tensor:
+    """sqrt of the sum of squared entries (zero subgradient at zero)."""
+    return sqrt(T.tsum(T.mul(a, a)))
+
+
+def params_flat_tensor(model) -> Tensor:
+    """Differentiable flat view of the parameters: reshape each, then concat."""
+    return concat1d([T.reshape(p, (-1,)) for p in model.parameters()])
+
+
+# ---------------------------------------------------------------------------
+# chains of the fused tensor ops
+
+
+def cosine_sim(a: Tensor, b: Tensor) -> Tensor:
+    """1-D: a scalar; 2-D [m, d] and [n, d]: the [m, n] matrix of row cosines."""
+    if a.ndim == 1 and b.ndim == 1:
+        return T.tsum(T.mul(T.l2_normalize(a, axis=0), T.l2_normalize(b, axis=0)))
+    return T.matmul(T.l2_normalize(a, axis=1), T.transpose(T.l2_normalize(b, axis=1)))
+
+
+def cosine_softmax(a: Tensor, b: Tensor, tau: float) -> Tensor:
+    return T.softmax(T.scale(cosine_sim(a, b), 1.0 / tau), axis=1)
+
+
+def soft_ce_mean(target: Tensor, pred: Tensor, weights: Tensor | None = None, scale: float | None = None) -> Tensor:
+    """mean(soft_cross_entropy * weights), then a scale node when `scale` is given."""
+    per_row = soft_cross_entropy(target, pred)
+    if weights is not None:
+        per_row = T.mul(per_row, weights)
+    out = T.mean(per_row)
+    return out if scale is None else T.scale(out, scale)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    return T.add(T.matmul(x, w), b)
+
+
+def encode_images(model, x) -> Tensor:
+    x = x if isinstance(x, Tensor) else Tensor(x)
+    h = T.tanh(linear(x, model.img_w1, model.img_b1))
+    return T.l2_normalize(linear(h, model.img_w2, model.img_b2), axis=1)
+
+
+def encode_texts(model, token_ids) -> Tensor:
+    picker = np.zeros((len(token_ids), model.vocab_size))
+    for row, t in enumerate(token_ids):
+        picker[row, int(t)] += 0.5
+        picker[row, TEMPLATE_TOKEN] += 0.5
+    emb = T.matmul(Tensor(picker), model.token_table)
+    h = T.tanh(linear(emb, model.txt_w1, model.txt_b1))
+    return T.l2_normalize(linear(h, model.txt_w2, model.txt_b2), axis=1)
+
+
+# ---------------------------------------------------------------------------
+# chains of the loss terms
+
+
+def cross_entropy(dist: Tensor, label_positions) -> Tensor:
+    labels = np.asarray(label_positions, dtype=np.int64)
+    b, k = dist.shape
+    onehot = np.zeros((b, k))
+    onehot[np.arange(b), labels] = 1.0
+    return soft_ce_mean(Tensor(onehot), dist)
+
+
+def csa_loss(protos: Tensor, texts: Tensor, tau: float) -> Tensor:
+    logits = T.scale(cosine_sim(protos, texts), 1.0 / tau)
+    eye = Tensor(np.eye(protos.shape[0]))
+    proto_to_text = T.mean(soft_cross_entropy(eye, T.softmax(logits, axis=1)))
+    text_to_proto = T.mean(soft_cross_entropy(eye, T.transpose(T.softmax(logits, axis=0))))
+    return T.scale(T.add(proto_to_text, text_to_proto), 0.5)
+
+
+def fd_loss(teacher_feats: Tensor, student_feats: Tensor, weights: Tensor | None = None) -> tuple[Tensor, float]:
+    """(mean of weights * per-row squared distance, unweighted mean as logged)."""
+    diff = T.sub(teacher_feats, student_feats)
+    per_sample = T.tsum(T.mul(diff, diff), axis=1)
+    raw = T.mean(per_sample).item()
+    return T.mean(per_sample if weights is None else T.mul(per_sample, weights)), raw
+
+
+def relation_gap(t_sims: Tensor, s_sims: Tensor, row_weights: Tensor | None) -> Tensor:
+    diff = T.sub(t_sims, s_sims)
+    if row_weights is not None:
+        diff = T.mul(T.reshape(row_weights, (row_weights.size, 1)), diff)
+    b, k = diff.shape
+    return T.scale(frobenius_norm(diff), 1.0 / np.sqrt(b * k))
+
+
+def ird_loss(
+    teacher_feats: Tensor, student_feats: Tensor, protos: Tensor, weights: Tensor | None = None, alpha: float | None = None
+) -> tuple[Tensor, float]:
+    """(alpha * relation gap, unweighted gap as logged); no alpha scale node when alpha is None."""
+    t_sims = cosine_sim(teacher_feats, protos)
+    s_sims = cosine_sim(student_feats, protos)
+    gap = relation_gap(t_sims, s_sims, weights)
+    b, k = t_sims.shape
+    raw = float(np.linalg.norm(t_sims.data - s_sims.data) / np.sqrt(b * k))
+    return (gap if alpha is None else T.scale(gap, alpha)), raw
+
+
+def i2t_loss(
+    teacher_dist: Tensor, student_dist: Tensor, weights: Tensor | None = None, beta: float | None = None
+) -> tuple[Tensor, float]:
+    """(beta * weighted mean cross-entropy, unweighted mean as logged)."""
+    per_i2t = soft_cross_entropy(teacher_dist, student_dist)
+    raw = float(per_i2t.data.sum() * (1.0 / per_i2t.size))
+    if weights is not None:
+        per_i2t = T.mul(per_i2t, weights)
+    out = T.mean(per_i2t)
+    return (out if beta is None else T.scale(out, beta)), raw
+
+
+def pt_loss(teacher, student_pt: Tensor, student_tp: Tensor) -> Tensor:
+    a = T.mean(soft_cross_entropy(teacher.proto_text_dist, student_pt))
+    b = T.mean(soft_cross_entropy(teacher.text_proto_dist, student_tp))
+    return T.add(a, b)
+
+
+def mdd_loss(c0_out, prev_out, student, protos, alpha=1.0, beta=1.0, weighting="similarity",
+             enable_fd=True, enable_ird=True, enable_idd=True):
+    if weighting not in WEIGHTING_MODES:
+        raise ConfigError(f"unknown weighting mode {weighting!r}")
+    batch = student.feats.shape[0]
+    if weighting == "similarity":
+        r0, r_prev = sample_weights(c0_out.img_text_dist, prev_out.img_text_dist, student.img_text_dist)
+    elif weighting == "average":
+        r0, r_prev = Tensor(np.full(batch, 0.5)), Tensor(np.full(batch, 0.5))
+    elif weighting == "only_c0":
+        r0, r_prev = Tensor(np.ones(batch)), None
+    else:
+        r0, r_prev = None, Tensor(np.ones(batch))
+    info = {
+        "fd0": 0.0, "fd_prev": 0.0, "ird0": 0.0, "ird_prev": 0.0, "idd0": 0.0, "idd_prev": 0.0,
+        "r0": r0.data.copy() if r0 is not None else np.zeros(batch),
+    }
+    terms = []
+    for tag, teacher, r in (("0", c0_out, r0), ("_prev", prev_out, r_prev)):
+        if r is None:
+            continue
+        if enable_fd:
+            fd, info["fd" + tag] = fd_loss(teacher.feats, student.feats, r)
+            terms.append(fd)
+        if enable_ird:
+            ird, info["ird" + tag] = ird_loss(teacher.feats, student.feats, protos, r, alpha)
+            terms.append(ird)
+        if enable_idd:
+            i2t, i2t_raw = i2t_loss(teacher.img_text_dist, student.img_text_dist, r, beta)
+            pt = pt_loss(teacher, student.proto_text_dist, student.text_proto_dist)
+            terms.append(i2t)
+            terms.append(T.scale(pt, 0.5 * beta))
+            info["idd" + tag] = i2t_raw + pt.item()
+    if not terms:
+        return None, info
+    total = terms[0]
+    for term in terms[1:]:
+        total = T.add(total, term)
+    return total, info
+
+
+def _outputs(feats, texts, protos, tau) -> dict:
+    return dict(
+        feats=feats,
+        img_text_dist=cosine_softmax(feats, texts, tau),
+        proto_text_dist=cosine_softmax(protos, texts, tau),
+        text_proto_dist=cosine_softmax(texts, protos, tau),
+    )
+
+
+def total_loss(x, label_positions, token_ids, student_model, c0, c_prev, store, hyper, class_ids, wc_reference=None):
+    """The whole objective for one batch, teachers encoding the batch themselves."""
+    protos = store.matrix(class_ids).detach()
+    texts = encode_texts(student_model, token_ids)
+    student = StudentOutputs(texts=texts, **_outputs(encode_images(student_model, x), texts, protos, hyper.tau))
+    bd = LossBreakdown()
+    loss = cross_entropy(cosine_softmax(student.feats, student.texts, hyper.tau_ce), label_positions)
+    bd.ce = loss.item()
+    if hyper.enable_csa:
+        csa = csa_loss(protos, student.texts, hyper.tau)
+        bd.csa = csa.item()
+        loss = T.add(loss, T.scale(csa, hyper.lambda1))
+    if hyper.enable_fd or hyper.enable_ird or hyper.enable_idd:
+        teachers = []
+        for teacher in (c0, c_prev):
+            t_texts = encode_texts(teacher._model, token_ids)
+            teachers.append(TeacherOutputs(texts=t_texts, **_outputs(encode_images(teacher._model, x), t_texts, protos, hyper.tau)))
+        mdd, info = mdd_loss(
+            *teachers, student, protos, alpha=hyper.alpha, beta=hyper.beta, weighting=hyper.weighting_mode,
+            enable_fd=hyper.enable_fd, enable_ird=hyper.enable_ird, enable_idd=hyper.enable_idd,
+        )
+        if mdd is not None:
+            for name in ("fd0", "fd_prev", "ird0", "ird_prev", "idd0", "idd_prev"):
+                setattr(bd, name, info[name])
+            bd.per_sample_r0 = [float(v) for v in info["r0"]]
+            bd.mdd = mdd.item()
+            loss = T.add(loss, T.scale(mdd, hyper.lambda2))
+    if hyper.enable_wc and wc_reference is not None:
+        wc = wc_loss(student_model.parameters(), wc_reference)
+        bd.wc = wc.item()
+        loss = T.add(loss, T.scale(wc, hyper.lambda_wc))
+    bd.total = loss.item()
+    return loss, bd

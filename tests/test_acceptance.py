@@ -136,17 +136,17 @@ def _bare_loss_checks(rng):
         ),
         "L_FD": (
             {"student": rng.normal(size=(B, D))},
-            lambda lv: losses.fd_loss(c0_pack.feats, lv["student"])[1],
+            lambda lv: losses.fd_loss(c0_pack.feats, lv["student"])[0],
             False,
         ),
         "L_IRD": (
             {"student": rng.normal(size=(B, D))},
-            lambda lv: losses.ird_loss(c0_pack.feats, lv["student"], protos),
+            lambda lv: losses.ird_loss(c0_pack.feats, lv["student"], protos)[0],
             False,
         ),
         "L_i2t": (
             dict(feat_leaves),
-            lambda lv: losses.i2t_loss(t_dist, losses.image_text_dist(lv["feats"], lv["texts"], TAU)),
+            lambda lv: losses.i2t_loss(t_dist, losses.image_text_dist(lv["feats"], lv["texts"], TAU))[0],
             False,
         ),
         "L_p&t": (
@@ -256,8 +256,8 @@ def test_criterion_2_identities():
     t_feats = teacher.encode_images(x)
     s_feats = twin.encode_images(x)
     protos = Tensor(rng.normal(size=(K, D)))
-    fd_val = losses.fd_loss(t_feats, s_feats)[1].item()
-    ird_val = losses.ird_loss(t_feats, s_feats, protos).item()
+    fd_val = losses.fd_loss(t_feats, s_feats)[0].item()
+    ird_val = losses.ird_loss(t_feats, s_feats, protos)[0].item()
     ok_b = fd_val == 0.0 and ird_val == 0.0
 
     worst_we = 0.0

