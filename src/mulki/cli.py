@@ -33,11 +33,12 @@ def _load_experiment(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else ExperimentConfig()
     if getattr(args, "seeds", None):
         try:
-            cfg.seeds = [int(s) for s in args.seeds.split(",") if s]
+            seeds = [int(s) for s in args.seeds.split(",") if s]
         except ValueError:
-            raise ConfigError(f"--seeds must be a comma-separated list of integers, got {args.seeds!r}")
-        if not cfg.seeds:
-            raise ConfigError("--seeds must name at least one seed")
+            seeds = []
+        if not seeds or min(seeds) < 0:
+            raise ConfigError(f"--seeds must be a comma-separated list of non-negative integers, got {args.seeds!r}")
+        cfg.seeds = seeds
     return cfg
 
 
@@ -130,6 +131,10 @@ def cmd_ablate(args) -> int:
     return 0
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def cmd_report(args) -> int:
     rows = []
     series = []
@@ -147,8 +152,14 @@ def cmd_report(args) -> int:
         missing = [name for name in (*metrics.SUMMARIES, "matrix") if name not in doc]
         if missing:
             raise ConfigError(f"{path}: missing key {missing[0]!r}")
+        for name in metrics.SUMMARIES:
+            if not _is_number(doc[name]):
+                raise ConfigError(f"{path}: key {name!r} must be a number, got {doc[name]!r}")
+        matrix = doc["matrix"]
+        if not isinstance(matrix, list) or not all(isinstance(row, list) and all(map(_is_number, row)) for row in matrix):
+            raise ConfigError(f"{path}: key 'matrix' must be a list of number lists")
         rows.append((run_dir, [doc[name] for name in metrics.SUMMARIES]))
-        for i, matrix_row in enumerate(doc["matrix"]):
+        for i, matrix_row in enumerate(matrix):
             for j, value in enumerate(matrix_row, start=1):
                 series.append((run_dir, i, j, value))
 

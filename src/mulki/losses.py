@@ -305,10 +305,8 @@ def teacher_outputs(model, x, token_ids, protos: Tensor, tau: float) -> TeacherO
     )
 
 
-def student_outputs(model, x, token_ids, protos: Tensor, tau: float, feats: Tensor | None = None) -> StudentOutputs:
-    """Student forward pass; `feats` may be passed in to reuse an encoding."""
-    if feats is None:
-        feats = model.encode_images(x)
+def student_outputs(model, feats: Tensor, token_ids, protos: Tensor, tau: float) -> StudentOutputs:
+    """Student forward pass over the batch encoding `feats` (the caller encodes the images once)."""
     texts = model.encode_texts(token_ids)
     return StudentOutputs(
         feats=feats,
@@ -436,36 +434,31 @@ def cross_entropy(dist: Tensor, label_positions) -> Tensor:
 
 
 def total_loss(
-    x,
+    student_model,
+    feats: Tensor,
     label_positions,
     token_ids,
-    student_model,
-    c0,
-    c_prev,
+    class_ids,
     store,
     hyper,
-    class_ids=None,
+    teachers: tuple[TeacherOutputs, TeacherOutputs] | None,
+    batch_rows,
     wc_reference=None,
-    student_feats: Tensor | None = None,
-    teachers: tuple[TeacherOutputs, TeacherOutputs] | None = None,
-    batch_rows=None,
 ) -> tuple[Tensor, LossBreakdown]:
     """Assemble the full objective for one batch.
 
+    `feats` is the student's encoding of the batch images.
     `label_positions` index into `token_ids` (the current task's classes,
-    in a fixed order); `class_ids` gives the matching prototype keys and
-    defaults to positions 0..K-1 of the store's class list order passed
-    by the caller. Teachers and prototypes are constants. With every
-    component disabled this reduces to plain supervised fine-tuning.
-
-    `teachers` optionally holds the (c0, c_prev) outputs over the whole
-    training set the batch was drawn from, and `batch_rows` the batch's
-    row indices into it; without them both teachers encode `x` here.
+    in a fixed order) and `class_ids` gives the matching prototype keys.
+    `teachers` holds the (c0, c_prev) `teacher_outputs` over the whole
+    training set the batch was drawn from (None when every distillation
+    channel is off), and `batch_rows` the batch's row indices into it.
+    The drift anchor is added iff `wc_reference` is given. Teachers and
+    prototypes are constants. With every component disabled this reduces
+    to plain supervised fine-tuning.
     """
-    if class_ids is None:
-        raise ContractError("total_loss: class_ids (prototype keys, same order as token_ids) is required")
     protos = store.matrix(class_ids).detach()
-    student = student_outputs(student_model, x, token_ids, protos, hyper.tau, feats=student_feats)
+    student = student_outputs(student_model, feats, token_ids, protos, hyper.tau)
 
     bd = LossBreakdown()
     supervised = cross_entropy(image_text_dist(student.feats, student.texts, hyper.tau_ce), label_positions)
@@ -478,11 +471,7 @@ def total_loss(
         loss = T.add(loss, T.scale(csa, hyper.lambda1))
 
     if hyper.enable_fd or hyper.enable_ird or hyper.enable_idd:
-        if teachers is None:
-            c0_out = teacher_outputs(c0, x, token_ids, protos, hyper.tau)
-            prev_out = teacher_outputs(c_prev, x, token_ids, protos, hyper.tau)
-        else:
-            c0_out, prev_out = (t.rows(batch_rows, protos, hyper.tau) for t in teachers)
+        c0_out, prev_out = (t.rows(batch_rows, protos, hyper.tau) for t in teachers)
         mdd, info = mdd_loss(
             c0_out,
             prev_out,
@@ -506,7 +495,7 @@ def total_loss(
             bd.mdd = mdd.item()
             loss = T.add(loss, T.scale(mdd, hyper.lambda2))
 
-    if hyper.enable_wc and wc_reference is not None:
+    if wc_reference is not None:
         wc = wc_loss(student_model.parameters(), wc_reference)
         bd.wc = wc.item()
         loss = T.add(loss, T.scale(wc, hyper.lambda_wc))

@@ -95,18 +95,12 @@ def summaries(matrix) -> dict:
 # evaluation
 
 
-def evaluate(model, task, mode: str = "multi_domain", candidates=None) -> float:
+def evaluate(model, task, candidates: list) -> float:
     """Accuracy of `model` on `task`'s test set.
 
-    `candidates` is a list of (class_id, token_id) pairs forming the label
-    space. multi_domain defaults to the task's own classes;
-    class_incremental has no universal default and requires an explicit
-    candidate set (see seen_candidates).
+    `candidates` is the label space, a list of (class_id, token_id) pairs
+    (see evaluation_candidates).
     """
-    if candidates is None:
-        if mode == "class_incremental":
-            raise ContractError("class_incremental evaluation needs an explicit candidate set")
-        candidates = [(c.class_id, c.token_id) for c in task.classes]
     if not candidates:
         raise ContractError("evaluate: empty candidate set")
     if task.test_x.shape[0] == 0:
@@ -134,24 +128,20 @@ def seen_candidates(stream, upto_task_id: int) -> list:
     return out
 
 
-def evaluation_candidates(stream, model_row: int, task) -> list | None:
+def evaluation_candidates(stream, model_row: int, task) -> list:
     """Candidate set for matrix cell (model_row, task).
 
-    multi_domain: the task's own label space (None, evaluate defaults).
+    multi_domain: the task's own label space.
     class_incremental: classes of every task up to max(model_row,
     task.task_id), i.e. the classes the model has seen, extended through
     the evaluated task when scoring ahead of training.
     """
     if stream.mode == "multi_domain":
-        return None
+        return [(c.class_id, c.token_id) for c in task.classes]
     return seen_candidates(stream, max(model_row, task.task_id))
 
 
-def metrics_document(matrix, zero_shot_row) -> dict:
-    """The persisted metrics payload for a finished run."""
+def metrics_document(matrix) -> dict:
+    """The persisted metrics payload for a finished run; row 0 is the zero-shot row."""
     a = _as_matrix(matrix)
-    return {
-        "matrix": [[float(v) for v in row] for row in a],
-        **summaries(a),
-        "zero_shot_row": [float(v) for v in zero_shot_row],
-    }
+    return {"matrix": a.tolist(), **summaries(a), "zero_shot_row": a[0].tolist()}

@@ -51,8 +51,7 @@ class TaskResult:
 class RunRecord:
     """Everything a finished sequential run persists."""
 
-    matrix: np.ndarray
-    zero_shot_row: np.ndarray
+    matrix: np.ndarray         # row 0: the initial model's zero-shot row
     loss_rows: list            # (task_id, iteration, LossBreakdown)
     checkpoints: list          # per-task ModelSnapshot
     config_echo: dict
@@ -122,7 +121,9 @@ def train_task(
     On return the student carries the task's final parameters (the
     ensemble mean when weight ensembling is on). The prototype store
     lives only inside this window: seeded from the initial model before
-    the first iteration, purged after the last.
+    the first iteration, purged after the last. Every batch's loss takes
+    its teacher rows from the two per-task bundles, and adds the drift
+    anchor toward `wc_reference` iff one is given.
     """
     store = PrototypeStore.init_from_model(
         c0,
@@ -158,19 +159,7 @@ def train_task(
         )
         positions = [position_of[int(cid)] for cid in labels]
         loss, bd = losses.total_loss(
-            x,
-            positions,
-            token_ids,
-            student,
-            c0,
-            c_prev,
-            store,
-            hyper,
-            class_ids=class_ids,
-            wc_reference=wc_reference if hyper.enable_wc else None,
-            student_feats=feats,
-            teachers=teachers,
-            batch_rows=rows,
+            student, feats, positions, token_ids, class_ids, store, hyper, teachers, rows, wc_reference
         )
         if not math.isfinite(bd.total):
             raise TrainingDivergedError(
@@ -197,7 +186,7 @@ def evaluate_row(model, stream, model_row: int) -> np.ndarray:
     """Accuracies of one model on every task in the stream."""
     return np.array(
         [
-            metrics.evaluate(model, task, stream.mode, metrics.evaluation_candidates(stream, model_row, task))
+            metrics.evaluate(model, task, metrics.evaluation_candidates(stream, model_row, task))
             for task in stream.tasks
         ]
     )
@@ -216,7 +205,7 @@ def run_stream(
     task both teachers coincide with c0 and the per-sample weighting
     degenerates to an even split. The drift penalty references the
     previous task's final parameters and only applies on multi-domain
-    streams.
+    streams with `enable_wc`; this is the one place that decides it.
     """
     hyper.validate()
     n = stream.n_tasks
@@ -237,7 +226,6 @@ def run_stream(
 
     return RunRecord(
         matrix=matrix,
-        zero_shot_row=matrix[0].copy(),
         loss_rows=loss_rows,
         checkpoints=checkpoints,
         config_echo=dict(config_echo or {}),
@@ -252,7 +240,7 @@ def save_run_record(record: RunRecord, out_dir) -> None:
     and saving again produces identical bytes.
     """
     os.makedirs(out_dir, exist_ok=True)
-    write_canonical(metrics.metrics_document(record.matrix, record.zero_shot_row), os.path.join(out_dir, "metrics.json"))
+    write_canonical(metrics.metrics_document(record.matrix), os.path.join(out_dir, "metrics.json"))
     write_canonical({"config": record.config_echo, "seed": record.seed}, os.path.join(out_dir, "run.json"))
     for i, ckpt in enumerate(record.checkpoints, start=1):
         save_checkpoint(ckpt, os.path.join(out_dir, f"task_{i:02d}.ckpt"))

@@ -69,6 +69,8 @@ class StreamConfig:
         for name in ("n_tasks", "classes_per_task"):
             if getattr(self, name) < 2:
                 raise ConfigError(f"stream.{name} must be >= 2, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ConfigError(f"stream.seed must be >= 0, got {self.seed}")
         for name in ("d_in", "train_per_class", "test_per_class", "pretrain_per_class"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"stream.{name} must be >= 1, got {getattr(self, name)}")
@@ -87,16 +89,6 @@ class ClassSpec:
     mean: np.ndarray
     noise_scale: float
     domain_id: int
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ClassSpec)
-            and self.class_id == other.class_id
-            and self.token_id == other.token_id
-            and self.noise_scale == other.noise_scale
-            and self.domain_id == other.domain_id
-            and np.array_equal(self.mean, other.mean)
-        )
 
 
 @dataclass(eq=False)
@@ -118,17 +110,6 @@ class TaskSpec:
 
     def images_by_class(self) -> dict[int, np.ndarray]:
         return {c.class_id: self.train_x[self.train_y == c.class_id] for c in self.classes}
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TaskSpec)
-            and self.task_id == other.task_id
-            and self.classes == other.classes
-            and np.array_equal(self.train_x, other.train_x)
-            and np.array_equal(self.train_y, other.train_y)
-            and np.array_equal(self.test_x, other.test_x)
-            and np.array_equal(self.test_y, other.test_y)
-        )
 
 
 @dataclass(eq=False)
@@ -152,17 +133,6 @@ class StreamSpec:
 
     def all_classes(self) -> list:
         return [c for task in self.tasks for c in task.classes]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, StreamSpec)
-            and self.mode == other.mode
-            and self.seed == other.seed
-            and self.d_in == other.d_in
-            and np.array_equal(self.pretrain_x, other.pretrain_x)
-            and np.array_equal(self.pretrain_tokens, other.pretrain_tokens)
-            and self.tasks == other.tasks
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +292,8 @@ def save_stream(stream: StreamSpec, path) -> None:
         "seed": stream.seed,
         "dims": {"d_in": stream.d_in},
         "pretrain_pool": {
-            "x": [[float(v) for v in row] for row in stream.pretrain_x],
-            "token_ids": [int(t) for t in stream.pretrain_tokens],
+            "x": stream.pretrain_x.tolist(),
+            "token_ids": stream.pretrain_tokens.tolist(),
         },
         "tasks": [
             {
@@ -332,19 +302,19 @@ def save_stream(stream: StreamSpec, path) -> None:
                     {
                         "class_id": c.class_id,
                         "token_id": c.token_id,
-                        "mean": [float(v) for v in c.mean],
+                        "mean": c.mean.tolist(),
                         "noise_scale": float(c.noise_scale),
                         "domain_id": c.domain_id,
                     }
                     for c in task.classes
                 ],
                 "train": {
-                    "x": [[float(v) for v in row] for row in task.train_x],
-                    "class_ids": [int(y) for y in task.train_y],
+                    "x": task.train_x.tolist(),
+                    "class_ids": task.train_y.tolist(),
                 },
                 "test": {
-                    "x": [[float(v) for v in row] for row in task.test_x],
-                    "class_ids": [int(y) for y in task.test_y],
+                    "x": task.test_x.tolist(),
+                    "class_ids": task.test_y.tolist(),
                 },
             }
             for task in stream.tasks

@@ -180,12 +180,14 @@ def _mulki_gap(seed: int, coords_per_seed: int = 40) -> float:
     token_ids = np.arange(1, K + 1)
     hyper = HyperParams()
     wc_ref = c_prev.params_flat()
+    class_ids, rows = list(range(K)), np.arange(B)
+    protos = store.matrix(class_ids).detach()
+    # the teachers are frozen: their bundles are built once, the student is re-encoded per evaluation
+    teachers = tuple(losses.teacher_outputs(t, x, token_ids, protos, hyper.tau) for t in (c0, c_prev))
 
     def make():
-        loss, _ = losses.total_loss(
-            x, label_positions, token_ids, student, c0, c_prev, store, hyper,
-            class_ids=list(range(K)), wc_reference=wc_ref,
-        )
+        feats = student.encode_images(x)
+        loss, _ = losses.total_loss(student, feats, label_positions, token_ids, class_ids, store, hyper, teachers, rows, wc_ref)
         return loss
 
     gap = 0.0

@@ -214,6 +214,36 @@ def test_bad_seeds_flag_exits_2(pipeline, tmp_path, capsys):
     assert "comma-separated" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, seeds", [("run", "-1"), ("run", "0,-2"), ("ablate", "-1"), ("pretrain", "-1")])
+def test_negative_seeds_flag_exits_2(pipeline, tmp_path, capsys, command, seeds):
+    out = tmp_path / "x"
+    inputs = ["--stream", str(pipeline.stream)] + (["--c0", str(pipeline.c0)] if command != "pretrain" else [])
+    code = main([command, "--config", str(pipeline.cfg), *inputs, "--out", str(out), "--seeds", seeds])
+    assert code == 2
+    assert "--seeds" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "config, env, key",
+    [
+        ({"seeds": [0, -1]}, {}, "'seeds'"),
+        ({}, {"MULKI_SEEDS": "[-1]"}, "'seeds'"),
+        ({"stream": {"seed": -3}}, {}, "stream.seed"),
+        ({}, {"MULKI_STREAM__SEED": "-3"}, "stream.seed"),
+    ],
+    ids=["file-seeds", "env-seeds", "file-stream-seed", "env-stream-seed"],
+)
+def test_negative_config_seed_exits_2(tmp_path, capsys, monkeypatch, config, env, key):
+    cfg = tmp_path / "seeds.json"
+    cfg.write_text(json.dumps(config))
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    code = main(["generate", "--config", str(cfg), "--out", str(tmp_path / "s.json")])
+    assert code == 2
+    assert key in capsys.readouterr().err
+
+
 def test_missing_stream_exits_2(pipeline, tmp_path, capsys):
     code = main([
         "run", "--config", str(pipeline.cfg),
@@ -276,6 +306,23 @@ def test_report_missing_metric_key_exits_2(pipeline, tmp_path, capsys):
     code = main(["report", str(run), "--out", str(tmp_path / "t.csv")])
     assert code == 2
     assert "'avg'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("transfer", "x"), ("last", None), ("avg", True), ("matrix", 3), ("matrix", [0.5, 0.5]), ("matrix", [[0.5, "x"]])],
+)
+def test_report_malformed_metric_exits_2(pipeline, tmp_path, capsys, key, value):
+    run = tmp_path / "malformed"
+    run.mkdir()
+    doc = json.loads((pipeline.run_a / "seed_00" / "metrics.json").read_text())
+    doc[key] = value
+    (run / "metrics.json").write_text(json.dumps(doc))
+    out = tmp_path / "t.csv"
+    code = main(["report", str(run), "--out", str(out)])
+    assert code == 2
+    assert repr(key) in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _drop_count(header: bytes) -> bytes:

@@ -9,6 +9,8 @@ cosine, inputs that are leaves or op outputs. Each node also passes the
 finite-difference check.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -229,8 +231,19 @@ def _iteration(seed, hyper):
     student = DualEncoder(seed + 52, **dims)
     store = PrototypeStore.init_from_model(c0, {c: rng.normal(size=(4, 12)) for c in range(5)})
     x, labels = rng.normal(size=(32, 12)), rng.integers(0, 5, size=32)
-    args = (x, labels, [1, 2, 3, 4, 5], student, c0, c_prev, store, hyper)
-    return args, dict(class_ids=list(range(5)), wc_reference=params_flat(student) + 0.01)
+    class_ids, token_ids, ref = list(range(5)), [1, 2, 3, 4, 5], params_flat(student) + 0.01
+
+    def fused():
+        """The trainer's path: teacher bundles over the batch, the student's features encoded first."""
+        protos = store.matrix(class_ids).detach()
+        teachers = tuple(losses.teacher_outputs(t, x, token_ids, protos, hyper.tau) for t in (c0, c_prev))
+        feats = student.encode_images(x)
+        return losses.total_loss(student, feats, labels, token_ids, class_ids, store, hyper, teachers, np.arange(32), ref)
+
+    def chain():
+        return R.total_loss(x, labels, token_ids, student, c0, c_prev, store, hyper, class_ids, ref)
+
+    return SimpleNamespace(student=student, fused=fused, chain=chain)
 
 
 @pytest.mark.parametrize("weighting", WEIGHTING_MODES)
@@ -238,11 +251,11 @@ def _iteration(seed, hyper):
 def test_total_loss_matches_chain(weighting, seed):
     """Shared inputs (student feats, texts, prototypes) get their gradients in the chain's order."""
     results = []
-    for build in (losses.total_loss, R.total_loss):
-        args, kwargs = _iteration(seed, HyperParams(weighting_mode=weighting))
-        loss, bd = build(*args, **kwargs)
+    for build in ("fused", "chain"):
+        it = _iteration(seed, HyperParams(weighting_mode=weighting))
+        loss, bd = getattr(it, build)()
         loss.backward()
-        results.append((loss.data, bd.values(), bd.per_sample_r0, [p.grad for p in args[3].parameters()]))
+        results.append((loss.data, bd.values(), bd.per_sample_r0, [p.grad for p in it.student.parameters()]))
     (f_loss, f_bd, f_r0, f_grads), (c_loss, c_bd, c_r0, c_grads) = results
     assert np.array_equal(f_loss, c_loss) and f_bd == c_bd and f_r0 == c_r0
     assert all(np.array_equal(f, c) for f, c in zip(f_grads, c_grads))
@@ -266,12 +279,12 @@ def test_teacher_bundle_rows_match_chain(rng):
 
 
 def test_iteration_tape_is_fused():
-    args, kwargs = _iteration(0, HyperParams())
-    loss, _ = losses.total_loss(*args, **kwargs)
+    it = _iteration(0, HyperParams())
+    loss, _ = it.fused()
     # 18 encoder nodes and leaves, 2 supervised, 3 student distributions,
     # 3 csa (+ scale, add), 23 distillation (7 per teacher, 7 adds, scale, add), 3 anchor
     assert len(GradTape.trace(loss).nodes) == 52
-    chain_loss, _ = R.total_loss(*args, **kwargs)
+    chain_loss, _ = it.chain()
     assert len(GradTape.trace(chain_loss).nodes) == 158
 
 

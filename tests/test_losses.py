@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import reference_ops as R
 from gradcheck import check_grads, unit_rows
 from mulki import tensor as T
 from mulki.encoder import DualEncoder, snapshot
@@ -519,11 +520,9 @@ def test_total_loss_with_teacher_bundles_matches_per_batch():
     rows = np.array([3, 1, 4, 1, 5, 9])
     protos = store.matrix([0, 1, 2]).detach()
     teachers = tuple(teacher_outputs(t, pool, token_ids, protos, hyper.tau) for t in (c0, c_prev))
-    _, fresh = total_loss(pool[rows], labels, token_ids, student, c0, c_prev, store, hyper, class_ids=[0, 1, 2])
-    _, cached = total_loss(
-        pool[rows], labels, token_ids, student, c0, c_prev, store, hyper, class_ids=[0, 1, 2],
-        teachers=teachers, batch_rows=rows,
-    )
+    _, fresh = R.total_loss(pool[rows], labels, token_ids, student, c0, c_prev, store, hyper, [0, 1, 2])
+    feats = student.encode_images(pool[rows])
+    _, cached = total_loss(student, feats, labels, token_ids, [0, 1, 2], store, hyper, teachers, rows)
     assert fresh.values() == cached.values()
     assert fresh.per_sample_r0 == cached.per_sample_r0
 
@@ -548,7 +547,7 @@ def test_distillation_fixed_point_values_and_gradients():
     model, frozen, x, token_ids, protos = fixed_point_setup()
     c0_out = teacher_outputs(frozen, x, token_ids, protos, tau=2.0)
     prev_out = teacher_outputs(frozen, x, token_ids, protos, tau=2.0)
-    student = student_outputs(model, x, token_ids, protos, tau=2.0)
+    student = student_outputs(model, model.encode_images(x), token_ids, protos, tau=2.0)
 
     loss, info = mdd_loss(c0_out, prev_out, student, protos, weighting="similarity")
     # hard-zero structure: feature and relation gaps are exactly zero
@@ -595,13 +594,22 @@ def total_loss_setup(seed=0, hyper=None):
     return student, c0, c_prev, store, x, labels, token_ids, hyper
 
 
+def bundled_loss(student, c0, c_prev, store, x, labels, token_ids, hyper, wc_reference=None):
+    """total_loss on batch `x` with both teacher bundles built over `x` itself (batch rows 0..B-1)."""
+    class_ids = [0, 1, 2]
+    protos = store.matrix(class_ids).detach()
+    teachers = tuple(teacher_outputs(t, x, token_ids, protos, hyper.tau) for t in (c0, c_prev))
+    feats = student.encode_images(x)
+    return total_loss(student, feats, labels, token_ids, class_ids, store, hyper, teachers, np.arange(len(x)), wc_reference)
+
+
 def test_total_loss_breakdown_identity():
     student, c0, c_prev, store, x, labels, token_ids, hyper = total_loss_setup()
     hyper.lambda1, hyper.lambda2, hyper.lambda_wc = 0.9, 1.1, 0.3
     from mulki.encoder import params_flat
 
     ref = params_flat(student) + 0.01
-    loss, bd = total_loss(x, labels, token_ids, student, c0, c_prev, store, hyper, class_ids=[0, 1, 2], wc_reference=ref)
+    loss, bd = bundled_loss(student, c0, c_prev, store, x, labels, token_ids, hyper, wc_reference=ref)
     reconstructed = bd.ce + hyper.lambda1 * bd.csa + hyper.lambda2 * bd.mdd + hyper.lambda_wc * bd.wc
     assert abs(bd.total - reconstructed) <= 1e-10
     assert abs(loss.item() - bd.total) <= 1e-15
@@ -614,7 +622,7 @@ def test_total_loss_degenerates_to_plain_ce():
         enable_wc=False, lambda1=0.0, lambda2=0.0,
     )
     student, c0, c_prev, store, x, labels, token_ids, _ = total_loss_setup(seed=3, hyper=hyper)
-    loss, bd = total_loss(x, labels, token_ids, student, c0, c_prev, store, hyper, class_ids=[0, 1, 2])
+    loss, bd = bundled_loss(student, c0, c_prev, store, x, labels, token_ids, hyper)
 
     feats = student.encode_images(x)
     texts = student.encode_texts(token_ids)
@@ -624,26 +632,18 @@ def test_total_loss_degenerates_to_plain_ce():
     assert bd.per_sample_r0 == []
 
 
-def test_total_loss_requires_class_ids():
-    student, c0, c_prev, store, x, labels, token_ids, hyper = total_loss_setup()
-    with pytest.raises(ContractError):
-        total_loss(x, labels, token_ids, student, c0, c_prev, store, hyper)
-
-
 def test_total_loss_batch_permutation_invariant():
     student, c0, c_prev, store, x, labels, token_ids, hyper = total_loss_setup(seed=9)
     perm = np.random.default_rng(0).permutation(len(labels))
-    _, bd1 = total_loss(x, labels, token_ids, student, c0, c_prev, store, hyper, class_ids=[0, 1, 2])
-    _, bd2 = total_loss(
-        x[perm], [labels[i] for i in perm], token_ids, student, c0, c_prev, store, hyper, class_ids=[0, 1, 2]
-    )
+    _, bd1 = bundled_loss(student, c0, c_prev, store, x, labels, token_ids, hyper)
+    _, bd2 = bundled_loss(student, c0, c_prev, store, x[perm], [labels[i] for i in perm], token_ids, hyper)
     for name in LossBreakdown.FIELDS:
         assert abs(getattr(bd1, name) - getattr(bd2, name)) <= 1e-12, name
 
 
 def test_no_gradient_reaches_teachers_or_prototypes():
     student, c0, c_prev, store, x, labels, token_ids, hyper = total_loss_setup(seed=4)
-    loss, _ = total_loss(x, labels, token_ids, student, c0, c_prev, store, hyper, class_ids=[0, 1, 2])
+    loss, _ = bundled_loss(student, c0, c_prev, store, x, labels, token_ids, hyper)
     loss.backward()
     for p in c0._model.parameters():
         assert p.grad is None
@@ -676,7 +676,7 @@ def test_total_loss_grad_matches_finite_differences(monkeypatch):
 
     def loss_at(vec):
         load_flat(student, vec)
-        loss, _ = total_loss(x, labels, token_ids, student, c0, c_prev, store, hyper, class_ids=[0, 1, 2], wc_reference=ref)
+        loss, _ = bundled_loss(student, c0, c_prev, store, x, labels, token_ids, hyper, wc_reference=ref)
         return loss
 
     theta0 = params_flat(student)

@@ -118,7 +118,7 @@ def test_oracle_model_scores_one():
     stream = generate_stream(tiny_stream_config(noise_scale=0.05))
     oracle = OracleModel(stream)
     for task in stream.tasks:
-        assert evaluate(oracle, task, mode=stream.mode) == 1.0
+        assert evaluate(oracle, task, evaluation_candidates(stream, 0, task)) == 1.0
 
 
 def test_random_init_near_chance():
@@ -126,7 +126,7 @@ def test_random_init_near_chance():
     scores = []
     for seed in range(5):
         model = DualEncoder(seed, vocab_size=stream.vocab_size, d_in=stream.d_in, d_tok=8, hidden=16, embed_dim=8)
-        scores.append(np.mean([evaluate(model, t, mode=stream.mode) for t in stream.tasks]))
+        scores.append(np.mean([evaluate(model, t, evaluation_candidates(stream, 0, t)) for t in stream.tasks]))
     assert abs(np.mean(scores) - 0.25) <= 0.1
 
 
@@ -142,7 +142,8 @@ def test_scaling_invariance():
             return Tensor(model.encode_texts(token_ids).data * 2.0)
 
     for task in stream.tasks:
-        assert evaluate(model, task, mode=stream.mode) == evaluate(Doubled(), task, mode=stream.mode)
+        candidates = evaluation_candidates(stream, 0, task)
+        assert evaluate(model, task, candidates) == evaluate(Doubled(), task, candidates)
 
 
 def test_evaluate_candidate_handling():
@@ -150,10 +151,8 @@ def test_evaluate_candidate_handling():
     model = snapshot(DualEncoder(1, vocab_size=stream.vocab_size, d_in=stream.d_in, d_tok=8, hidden=16, embed_dim=8))
     task = stream.tasks[0]
     with pytest.raises(ContractError):
-        evaluate(model, task, mode="class_incremental")  # no default candidates
-    with pytest.raises(ContractError):
-        evaluate(model, task, mode="multi_domain", candidates=[])
-    got = evaluate(model, task, mode="class_incremental", candidates=seen_candidates(stream, 1))
+        evaluate(model, task, [])
+    got = evaluate(model, task, seen_candidates(stream, 1))
     assert 0.0 <= got <= 1.0
 
 
@@ -170,7 +169,9 @@ def test_seen_and_evaluation_candidates():
     assert [c for c, _ in behind] == [0, 1, 2, 3, 4, 5]
 
     md = generate_stream(tiny_stream_config())
-    assert evaluation_candidates(md, model_row=1, task=md.tasks[0]) is None
+    task = md.tasks[1]
+    for row in (0, 1, 2):  # a multi-domain task is always scored on its own classes
+        assert evaluation_candidates(md, model_row=row, task=task) == list(zip(task.class_ids, task.token_ids))
 
 
 def test_empty_test_set_rejected():
@@ -180,11 +181,11 @@ def test_empty_test_set_rejected():
     task.test_y = np.zeros(0, dtype=np.int64)
     oracle = OracleModel(stream)
     with pytest.raises(ContractError):
-        evaluate(oracle, task, mode=stream.mode)
+        evaluate(oracle, task, evaluation_candidates(stream, 0, task))
 
 
 def test_metrics_document_structure():
-    doc = metrics_document(FIXTURE, zero_shot_row=[0.5, 0.5])
+    doc = metrics_document(FIXTURE)
     assert doc["matrix"] == FIXTURE
     assert doc["transfer"] == 0.5
     assert doc["avg"] == 0.875

@@ -79,7 +79,6 @@ def test_matrix_shape_and_row0(tiny_stream):
     n = tiny_stream.n_tasks
     assert record.matrix.shape == (n + 1, n)
     assert np.array_equal(record.matrix[0], evaluate_row(c0, tiny_stream, 0))
-    assert np.array_equal(record.zero_shot_row, record.matrix[0])
     assert len(record.checkpoints) == n
     assert len(record.loss_rows) == n * fast_hyper().iterations_per_task
 
@@ -244,6 +243,29 @@ def test_first_task_weights_degenerate_to_half(tiny_stream):
     for _, _, bd in result.loss_rows:
         assert bd.per_sample_r0
         assert all(r == 0.5 for r in bd.per_sample_r0)
+
+
+def logged_wc(record, out_dir) -> list:
+    """(task, iteration, wc) from the losses.csv a saved run writes."""
+    save_run_record(record, out_dir)
+    lines = (out_dir / "losses.csv").read_text().splitlines()
+    column = lines[0].split(",").index("wc")
+    return [(int(row[0]), int(row[1]), float(row[column])) for row in (line.split(",") for line in lines[1:])]
+
+
+def test_drift_anchor_only_on_multi_domain_streams_with_wc(tiny_stream, tmp_path):
+    c0 = make_c0(tiny_stream)
+    full = logged_wc(run_stream(tiny_stream, fast_hyper(), 1, c0), tmp_path / "full")
+    # each task starts from its own reference (the previous task's model), so iteration 1 reads 0
+    assert all(wc == 0.0 for _, it, wc in full if it == 1)
+    assert all(wc > 0.0 for _, it, wc in full if it > 1)
+    assert len(full) == tiny_stream.n_tasks * fast_hyper().iterations_per_task
+
+    off = logged_wc(run_stream(tiny_stream, fast_hyper(enable_wc=False), 1, c0), tmp_path / "off")
+    ci_stream = generate_stream(tiny_stream_config(mode="class_incremental"))
+    ci = logged_wc(run_stream(ci_stream, fast_hyper(enable_wc=True), 1, make_c0(ci_stream)), tmp_path / "ci")
+    for rows in (off, ci):
+        assert rows and all(wc == 0.0 for _, _, wc in rows)
 
 
 def test_run_validates_hyper(tiny_stream):

@@ -33,32 +33,29 @@ def small_config(**overrides):
     return StreamConfig(**base)
 
 
+def saved(stream, path) -> bytes:
+    """The canonical bytes `save_stream` writes for `stream`: streams compare by these."""
+    save_stream(stream, path)
+    return path.read_bytes()
+
+
 def test_same_config_and_seed_identical(tmp_path):
     a = generate_stream(small_config())
     b = generate_stream(small_config())
-    assert a == b
-    pa, pb = tmp_path / "a.json", tmp_path / "b.json"
-    save_stream(a, pa)
-    save_stream(b, pb)
-    assert pa.read_bytes() == pb.read_bytes()
+    assert saved(a, tmp_path / "a.json") == saved(b, tmp_path / "b.json")
 
 
-def test_explicit_seed_overrides_config_seed():
-    a = generate_stream(small_config(), seed=99)
-    b = generate_stream(small_config(seed=99))
-    assert a == b
-    assert a != generate_stream(small_config(seed=11))
+def test_explicit_seed_overrides_config_seed(tmp_path):
+    a = saved(generate_stream(small_config(), seed=99), tmp_path / "a.json")
+    assert a == saved(generate_stream(small_config(seed=99)), tmp_path / "b.json")
+    assert a != saved(generate_stream(small_config(seed=11)), tmp_path / "c.json")
 
 
 def test_round_trip(tmp_path):
     stream = generate_stream(small_config())
     path = tmp_path / "stream.json"
-    save_stream(stream, path)
-    loaded = load_stream(path)
-    assert loaded == stream
-    again = tmp_path / "again.json"
-    save_stream(loaded, again)
-    assert path.read_bytes() == again.read_bytes()
+    original = saved(stream, path)
+    assert saved(load_stream(path), tmp_path / "again.json") == original
 
 
 def test_class_incremental_structure():
