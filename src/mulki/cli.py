@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import metrics
-from .config import VARIANTS, ExperimentConfig, apply_variant, load_config
+from .config import VARIANTS, ExperimentConfig, apply_env_overrides, apply_variant, config_from_dict, load_config
 from .encoder import load_checkpoint, save_checkpoint, snapshot
 from .errors import ConfigError, MulkiError
 from .jsonutil import format_float, write_canonical
@@ -30,7 +30,7 @@ from .taskgen import generate_stream, load_stream, save_stream
 
 
 def _load_experiment(args) -> ExperimentConfig:
-    cfg = load_config(args.config) if args.config else ExperimentConfig()
+    cfg = load_config(args.config) if args.config else config_from_dict(apply_env_overrides({}))
     if getattr(args, "seeds", None):
         try:
             seeds = [int(s) for s in args.seeds.split(",") if s]

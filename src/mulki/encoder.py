@@ -8,6 +8,12 @@ similarity is a plain dot product downstream.
 
 Token id 0 is reserved for the shared template token; class tokens
 start at 1.
+
+All nine parameters live in one contiguous float64 buffer in PARAM_ORDER
+(`tensor.pack`), and each parameter leaf is a view of its slice. So
+`params_flat` is one copy of the buffer, `load_flat` one assignment into
+it, and the optimizer and the drift penalty read and step the buffer
+directly. A snapshot or a trainable copy gets a buffer of its own.
 """
 
 from __future__ import annotations
@@ -77,6 +83,12 @@ class DualEncoder:
         self.txt_b1 = _init_param(rng, (hidden,), d_tok)
         self.txt_w2 = _init_param(rng, (hidden, embed_dim), hidden)
         self.txt_b2 = _init_param(rng, (embed_dim,), hidden)
+        self._bind(T.pack([getattr(self, name) for name in PARAM_ORDER]))
+
+    def _bind(self, params: T.Leaves) -> None:
+        self._params = params
+        for name, param in zip(PARAM_ORDER, params):
+            setattr(self, name, param)
 
     @property
     def dims(self) -> dict:
@@ -88,8 +100,9 @@ class DualEncoder:
             "embed_dim": self.embed_dim,
         }
 
-    def parameters(self) -> list:
-        return [getattr(self, name) for name in PARAM_ORDER]
+    def parameters(self) -> T.Leaves:
+        """The parameter leaves in PARAM_ORDER; `.flat` is the buffer they tile."""
+        return self._params
 
     def encode_images(self, x) -> Tensor:
         """Map [B, d_in] inputs to unit-norm [B, embed_dim] embeddings."""
@@ -125,10 +138,10 @@ class DualEncoder:
 class ModelSnapshot:
     """Frozen copy of a DualEncoder.
 
-    Parameters are deep-copied, marked read-only, and never require
-    gradients, so everything a snapshot encodes is detached by
-    construction. Snapshots taken before further training steps are
-    unaffected by them.
+    Parameters are copied into a buffer of the snapshot's own, marked
+    read-only, and never require gradients, so everything a snapshot
+    encodes is detached by construction. Snapshots taken before further
+    training steps are unaffected by them.
     """
 
     def __init__(self, model: DualEncoder):
@@ -139,10 +152,10 @@ class ModelSnapshot:
         frozen.d_tok = model.d_tok
         frozen.hidden = model.hidden
         frozen.embed_dim = model.embed_dim
-        for name in PARAM_ORDER:
-            data = np.array(getattr(model, name).data, copy=True)
-            data.flags.writeable = False
-            setattr(frozen, name, Tensor(data))
+        params = T.pack([Tensor(p.data) for p in model.parameters()])
+        for array in (params.flat, *(p.data for p in params)):
+            array.flags.writeable = False
+        frozen._bind(params)
         self._model = frozen
 
     @property
@@ -164,8 +177,8 @@ class ModelSnapshot:
 
     def trainable_copy(self) -> DualEncoder:
         """A fresh DualEncoder carrying this snapshot's exact parameters."""
-        model = DualEncoder(self._model.seed, **{k: v for k, v in self._model.dims.items()})
-        load_flat(model, self.params_flat())
+        model = DualEncoder(self._model.seed, **self._model.dims)
+        load_flat(model, self._model.parameters().flat)
         return model
 
 
@@ -174,24 +187,19 @@ def snapshot(model: DualEncoder) -> ModelSnapshot:
 
 
 def params_flat(model: DualEncoder) -> np.ndarray:
-    """All parameters as one float64 vector in PARAM_ORDER, row-major."""
-    return np.concatenate([getattr(model, name).data.ravel() for name in PARAM_ORDER])
+    """All parameters as one float64 vector in PARAM_ORDER, row-major: a copy of the model's buffer."""
+    return model.parameters().flat.copy()
 
 
 def load_flat(model: DualEncoder, vector: np.ndarray) -> None:
-    """Write a flat vector back into the model's parameter storage."""
+    """Write a flat vector into the model's parameter buffer (and so into every parameter)."""
+    flat = model.parameters().flat
     vector = np.asarray(vector, dtype=np.float64)
-    expected = sum(getattr(model, name).size for name in PARAM_ORDER)
-    if vector.shape != (expected,):
-        raise ShapeMismatchError(f"load_flat: expected {expected} values, got shape {vector.shape}")
-    offset = 0
-    for name in PARAM_ORDER:
-        param = getattr(model, name)
-        n = param.size
-        if not param.data.flags.writeable:
-            raise ContractError("load_flat: target parameters are frozen")
-        param.data[...] = vector[offset : offset + n].reshape(param.shape)
-        offset += n
+    if vector.shape != flat.shape:
+        raise ShapeMismatchError(f"load_flat: expected {flat.size} values, got shape {vector.shape}")
+    if not flat.flags.writeable:
+        raise ContractError("load_flat: target parameters are frozen")
+    flat[...] = vector
 
 
 def save_checkpoint(model, path) -> None:

@@ -47,6 +47,8 @@ def _emit(obj, out: list) -> None:
             out.append(":")
             _emit(obj[key], out)
         out.append("}")
+    elif isinstance(obj, (list, tuple)) and obj and set(map(type, obj)) == {float}:
+        out.append("[" + ",".join(map(format_float, obj)) + "]")
     elif isinstance(obj, (list, tuple)):
         out.append("[")
         for i, item in enumerate(obj):

@@ -43,7 +43,8 @@ distributions depend on the moving prototypes and are rebuilt per batch.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,7 +112,7 @@ def fd_loss(teacher_feats: Tensor, student_feats: Tensor, weights: Tensor | None
     data = (rows if w is None else rows * w).sum() * c
 
     def backward(g):
-        half = T.row_terms_backward(g * c, diff.shape, w) * diff
+        half = T.row_terms_backward(g * c, w) * diff
         student_feats._accumulate(-(half + half))
 
     return T.node(data, (student_feats,), backward), float(rows.sum() * c)
@@ -151,13 +152,14 @@ def ird_loss(
     def backward(g):
         g_norm = g * a * c
         g_total = np.where(total > 0.0, g_norm * 0.5 / np.where(total > 0.0, norm, 1.0), 0.0)
-        half = np.broadcast_to(g_total, gap.shape).copy() * gap
+        half = g_total * gap
         g_diff = half + half
         if r is not None:
             g_diff = g_diff * r
         T.cosine_backward(-g_diff, student_feats, protos, us, up)
 
-    return T.node(data, (student_feats,), backward), float(np.linalg.norm(diff) / np.sqrt(b * k))
+    flat = diff.ravel()
+    return T.node(data, (student_feats,), backward), math.sqrt(flat.dot(flat)) / math.sqrt(b * k)
 
 
 def image_text_dist(feats: Tensor, texts: Tensor, tau: float) -> Tensor:
@@ -203,7 +205,8 @@ def sample_weights(dist_c0: Tensor, dist_prev: Tensor, dist_student: Tensor) -> 
 
     def _row_cos(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         num = (a * b).sum(axis=1)
-        den = np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)
+        # np.linalg.norm(., axis=1) by its own formula, without the Python wrapper
+        den = np.sqrt(np.add.reduce(a * a, axis=1)) * np.sqrt(np.add.reduce(b * b, axis=1))
         return num / den
 
     s0 = _row_cos(dist_c0.data, dist_student.data)
@@ -219,11 +222,11 @@ def wc_loss(theta_t, theta_prev) -> Tensor:
 
     `theta_t` is a 1-D tensor, or a list of parameter tensors read as one
     flat vector in order (the trainer passes the model's parameters, so
-    the whole penalty is a single tape node over the leaves).
+    the whole penalty is a single tape node over the leaves that reads
+    their flat buffer).
     """
     ref = theta_prev.data if isinstance(theta_prev, Tensor) else theta_prev
-    parts = [theta_t] if isinstance(theta_t, Tensor) else list(theta_t)
-    return T.sum_sq_diff(parts, ref)
+    return T.sum_sq_diff([theta_t] if isinstance(theta_t, Tensor) else theta_t, ref)
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +331,9 @@ class LossBreakdown:
     fd/ird/idd entries hold the raw (unweighted) term values; `mdd` is the
     assembled teacher-weighted sum actually used in the objective, and
     `total` is ce + lambda1 * csa + lambda2 * mdd (+ lambda_wc * wc when
-    weight drift is penalized). Disabled terms stay 0.
+    weight drift is penalized). Disabled terms stay 0. `r0_mean` is the
+    batch mean of the per-sample weight on the initial-model teacher, None
+    when no distillation term ran.
     """
 
     ce: float = 0.0
@@ -342,7 +347,7 @@ class LossBreakdown:
     mdd: float = 0.0
     wc: float = 0.0
     total: float = 0.0
-    per_sample_r0: list = field(default_factory=list)
+    r0_mean: float | None = None
 
     FIELDS = ("ce", "csa", "fd0", "fd_prev", "ird0", "ird_prev", "idd0", "idd_prev", "mdd", "wc", "total")
 
@@ -491,7 +496,7 @@ def total_loss(
             bd.ird_prev = info["ird_prev"]
             bd.idd0 = info["idd0"]
             bd.idd_prev = info["idd_prev"]
-            bd.per_sample_r0 = [float(v) for v in info["r0"]]
+            bd.r0_mean = float(np.mean(info["r0"]))
             bd.mdd = mdd.item()
             loss = T.add(loss, T.scale(mdd, hyper.lambda2))
 

@@ -15,6 +15,8 @@ feeding non-detached features into an update is a contract violation.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ContractError, DegenerateInputError
@@ -29,11 +31,11 @@ def _mean_rows(features, what: str) -> np.ndarray:
     arr = np.asarray(features, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] == 0:
         raise ContractError(f"{what}: need a non-empty [n, d] feature block, got shape {arr.shape}")
-    return arr.mean(axis=0)
+    return np.add.reduce(arr, axis=0) / arr.shape[0]  # arr.mean(axis=0) without its Python wrapper
 
 
 def _normalize(vec: np.ndarray, class_id) -> np.ndarray:
-    norm = float(np.linalg.norm(vec))
+    norm = math.sqrt(vec.dot(vec))  # np.linalg.norm's formula for a 1-D vector
     if norm == 0.0:
         raise DegenerateInputError(f"class {class_id}: feature mean has zero norm")
     return vec / norm

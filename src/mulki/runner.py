@@ -11,12 +11,16 @@ Per task, before the first iteration: seed the prototype store from the
 initial model, and (when any distillation channel is on) run each frozen
 teacher once over the task's whole training set. Per-iteration order:
 sample batch (with its row indices) -> encode it with the student ->
-update prototypes with the detached student features -> build the loss,
-taking the teachers' rows for the batch from the per-task bundles ->
-backward -> AdamW step -> fold parameters into the ensemble (and, in
-"ewe" mode, periodically overwrite the live parameters with it). All
-randomness is derived from the run seed; a run is a pure function of
-(stream, hyper, seed, initial model).
+split the batch rows by class (and map labels to class positions) with
+numpy -> update prototypes with the detached student features, class by
+class in ascending id order -> build the loss, taking the teachers' rows
+for the batch from the per-task bundles and the drift anchor from the
+student's flat parameter buffer -> backward -> one flat AdamW step ->
+on every `we_interval`-th iteration only, flatten the parameters once
+and fold them into the ensemble (and, in "ewe" mode, periodically
+overwrite the live parameters with it). All randomness is derived from
+the run seed; a run is a pure function of (stream, hyper, seed, initial
+model).
 """
 
 from __future__ import annotations
@@ -151,13 +155,11 @@ def train_task(
         taskgen.batches(task, hyper.batch_size, seed, hyper.iterations_per_task), start=1
     ):
         feats = student.encode_images(x)
-        by_class: dict[int, list] = {}
-        for row, cid in enumerate(labels):
-            by_class.setdefault(int(cid), []).append(row)
-        store.ema_update(
-            {cid: feats.data[rows] for cid, rows in sorted(by_class.items())}
-        )
-        positions = [position_of[int(cid)] for cid in labels]
+        in_class = {cid: labels == cid for cid in sorted(set(labels.tolist()))}
+        store.ema_update({cid: feats.data[mask] for cid, mask in in_class.items()})
+        positions = np.empty(len(labels), dtype=np.int64)
+        for cid, mask in in_class.items():
+            positions[mask] = position_of[cid]
         loss, bd = losses.total_loss(
             student, feats, positions, token_ids, class_ids, store, hyper, teachers, rows, wc_reference
         )
@@ -170,7 +172,7 @@ def train_task(
         opt.zero_grad()
         loss.backward()
         opt.step()
-        if we_state is not None:
+        if we_state is not None and k % we_state.interval == 0:
             we_step(we_state, params_flat(student), k)
             if ewe_step(we_state, k):
                 load_flat(student, we_state.theta_hat)
@@ -248,10 +250,9 @@ def save_run_record(record: RunRecord, out_dir) -> None:
     header = ["task", "iteration", *losses.LossBreakdown.FIELDS, "r0_mean"]
     lines = [",".join(header)]
     for task_id, iteration, bd in record.loss_rows:
-        r0_mean = format_float(float(np.mean(bd.per_sample_r0))) if bd.per_sample_r0 else ""
         row = [str(task_id), str(iteration)]
         row.extend(format_float(v) for v in bd.values())
-        row.append(r0_mean)
+        row.append("" if bd.r0_mean is None else format_float(bd.r0_mean))
         lines.append(",".join(row))
     with open(os.path.join(out_dir, "losses.csv"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -323,8 +323,37 @@ def save_stream(stream: StreamSpec, path) -> None:
     write_canonical(doc, path)
 
 
+_NUMBERS = frozenset((int, float))
+_INTEGERS = frozenset((int,))
+
+
+def _first_outside(values: list, types: frozenset) -> int | None:
+    """Index of the first element whose exact type is not in `types`, or None.
+
+    JSON decoding gives exact types (a bool is a `bool`, never an `int`), so
+    one set check clears a whole list; only a list that fails it is walked.
+    """
+    if types.issuperset(map(type, values)):
+        return None
+    return next(j for j, v in enumerate(values) if type(v) not in types)
+
+
+def _array(values: list, dtype, name: str) -> np.ndarray:
+    try:
+        out = np.array(values, dtype=dtype)
+    except OverflowError as exc:
+        raise StreamFormatError(f"field {name} holds a number out of {np.dtype(dtype).name} range") from exc
+    if not np.isfinite(out).all():
+        raise StreamFormatError(f"field {name} holds a non-finite number")
+    return out
+
+
 class _Reader:
-    """Schema walker that names the offending field on any mismatch."""
+    """Schema walker that names the offending field on any mismatch.
+
+    Lists of numbers are checked a row at a time and converted with one
+    `np.array`.
+    """
 
     def __init__(self, doc):
         self.doc = doc
@@ -357,31 +386,29 @@ class _Reader:
 
     def matrix(self, obj, key, width, where):
         rows = self.get(obj, key, list, where)
-        out = np.zeros((len(rows), width))
         for i, row in enumerate(rows):
             if not isinstance(row, list) or len(row) != width:
                 raise StreamFormatError(f"field {where}{key}[{i}] must be a list of {width} numbers")
-            for j, v in enumerate(row):
-                if not isinstance(v, (int, float)) or isinstance(v, bool):
-                    raise StreamFormatError(f"field {where}{key}[{i}][{j}] must be a number")
-                out[i, j] = float(v)
-        return out
+            j = _first_outside(row, _NUMBERS)
+            if j is not None:
+                raise StreamFormatError(f"field {where}{key}[{i}][{j}] must be a number")
+        return _array(rows, np.float64, where + key).reshape(len(rows), width)
 
     def int_list(self, obj, key, where):
         values = self.get(obj, key, list, where)
-        for i, v in enumerate(values):
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise StreamFormatError(f"field {where}{key}[{i}] must be an integer")
-        return np.array(values, dtype=np.int64)
+        i = _first_outside(values, _INTEGERS)
+        if i is not None:
+            raise StreamFormatError(f"field {where}{key}[{i}] must be an integer")
+        return _array(values, np.int64, where + key)
 
     def vector(self, obj, key, width, where):
         values = self.get(obj, key, list, where)
         if len(values) != width:
             raise StreamFormatError(f"field {where}{key} must be a list of {width} numbers")
-        for i, v in enumerate(values):
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
-                raise StreamFormatError(f"field {where}{key}[{i}] must be a number")
-        return np.array(values, dtype=np.float64)
+        i = _first_outside(values, _NUMBERS)
+        if i is not None:
+            raise StreamFormatError(f"field {where}{key}[{i}] must be a number")
+        return _array(values, np.float64, where + key)
 
 
 def load_stream(path) -> StreamSpec:

@@ -31,6 +31,17 @@ forward value of `l2_normalize(t, axis=1)`) is computed once and kept on
 the tensor (`unit_rows`), except for trainable leaves; every consumer
 still runs its own backward through it.
 
+Trainable leaves are views: `pack` copies a list of leaves into one flat
+float64 buffer and makes each leaf's data the view of its slice, so a
+model's parameters (`Leaves`) can be read, written and stepped as one
+vector. Their storage still changes under them, which is why they stay
+out of the unit-row memo.
+
+Backward kernels hand per-row factors on as broadcast columns or scalars
+and let the one element-wise product that consumes them broadcast: each
+element gets the same product, so the same bits, as from a materialized
+copy.
+
 Gradients accumulate: calling backward twice without clearing `.grad`
 adds the second pass on top of the first. Optimizers call `zero_grad`.
 """
@@ -50,6 +61,8 @@ def _as_array(data) -> np.ndarray:
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum `grad` down to `shape`, undoing numpy broadcasting."""
+    if grad.shape == shape:
+        return grad
     extra = grad.ndim - len(shape)
     for _ in range(extra):
         grad = grad.sum(axis=0)
@@ -94,11 +107,11 @@ class Tensor:
     def _accumulate(self, g: np.ndarray) -> None:
         buffers = GradTape._pass_buffers
         if buffers is not None:
+            # pass buffers are only ever replaced, never written in place, so
+            # the first contribution is kept without a copy
             key = id(self)
-            if key in buffers:
-                buffers[key] = buffers[key] + g
-            else:
-                buffers[key] = np.array(g, dtype=np.float64)
+            prev = buffers.get(key)
+            buffers[key] = np.asarray(g, dtype=np.float64) if prev is None else prev + g
             return
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
@@ -151,6 +164,32 @@ class Tensor:
 
 def _wrap(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
+
+
+class Leaves(tuple):
+    """Leaf tensors whose data tile one flat float64 buffer, back to back in order.
+
+    `flat` is that buffer: each leaf's data is the view of its slice, so
+    writing `flat` writes every leaf, and reading it reads them all without
+    a copy. Only `pack` makes one.
+    """
+
+    flat: np.ndarray
+
+
+def pack(leaves) -> Leaves:
+    """Copy `leaves`' values into one new flat buffer and make each leaf's data its slice.
+
+    The leaves keep their values, shapes and identities; only their storage
+    moves into the buffer.
+    """
+    leaves = Leaves(leaves)
+    leaves.flat = np.concatenate([p.data.reshape(-1) for p in leaves]) if leaves else np.zeros(0)
+    offset = 0
+    for p in leaves:
+        p.data = leaves.flat[offset : offset + p.size].reshape(p.shape)
+        offset += p.size
+    return leaves
 
 
 class GradTape:
@@ -216,10 +255,12 @@ def node(data: np.ndarray, parents: tuple, backward) -> Tensor:
     `_accumulate` on each parent that requires grad.
     """
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = parents
-        out._backward = backward
+    for p in parents:
+        if p.requires_grad:
+            out.requires_grad = True
+            out._parents = parents
+            out._backward = backward
+            break
     return out
 
 
@@ -325,28 +366,31 @@ def reshape(a: Tensor, shape: tuple) -> Tensor:
     return node(data, (a,), backward)
 
 
-def sum_sq_diff(parts: list, ref: np.ndarray) -> Tensor:
+def sum_sq_diff(parts, ref: np.ndarray) -> Tensor:
     """||concat(flatten(parts)) - ref||^2 as one node; `ref` is a constant.
 
-    The backward pass hands each part its slice of 2 * g * (theta - ref),
-    so a list of parameter leaves gets one contribution each without any
-    intermediate reshape or concatenation nodes on the tape.
+    `Leaves` are read straight from their flat buffer; other parts are
+    concatenated. The backward pass hands each part its slice of
+    2 * g * (theta - ref), so a list of parameter leaves gets one
+    contribution each without any intermediate reshape or concatenation
+    nodes on the tape.
     """
     if not parts:
         raise ContractError("sum_sq_diff needs at least one tensor")
     ref = _as_array(ref)
-    flat = np.concatenate([p.data.reshape(-1) for p in parts])
+    flat = parts.flat if isinstance(parts, Leaves) else np.concatenate([p.data.reshape(-1) for p in parts])
     if flat.shape != ref.shape:
         raise ShapeMismatchError(f"sum_sq_diff: {flat.shape} vs {ref.shape}")
     diff = flat - ref
     data = (diff * diff).sum()
-    offsets = np.cumsum([0] + [p.size for p in parts])
 
     def backward(g):
         grad = 2.0 * (g * diff)  # exactly (g * diff) + (g * diff), the product rule's two terms
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
+        offset = 0
+        for p in parts:
             if p.requires_grad:
-                p._accumulate(grad[lo:hi].reshape(p.shape))
+                p._accumulate(grad[offset : offset + p.size].reshape(p.shape))
+            offset += p.size
 
     return node(data, tuple(parts), backward)
 
@@ -396,7 +440,7 @@ def mean(a: Tensor, axis: int | None = None) -> Tensor:
 
 def softmax_forward(x: np.ndarray, axis: int) -> np.ndarray:
     """Stable softmax values along `axis` (max-subtracted before exponentiation)."""
-    shifted = x - x.max(axis=axis, keepdims=True)
+    shifted = x - np.maximum.reduce(x, axis=axis, keepdims=True)  # x.max without its Python wrapper
     e = np.exp(shifted)
     return e / e.sum(axis=axis, keepdims=True)
 
@@ -420,7 +464,7 @@ def softmax(a: Tensor, axis: int) -> Tensor:
 
 def _normalized(x: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
     norms = np.sqrt((x * x).sum(axis=axis, keepdims=True))
-    if np.any(norms == 0.0):
+    if (norms == 0.0).any():
         raise DegenerateInputError("l2_normalize: zero-norm slice")
     return x / norms, norms
 
@@ -551,13 +595,13 @@ def soft_ce_rows(target: np.ndarray, pred: np.ndarray) -> np.ndarray:
     return (-target * np.log(np.maximum(pred, LOG_EPS))).sum(axis=1)
 
 
-def row_terms_backward(g_sum, shape: tuple, weights: np.ndarray | None = None) -> np.ndarray:
+def row_terms_backward(g_sum, weights: np.ndarray | None = None):
     """Gradient of every entry of an [n, k] array `m`, given the gradient
-    `g_sum` of sum(weights * m.sum(axis=1))."""
-    g_rows = np.broadcast_to(g_sum, shape[:1]).copy()
-    if weights is not None:
-        g_rows = g_rows * weights
-    return np.broadcast_to(np.expand_dims(g_rows, 1), shape).copy()
+    `g_sum` of sum(weights * m.sum(axis=1)): `g_sum` itself without
+    weights, else an [n, 1] column. Either broadcasts over `m`."""
+    if weights is None:
+        return g_sum
+    return (g_sum * weights)[:, None]
 
 
 def soft_ce_backward(g_sum, target: np.ndarray, pred: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
@@ -565,7 +609,7 @@ def soft_ce_backward(g_sum, target: np.ndarray, pred: np.ndarray, weights: np.nd
 
     No gradient passes where `pred` sits at or below the LOG_EPS floor.
     """
-    return row_terms_backward(g_sum, pred.shape, weights) * -target / np.maximum(pred, LOG_EPS) * (pred > LOG_EPS)
+    return row_terms_backward(g_sum, weights) * -target / np.maximum(pred, LOG_EPS) * (pred > LOG_EPS)
 
 
 def soft_ce_mean(

@@ -7,6 +7,8 @@ bit for bit, in the forward value and in every leaf gradient
 (tests/test_fused_ops.py). The elementwise ops only these chains use
 (log, sqrt, maximum_scalar, concat1d) and the composites built from them
 (soft_cross_entropy, frobenius_norm) live here as well, with their tests.
+So does `AdamW`, the per-parameter optimizer loop that the flat step
+replaced (tests/test_optim.py holds the flat step to it).
 """
 
 from __future__ import annotations
@@ -291,7 +293,7 @@ def total_loss(x, label_positions, token_ids, student_model, c0, c_prev, store, 
         if mdd is not None:
             for name in ("fd0", "fd_prev", "ird0", "ird_prev", "idd0", "idd_prev"):
                 setattr(bd, name, info[name])
-            bd.per_sample_r0 = [float(v) for v in info["r0"]]
+            bd.r0_mean = float(np.mean(info["r0"]))
             bd.mdd = mdd.item()
             loss = T.add(loss, T.scale(mdd, hyper.lambda2))
     if hyper.enable_wc and wc_reference is not None:
@@ -300,3 +302,39 @@ def total_loss(x, label_positions, token_ids, student_model, c0, c_prev, store, 
         loss = T.add(loss, T.scale(wc, hyper.lambda_wc))
     bd.total = loss.item()
     return loss, bd
+
+
+# ---------------------------------------------------------------------------
+# the per-parameter optimizer loop
+
+
+class AdamW:
+    """AdamW one parameter at a time, each with its own moments and step count."""
+
+    def __init__(self, params, lr=1e-3, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0):
+        self.params = list(params)
+        self.lr, self.beta1, self.beta2 = float(lr), float(betas[0]), float(betas[1])
+        self.eps, self.weight_decay = float(eps), float(weight_decay)
+        self._state: dict[int, dict] = {}
+
+    def reset_moments(self) -> None:
+        self._state.clear()
+
+    def step(self) -> None:
+        for p in self.params:
+            if p.grad is None:
+                continue
+            g = p.grad
+            state = self._state.get(id(p))
+            if state is None:
+                state = {"t": 0, "m": np.zeros_like(p.data), "v": np.zeros_like(p.data)}
+                self._state[id(p)] = state
+            state["t"] += 1
+            t = state["t"]
+            if self.weight_decay != 0.0:
+                p.data *= 1.0 - self.lr * self.weight_decay
+            state["m"] = self.beta1 * state["m"] + (1.0 - self.beta1) * g
+            state["v"] = self.beta2 * state["v"] + (1.0 - self.beta2) * (g * g)
+            m_hat = state["m"] / (1.0 - self.beta1**t)
+            v_hat = state["v"] / (1.0 - self.beta2**t)
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)

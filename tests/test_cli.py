@@ -184,6 +184,17 @@ def test_env_override_changes_run(pipeline, tmp_path, monkeypatch):
     assert len(lines) == 1 + 2 * 4
 
 
+def test_env_override_applies_without_config_file(tmp_path, monkeypatch):
+    for name in list(os.environ):
+        if name.startswith("MULKI_"):
+            monkeypatch.delenv(name)
+    monkeypatch.setenv("MULKI_STREAM__N_TASKS", "3")
+    monkeypatch.setenv("MULKI_STREAM__TRAIN_PER_CLASS", "2")
+    out = tmp_path / "s.json"
+    assert main(["generate", "--out", str(out)]) == 0
+    assert load_stream(out).n_tasks == 3
+
+
 def test_unknown_variant_exits_2(pipeline, tmp_path, capsys):
     code = main([
         "run", "--config", str(pipeline.cfg),

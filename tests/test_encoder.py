@@ -137,6 +137,43 @@ def test_params_flat_round_trip(rng):
     assert np.array_equal(params_flat(m), vec)
 
 
+def test_parameters_are_views_of_one_buffer(rng):
+    m = make_model()
+    params = m.parameters()
+    assert [getattr(m, name) for name in PARAM_ORDER] == list(params)
+    flat = params.flat
+    assert flat.ndim == 1 and flat.flags.c_contiguous and flat.size == sum(p.size for p in params)
+    assert all(np.shares_memory(p.data, flat) for p in params)
+    assert not np.shares_memory(params_flat(m), flat)
+
+    vec = rng.normal(size=flat.size)
+    load_flat(m, vec)
+    offset = 0
+    for name in PARAM_ORDER:
+        param = getattr(m, name)
+        assert np.array_equal(param.data, vec[offset : offset + param.size].reshape(param.shape)), name
+        offset += param.size
+
+
+def test_snapshot_and_trainable_copy_own_their_buffers(rng):
+    m = make_model()
+    frozen = snapshot(m)
+    copy = frozen.trainable_copy()
+    buffers = [m.parameters().flat, frozen._model.parameters().flat, copy.parameters().flat]
+    for i, a in enumerate(buffers):
+        for b in buffers[i + 1 :]:
+            assert not np.shares_memory(a, b)
+    assert not frozen._model.parameters().flat.flags.writeable
+    assert not any(p.data.flags.writeable for p in frozen._model.parameters())
+
+    before = frozen.params_flat()
+    train_steps(m, rng, steps=3)
+    train_steps(copy, rng, steps=3)
+    assert np.array_equal(frozen.params_flat(), before)
+    assert not np.array_equal(params_flat(m), before)
+    assert not np.array_equal(params_flat(copy), before)
+
+
 def test_load_flat_length_error():
     m = make_model()
     with pytest.raises(ShapeMismatchError):
@@ -145,8 +182,10 @@ def test_load_flat_length_error():
 
 def test_load_flat_frozen_error():
     frozen = snapshot(make_model())
+    before = frozen.params_flat()
     with pytest.raises(ContractError):
-        load_flat(frozen._model, frozen.params_flat())
+        load_flat(frozen._model, before + 1.0)
+    assert np.array_equal(frozen.params_flat(), before)
 
 
 def test_load_flat_changes_encodings(rng):

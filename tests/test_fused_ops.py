@@ -255,7 +255,7 @@ def test_total_loss_matches_chain(weighting, seed):
         it = _iteration(seed, HyperParams(weighting_mode=weighting))
         loss, bd = getattr(it, build)()
         loss.backward()
-        results.append((loss.data, bd.values(), bd.per_sample_r0, [p.grad for p in it.student.parameters()]))
+        results.append((loss.data, bd.values(), bd.r0_mean, [p.grad for p in it.student.parameters()]))
     (f_loss, f_bd, f_r0, f_grads), (c_loss, c_bd, c_r0, c_grads) = results
     assert np.array_equal(f_loss, c_loss) and f_bd == c_bd and f_r0 == c_r0
     assert all(np.array_equal(f, c) for f, c in zip(f_grads, c_grads))

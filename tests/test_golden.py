@@ -2,7 +2,8 @@
 
 `generate`, `pretrain` and `run --seeds 0 --variant full` on
 configs/smoke.json and on configs/default.json must reproduce the
-recorded bytes of metrics.json, losses.csv and every task checkpoint.
+recorded bytes of stream.json, c0.ckpt, metrics.json, losses.csv and
+every task checkpoint.
 Float results depend on the numpy/BLAS stack, so the tests skip (and say
 why) on a stack other than the one the hashes were recorded on.
 
@@ -49,8 +50,8 @@ def pipeline_hashes(config: Path, work: Path) -> dict:
         "run", *base, "--stream", str(stream), "--c0", str(c0), "--out", str(out), "--seeds", "0", "--variant", "full",
     ]) == 0
     run_dir = out / "seed_00"
-    names = ["metrics.json", "losses.csv", *sorted(p.name for p in run_dir.glob("task_*.ckpt"))]
-    return {name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest() for name in names}
+    paths = [stream, c0, run_dir / "metrics.json", run_dir / "losses.csv", *sorted(run_dir.glob("task_*.ckpt"))]
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in paths}
 
 
 def check_golden(entry: str, work: Path, monkeypatch) -> None:

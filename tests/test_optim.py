@@ -132,3 +132,38 @@ def test_invalid_hyperparameters(rng):
         AdamW([p], betas=(1.0, 0.999))
     with pytest.raises(ContractError):
         AdamW([p], betas=(0.9, -0.1))
+
+
+def test_flat_step_matches_per_parameter_reference(rng):
+    """20 steps on a model's buffer equal the per-parameter loop bit for bit,
+    through weight decay, a moment reset and parameters whose grad is None."""
+    from reference_ops import AdamW as ReferenceAdamW
+
+    from mulki.encoder import DualEncoder, params_flat
+
+    model = DualEncoder(4, vocab_size=6, d_in=5, d_tok=3, hidden=7, embed_dim=4)
+    loose = [Tensor(p.data.copy(), requires_grad=True) for p in model.parameters()]
+    settings = dict(lr=0.03, betas=(0.8, 0.99), eps=1e-6, weight_decay=0.05)
+    flat_opt, ref_opt = AdamW(model.parameters(), **settings), ReferenceAdamW(loose, **settings)
+    skipped = {1: {2}, 4: {0, 5}, 12: {8}, 13: {8}}  # step -> parameters without a grad
+    for step in range(1, 21):
+        if step == 9:
+            flat_opt.reset_moments()
+            ref_opt.reset_moments()
+        for i, (p, q) in enumerate(zip(model.parameters(), loose)):
+            g = None if i in skipped.get(step, ()) else rng.normal(size=p.shape)
+            p.grad, q.grad = g, None if g is None else g.copy()
+        flat_opt.step()
+        ref_opt.step()
+        assert params_flat(model).tobytes() == np.concatenate([q.data.ravel() for q in loose]).tobytes(), step
+
+
+def test_loose_parameters_are_packed_and_stepped_in_place(rng):
+    p, q = make_param(rng, (2, 3)), make_param(rng)
+    opt = AdamW([p, q], lr=0.1)
+    assert np.shares_memory(p.data, opt.params.flat) and np.shares_memory(q.data, opt.params.flat)
+    p.grad, q.grad = np.ones((2, 3)), np.ones(4)
+    before = opt.params.flat.copy()
+    opt.step()
+    assert not np.array_equal(opt.params.flat, before)
+    assert np.array_equal(np.concatenate([p.data.ravel(), q.data]), opt.params.flat)

@@ -235,14 +235,24 @@ def test_pretrain_rejects_empty_pool(tiny_stream):
         pretrain(crippled, fast_hyper(), 0, ModelConfig(**TINY_MODEL))
 
 
-def test_first_task_weights_degenerate_to_half(tiny_stream):
+def test_first_task_weights_degenerate_to_half(tiny_stream, monkeypatch):
     # both teachers are c0 on task 1, so every similarity weight is 0.5
     c0 = make_c0(tiny_stream)
     student = c0.trainable_copy()
+    weights = []
+
+    def recording_sample_weights(*args):
+        r0, r_prev = real_sample_weights(*args)
+        weights.append(r0.data)
+        return r0, r_prev
+
+    real_sample_weights = losses.sample_weights
+    monkeypatch.setattr(losses, "sample_weights", recording_sample_weights)
     result = train_task(student, c0, c0, tiny_stream.tasks[0], fast_hyper(), 2)
+    assert len(weights) == len(result.loss_rows)
+    assert all(np.all(r0 == 0.5) for r0 in weights)
     for _, _, bd in result.loss_rows:
-        assert bd.per_sample_r0
-        assert all(r == 0.5 for r in bd.per_sample_r0)
+        assert bd.r0_mean == 0.5
 
 
 def logged_wc(record, out_dir) -> list:

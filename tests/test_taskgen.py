@@ -210,6 +210,22 @@ def corrupt(tmp_path, mutate, name):
         ("label_type", lambda d: d["tasks"][0]["train"]["class_ids"].__setitem__(0, "zero"), "class_ids"),
         ("length_mismatch", lambda d: d["tasks"][0]["train"]["class_ids"].pop(), "lengths differ"),
         ("pool_token_type", lambda d: d["pretrain_pool"]["token_ids"].__setitem__(0, 1.5), "token_ids"),
+        ("train_bool", lambda d: d["tasks"][0]["train"]["x"][3].__setitem__(7, True),
+         "field tasks[0].train.x[3][7] must be a number"),
+        ("train_string", lambda d: d["tasks"][0]["train"]["x"][3].__setitem__(7, "0.5"),
+         "field tasks[0].train.x[3][7] must be a number"),
+        ("train_nested_list", lambda d: d["tasks"][0]["train"]["x"][3].__setitem__(7, [0.5]),
+         "field tasks[0].train.x[3][7] must be a number"),
+        ("train_huge_int", lambda d: d["tasks"][0]["train"]["x"][3].__setitem__(7, 10**400),
+         "field tasks[0].train.x holds a number out of float64 range"),
+        ("label_huge_int", lambda d: d["tasks"][0]["train"]["class_ids"].__setitem__(0, 10**30),
+         "field tasks[0].train.class_ids holds a number out of int64 range"),
+        ("train_nan", lambda d: d["tasks"][0]["train"]["x"][3].__setitem__(7, float("nan")),
+         "field tasks[0].train.x holds a non-finite number"),
+        ("mean_inf", lambda d: d["tasks"][0]["classes"][1]["mean"].__setitem__(0, float("inf")),
+         "field tasks[0].classes[1].mean holds a non-finite number"),
+        ("train_row_not_list", lambda d: d["tasks"][0]["train"]["x"].__setitem__(3, 0.5),
+         "field tasks[0].train.x[3] must be a list of"),
     ],
 )
 def test_corrupted_fields_are_named(tmp_path, name, mutate, fragment):
