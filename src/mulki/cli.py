@@ -1,9 +1,9 @@
 """Command-line interface.
 
-    mulki generate --config cfg.json --out stream.json
-    mulki pretrain --config cfg.json --stream stream.json --out c0.ckpt
-    mulki run      --config cfg.json --stream stream.json --c0 c0.ckpt --out runs/exp
-    mulki ablate   --config cfg.json --stream stream.json --c0 c0.ckpt --out runs/ablation
+    mulki generate --config cfg.json --out stream.bin
+    mulki pretrain --config cfg.json --stream stream.bin --out c0.ckpt
+    mulki run      --config cfg.json --stream stream.bin --c0 c0.ckpt --out runs/exp
+    mulki ablate   --config cfg.json --stream stream.bin --c0 c0.ckpt --out runs/ablation
     mulki report   runs/exp/seed_00 runs/exp/seed_01 --out table.csv
 
 Configuration comes from the JSON file plus MULKI_-prefixed environment
@@ -24,7 +24,7 @@ from . import metrics
 from .config import VARIANTS, ExperimentConfig, apply_env_overrides, apply_variant, config_from_dict, load_config
 from .encoder import load_checkpoint, save_checkpoint, snapshot
 from .errors import ConfigError, MulkiError
-from .jsonutil import format_float, write_canonical
+from .jsonutil import format_float, write_canonical, write_lines
 from .runner import evaluate_row, pretrain, run_stream, save_run_record
 from .taskgen import generate_stream, load_stream, save_stream
 
@@ -36,8 +36,8 @@ def _load_experiment(args) -> ExperimentConfig:
             seeds = [int(s) for s in args.seeds.split(",") if s]
         except ValueError:
             seeds = []
-        if not seeds or min(seeds) < 0:
-            raise ConfigError(f"--seeds must be a comma-separated list of non-negative integers, got {args.seeds!r}")
+        if not seeds or min(seeds) < 0 or max(seeds) >= 2**63:
+            raise ConfigError(f"--seeds must be a comma-separated list of integers in [0, 2**63), got {args.seeds!r}")
         cfg.seeds = seeds
     return cfg
 
@@ -47,6 +47,18 @@ def _out_dir(args, cfg: ExperimentConfig) -> str:
     if not out:
         raise ConfigError("no output location: pass --out or set out_dir in the config")
     return out
+
+
+def _stream_and_c0(args, cfg: ExperimentConfig):
+    """Load `--stream` and `--c0`; exit 2 unless c0's dims match the config's model section and the stream."""
+    stream = load_stream(args.stream)
+    c0 = snapshot(load_checkpoint(args.c0))
+    wanted = [(f"model.{name}", name, getattr(cfg.model, name)) for name in ("d_tok", "hidden", "embed_dim")]
+    wanted += [("the stream's d_in", "d_in", stream.d_in), ("the stream's vocabulary", "vocab_size", stream.vocab_size)]
+    for key, dim, value in wanted:
+        if c0.dims[dim] != value:
+            raise ConfigError(f"{key} is {value}, but c0 {args.c0} has {dim} {c0.dims[dim]}")
+    return stream, c0
 
 
 def cmd_generate(args) -> int:
@@ -73,8 +85,7 @@ def cmd_run(args) -> int:
     cfg = _load_experiment(args)
     cfg.variant = args.variant or cfg.variant
     hyper = apply_variant(cfg.hyper, cfg.variant)
-    stream = load_stream(args.stream)
-    c0 = snapshot(load_checkpoint(args.c0))
+    stream, c0 = _stream_and_c0(args, cfg)
     out_root = _out_dir(args, cfg)
     echo = cfg.echo()
     for seed in cfg.seeds:
@@ -90,8 +101,7 @@ def cmd_ablate(args) -> int:
     cfg = _load_experiment(args)
     names = [v for v in args.variant.split(",") if v] if args.variant else list(VARIANTS)
     arms = [(name, apply_variant(cfg.hyper, name)) for name in names]  # every name checked before any run
-    stream = load_stream(args.stream)
-    c0 = snapshot(load_checkpoint(args.c0))
+    stream, c0 = _stream_and_c0(args, cfg)
     out_root = _out_dir(args, cfg)
 
     echo = cfg.echo()
@@ -125,8 +135,7 @@ def cmd_ablate(args) -> int:
             row.append(format_float(table[name][metric]["mean"]))
             row.append(format_float(table[name][metric]["std"]))
         lines.append(",".join(row))
-    with open(os.path.join(out_root, "ablation.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(lines, os.path.join(out_root, "ablation.csv"))
     print(f"wrote ablation summary under {out_root}")
     return 0
 
@@ -166,16 +175,14 @@ def cmd_report(args) -> int:
     lines = [",".join(["run", *metrics.SUMMARIES])]
     for run_dir, values in rows:
         lines.append(",".join([run_dir, *(format_float(float(v)) for v in values)]))
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(lines, args.out)
     print(f"wrote report for {len(rows)} run(s) to {args.out}")
 
     if args.series:
         lines = ["run,after_task,task,accuracy"]
         for run_dir, i, j, value in series:
             lines.append(f"{run_dir},{i},{j},{format_float(float(value))}")
-        with open(args.series, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_lines(lines, args.series)
         print(f"wrote accuracy series to {args.series}")
     return 0
 
@@ -186,19 +193,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="generate a synthetic task stream")
     p.add_argument("--config", help="experiment config JSON")
-    p.add_argument("--out", required=True, help="stream JSON path to write")
+    p.add_argument("--out", required=True, help="stream file to write")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("pretrain", help="contrastively pretrain the initial model")
     p.add_argument("--config", help="experiment config JSON")
-    p.add_argument("--stream", required=True, help="stream JSON path")
+    p.add_argument("--stream", required=True, help="stream file")
     p.add_argument("--out", required=True, help="checkpoint path to write")
     p.add_argument("--seeds", help="comma-separated seed list (first one is used)")
     p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser("run", help="run the continual-learning stream")
     p.add_argument("--config", help="experiment config JSON")
-    p.add_argument("--stream", required=True, help="stream JSON path")
+    p.add_argument("--stream", required=True, help="stream file")
     p.add_argument("--c0", required=True, help="initial model checkpoint")
     p.add_argument("--out", help="output directory (default: config out_dir)")
     p.add_argument("--seeds", help="comma-separated seed list")
@@ -207,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ablate", help="run the ablation grid")
     p.add_argument("--config", help="experiment config JSON")
-    p.add_argument("--stream", required=True, help="stream JSON path")
+    p.add_argument("--stream", required=True, help="stream file")
     p.add_argument("--c0", required=True, help="initial model checkpoint")
     p.add_argument("--out", help="output directory (default: config out_dir)")
     p.add_argument("--seeds", help="comma-separated seed list")

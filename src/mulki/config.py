@@ -204,8 +204,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"unknown config key {sorted(unknown)[0]!r}")
 
     seeds = raw.get("seeds", [0, 1, 2, 3, 4])
-    if not isinstance(seeds, list) or not seeds or not all(type(s) is int and s >= 0 for s in seeds):
-        raise ConfigError(f"config key 'seeds' must be a non-empty list of non-negative integers, got {seeds!r}")
+    if not isinstance(seeds, list) or not seeds or not all(type(s) is int and 0 <= s < 2**63 for s in seeds):
+        raise ConfigError(f"config key 'seeds' must be a non-empty list of integers in [0, 2**63), got {seeds!r}")
     out_dir = raw.get("out_dir")
     if out_dir is not None and not isinstance(out_dir, str):
         raise ConfigError("config key 'out_dir' must be a string")

@@ -18,13 +18,11 @@ directly. A snapshot or a trainable copy gets a buffer of its own.
 
 from __future__ import annotations
 
-import json
-import struct
-
 import numpy as np
 
 from . import tensor as T
 from .errors import ContractError, ShapeMismatchError, UnknownTokenError
+from .jsonutil import is_count, read_framed, write_framed
 from .tensor import Tensor
 
 TEMPLATE_TOKEN = 0
@@ -44,7 +42,6 @@ PARAM_ORDER = (
 PARAM_ORDERING_VERSION = 1
 
 CHECKPOINT_FORMAT_VERSION = 1
-_HEADER_LEN = struct.Struct("<I")
 
 
 def _init_param(rng: np.random.Generator, shape: tuple, fan_in: int) -> Tensor:
@@ -203,11 +200,10 @@ def load_flat(model: DualEncoder, vector: np.ndarray) -> None:
 
 
 def save_checkpoint(model, path) -> None:
-    """Write a checkpoint: a little-endian uint32 header length, a compact
-    sorted-key JSON manifest, then the raw float64 payload.
-
-    The payload is the flat parameter vector in PARAM_ORDER, little-endian.
-    Round trips are bit-exact.
+    """Write a checkpoint: a framed file (`jsonutil.write_framed`) whose
+    manifest holds the versions, dims, seed and parameter count, and whose
+    payload is the flat parameter vector in PARAM_ORDER. Round trips are
+    bit-exact.
     """
     inner = model._model if isinstance(model, ModelSnapshot) else model
     vector = params_flat(inner)
@@ -218,49 +214,33 @@ def save_checkpoint(model, path) -> None:
         "seed": inner.seed,
         "count": int(vector.size),
     }
-    header = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_HEADER_LEN.pack(len(header)))
-        fh.write(header)
-        fh.write(vector.astype("<f8").tobytes())
+    write_framed(path, manifest, [vector])
 
 
 def load_checkpoint(path) -> DualEncoder:
     """Reconstruct a trainable DualEncoder from a checkpoint file.
 
     A malformed file of any kind - truncation, an undecodable or non-object
-    header, another format or parameter-ordering version, a missing
-    "count"/"seed"/"dims", or a payload that disagrees with its manifest -
-    raises ContractError.
+    header, another format or parameter-ordering version, a missing or
+    ill-typed "count"/"seed"/"dims", a non-finite parameter, or a payload
+    that disagrees with its manifest - raises ContractError.
     """
-    with open(path, "rb") as fh:
-        raw_len = fh.read(_HEADER_LEN.size)
-        if len(raw_len) != _HEADER_LEN.size:
-            raise ContractError(f"checkpoint {path} is truncated")
-        (header_len,) = _HEADER_LEN.unpack(raw_len)
-        header = fh.read(header_len)
-        if len(header) != header_len:
-            raise ContractError(f"checkpoint {path} is truncated")
-        payload = fh.read()
-    try:
-        manifest = json.loads(header.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ContractError(f"checkpoint {path}: corrupt header ({exc})") from exc
-    if not isinstance(manifest, dict):
-        raise ContractError(f"checkpoint {path}: header is not a JSON object")
+    manifest, arrays = read_framed(path, ContractError, "checkpoint")
     for key, want in (("format_version", CHECKPOINT_FORMAT_VERSION), ("param_ordering_version", PARAM_ORDERING_VERSION)):
-        if manifest.get(key) != want:
+        if type(manifest.get(key)) is not int or manifest[key] != want:
             raise ContractError(f"checkpoint {path}: unsupported {key} {manifest.get(key)!r}")
     for key in ("count", "seed", "dims"):
         if key not in manifest:
             raise ContractError(f"checkpoint {path}: header lacks {key!r}")
-    if len(payload) % 8 != 0:
-        raise ContractError(f"checkpoint {path} is truncated")
-    vector = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-    if vector.size != manifest["count"]:
-        raise ContractError(f"checkpoint {path}: expected {manifest['count']!r} values, found {vector.size}")
+    for key in ("count", "seed"):
+        if not is_count(manifest[key]):
+            raise ContractError(f"checkpoint {path}: {key} must be an integer in [0, 2**63), got {manifest[key]!r}")
+    dims = manifest["dims"]
+    if not isinstance(dims, dict) or not all(is_count(v) and v > 0 for v in dims.values()):
+        raise ContractError(f"checkpoint {path}: dims must map names to positive integers, got {dims!r}")
+    (vector,) = arrays([("params", np.float64, (manifest["count"],))])
     try:
-        model = DualEncoder(manifest["seed"], **manifest["dims"])
+        model = DualEncoder(manifest["seed"], **dims)
         load_flat(model, vector)
     except (TypeError, ValueError) as exc:
         raise ContractError(f"checkpoint {path}: manifest does not describe its payload ({exc})") from exc

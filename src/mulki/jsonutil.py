@@ -4,14 +4,28 @@ Canonical JSON: keys are emitted sorted, floats with "%.17g" (enough
 digits for an exact float64 round trip), and integral floats keep a
 trailing ".0" so the parsed value comes back as a float. Non-finite
 numbers are rejected: nothing we persist should contain them.
+
+Framed files (checkpoints, streams): a little-endian uint32 header length,
+a compact sorted-key JSON manifest, then raw little-endian float64/int64
+arrays back to back; round trips are bit-exact.
+
+Every file is written beside its target and moved into place, so an
+interrupted write leaves the old file or none, never a part.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
+import struct
+
+import numpy as np
 
 from .errors import ContractError
+
+_HEADER_LEN = struct.Struct("<I")
 
 
 def format_float(value: float) -> str:
@@ -47,8 +61,6 @@ def _emit(obj, out: list) -> None:
             out.append(":")
             _emit(obj[key], out)
         out.append("}")
-    elif isinstance(obj, (list, tuple)) and obj and set(map(type, obj)) == {float}:
-        out.append("[" + ",".join(map(format_float, obj)) + "]")
     elif isinstance(obj, (list, tuple)):
         out.append("[")
         for i, item in enumerate(obj):
@@ -60,13 +72,97 @@ def _emit(obj, out: list) -> None:
         raise ContractError(f"cannot serialize type {type(obj).__name__} canonically")
 
 
-def canonical_dumps(obj) -> str:
-    out: list[str] = []
-    _emit(obj, out)
-    out.append("\n")
-    return "".join(out)
+def is_count(value) -> bool:
+    """True for an integer in [0, 2**63): a size, seed or id a framed manifest may hold."""
+    return type(value) is int and 0 <= value < 2**63
+
+
+def write_atomic(path, chunks) -> None:
+    """Write the byte strings `chunks` to `path` through a temp file beside it.
+
+    If producing or writing a chunk raises, the temp file is removed and
+    `path` is left as it was.
+    """
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def write_canonical(obj, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(canonical_dumps(obj))
+    out: list[str] = []
+    _emit(obj, out)
+    out.append("\n")
+    write_atomic(path, ["".join(out).encode("utf-8")])
+
+
+def write_lines(lines, path) -> None:
+    """Write `lines` as UTF-8 text, each ended by a newline."""
+    write_atomic(path, ["".join(line + "\n" for line in lines).encode("utf-8")])
+
+
+def write_framed(path, manifest: dict, arrays) -> None:
+    """Write `manifest` and `arrays` (float or integer numpy arrays) as a framed file.
+
+    A float array holding NaN or infinity raises ContractError.
+    """
+    header = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+    def chunks():
+        yield _HEADER_LEN.pack(len(header)) + header
+        for array in arrays:
+            if array.dtype.kind == "f" and not np.isfinite(array).all():
+                raise ContractError("cannot serialize a non-finite float array")
+            yield array.astype("<f8" if array.dtype.kind == "f" else "<i8").tobytes()
+
+    write_atomic(path, chunks())
+
+
+def read_framed(path, error, what: str):
+    """Read a framed file: (manifest, arrays).
+
+    `arrays(fields)` cuts the payload into one array per (name, dtype, shape)
+    in `fields`, in file order; dtype is np.float64 or np.int64, and every
+    shape entry must pass `is_count`. Raises `error`, naming `what` and
+    `path`, on truncation, a header that is not a JSON object, a payload
+    short of or running past the fields, or (naming the field) a float
+    array holding NaN or infinity.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if len(data) < _HEADER_LEN.size:
+        raise error(f"{what} {path} is truncated")
+    (header_len,) = _HEADER_LEN.unpack_from(data)
+    start = _HEADER_LEN.size + header_len
+    if len(data) < start:
+        raise error(f"{what} {path} is truncated")
+    try:
+        manifest = json.loads(data[_HEADER_LEN.size : start].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise error(f"{what} {path}: corrupt header ({exc})") from exc
+    if not isinstance(manifest, dict):
+        raise error(f"{what} {path}: header is not a JSON object")
+
+    def arrays(fields) -> list:
+        if (len(data) - start) % 8 != 0:
+            raise error(f"{what} {path} is truncated")
+        expected = sum(math.prod(shape) for _, _, shape in fields)
+        found = (len(data) - start) // 8
+        if found != expected:
+            raise error(f"{what} {path}: expected {expected!r} values, found {found}")
+        out, offset = [], start
+        for name, dtype, shape in fields:
+            count = math.prod(shape)
+            array = np.frombuffer(data, np.dtype(dtype).newbyteorder("<"), count, offset).astype(dtype)
+            if array.dtype.kind == "f" and not np.isfinite(array).all():
+                raise error(f"{what} {path}: field {name} holds a non-finite number")
+            out.append(array.reshape(shape))
+            offset += 8 * count
+        return out
+
+    return manifest, arrays

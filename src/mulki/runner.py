@@ -35,7 +35,7 @@ from . import losses, metrics, taskgen
 from .config import HyperParams, ModelConfig
 from .encoder import DualEncoder, ModelSnapshot, load_flat, params_flat, save_checkpoint, snapshot
 from .errors import ConfigError, TrainingDivergedError
-from .jsonutil import format_float, write_canonical
+from .jsonutil import format_float, write_canonical, write_lines
 from .optim import AdamW
 from .prototypes import PrototypeStore
 from .weightspace import ewe_step, final_params, we_init, we_step
@@ -254,5 +254,4 @@ def save_run_record(record: RunRecord, out_dir) -> None:
         row.extend(format_float(v) for v in bd.values())
         row.append("" if bd.r0_mean is None else format_float(bd.r0_mean))
         lines.append(",".join(row))
-    with open(os.path.join(out_dir, "losses.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(lines, os.path.join(out_dir, "losses.csv"))

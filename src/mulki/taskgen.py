@@ -22,16 +22,15 @@ are derived from the seed, and per-iteration batch sampling is keyed by
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, StreamFormatError
-from .jsonutil import write_canonical
+from .jsonutil import is_count, read_framed, write_framed
 from .tensor import Tensor
 
-SCHEMA_VERSION = 1
+STREAM_FORMAT_VERSION = 2  # 1 was canonical JSON
 MODES = ("multi_domain", "class_incremental")
 
 # RNG stream tags; each purpose draws from its own derived generator.
@@ -69,8 +68,8 @@ class StreamConfig:
         for name in ("n_tasks", "classes_per_task"):
             if getattr(self, name) < 2:
                 raise ConfigError(f"stream.{name} must be >= 2, got {getattr(self, name)}")
-        if self.seed < 0:
-            raise ConfigError(f"stream.seed must be >= 0, got {self.seed}")
+        if not 0 <= self.seed < 2**63:
+            raise ConfigError(f"stream.seed must lie in [0, 2**63), got {self.seed}")
         for name in ("d_in", "train_per_class", "test_per_class", "pretrain_per_class"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"stream.{name} must be >= 1, got {getattr(self, name)}")
@@ -286,183 +285,88 @@ def batches(task: TaskSpec, batch_size: int, seed: int, iterations: int):
 
 
 def save_stream(stream: StreamSpec, path) -> None:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
+    """Write the stream's exact samples as a framed file (`jsonutil.write_framed`).
+
+    The manifest holds the format version, mode, seed, d_in, the pool size
+    and, per task, [task_id, n_classes, n_train, n_test]; the payload holds
+    the arrays `_fields` names, in its order.
+    """
+    manifest = {
+        "format_version": STREAM_FORMAT_VERSION,
         "mode": stream.mode,
         "seed": stream.seed,
-        "dims": {"d_in": stream.d_in},
-        "pretrain_pool": {
-            "x": stream.pretrain_x.tolist(),
-            "token_ids": stream.pretrain_tokens.tolist(),
-        },
-        "tasks": [
-            {
-                "task_id": task.task_id,
-                "classes": [
-                    {
-                        "class_id": c.class_id,
-                        "token_id": c.token_id,
-                        "mean": c.mean.tolist(),
-                        "noise_scale": float(c.noise_scale),
-                        "domain_id": c.domain_id,
-                    }
-                    for c in task.classes
-                ],
-                "train": {
-                    "x": task.train_x.tolist(),
-                    "class_ids": task.train_y.tolist(),
-                },
-                "test": {
-                    "x": task.test_x.tolist(),
-                    "class_ids": task.test_y.tolist(),
-                },
-            }
-            for task in stream.tasks
-        ],
+        "d_in": stream.d_in,
+        "pool": len(stream.pretrain_tokens),
+        "tasks": [[task.task_id, len(task.classes), len(task.train_y), len(task.test_y)] for task in stream.tasks],
     }
-    write_canonical(doc, path)
+    arrays = [stream.pretrain_x, stream.pretrain_tokens]
+    for task in stream.tasks:
+        arrays += [
+            np.array(task.class_ids),
+            np.array(task.token_ids),
+            np.array([c.domain_id for c in task.classes]),
+            np.array([c.noise_scale for c in task.classes], dtype=np.float64),
+            np.array([c.mean for c in task.classes]),
+            task.train_x,
+            task.train_y,
+            task.test_x,
+            task.test_y,
+        ]
+    write_framed(path, manifest, arrays)
 
 
-_NUMBERS = frozenset((int, float))
-_INTEGERS = frozenset((int,))
-
-
-def _first_outside(values: list, types: frozenset) -> int | None:
-    """Index of the first element whose exact type is not in `types`, or None.
-
-    JSON decoding gives exact types (a bool is a `bool`, never an `int`), so
-    one set check clears a whole list; only a list that fails it is walked.
-    """
-    if types.issuperset(map(type, values)):
-        return None
-    return next(j for j, v in enumerate(values) if type(v) not in types)
-
-
-def _array(values: list, dtype, name: str) -> np.ndarray:
-    try:
-        out = np.array(values, dtype=dtype)
-    except OverflowError as exc:
-        raise StreamFormatError(f"field {name} holds a number out of {np.dtype(dtype).name} range") from exc
-    if not np.isfinite(out).all():
-        raise StreamFormatError(f"field {name} holds a non-finite number")
-    return out
-
-
-class _Reader:
-    """Schema walker that names the offending field on any mismatch.
-
-    Lists of numbers are checked a row at a time and converted with one
-    `np.array`.
-    """
-
-    def __init__(self, doc):
-        self.doc = doc
-
-    def get(self, obj, key, kind, where):
-        if not isinstance(obj, dict) or key not in obj:
-            raise StreamFormatError(f"missing field {where}{key}")
-        value = obj[key]
-        if kind is float:
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise StreamFormatError(f"field {where}{key} must be a number")
-            return float(value)
-        if kind is int:
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise StreamFormatError(f"field {where}{key} must be an integer")
-            return value
-        if kind is str:
-            if not isinstance(value, str):
-                raise StreamFormatError(f"field {where}{key} must be a string")
-            return value
-        if kind is list:
-            if not isinstance(value, list):
-                raise StreamFormatError(f"field {where}{key} must be a list")
-            return value
-        if kind is dict:
-            if not isinstance(value, dict):
-                raise StreamFormatError(f"field {where}{key} must be an object")
-            return value
-        raise AssertionError(kind)
-
-    def matrix(self, obj, key, width, where):
-        rows = self.get(obj, key, list, where)
-        for i, row in enumerate(rows):
-            if not isinstance(row, list) or len(row) != width:
-                raise StreamFormatError(f"field {where}{key}[{i}] must be a list of {width} numbers")
-            j = _first_outside(row, _NUMBERS)
-            if j is not None:
-                raise StreamFormatError(f"field {where}{key}[{i}][{j}] must be a number")
-        return _array(rows, np.float64, where + key).reshape(len(rows), width)
-
-    def int_list(self, obj, key, where):
-        values = self.get(obj, key, list, where)
-        i = _first_outside(values, _INTEGERS)
-        if i is not None:
-            raise StreamFormatError(f"field {where}{key}[{i}] must be an integer")
-        return _array(values, np.int64, where + key)
-
-    def vector(self, obj, key, width, where):
-        values = self.get(obj, key, list, where)
-        if len(values) != width:
-            raise StreamFormatError(f"field {where}{key} must be a list of {width} numbers")
-        i = _first_outside(values, _NUMBERS)
-        if i is not None:
-            raise StreamFormatError(f"field {where}{key}[{i}] must be a number")
-        return _array(values, np.float64, where + key)
+def _fields(d_in: int, pool: int, tasks: list) -> list:
+    """(name, dtype, shape) of every payload array, in file order."""
+    fields = [("pretrain_pool.x", np.float64, (pool, d_in)), ("pretrain_pool.token_ids", np.int64, (pool,))]
+    for i, (_, n_classes, n_train, n_test) in enumerate(tasks):
+        where = f"tasks[{i}]."
+        fields += [
+            (where + "class_ids", np.int64, (n_classes,)),
+            (where + "token_ids", np.int64, (n_classes,)),
+            (where + "domain_ids", np.int64, (n_classes,)),
+            (where + "noise_scales", np.float64, (n_classes,)),
+            (where + "means", np.float64, (n_classes, d_in)),
+            (where + "train.x", np.float64, (n_train, d_in)),
+            (where + "train.class_ids", np.int64, (n_train,)),
+            (where + "test.x", np.float64, (n_test, d_in)),
+            (where + "test.class_ids", np.int64, (n_test,)),
+        ]
+    return fields
 
 
 def load_stream(path) -> StreamSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise StreamFormatError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}") from exc
-    r = _Reader(doc)
-    version = r.get(doc, "schema_version", int, "")
-    if version != SCHEMA_VERSION:
-        raise StreamFormatError(f"field schema_version: unsupported value {version}")
-    mode = r.get(doc, "mode", str, "")
+    """Read a stream written by `save_stream`; any malformed field raises StreamFormatError naming it."""
+    try:
+        manifest, arrays = read_framed(path, StreamFormatError, "stream")
+    except StreamFormatError:
+        with open(path, "rb") as fh:
+            if fh.read(1) == b"{":
+                raise StreamFormatError(f"{path} is JSON, not a framed stream: regenerate it with `mulki generate`") from None
+        raise
+    version = manifest.get("format_version")
+    if type(version) is not int or version != STREAM_FORMAT_VERSION:
+        raise StreamFormatError(f"field format_version: unsupported value {version!r}")
+    mode = manifest.get("mode")
     if mode not in MODES:
         raise StreamFormatError(f"field mode: must be one of {MODES}, got {mode!r}")
-    seed = r.get(doc, "seed", int, "")
-    dims = r.get(doc, "dims", dict, "")
-    d_in = r.get(dims, "d_in", int, "dims.")
+    for key, least in (("seed", 0), ("d_in", 1), ("pool", 0)):
+        if not is_count(manifest.get(key)) or manifest[key] < least:
+            raise StreamFormatError(f"field {key} must be an integer in [{least}, 2**63), got {manifest.get(key)!r}")
+    tasks = manifest.get("tasks")
+    if not isinstance(tasks, list) or not tasks:
+        raise StreamFormatError("field tasks: must be a non-empty list")
+    for i, entry in enumerate(tasks):
+        if not isinstance(entry, list) or len(entry) != 4 or not all(map(is_count, entry)):
+            raise StreamFormatError(f"field tasks[{i}] must be [task_id, n_classes, n_train, n_test], integers in [0, 2**63)")
 
-    pool = r.get(doc, "pretrain_pool", dict, "")
-    pool_x = r.matrix(pool, "x", d_in, "pretrain_pool.")
-    pool_tokens = r.int_list(pool, "token_ids", "pretrain_pool.")
-    if pool_x.shape[0] != pool_tokens.size:
-        raise StreamFormatError("field pretrain_pool: x and token_ids lengths differ")
-
-    tasks = []
-    for ti, task_doc in enumerate(r.get(doc, "tasks", list, "")):
-        where = f"tasks[{ti}]."
-        task_id = r.get(task_doc, "task_id", int, where)
-        classes = []
-        for ci, class_doc in enumerate(r.get(task_doc, "classes", list, where)):
-            cwhere = f"{where}classes[{ci}]."
-            classes.append(
-                ClassSpec(
-                    class_id=r.get(class_doc, "class_id", int, cwhere),
-                    token_id=r.get(class_doc, "token_id", int, cwhere),
-                    mean=r.vector(class_doc, "mean", d_in, cwhere),
-                    noise_scale=r.get(class_doc, "noise_scale", float, cwhere),
-                    domain_id=r.get(class_doc, "domain_id", int, cwhere),
-                )
-            )
-        train = r.get(task_doc, "train", dict, where)
-        test = r.get(task_doc, "test", dict, where)
-        train_x = r.matrix(train, "x", d_in, where + "train.")
-        train_y = r.int_list(train, "class_ids", where + "train.")
-        test_x = r.matrix(test, "x", d_in, where + "test.")
-        test_y = r.int_list(test, "class_ids", where + "test.")
-        if train_x.shape[0] != train_y.size:
-            raise StreamFormatError(f"field {where}train: x and class_ids lengths differ")
-        if test_x.shape[0] != test_y.size:
-            raise StreamFormatError(f"field {where}test: x and class_ids lengths differ")
-        tasks.append(
-            TaskSpec(task_id=task_id, classes=classes, train_x=train_x, train_y=train_y, test_x=test_x, test_y=test_y)
-        )
-    if not tasks:
-        raise StreamFormatError("field tasks: must contain at least one task")
-    return StreamSpec(mode=mode, seed=seed, d_in=d_in, pretrain_x=pool_x, pretrain_tokens=pool_tokens, tasks=tasks)
+    d_in = manifest["d_in"]
+    pool_x, pool_tokens, *rest = arrays(_fields(d_in, manifest["pool"], tasks))
+    specs = []
+    for i, (task_id, *_) in enumerate(tasks):
+        class_ids, token_ids, domain_ids, noise_scales, means, train_x, train_y, test_x, test_y = rest[9 * i : 9 * i + 9]
+        classes = [
+            ClassSpec(class_id=int(c), token_id=int(t), mean=m, noise_scale=float(s), domain_id=int(d))
+            for c, t, d, s, m in zip(class_ids, token_ids, domain_ids, noise_scales, means)
+        ]
+        specs.append(TaskSpec(task_id, classes, train_x, train_y, test_x, test_y))
+    return StreamSpec(mode, manifest["seed"], d_in, pool_x, pool_tokens, specs)

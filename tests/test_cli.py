@@ -215,6 +215,33 @@ def test_unknown_variant_exits_2(pipeline, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "ablate"])
+@pytest.mark.parametrize(
+    "model, stream, key",
+    [
+        ({"d_tok": 3, "hidden": 7, "embed_dim": 5}, {}, "model.d_tok"),
+        ({"hidden": 7}, {}, "model.hidden"),
+        ({"embed_dim": 5}, {}, "model.embed_dim"),
+        ({}, {"d_in": 6}, "d_in"),
+        ({}, {"n_tasks": 3}, "vocab"),
+    ],
+    ids=["model", "hidden", "embed_dim", "stream-d_in", "stream-vocabulary"],
+)
+def test_inputs_that_disagree_with_c0_exit_2(pipeline, tmp_path, capsys, command, model, stream, key):
+    """c0 was pretrained at 8/16/8 on a d_in 8, 7-token stream: any other model section or stream is refused."""
+    cfg = tmp_path / "other.json"
+    cfg.write_text(json.dumps({**CONFIG, "model": {**CONFIG["model"], **model}, "stream": {**CONFIG["stream"], **stream}}))
+    stream_path = pipeline.stream
+    if stream:
+        stream_path = tmp_path / "other_stream.bin"
+        assert main(["generate", "--config", str(cfg), "--out", str(stream_path)]) == 0
+    out = tmp_path / "x"
+    code = main([command, "--config", str(cfg), "--stream", str(stream_path), "--c0", str(pipeline.c0), "--out", str(out)])
+    assert code == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_seeds_flag_exits_2(pipeline, tmp_path, capsys):
     code = main([
         "run", "--config", str(pipeline.cfg),
@@ -225,7 +252,9 @@ def test_bad_seeds_flag_exits_2(pipeline, tmp_path, capsys):
     assert "comma-separated" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command, seeds", [("run", "-1"), ("run", "0,-2"), ("ablate", "-1"), ("pretrain", "-1")])
+@pytest.mark.parametrize(
+    "command, seeds", [("run", "-1"), ("run", "0,-2"), ("ablate", "-1"), ("pretrain", "-1"), ("pretrain", str(2**63))]
+)
 def test_negative_seeds_flag_exits_2(pipeline, tmp_path, capsys, command, seeds):
     out = tmp_path / "x"
     inputs = ["--stream", str(pipeline.stream)] + (["--c0", str(pipeline.c0)] if command != "pretrain" else [])
@@ -242,8 +271,10 @@ def test_negative_seeds_flag_exits_2(pipeline, tmp_path, capsys, command, seeds)
         ({}, {"MULKI_SEEDS": "[-1]"}, "'seeds'"),
         ({"stream": {"seed": -3}}, {}, "stream.seed"),
         ({}, {"MULKI_STREAM__SEED": "-3"}, "stream.seed"),
+        ({"seeds": [2**63]}, {}, "'seeds'"),
+        ({"stream": {"seed": 2**63}}, {}, "stream.seed"),
     ],
-    ids=["file-seeds", "env-seeds", "file-stream-seed", "env-stream-seed"],
+    ids=["file-seeds", "env-seeds", "file-stream-seed", "env-stream-seed", "file-seeds-int64", "file-stream-seed-int64"],
 )
 def test_negative_config_seed_exits_2(tmp_path, capsys, monkeypatch, config, env, key):
     cfg = tmp_path / "seeds.json"

@@ -2,8 +2,9 @@
 
 `generate`, `pretrain` and `run --seeds 0 --variant full` on
 configs/smoke.json and on configs/default.json must reproduce the
-recorded bytes of stream.json, c0.ckpt, metrics.json, losses.csv and
-every task checkpoint.
+recorded bytes of the framed stream file (saved as stream.json, the name
+the hashes are keyed by), c0.ckpt, metrics.json, losses.csv and every task
+checkpoint.
 Float results depend on the numpy/BLAS stack, so the tests skip (and say
 why) on a stack other than the one the hashes were recorded on.
 

@@ -1,10 +1,14 @@
 """Synthetic streams: determinism, structure, statistics, serialization."""
 
 import json
+import math
+import os
+import struct
 
 import numpy as np
 import pytest
 
+from mulki.cli import main
 from mulki.config import config_from_dict
 from mulki.errors import ConfigError, StreamFormatError
 from mulki.taskgen import (
@@ -34,7 +38,7 @@ def small_config(**overrides):
 
 
 def saved(stream, path) -> bytes:
-    """The canonical bytes `save_stream` writes for `stream`: streams compare by these."""
+    """The bytes `save_stream` writes for `stream`: streams compare by these."""
     save_stream(stream, path)
     return path.read_bytes()
 
@@ -179,53 +183,57 @@ def test_stream_config_from_dict():
     assert "n_task" in str(err.value)
 
 
-def test_malformed_json_names_line(tmp_path):
-    path = tmp_path / "broken.json"
-    path.write_text("{\n  \"schema_version\": 1,\n  oops\n}\n")
-    with pytest.raises(StreamFormatError) as err:
-        load_stream(path)
-    assert "line 3" in str(err.value)
+def test_json_stream_exits_2(tmp_path, capsys, monkeypatch):
+    """A stream saved as canonical JSON, the format before framed streams, is refused by name."""
+    for name in list(os.environ):
+        if name.startswith("MULKI_"):
+            monkeypatch.delenv(name)
+    path = tmp_path / "stream.json"
+    path.write_text(json.dumps({"dims": {"d_in": 2}, "mode": "multi_domain", "schema_version": 1, "seed": 7}))
+    assert main(["pretrain", "--stream", str(path), "--out", str(tmp_path / "c0.ckpt")]) == 2
+    err = capsys.readouterr().err
+    assert "not a framed stream" in err and "mulki generate" in err
+
+
+def overwrite(payload: bytearray, old: float, new: float) -> None:
+    """Replace the one little-endian float64 `old` in `payload` with `new`."""
+    at = payload.find(struct.pack("<d", old))
+    assert at >= 0 and payload.find(struct.pack("<d", old), at + 1) < 0
+    payload[at : at + 8] = struct.pack("<d", new)
 
 
 def corrupt(tmp_path, mutate, name):
+    """Save the tiny stream, let `mutate(manifest, payload, stream)` edit it in place, and write it back."""
     stream = generate_stream(tiny_stream_config())
-    path = tmp_path / f"{name}.json"
+    path = tmp_path / f"{name}.bin"
     save_stream(stream, path)
-    doc = json.loads(path.read_text())
-    mutate(doc)
-    path.write_text(json.dumps(doc))
+    raw = path.read_bytes()
+    (header_len,) = struct.unpack_from("<I", raw)
+    manifest, payload = json.loads(raw[4 : 4 + header_len]), bytearray(raw[4 + header_len :])
+    mutate(manifest, payload, stream)
+    header = json.dumps(manifest).encode()
+    path.write_bytes(struct.pack("<I", len(header)) + header + payload)
     return path
 
 
 @pytest.mark.parametrize(
     "name,mutate,fragment",
     [
-        ("missing_mode", lambda d: d.pop("mode"), "mode"),
-        ("bad_mode", lambda d: d.update(mode="episodic"), "mode"),
-        ("bad_version", lambda d: d.update(schema_version=99), "schema_version"),
-        ("seed_type", lambda d: d.update(seed="seven"), "seed"),
-        ("missing_tasks", lambda d: d.pop("tasks"), "tasks"),
-        ("class_mean_width", lambda d: d["tasks"][0]["classes"][0]["mean"].append(0.0), "mean"),
-        ("train_row_width", lambda d: d["tasks"][0]["train"]["x"][0].pop(), "x[0]"),
-        ("label_type", lambda d: d["tasks"][0]["train"]["class_ids"].__setitem__(0, "zero"), "class_ids"),
-        ("length_mismatch", lambda d: d["tasks"][0]["train"]["class_ids"].pop(), "lengths differ"),
-        ("pool_token_type", lambda d: d["pretrain_pool"]["token_ids"].__setitem__(0, 1.5), "token_ids"),
-        ("train_bool", lambda d: d["tasks"][0]["train"]["x"][3].__setitem__(7, True),
-         "field tasks[0].train.x[3][7] must be a number"),
-        ("train_string", lambda d: d["tasks"][0]["train"]["x"][3].__setitem__(7, "0.5"),
-         "field tasks[0].train.x[3][7] must be a number"),
-        ("train_nested_list", lambda d: d["tasks"][0]["train"]["x"][3].__setitem__(7, [0.5]),
-         "field tasks[0].train.x[3][7] must be a number"),
-        ("train_huge_int", lambda d: d["tasks"][0]["train"]["x"][3].__setitem__(7, 10**400),
-         "field tasks[0].train.x holds a number out of float64 range"),
-        ("label_huge_int", lambda d: d["tasks"][0]["train"]["class_ids"].__setitem__(0, 10**30),
-         "field tasks[0].train.class_ids holds a number out of int64 range"),
-        ("train_nan", lambda d: d["tasks"][0]["train"]["x"][3].__setitem__(7, float("nan")),
+        ("missing_mode", lambda m, p, s: m.pop("mode"), "mode"),
+        ("bad_mode", lambda m, p, s: m.update(mode="episodic"), "mode"),
+        ("bad_version", lambda m, p, s: m.update(format_version=99), "field format_version: unsupported value 99"),
+        ("seed_type", lambda m, p, s: m.update(seed="seven"), "seed"),
+        ("missing_tasks", lambda m, p, s: m.pop("tasks"), "tasks"),
+        ("empty_tasks", lambda m, p, s: m.update(tasks=[]), "field tasks: must be a non-empty list"),
+        ("negative_count", lambda m, p, s: m["tasks"][1].__setitem__(2, -1), "field tasks[1] must be"),
+        ("zero_width", lambda m, p, s: m.update(d_in=0), "field d_in must be an integer in [1, 2**63), got 0"),
+        ("truncated", lambda m, p, s: p.__delitem__(slice(-8, None)), "expected"),
+        ("trailing_bytes", lambda m, p, s: p.extend(bytes(8)), "expected"),
+        ("partial_value", lambda m, p, s: p.__delitem__(slice(-3, None)), "truncated"),
+        ("train_nan", lambda m, p, s: overwrite(p, s.tasks[0].train_x[3, 7], math.nan),
          "field tasks[0].train.x holds a non-finite number"),
-        ("mean_inf", lambda d: d["tasks"][0]["classes"][1]["mean"].__setitem__(0, float("inf")),
-         "field tasks[0].classes[1].mean holds a non-finite number"),
-        ("train_row_not_list", lambda d: d["tasks"][0]["train"]["x"].__setitem__(3, 0.5),
-         "field tasks[0].train.x[3] must be a list of"),
+        ("mean_inf", lambda m, p, s: overwrite(p, s.tasks[0].classes[1].mean[0], math.inf),
+         "field tasks[0].means holds a non-finite number"),
     ],
 )
 def test_corrupted_fields_are_named(tmp_path, name, mutate, fragment):
