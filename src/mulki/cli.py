@@ -24,7 +24,7 @@ from . import metrics
 from .config import VARIANTS, ExperimentConfig, apply_env_overrides, apply_variant, config_from_dict, load_config
 from .encoder import load_checkpoint, save_checkpoint, snapshot
 from .errors import ConfigError, MulkiError
-from .jsonutil import format_float, write_canonical, write_lines
+from .jsonutil import format_float, is_number, write_canonical, write_lines
 from .runner import evaluate_row, pretrain, run_stream, save_run_record
 from .taskgen import generate_stream, load_stream, save_stream
 
@@ -140,10 +140,6 @@ def cmd_ablate(args) -> int:
     return 0
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def cmd_report(args) -> int:
     rows = []
     series = []
@@ -156,17 +152,23 @@ def cmd_report(args) -> int:
             raise ConfigError(f"no metrics.json under {run_dir}")
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}")
+        except ValueError as exc:  # not UTF-8, or an integer too long to parse
+            raise ConfigError(f"{path}: unreadable JSON ({exc})")
         if not isinstance(doc, dict):
             raise ConfigError(f"{path}: expected a JSON object")
         missing = [name for name in (*metrics.SUMMARIES, "matrix") if name not in doc]
         if missing:
             raise ConfigError(f"{path}: missing key {missing[0]!r}")
         for name in metrics.SUMMARIES:
-            if not _is_number(doc[name]):
-                raise ConfigError(f"{path}: key {name!r} must be a number, got {doc[name]!r}")
+            if not is_number(doc[name]):
+                raise ConfigError(f"{path}: key {name!r} must be a finite number, got {doc[name]!r}")
         matrix = doc["matrix"]
-        if not isinstance(matrix, list) or not all(isinstance(row, list) and all(map(_is_number, row)) for row in matrix):
-            raise ConfigError(f"{path}: key 'matrix' must be a list of number lists")
+        if not (
+            isinstance(matrix, list)
+            and matrix
+            and all(isinstance(row, list) and row and len(row) == len(matrix[0]) and all(map(is_number, row)) for row in matrix)
+        ):
+            raise ConfigError(f"{path}: key 'matrix' must be a non-empty list of equally long, non-empty lists of finite numbers")
         rows.append((run_dir, [doc[name] for name in metrics.SUMMARIES]))
         for i, matrix_row in enumerate(matrix):
             for j, value in enumerate(matrix_row, start=1):

@@ -15,11 +15,12 @@ A config file has up to six top-level keys:
 Every key is optional and defaults are documented on the dataclasses.
 Unknown keys are rejected by name, and every section value must have the
 type of its field's default: a JSON bool for flags, an integer for
-counts, a number for real-valued knobs, a string for modes; anything
-else is a ConfigError naming the key. Environment variables prefixed with
-MULKI_ override file values: MULKI_<SECTION>__<KEY> for section fields
-(e.g. MULKI_HYPER__LR=0.002, MULKI_STREAM__N_TASKS=3) and MULKI_<KEY>
-for top-level fields (e.g. MULKI_SEEDS=[1,2], MULKI_VARIANT=only_fd).
+counts, a finite number for real-valued knobs (no NaN or Infinity), a
+string for modes; anything else is a ConfigError naming the key.
+Environment variables prefixed with MULKI_ override file values:
+MULKI_<SECTION>__<KEY> for section fields (e.g. MULKI_HYPER__LR=0.002,
+MULKI_STREAM__N_TASKS=3) and MULKI_<KEY> for top-level fields (e.g.
+MULKI_SEEDS=[1,2], MULKI_VARIANT=only_fd).
 Values are parsed as JSON, falling back to plain strings.
 """
 
@@ -31,6 +32,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 from . import losses
 from .errors import ConfigError
+from .jsonutil import is_number
 from .taskgen import StreamConfig
 
 ENV_PREFIX = "MULKI_"
@@ -65,7 +67,7 @@ VARIANTS: dict[str, dict] = {
     "average": dict(weighting_mode="average"),
 }
 
-_TYPE_NAMES = {bool: "a JSON bool", int: "an integer", float: "a number", str: "a string"}
+_TYPE_NAMES = {bool: "a JSON bool", int: "an integer", float: "a finite number", str: "a string"}
 
 
 @dataclass
@@ -135,6 +137,16 @@ class HyperParams:
         if not 0.0 <= self.gamma0 <= self.gamma_max <= 1.0:
             raise ConfigError("hyper gamma schedule must satisfy 0 <= gamma0 <= gamma_max <= 1")
 
+    @property
+    def distills(self) -> bool:
+        """Some distillation channel is on, so the trainer builds teacher bundles."""
+        return self.enable_fd or self.enable_ird or self.enable_idd
+
+    @property
+    def uses_prototypes(self) -> bool:
+        """Some enabled term reads the prototypes, so the trainer keeps a prototype store."""
+        return self.enable_csa or self.distills
+
     def ensemble_mode(self) -> str | None:
         """The ensemble a run keeps: "ewe", "we", or None for none."""
         if self.enable_ewe:
@@ -178,7 +190,8 @@ def _section(cls, raw, name: str):
     """Build and validate section dataclass `cls` from its raw JSON object.
 
     Each value must have the type of its field's default; a float field
-    also takes an integer, kept as given so the echo keeps its bytes.
+    takes any finite number, an integer kept as given so the echo keeps
+    its bytes.
     """
     if not isinstance(raw, dict):
         raise ConfigError(f"config section {name!r} must be an object")
@@ -188,8 +201,8 @@ def _section(cls, raw, name: str):
         raise ConfigError(f"unknown {name} config key {unknown[0]!r}")
     for key, value in raw.items():
         kind = types[key]
-        accepted = (int, float) if kind is float else kind
-        if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+        valid = is_number(value) if kind is float else isinstance(value, kind) and isinstance(value, bool) == (kind is bool)
+        if not valid:
             raise ConfigError(f"{name}.{key} must be {_TYPE_NAMES[kind]}, got {value!r}")
     section = cls(**raw)
     section.validate()
@@ -234,7 +247,7 @@ def apply_env_overrides(raw: dict, environ=None) -> dict:
         text = environ[name]
         try:
             value = json.loads(text)
-        except json.JSONDecodeError:
+        except ValueError:  # not JSON (or an integer too long to parse): the plain string
             value = text
         if "__" in path:
             section, key = path.split("__", 1)
@@ -257,4 +270,6 @@ def load_config(path, environ=None) -> ExperimentConfig:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}") from exc
+        except ValueError as exc:  # not UTF-8, or an integer too long to parse
+            raise ConfigError(f"{path}: unreadable JSON ({exc})") from exc
     return config_from_dict(apply_env_overrides(raw, environ))

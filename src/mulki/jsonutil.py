@@ -77,6 +77,16 @@ def is_count(value) -> bool:
     return type(value) is int and 0 <= value < 2**63
 
 
+def is_number(value) -> bool:
+    """True for a JSON number (not a bool) with a finite float64 value: no NaN, infinity or out-of-range integer."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def write_atomic(path, chunks) -> None:
     """Write the byte strings `chunks` to `path` through a temp file beside it.
 

@@ -34,10 +34,20 @@ forward arrays.
 
 Prototypes and teacher outputs are constants here; gradients flow only
 into the student. Both teachers stay frozen for a whole task, so the
-trainer runs `teacher_outputs` once per teacher per task over the task's
-whole training set (checked once, there) and takes each batch's rows from
-that bundle with `TeacherOutputs.rows`; only the two K x K prototype-text
-distributions depend on the moving prototypes and are rebuilt per batch.
+trainer runs `teacher_outputs` once per weighted teacher per task over
+the task's whole training set (checked once, there) and takes each
+batch's rows from that bundle with `TeacherOutputs.rows`, feature rows
+with their unit rows normalized once per task; only the two K x K
+prototype-text distributions depend on the moving prototypes and are
+rebuilt per batch.
+
+`total_loss` builds only what an enabled term reads. Always the
+student's texts and the supervised distribution at tau_ce; the prototype
+matrix for csa and relation distance; the student's image-text
+distribution at tau for distribution matching or similarity weighting;
+the student's and teachers' prototype-text and text-prototype
+distributions for distribution matching only. A teacher whose weight is
+identically 0 (`only_c0`, `only_prev`) has no bundle.
 """
 
 from __future__ import annotations
@@ -190,6 +200,11 @@ def pt_loss(teacher: "TeacherOutputs", student_pt: Tensor, student_tp: Tensor) -
     return T.add(a, b)
 
 
+def weighted_teachers(weighting: str) -> tuple[bool, bool]:
+    """Whether (c0, c_prev) carry any weight: a single-teacher mode zeroes the other one."""
+    return weighting != "only_prev", weighting != "only_c0"
+
+
 def sample_weights(dist_c0: Tensor, dist_prev: Tensor, dist_student: Tensor) -> tuple[Tensor, Tensor]:
     """Per-sample teacher mixing weights, as constants.
 
@@ -246,13 +261,15 @@ class TeacherOutputs:
     Built and checked once per teacher per task over the task's training
     set; `rows` then cuts out each batch without re-running the checks.
     `texts` (the teacher's class-text embeddings) is what `rows` needs to
-    rebuild the prototype-text distributions for moved prototypes.
+    rebuild the prototype-text distributions for moved prototypes. The
+    two prototype-text distributions are None when built without
+    prototypes (no enabled term reads them).
     """
 
     feats: Tensor
     img_text_dist: Tensor
-    proto_text_dist: Tensor
-    text_proto_dist: Tensor
+    proto_text_dist: Tensor | None = None
+    text_proto_dist: Tensor | None = None
     texts: Tensor | None = None
 
     def __post_init__(self):
@@ -260,63 +277,68 @@ class TeacherOutputs:
             value = getattr(self, name)
             if value is not None and value.requires_grad:
                 raise ContractError(f"TeacherOutputs.{name} must be detached")
-        _check_rows_sum_to_one(self.img_text_dist, "TeacherOutputs.img_text_dist")
-        _check_rows_sum_to_one(self.proto_text_dist, "TeacherOutputs.proto_text_dist")
-        _check_rows_sum_to_one(self.text_proto_dist, "TeacherOutputs.text_proto_dist")
+        for name in ("img_text_dist", "proto_text_dist", "text_proto_dist"):
+            if getattr(self, name) is not None:
+                _check_rows_sum_to_one(getattr(self, name), f"TeacherOutputs.{name}")
 
-    def rows(self, idx, protos: Tensor, tau: float) -> "TeacherOutputs":
+    def rows(self, idx, protos: Tensor | None, tau: float) -> "TeacherOutputs":
         """The bundle for image rows `idx`, against the current prototypes.
 
         Every op on the image rows is row-wise, so this equals
         `teacher_outputs` on those rows, bit for bit wherever BLAS computes
         each matmul row independently of the batch around it (checked in
-        the tests). The result skips `__post_init__`: its rows come from
-        this checked bundle, and the two new distributions are softmax rows
-        of constants.
+        the tests). The feature rows carry their unit rows, indexed from
+        the bundle's, which were normalized once. The result skips
+        `__post_init__`: its rows come from this checked bundle, and the
+        two new distributions (None when `protos` is) are softmax rows of
+        constants.
         """
         if self.texts is None:
             raise ContractError("TeacherOutputs.rows needs the teacher's texts")
         out = copy.copy(self)
-        out.feats = Tensor(self.feats.data[idx])
+        out.feats = T.take_rows(self.feats, idx)
         out.img_text_dist = Tensor(self.img_text_dist.data[idx])
-        out.proto_text_dist = image_text_dist(protos, self.texts, tau)
-        out.text_proto_dist = image_text_dist(self.texts, protos, tau)
+        out.proto_text_dist, out.text_proto_dist = _proto_text_dists(protos, self.texts, tau)
         return out
 
 
 @dataclass
 class StudentOutputs:
-    """The student's live (differentiable) outputs for one batch."""
+    """The student's live (differentiable) outputs for one batch; a distribution no enabled term reads is None."""
 
     feats: Tensor
     texts: Tensor
-    img_text_dist: Tensor
-    proto_text_dist: Tensor
-    text_proto_dist: Tensor
+    img_text_dist: Tensor | None = None
+    proto_text_dist: Tensor | None = None
+    text_proto_dist: Tensor | None = None
 
 
-def teacher_outputs(model, x, token_ids, protos: Tensor, tau: float) -> TeacherOutputs:
-    """Run a frozen model over images `x`; see StudentOutputs for the live twin."""
+def _proto_text_dists(protos: Tensor | None, texts: Tensor, tau: float) -> tuple:
+    """(prototype-text, text-prototype) distributions, or (None, None) without prototypes."""
+    if protos is None:
+        return None, None
+    return image_text_dist(protos, texts, tau), image_text_dist(texts, protos, tau)
+
+
+def teacher_outputs(model, x, token_ids, protos: Tensor | None, tau: float) -> TeacherOutputs:
+    """Run a frozen model over images `x`; see StudentOutputs for the live twin.
+
+    `protos` None skips the prototype-text distributions.
+    """
     feats = model.encode_images(x)
     texts = model.encode_texts(token_ids)
-    return TeacherOutputs(
-        feats=feats,
-        img_text_dist=image_text_dist(feats, texts, tau),
-        proto_text_dist=image_text_dist(protos, texts, tau),
-        text_proto_dist=image_text_dist(texts, protos, tau),
-        texts=texts,
-    )
+    return TeacherOutputs(feats, image_text_dist(feats, texts, tau), *_proto_text_dists(protos, texts, tau), texts)
 
 
-def student_outputs(model, feats: Tensor, token_ids, protos: Tensor, tau: float) -> StudentOutputs:
-    """Student forward pass over the batch encoding `feats` (the caller encodes the images once)."""
+def student_outputs(model, feats: Tensor, token_ids, protos: Tensor | None, tau: float, img_text: bool = True) -> StudentOutputs:
+    """Student forward pass over the batch encoding `feats` (the caller encodes the images once).
+
+    `img_text` False skips the image-text distribution at `tau`, and
+    `protos` None the prototype-text distributions.
+    """
     texts = model.encode_texts(token_ids)
     return StudentOutputs(
-        feats=feats,
-        texts=texts,
-        img_text_dist=image_text_dist(feats, texts, tau),
-        proto_text_dist=image_text_dist(protos, texts, tau),
-        text_proto_dist=image_text_dist(texts, protos, tau),
+        feats, texts, image_text_dist(feats, texts, tau) if img_text else None, *_proto_text_dists(protos, texts, tau)
     )
 
 
@@ -457,13 +479,18 @@ def total_loss(
     in a fixed order) and `class_ids` gives the matching prototype keys.
     `teachers` holds the (c0, c_prev) `teacher_outputs` over the whole
     training set the batch was drawn from (None when every distillation
-    channel is off), and `batch_rows` the batch's row indices into it.
-    The drift anchor is added iff `wc_reference` is given. Teachers and
-    prototypes are constants. With every component disabled this reduces
-    to plain supervised fine-tuning.
+    channel is off, and either entry None for a teacher without weight),
+    and `batch_rows` the batch's row indices into it. `store` is None
+    when no enabled term reads prototypes. The drift anchor is added iff
+    `wc_reference` is given. Teachers and prototypes are constants. Only
+    the distributions an enabled term reads are built (see the module
+    docstring); with every component disabled this reduces to plain
+    supervised fine-tuning.
     """
-    protos = store.matrix(class_ids).detach()
-    student = student_outputs(student_model, feats, token_ids, protos, hyper.tau)
+    protos = store.matrix(class_ids).detach() if hyper.uses_prototypes else None
+    pt_protos = protos if hyper.enable_idd else None
+    weighs = hyper.distills and hyper.weighting_mode == "similarity"
+    student = student_outputs(student_model, feats, token_ids, pt_protos, hyper.tau, img_text=hyper.enable_idd or weighs)
 
     bd = LossBreakdown()
     supervised = cross_entropy(image_text_dist(student.feats, student.texts, hyper.tau_ce), label_positions)
@@ -475,8 +502,8 @@ def total_loss(
         bd.csa = csa.item()
         loss = T.add(loss, T.scale(csa, hyper.lambda1))
 
-    if hyper.enable_fd or hyper.enable_ird or hyper.enable_idd:
-        c0_out, prev_out = (t.rows(batch_rows, protos, hyper.tau) for t in teachers)
+    if hyper.distills:
+        c0_out, prev_out = (None if t is None else t.rows(batch_rows, pt_protos, hyper.tau) for t in teachers)
         mdd, info = mdd_loss(
             c0_out,
             prev_out,

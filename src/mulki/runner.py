@@ -7,20 +7,26 @@ weight ensemble averages the parameter trajectory. The model a task
 hands onward - evaluated, checkpointed, and used as the next task's
 teacher - is the ensemble, not the raw last iterate.
 
-Per task, before the first iteration: seed the prototype store from the
-initial model, and (when any distillation channel is on) run each frozen
-teacher once over the task's whole training set. Per-iteration order:
+One loop serves every arm, and it builds only what the enabled terms
+read (`HyperParams.distills`, `uses_prototypes`): the prototype store
+exists when alignment or a distillation channel is on, and a teacher
+bundle when a channel is on and that teacher's weight is not identically
+0. So `continual_ft` keeps no store and no bundle, `only_c0`/`only_prev`
+one bundle.
+
+Per task, before the first iteration: look up every training label's
+class position at once (a label outside the task's classes raises
+ContractError), seed the store from the initial model, and run each
+weighted teacher once over the task's training set. Per iteration:
 sample batch (with its row indices) -> encode it with the student ->
-split the batch rows by class (and map labels to class positions) with
-numpy -> update prototypes with the detached student features, class by
-class in ascending id order -> build the loss, taking the teachers' rows
-for the batch from the per-task bundles and the drift anchor from the
-student's flat parameter buffer -> backward -> one flat AdamW step ->
-on every `we_interval`-th iteration only, flatten the parameters once
-and fold them into the ensemble (and, in "ewe" mode, periodically
-overwrite the live parameters with it). All randomness is derived from
-the run seed; a run is a pure function of (stream, hyper, seed, initial
-model).
+with a store, EMA-update each class in the batch from the detached
+features, in ascending id order -> build the loss from the batch's label
+positions, the teachers' rows for the batch and the drift anchor ->
+backward -> one flat AdamW step -> on every `we_interval`-th iteration,
+fold the flat parameters into the ensemble (and, in "ewe" mode,
+periodically overwrite the live parameters with it). The store is purged
+after the last iteration. All randomness is derived from the run seed; a
+run is a pure function of (stream, hyper, seed, initial model).
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ import numpy as np
 from . import losses, metrics, taskgen
 from .config import HyperParams, ModelConfig
 from .encoder import DualEncoder, ModelSnapshot, load_flat, params_flat, save_checkpoint, snapshot
-from .errors import ConfigError, TrainingDivergedError
+from .errors import ConfigError, ContractError, TrainingDivergedError
 from .jsonutil import format_float, write_canonical, write_lines
 from .optim import AdamW
 from .prototypes import PrototypeStore
@@ -111,6 +117,16 @@ def pretrain(stream, hyper: HyperParams, seed: int, model_cfg: ModelConfig | Non
     return snapshot(model)
 
 
+def _label_positions(task) -> np.ndarray:
+    """Each training label's position in `task.class_ids`; ContractError on a label outside them."""
+    ids = np.asarray(task.class_ids, dtype=np.int64)
+    unknown = ~np.isin(task.train_y, ids)
+    if unknown.any():
+        raise ContractError(f"task {task.task_id}: training label {task.train_y[unknown][0]} is not one of its class ids")
+    order = np.argsort(ids, kind="stable")
+    return order[np.searchsorted(ids, task.train_y, sorter=order)]
+
+
 def train_task(
     student: DualEncoder,
     c0: ModelSnapshot,
@@ -123,27 +139,31 @@ def train_task(
     """Train `student` on one task against both teachers, in place.
 
     On return the student carries the task's final parameters (the
-    ensemble mean when weight ensembling is on). The prototype store
-    lives only inside this window: seeded from the initial model before
-    the first iteration, purged after the last. Every batch's loss takes
-    its teacher rows from the two per-task bundles, and adds the drift
-    anchor toward `wc_reference` iff one is given.
+    ensemble mean when weight ensembling is on). The prototype store, when
+    an enabled term reads it, lives only inside this window: seeded from
+    the initial model before the first iteration, purged after the last.
+    Every batch's loss takes its teacher rows from the per-task bundles of
+    the weighted teachers, and adds the drift anchor toward
+    `wc_reference` iff one is given.
     """
-    store = PrototypeStore.init_from_model(
-        c0,
-        task.images_by_class(),
-        gamma0=hyper.gamma0,
-        gamma_step=hyper.gamma_step,
-        gamma_max=hyper.gamma_max,
-    )
-    position_of = {c.class_id: i for i, c in enumerate(task.classes)}
+    positions = _label_positions(task)
     token_ids = task.token_ids
     class_ids = task.class_ids
+    store = None
+    if hyper.uses_prototypes:
+        store = PrototypeStore.init_from_model(
+            c0,
+            task.images_by_class(),
+            gamma0=hyper.gamma0,
+            gamma_step=hyper.gamma_step,
+            gamma_max=hyper.gamma_max,
+        )
     teachers = None
-    if hyper.enable_fd or hyper.enable_ird or hyper.enable_idd:
-        protos = store.matrix(class_ids).detach()
+    if hyper.distills:
+        pt_protos = store.matrix(class_ids).detach() if hyper.enable_idd else None
         teachers = tuple(
-            losses.teacher_outputs(teacher, task.train_x, token_ids, protos, hyper.tau) for teacher in (c0, c_prev)
+            losses.teacher_outputs(teacher, task.train_x, token_ids, pt_protos, hyper.tau) if weighted else None
+            for teacher, weighted in zip((c0, c_prev), losses.weighted_teachers(hyper.weighting_mode))
         )
 
     mode = hyper.ensemble_mode()
@@ -155,13 +175,10 @@ def train_task(
         taskgen.batches(task, hyper.batch_size, seed, hyper.iterations_per_task), start=1
     ):
         feats = student.encode_images(x)
-        in_class = {cid: labels == cid for cid in sorted(set(labels.tolist()))}
-        store.ema_update({cid: feats.data[mask] for cid, mask in in_class.items()})
-        positions = np.empty(len(labels), dtype=np.int64)
-        for cid, mask in in_class.items():
-            positions[mask] = position_of[cid]
+        if store is not None:
+            store.ema_update({cid: feats.data[labels == cid] for cid in sorted(set(labels.tolist()))})
         loss, bd = losses.total_loss(
-            student, feats, positions, token_ids, class_ids, store, hyper, teachers, rows, wc_reference
+            student, feats, positions[rows], token_ids, class_ids, store, hyper, teachers, rows, wc_reference
         )
         if not math.isfinite(bd.total):
             raise TrainingDivergedError(
@@ -180,7 +197,8 @@ def train_task(
         loss_rows.append((task.task_id, k, bd))
 
     load_flat(student, final_params(we_state, params_flat(student)))
-    store.purge()
+    if store is not None:
+        store.purge()
     return TaskResult(checkpoint=snapshot(student), loss_rows=loss_rows)
 
 

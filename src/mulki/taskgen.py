@@ -335,7 +335,10 @@ def _fields(d_in: int, pool: int, tasks: list) -> list:
 
 
 def load_stream(path) -> StreamSpec:
-    """Read a stream written by `save_stream`; any malformed field raises StreamFormatError naming it."""
+    """Read a stream written by `save_stream`; any malformed field raises StreamFormatError naming it.
+
+    Every train and test label must be one of its task's (distinct) class ids.
+    """
     try:
         manifest, arrays = read_framed(path, StreamFormatError, "stream")
     except StreamFormatError:
@@ -364,6 +367,14 @@ def load_stream(path) -> StreamSpec:
     specs = []
     for i, (task_id, *_) in enumerate(tasks):
         class_ids, token_ids, domain_ids, noise_scales, means, train_x, train_y, test_x, test_y = rest[9 * i : 9 * i + 9]
+        if len(set(class_ids.tolist())) != class_ids.size:
+            raise StreamFormatError(f"field tasks[{i}].class_ids holds a repeated class id")
+        for split, labels in (("train", train_y), ("test", test_y)):
+            outside = labels[~np.isin(labels, class_ids)]
+            if outside.size:
+                raise StreamFormatError(
+                    f"field tasks[{i}].{split}.class_ids holds label {outside[0]}, not one of the task's class ids"
+                )
         classes = [
             ClassSpec(class_id=int(c), token_id=int(t), mean=m, noise_scale=float(s), domain_id=int(d))
             for c, t, d, s, m in zip(class_ids, token_ids, domain_ids, noise_scales, means)

@@ -508,6 +508,12 @@ class UnitRows:
     def grad(self, g: np.ndarray) -> np.ndarray:
         return _normalized_backward(g, self.data, self.norms, 1)
 
+    def take(self, idx) -> "UnitRows":
+        """Rows `idx`: each row is normalized on its own, so this equals normalizing those rows afresh."""
+        out = UnitRows.__new__(UnitRows)
+        out.data, out.norms, out._t = self.data[idx], self.norms[idx], None
+        return out
+
 
 def unit_rows(a: Tensor) -> UnitRows:
     """`a`'s row normalization, computed on first use and kept on `a`.
@@ -521,6 +527,13 @@ def unit_rows(a: Tensor) -> UnitRows:
         if a._backward is not None or not a.requires_grad:
             a._unit = unit
     return unit
+
+
+def take_rows(a: Tensor, idx) -> Tensor:
+    """Rows `idx` of the constant `a`, carrying the matching rows of `a`'s kept normalization."""
+    out = Tensor(a.data[idx])
+    out._unit = unit_rows(a).take(idx)
+    return out
 
 
 # ---------------------------------------------------------------------------

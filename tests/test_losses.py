@@ -505,6 +505,32 @@ def test_teacher_rows_equal_per_batch_teacher_outputs(tiny_stream):
             assert np.array_equal(getattr(cut, name).data, getattr(fresh, name).data), (it, name)
 
 
+def test_teacher_rows_carry_unit_rows_equal_to_a_fresh_normalization(tiny_stream):
+    """The bundle's feature rows are normalized once per task; each batch's indexed unit rows are bit-exact."""
+    from mulki.taskgen import batches
+
+    task = tiny_stream.tasks[0]
+    teacher = snapshot(DualEncoder(5, vocab_size=tiny_stream.vocab_size, d_in=tiny_stream.d_in))  # default widths
+    whole = teacher_outputs(teacher, task.train_x, task.token_ids, None, tau=2.0)
+    for it, (_, _, idx) in enumerate(batches(task, 32, seed=3, iterations=50)):
+        cut = whole.rows(idx, None, tau=2.0)
+        kept = cut.feats._unit
+        assert kept is not None and T.unit_rows(cut.feats) is kept  # handed over, not recomputed
+        fresh = T.UnitRows(cut.feats.data)
+        assert np.array_equal(kept.data, fresh.data) and np.array_equal(kept.norms, fresh.norms), it
+
+
+def test_bundles_without_prototypes_skip_the_prototype_text_distributions(tiny_stream):
+    task = tiny_stream.tasks[0]
+    model = DualEncoder(5, vocab_size=tiny_stream.vocab_size, d_in=tiny_stream.d_in, d_tok=8, hidden=16, embed_dim=8)
+    whole = teacher_outputs(snapshot(model), task.train_x, task.token_ids, None, tau=2.0)
+    cut = whole.rows([0, 3], None, tau=2.0)
+    student = student_outputs(model, model.encode_images(task.train_x[:2]), task.token_ids, None, 2.0, img_text=False)
+    for bundle in (whole, cut, student):
+        assert bundle.proto_text_dist is None and bundle.text_proto_dist is None
+    assert student.img_text_dist is None and cut.img_text_dist.shape == (2, 3)
+
+
 def test_teacher_rows_skip_the_checks(monkeypatch, rng):
     out, protos = teacher_pack(rng, 4, 3, 5)
     out.texts = Tensor(unit_rows(rng, 3, 5))

@@ -10,7 +10,7 @@ import mulki.runner as runner
 import mulki.taskgen as taskgen
 from mulki.config import apply_variant, config_from_dict
 from mulki.encoder import DualEncoder, load_flat, params_flat, snapshot
-from mulki.errors import ConfigError, TrainingDivergedError
+from mulki.errors import ConfigError, ContractError, TrainingDivergedError
 from mulki.optim import AdamW
 from mulki.prototypes import PrototypeStore
 from mulki.runner import (
@@ -127,6 +127,60 @@ def test_prototype_store_lifecycle(tiny_stream, monkeypatch):
     for kind, payload in events:
         if kind == "purge":
             assert payload == tiny_stream.tasks[0].classes.__len__()
+
+
+def count_calls(monkeypatch, owner, name) -> list:
+    """Wrap `owner.name` so that each call appends its positional arguments to the returned list."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "variant, keeps_store, bundles",
+    [("continual_ft", False, []), ("only_c0", True, ["c0"]), ("only_prev", True, ["prev"]), ("full", True, ["c0", "prev"])],
+)
+def test_each_arm_builds_only_what_its_terms_read(tiny_stream, monkeypatch, variant, keeps_store, bundles):
+    """The prototype store exists iff some term reads it; a teacher bundle is built iff its teacher has weight."""
+    c0 = make_c0(tiny_stream)
+    calls = {
+        name: count_calls(monkeypatch, owner, attr)
+        for name, owner, attr in [
+            ("init", PrototypeStore, "init_from_model"),
+            ("ema", PrototypeStore, "ema_update"),
+            ("purge", PrototypeStore, "purge"),
+            ("teacher", losses, "teacher_outputs"),
+            ("rows", losses.TeacherOutputs, "rows"),
+            ("dist", losses, "image_text_dist"),
+        ]
+    }
+    hyper = apply_variant(fast_hyper(), variant)
+    run_stream(tiny_stream, hyper, 1, c0)
+
+    n, iters = tiny_stream.n_tasks, hyper.iterations_per_task
+    assert len(calls["init"]) == len(calls["purge"]) == (n if keeps_store else 0)
+    assert len(calls["ema"]) == (n * iters if keeps_store else 0)
+    assert ["c0" if args[0] is c0 else "prev" for args in calls["teacher"]] == bundles * n
+    assert len(calls["rows"]) == len(bundles) * n * iters
+    if variant == "continual_ft":
+        assert len(calls["dist"]) == n * iters  # the supervised distribution at tau_ce, nothing else
+
+
+def test_label_outside_the_task_raises_contract_error(tiny_stream):
+    c0 = make_c0(tiny_stream)
+    task = tiny_stream.tasks[0]
+    train_y = task.train_y.copy()
+    train_y[5] = 99
+    bad = taskgen.TaskSpec(task.task_id, task.classes, task.train_x, train_y, task.test_x, task.test_y)
+    for variant in ("full", "continual_ft"):
+        with pytest.raises(ContractError, match="training label 99"):
+            train_task(c0.trainable_copy(), c0, c0, bad, apply_variant(fast_hyper(), variant), 1)
 
 
 def test_loss_decreases_over_first_fifty_iterations():

@@ -13,6 +13,7 @@ from mulki.config import config_from_dict
 from mulki.errors import ConfigError, StreamFormatError
 from mulki.taskgen import (
     StreamConfig,
+    _fields,
     batches,
     generate_stream,
     load_stream,
@@ -202,6 +203,17 @@ def overwrite(payload: bytearray, old: float, new: float) -> None:
     payload[at : at + 8] = struct.pack("<d", new)
 
 
+def set_int(payload: bytearray, manifest: dict, field: str, value: int, at: int = 0) -> None:
+    """Overwrite entry `at` of the int64 payload array `field` with `value`."""
+    offset = 0
+    for name, _, shape in _fields(manifest["d_in"], manifest["pool"], manifest["tasks"]):
+        if name == field:
+            struct.pack_into("<q", payload, offset + 8 * at, value)
+            return
+        offset += 8 * math.prod(shape)
+    raise KeyError(field)
+
+
 def corrupt(tmp_path, mutate, name):
     """Save the tiny stream, let `mutate(manifest, payload, stream)` edit it in place, and write it back."""
     stream = generate_stream(tiny_stream_config())
@@ -234,6 +246,12 @@ def corrupt(tmp_path, mutate, name):
          "field tasks[0].train.x holds a non-finite number"),
         ("mean_inf", lambda m, p, s: overwrite(p, s.tasks[0].classes[1].mean[0], math.inf),
          "field tasks[0].means holds a non-finite number"),
+        ("train_label_outside", lambda m, p, s: set_int(p, m, "tasks[0].train.class_ids", 99),
+         "field tasks[0].train.class_ids holds label 99"),
+        ("test_label_of_other_task", lambda m, p, s: set_int(p, m, "tasks[1].test.class_ids", 0, at=5),
+         "field tasks[1].test.class_ids holds label 0"),
+        ("repeated_class_id", lambda m, p, s: set_int(p, m, "tasks[0].class_ids", s.tasks[0].class_ids[0], at=1),
+         "field tasks[0].class_ids holds a repeated class id"),
     ],
 )
 def test_corrupted_fields_are_named(tmp_path, name, mutate, fragment):
@@ -241,3 +259,15 @@ def test_corrupted_fields_are_named(tmp_path, name, mutate, fragment):
     with pytest.raises(StreamFormatError) as err:
         load_stream(path)
     assert fragment in str(err.value)
+
+
+def test_label_outside_its_task_exits_2_before_pretraining(tmp_path, capsys, monkeypatch):
+    """A train label outside its task's classes stops `pretrain` at load, before any c0 is written."""
+    for name in list(os.environ):
+        if name.startswith("MULKI_"):
+            monkeypatch.delenv(name)
+    path = corrupt(tmp_path, lambda m, p, s: set_int(p, m, "tasks[0].train.class_ids", 99), "label")
+    c0 = tmp_path / "c0.ckpt"
+    assert main(["pretrain", "--stream", str(path), "--out", str(c0)]) == 2
+    assert "field tasks[0].train.class_ids holds label 99" in capsys.readouterr().err
+    assert not c0.exists()
