@@ -169,6 +169,13 @@ def cmd_report(args) -> int:
             and all(isinstance(row, list) and row and len(row) == len(matrix[0]) and all(map(is_number, row)) for row in matrix)
         ):
             raise ConfigError(f"{path}: key 'matrix' must be a non-empty list of equally long, non-empty lists of finite numbers")
+        try:
+            expected = metrics.summaries(metrics.AccuracyMatrix(matrix))
+        except MulkiError as exc:
+            raise ConfigError(f"{path}: key 'matrix': {exc}") from None
+        for name, value in expected.items():
+            if doc[name] != value:
+                raise ConfigError(f"{path}: key {name!r} is {doc[name]!r}, but the matrix gives {value!r}")
         rows.append((run_dir, [doc[name] for name in metrics.SUMMARIES]))
         for i, matrix_row in enumerate(matrix):
             for j, value in enumerate(matrix_row, start=1):

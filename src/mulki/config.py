@@ -16,7 +16,8 @@ Every key is optional and defaults are documented on the dataclasses.
 Unknown keys are rejected by name, and every section value must have the
 type of its field's default: a JSON bool for flags, an integer for
 counts, a finite number for real-valued knobs (no NaN or Infinity), a
-string for modes; anything else is a ConfigError naming the key.
+string for modes, null or a finite number where the default is null;
+anything else is a ConfigError naming the key.
 Environment variables prefixed with MULKI_ override file values:
 MULKI_<SECTION>__<KEY> for section fields (e.g. MULKI_HYPER__LR=0.002,
 MULKI_STREAM__N_TASKS=3) and MULKI_<KEY> for top-level fields (e.g.
@@ -30,7 +31,6 @@ import json
 import os
 from dataclasses import asdict, dataclass, field, fields
 
-from . import losses
 from .errors import ConfigError
 from .jsonutil import is_number
 from .taskgen import StreamConfig
@@ -42,7 +42,7 @@ SECTIONS = ("stream", "model", "hyper")
 
 # Ablation arms: named overrides applied on top of the configured hyper.
 # "full" is the complete method; the component arms keep only what they
-# name; the weighting arms change only how the two teachers are mixed.
+# name; the weighting arms fix the teacher weight on c0 (c_prev gets the rest).
 VARIANTS: dict[str, dict] = {
     "full": {},
     "continual_ft": dict(
@@ -62,12 +62,12 @@ VARIANTS: dict[str, dict] = {
     "only_ird": dict(enable_csa=False, enable_fd=False, enable_idd=False, enable_wc=False, enable_we=False, enable_ewe=False),
     "only_idd": dict(enable_csa=False, enable_fd=False, enable_ird=False, enable_wc=False, enable_we=False, enable_ewe=False),
     "only_mdd": dict(enable_csa=False, enable_wc=False, enable_we=False, enable_ewe=False),
-    "only_c0": dict(weighting_mode="only_c0"),
-    "only_prev": dict(weighting_mode="only_prev"),
-    "average": dict(weighting_mode="average"),
+    "only_c0": dict(teacher_weight=1.0),
+    "only_prev": dict(teacher_weight=0.0),
+    "average": dict(teacher_weight=0.5),
 }
 
-_TYPE_NAMES = {bool: "a JSON bool", int: "an integer", float: "a finite number", str: "a string"}
+_TYPE_NAMES = {bool: "a JSON bool", int: "an integer", float: "a finite number", str: "a string", type(None): "null or a finite number"}
 
 
 @dataclass
@@ -112,7 +112,7 @@ class HyperParams:
     adam_eps: float = 1e-8
     we_interval: int = 50       # iterations between ensemble averagings
     ewe_eta: int = 5            # averagings between live-parameter overwrites
-    weighting_mode: str = "similarity"
+    teacher_weight: float | None = None  # fixed weight on c0 (1 - it on c_prev); None: per-sample similarity
     enable_csa: bool = True
     enable_fd: bool = True
     enable_ird: bool = True
@@ -122,10 +122,8 @@ class HyperParams:
     enable_ewe: bool = False
 
     def validate(self) -> None:
-        if self.weighting_mode not in losses.WEIGHTING_MODES:
-            raise ConfigError(
-                f"hyper.weighting_mode must be one of {losses.WEIGHTING_MODES}, got {self.weighting_mode!r}"
-            )
+        if self.teacher_weight is not None and not 0 <= self.teacher_weight <= 1:
+            raise ConfigError(f"hyper.teacher_weight must be null or in [0, 1], got {self.teacher_weight!r}")
         for name in ("tau", "tau_ce", "lr"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"hyper.{name} must be > 0")
@@ -191,7 +189,8 @@ def _section(cls, raw, name: str):
 
     Each value must have the type of its field's default; a float field
     takes any finite number, an integer kept as given so the echo keeps
-    its bytes.
+    its bytes, and a field whose default is null takes null or a finite
+    number.
     """
     if not isinstance(raw, dict):
         raise ConfigError(f"config section {name!r} must be an object")
@@ -201,7 +200,10 @@ def _section(cls, raw, name: str):
         raise ConfigError(f"unknown {name} config key {unknown[0]!r}")
     for key, value in raw.items():
         kind = types[key]
-        valid = is_number(value) if kind is float else isinstance(value, kind) and isinstance(value, bool) == (kind is bool)
+        if kind is float or kind is type(None):
+            valid = is_number(value) or (value is None and kind is not float)
+        else:
+            valid = isinstance(value, kind) and isinstance(value, bool) == (kind is bool)
         if not valid:
             raise ConfigError(f"{name}.{key} must be {_TYPE_NAMES[kind]}, got {value!r}")
     section = cls(**raw)

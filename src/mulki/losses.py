@@ -11,11 +11,15 @@ distillation channels connect student to each teacher:
   * distribution match   - soft cross-entropy on image-text, prototype-
                            text, and text-prototype distributions.
 
-Per sample, the two teachers are mixed by weights derived from how
-similar each teacher's image-text distribution is to the student's: the
-teacher the student has drifted away from gets the larger pull. The
-prototype/text channel is exempt from that mixing and carries a fixed
-half weight per teacher.
+One number, `teacher_weight`, mixes the two teachers. None (the
+default) weights each sample by how similar each teacher's image-text
+distribution is to the student's: the teacher the student has drifted
+away from gets the larger pull. A number w in [0, 1] is a fixed weight w
+on the initial model and 1 - w on the previous one; a teacher whose
+weight is exactly 0 is skipped, its prototype/text term with it
+(`weighted_teachers` decides this for the trainer and the loss alike).
+The prototype/text channel is exempt from the mixing and carries a fixed
+half weight per weighted teacher.
 
 A separate contrastive term aligns class prototypes with the student's
 text embeddings, and plain cross-entropy on the current task provides
@@ -47,7 +51,7 @@ matrix for csa and relation distance; the student's image-text
 distribution at tau for distribution matching or similarity weighting;
 the student's and teachers' prototype-text and text-prototype
 distributions for distribution matching only. A teacher whose weight is
-identically 0 (`only_c0`, `only_prev`) has no bundle.
+exactly 0 has no bundle.
 """
 
 from __future__ import annotations
@@ -59,10 +63,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ContractError, ShapeMismatchError
+from .errors import ContractError, ShapeMismatchError
 from .tensor import Tensor
-
-WEIGHTING_MODES = ("similarity", "average", "only_c0", "only_prev")
 
 
 # ---------------------------------------------------------------------------
@@ -200,9 +202,9 @@ def pt_loss(teacher: "TeacherOutputs", student_pt: Tensor, student_tp: Tensor) -
     return T.add(a, b)
 
 
-def weighted_teachers(weighting: str) -> tuple[bool, bool]:
-    """Whether (c0, c_prev) carry any weight: a single-teacher mode zeroes the other one."""
-    return weighting != "only_prev", weighting != "only_c0"
+def weighted_teachers(teacher_weight: float | None) -> tuple[bool, bool]:
+    """Whether (c0, c_prev) carry any weight: a fixed weight of exactly 0 zeroes c0, of exactly 1 c_prev."""
+    return teacher_weight != 0, teacher_weight != 1
 
 
 def sample_weights(dist_c0: Tensor, dist_prev: Tensor, dist_student: Tensor) -> tuple[Tensor, Tensor]:
@@ -384,7 +386,7 @@ def mdd_loss(
     protos: Tensor,
     alpha: float = 1.0,
     beta: float = 1.0,
-    weighting: str = "similarity",
+    teacher_weight: float | None = None,
     enable_fd: bool = True,
     enable_ird: bool = True,
     enable_idd: bool = True,
@@ -395,37 +397,29 @@ def mdd_loss(
 
         r_k * (FD + alpha * IRD + beta * i2t) + 0.5 * beta * (p&t)
 
-    summed over both teachers. `weighting` picks how r is formed:
-    per-sample similarity scores, a flat 0.5, or all mass on one teacher
-    (in which case the other teacher's terms, p&t included, vanish).
+    summed over both teachers. `teacher_weight` None forms r from
+    per-sample similarity scores (`sample_weights`); a number w sets r_0 = w
+    and r_prev = 1 - w on every sample. A teacher whose weight is exactly 0
+    is skipped, p&t included (`weighted_teachers`); its bundle may be None.
 
     Returns (loss tensor or None if every channel is disabled, info dict
     with raw term values and the per-sample weights).
     """
-    if weighting not in WEIGHTING_MODES:
-        raise ConfigError(f"unknown weighting mode {weighting!r}; expected one of {WEIGHTING_MODES}")
-    batch = student.feats.shape[0]
-    if weighting == "similarity":
+    if teacher_weight is None:
         r0, r_prev = sample_weights(c0_out.img_text_dist, prev_out.img_text_dist, student.img_text_dist)
-    elif weighting == "average":
-        r0 = Tensor(np.full(batch, 0.5))
-        r_prev = Tensor(np.full(batch, 0.5))
-    elif weighting == "only_c0":
-        r0 = Tensor(np.ones(batch))
-        r_prev = None
-    else:  # only_prev
-        r0 = None
-        r_prev = Tensor(np.ones(batch))
+    else:
+        batch = student.feats.shape[0]
+        r0, r_prev = Tensor(np.full(batch, float(teacher_weight))), Tensor(np.full(batch, 1.0 - teacher_weight))
 
     info = {
         "fd0": 0.0, "fd_prev": 0.0,
         "ird0": 0.0, "ird_prev": 0.0,
         "idd0": 0.0, "idd_prev": 0.0,
-        "r0": r0.data.copy() if r0 is not None else np.zeros(batch),
+        "r0": r0.data.copy(),
     }
     terms: list[Tensor] = []
-    for tag, teacher, r in (("0", c0_out, r0), ("_prev", prev_out, r_prev)):
-        if r is None:
+    for tag, teacher, r, weighted in zip(("0", "_prev"), (c0_out, prev_out), (r0, r_prev), weighted_teachers(teacher_weight)):
+        if not weighted:
             continue
         if enable_fd:
             fd, info["fd" + tag] = fd_loss(teacher.feats, student.feats, r)
@@ -489,7 +483,7 @@ def total_loss(
     """
     protos = store.matrix(class_ids).detach() if hyper.uses_prototypes else None
     pt_protos = protos if hyper.enable_idd else None
-    weighs = hyper.distills and hyper.weighting_mode == "similarity"
+    weighs = hyper.distills and hyper.teacher_weight is None
     student = student_outputs(student_model, feats, token_ids, pt_protos, hyper.tau, img_text=hyper.enable_idd or weighs)
 
     bd = LossBreakdown()
@@ -511,7 +505,7 @@ def total_loss(
             protos,
             alpha=hyper.alpha,
             beta=hyper.beta,
-            weighting=hyper.weighting_mode,
+            teacher_weight=hyper.teacher_weight,
             enable_fd=hyper.enable_fd,
             enable_ird=hyper.enable_ird,
             enable_idd=hyper.enable_idd,

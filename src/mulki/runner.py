@@ -10,9 +10,9 @@ teacher - is the ensemble, not the raw last iterate.
 One loop serves every arm, and it builds only what the enabled terms
 read (`HyperParams.distills`, `uses_prototypes`): the prototype store
 exists when alignment or a distillation channel is on, and a teacher
-bundle when a channel is on and that teacher's weight is not identically
-0. So `continual_ft` keeps no store and no bundle, `only_c0`/`only_prev`
-one bundle.
+bundle when a channel is on and that teacher's weight is not exactly 0
+(`losses.weighted_teachers`). So `continual_ft` keeps no store and no
+bundle, `only_c0`/`only_prev` (teacher_weight 1 and 0) one bundle.
 
 Per task, before the first iteration: look up every training label's
 class position at once (a label outside the task's classes raises
@@ -163,7 +163,7 @@ def train_task(
         pt_protos = store.matrix(class_ids).detach() if hyper.enable_idd else None
         teachers = tuple(
             losses.teacher_outputs(teacher, task.train_x, token_ids, pt_protos, hyper.tau) if weighted else None
-            for teacher, weighted in zip((c0, c_prev), losses.weighted_teachers(hyper.weighting_mode))
+            for teacher, weighted in zip((c0, c_prev), losses.weighted_teachers(hyper.teacher_weight))
         )
 
     mode = hyper.ensemble_mode()
@@ -222,7 +222,7 @@ def run_stream(
     """Sequential pass over the stream's tasks starting from `c0`.
 
     Task i's teacher pair is (c0, model after task i-1); for the first
-    task both teachers coincide with c0 and the per-sample weighting
+    task both teachers coincide with c0 and similarity weighting
     degenerates to an even split. The drift penalty references the
     previous task's final parameters and only applies on multi-domain
     streams with `enable_wc`; this is the one place that decides it.

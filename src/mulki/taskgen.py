@@ -28,7 +28,6 @@ import numpy as np
 
 from .errors import ConfigError, StreamFormatError
 from .jsonutil import is_count, read_framed, write_framed
-from .tensor import Tensor
 
 STREAM_FORMAT_VERSION = 2  # 1 was canonical JSON
 MODES = ("multi_domain", "class_incremental")
@@ -277,7 +276,7 @@ def batches(task: TaskSpec, batch_size: int, seed: int, iterations: int):
     for it in range(1, iterations + 1):
         rng = _rng(seed, _TAG_BATCH, task.task_id, it)
         idx = rng.integers(0, n, size=batch_size)
-        yield Tensor(task.train_x[idx]), task.train_y[idx], idx
+        yield task.train_x[idx], task.train_y[idx], idx
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +358,10 @@ def load_stream(path) -> StreamSpec:
     if not isinstance(tasks, list) or not tasks:
         raise StreamFormatError("field tasks: must be a non-empty list")
     for i, entry in enumerate(tasks):
-        if not isinstance(entry, list) or len(entry) != 4 or not all(map(is_count, entry)):
-            raise StreamFormatError(f"field tasks[{i}] must be [task_id, n_classes, n_train, n_test], integers in [0, 2**63)")
+        if not isinstance(entry, list) or len(entry) != 4 or not all(map(is_count, entry)) or 0 in entry[1:]:
+            raise StreamFormatError(
+                f"field tasks[{i}] must be [task_id, n_classes, n_train, n_test], integers in [0, 2**63), the three counts >= 1"
+            )
 
     d_in = manifest["d_in"]
     pool_x, pool_tokens, *rest = arrays(_fields(d_in, manifest["pool"], tasks))

@@ -17,8 +17,8 @@ import numpy as np
 
 import mulki.tensor as T
 from mulki.encoder import TEMPLATE_TOKEN
-from mulki.errors import ConfigError, ContractError, ShapeMismatchError
-from mulki.losses import WEIGHTING_MODES, LossBreakdown, StudentOutputs, TeacherOutputs, sample_weights, wc_loss
+from mulki.errors import ContractError, ShapeMismatchError
+from mulki.losses import LossBreakdown, StudentOutputs, TeacherOutputs, sample_weights, wc_loss
 from mulki.tensor import LOG_EPS, Tensor
 
 # ---------------------------------------------------------------------------
@@ -219,26 +219,21 @@ def pt_loss(teacher, student_pt: Tensor, student_tp: Tensor) -> Tensor:
     return T.add(a, b)
 
 
-def mdd_loss(c0_out, prev_out, student, protos, alpha=1.0, beta=1.0, weighting="similarity",
+def mdd_loss(c0_out, prev_out, student, protos, alpha=1.0, beta=1.0, teacher_weight=None,
              enable_fd=True, enable_ird=True, enable_idd=True):
-    if weighting not in WEIGHTING_MODES:
-        raise ConfigError(f"unknown weighting mode {weighting!r}")
     batch = student.feats.shape[0]
-    if weighting == "similarity":
+    if teacher_weight is None:
         r0, r_prev = sample_weights(c0_out.img_text_dist, prev_out.img_text_dist, student.img_text_dist)
-    elif weighting == "average":
-        r0, r_prev = Tensor(np.full(batch, 0.5)), Tensor(np.full(batch, 0.5))
-    elif weighting == "only_c0":
-        r0, r_prev = Tensor(np.ones(batch)), None
     else:
-        r0, r_prev = None, Tensor(np.ones(batch))
+        r0, r_prev = Tensor(np.full(batch, float(teacher_weight))), Tensor(np.full(batch, 1.0 - teacher_weight))
     info = {
         "fd0": 0.0, "fd_prev": 0.0, "ird0": 0.0, "ird_prev": 0.0, "idd0": 0.0, "idd_prev": 0.0,
-        "r0": r0.data.copy() if r0 is not None else np.zeros(batch),
+        "r0": r0.data.copy(),
     }
+    skipped = {0: "0", 1: "_prev"}.get(teacher_weight)  # the tag of a teacher at weight 0
     terms = []
     for tag, teacher, r in (("0", c0_out, r0), ("_prev", prev_out, r_prev)):
-        if r is None:
+        if tag == skipped:
             continue
         if enable_fd:
             fd, info["fd" + tag] = fd_loss(teacher.feats, student.feats, r)
@@ -287,7 +282,7 @@ def total_loss(x, label_positions, token_ids, student_model, c0, c_prev, store, 
             t_texts = encode_texts(teacher._model, token_ids)
             teachers.append(TeacherOutputs(texts=t_texts, **_outputs(encode_images(teacher._model, x), t_texts, protos, hyper.tau)))
         mdd, info = mdd_loss(
-            *teachers, student, protos, alpha=hyper.alpha, beta=hyper.beta, weighting=hyper.weighting_mode,
+            *teachers, student, protos, alpha=hyper.alpha, beta=hyper.beta, teacher_weight=hyper.teacher_weight,
             enable_fd=hyper.enable_fd, enable_ird=hyper.enable_ird, enable_idd=hyper.enable_idd,
         )
         if mdd is not None:

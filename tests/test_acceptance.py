@@ -121,9 +121,9 @@ def _bare_loss_checks(rng):
     t_dist = losses.image_text_dist(Tensor(rng.normal(size=(B, D))), Tensor(rng.normal(size=(B, D))), TAU)
     wc_ref = rng.normal(size=20)
 
-    def mdd(mode):
+    def mdd(teacher_weight):
         def make(lv):
-            loss, _ = losses.mdd_loss(c0_pack, prev_pack, _student_pack(lv, protos), protos, weighting=mode)
+            loss, _ = losses.mdd_loss(c0_pack, prev_pack, _student_pack(lv, protos), protos, teacher_weight=teacher_weight)
             return loss
         return make
 
@@ -158,8 +158,8 @@ def _bare_loss_checks(rng):
             ),
             False,
         ),
-        "L_MDD(similarity)": (dict(feat_leaves), mdd("similarity"), True),
-        "L_MDD(average)": (dict(feat_leaves), mdd("average"), False),
+        "L_MDD(similarity)": (dict(feat_leaves), mdd(None), True),
+        "L_MDD(average)": (dict(feat_leaves), mdd(0.5), False),
         "L_WC": (
             {"theta": rng.normal(size=20)},
             lambda lv: losses.wc_loss(lv["theta"], wc_ref),

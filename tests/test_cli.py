@@ -1,6 +1,7 @@
 """End-to-end command-line pipeline on a tiny stream."""
 
 import json
+import math
 import os
 import struct
 from types import SimpleNamespace
@@ -304,10 +305,22 @@ def test_bad_config_key_exits_2(tmp_path, capsys):
     assert "lamda1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", ["file", "env"])
+def test_stale_weighting_mode_key_exits_2(tmp_path, capsys, monkeypatch, source):
+    """The four-way mode string that teacher_weight replaced is an unknown key now."""
+    cfg = tmp_path / "stale.json"
+    cfg.write_text(json.dumps({"hyper": {"weighting_mode": "similarity"}} if source == "file" else {}))
+    if source == "env":
+        monkeypatch.setenv("MULKI_HYPER__WEIGHTING_MODE", "similarity")
+    assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "s.json")]) == 2
+    assert "'weighting_mode'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "section, key, value",
     [("hyper", "lr", "x"), ("model", "hidden", "x"), ("stream", "n_tasks", "x"),
-     ("hyper", "batch_size", 2.5), ("hyper", "enable_fd", "no")],
+     ("hyper", "batch_size", 2.5), ("hyper", "enable_fd", "no"),
+     *(("hyper", "teacher_weight", value) for value in (1.5, -0.1, "similarity", True, math.nan))],
 )
 @pytest.mark.parametrize("source", ["file", "env"])
 def test_wrongly_typed_config_value_exits_2(tmp_path, capsys, monkeypatch, section, key, value, source):
@@ -364,6 +377,31 @@ def test_report_malformed_metric_exits_2(pipeline, tmp_path, capsys, key, value)
     code = main(["report", str(run), "--out", str(out)])
     assert code == 2
     assert repr(key) in capsys.readouterr().err
+    assert not out.exists()
+
+
+# metrics.json documents no run writes: the matrix shape, its range, or summaries the matrix does not give
+UNWRITTEN_METRICS = {
+    "one_by_one": (lambda doc: doc.update(matrix=[[5.0]], transfer=0.5, avg=0.5, last=0.5, current_avg=0.5), "'matrix'"),
+    "one_task": (lambda doc: doc.update(matrix=[row[:1] for row in doc["matrix"][:2]]), "'matrix'"),
+    "square": (lambda doc: doc.update(matrix=doc["matrix"][1:]), "'matrix'"),
+    "entry_above_one": (lambda doc: doc["matrix"][1].__setitem__(0, 1.5), "'matrix'"),
+    "avg_mismatch": (lambda doc: doc.update(avg=doc["avg"] / 2), "'avg'"),
+    "last_off_by_an_ulp": (lambda doc: doc.update(last=math.nextafter(doc["last"], 0.0)), "'last'"),
+}
+
+
+@pytest.mark.parametrize("edit, message", UNWRITTEN_METRICS.values(), ids=UNWRITTEN_METRICS.keys())
+def test_report_refuses_a_document_no_run_writes(pipeline, tmp_path, capsys, edit, message):
+    run = tmp_path / "unwritten"
+    run.mkdir()
+    doc = json.loads((pipeline.run_a / "seed_00" / "metrics.json").read_text())
+    edit(doc)
+    (run / "metrics.json").write_text(json.dumps(doc))
+    out = tmp_path / "t.csv"
+    assert main(["report", str(run), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and err.count("\n") == 1
     assert not out.exists()
 
 

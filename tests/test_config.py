@@ -70,8 +70,11 @@ WRONG_TYPES = [
     ({"hyper": {"enable_we": 1}}, "enable_we"),
     ({"hyper": {"iterations_per_task": True}}, "iterations_per_task"),
     ({"hyper": {"tau": False}}, "tau"),
-    ({"hyper": {"weighting_mode": 2}}, "weighting_mode"),
+    ({"hyper": {"weighting_mode": 2}}, "weighting_mode"),  # an unknown key (the one teacher_weight replaced) is named too
 ]
+
+# teacher_weight is null or a finite number in [0, 1]
+BAD_TEACHER_WEIGHTS = [1.5, -0.1, "similarity", True, float("nan")]
 
 
 @pytest.mark.parametrize("raw, key", WRONG_TYPES, ids=[key for _, key in WRONG_TYPES])
@@ -79,6 +82,29 @@ def test_wrongly_typed_value_named(raw, key):
     with pytest.raises(ConfigError) as err:
         config_from_dict(raw)
     assert key in str(err.value)
+
+
+@pytest.mark.parametrize("value", BAD_TEACHER_WEIGHTS, ids=repr)
+def test_bad_teacher_weight_named(value):
+    with pytest.raises(ConfigError) as err:
+        config_from_dict({"hyper": {"teacher_weight": value}})
+    assert "hyper.teacher_weight" in str(err.value)
+
+
+@pytest.mark.parametrize("text, value", [("null", None), ("0.25", 0.25), ("0", 0), ("1.0", 1.0)])
+def test_teacher_weight_env_override_parses(text, value):
+    hyper = config_from_dict(apply_env_overrides({}, environ={"MULKI_HYPER__TEACHER_WEIGHT": text})).hyper
+    assert hyper.teacher_weight == value and type(hyper.teacher_weight) is type(value)
+
+
+def test_stale_weighting_mode_key_named(tmp_path):
+    """The key teacher_weight replaced is refused by name, from a file and from the environment."""
+    stale, empty = tmp_path / "stale.json", tmp_path / "empty.json"
+    stale.write_text(json.dumps({"hyper": {"weighting_mode": "similarity"}}))
+    empty.write_text("{}")
+    for path, environ in ((stale, {}), (empty, {"MULKI_HYPER__WEIGHTING_MODE": "average"})):
+        with pytest.raises(ConfigError, match="weighting_mode"):
+            load_config(path, environ=environ)
 
 
 def test_wrongly_typed_env_override_named(tmp_path):
@@ -178,10 +204,13 @@ def test_continual_ft_variant_disables_everything():
 
 def test_weighting_variants_change_only_the_mode():
     base = HyperParams()
-    for name in ("only_c0", "only_prev", "average"):
+    assert base.teacher_weight is None  # per-sample similarity weighting
+    for name, weight in (("only_c0", 1.0), ("only_prev", 0.0), ("average", 0.5)):
         hyper = apply_variant(base, name)
-        assert hyper.weighting_mode == name if name != "average" else "average"
-        assert hyper.enable_fd and hyper.enable_we
+        assert hyper.teacher_weight == weight
+        assert {k: v for k, v in vars(hyper).items() if k != "teacher_weight"} == {
+            k: v for k, v in vars(base).items() if k != "teacher_weight"
+        }
 
 
 def test_apply_variant_unknown():

@@ -4,7 +4,7 @@ A fused node must give the chain's forward value and hand every leaf the
 chain's gradient, compared with np.array_equal, not a tolerance; the
 chains live in tests/reference_ops.py. Hypothesis draws the shapes and
 values: probabilities at and below LOG_EPS, zero relation gaps, the row
-weights of every teacher-weighting mode, a constant on either side of a
+weights of every teacher weight (per-sample similarity, fixed, 0 or 1), a constant on either side of a
 cosine, inputs that are leaves or op outputs. Each node also passes the
 finite-difference check.
 """
@@ -23,7 +23,7 @@ from gradcheck import check_grads, prob_rows, unit_rows
 from mulki import losses
 from mulki.config import HyperParams
 from mulki.encoder import DualEncoder, params_flat, snapshot
-from mulki.losses import WEIGHTING_MODES, TeacherOutputs, sample_weights
+from mulki.losses import TeacherOutputs, sample_weights, weighted_teachers
 from mulki.prototypes import PrototypeStore
 from mulki.tensor import LOG_EPS, GradTape, Tensor
 
@@ -83,24 +83,21 @@ def assert_same(fused, chain, values, grads=None, through_node=False, seed=0):
             assert np.array_equal(f, c)
 
 
-def weights_for(mode, d0, dp, ds, teacher):
-    """The row weights mdd_loss hands teacher 0 or 1 under `mode` (None: that teacher is off)."""
-    b = ds.shape[0]
-    if mode == "similarity":
+def weights_for(teacher_weight, d0, dp, ds, teacher):
+    """The row weights mdd_loss hands teacher 0 or 1 under `teacher_weight` (None: that teacher is off)."""
+    if not weighted_teachers(teacher_weight)[teacher]:
+        return None
+    if teacher_weight is None:
         return sample_weights(Tensor(d0), Tensor(dp), Tensor(ds))[teacher]
-    if mode == "average":
-        return Tensor(np.full(b, 0.5))
-    if (mode == "only_c0") == (teacher == 0):
-        return Tensor(np.ones(b))
-    return None
+    return Tensor(np.full(ds.shape[0], 1.0 - teacher_weight if teacher else float(teacher_weight)))
 
 
 @st.composite
 def row_weights(draw, b):
     k = draw(st.integers(1, 4))
     dists = [draw(prob_matrices((b, k))) + 1e-3 for _ in range(3)]
-    mode = draw(st.sampled_from(WEIGHTING_MODES))
-    return weights_for(mode, *dists, teacher=draw(st.sampled_from([0, 1])))
+    teacher_weight = draw(st.one_of(st.none(), st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)))
+    return weights_for(teacher_weight, *dists, teacher=draw(st.sampled_from([0, 1])))
 
 
 # ---------------------------------------------------------------------------
@@ -246,13 +243,17 @@ def _iteration(seed, hyper):
     return SimpleNamespace(student=student, fused=fused, chain=chain)
 
 
-@pytest.mark.parametrize("weighting", WEIGHTING_MODES)
+# teacher weights by the variant that sets them, plus one fixed weight no variant sets
+TEACHER_WEIGHTS = {"similarity": None, "only_prev": 0.0, "0.25": 0.25, "average": 0.5, "only_c0": 1.0}
+
+
+@pytest.mark.parametrize("teacher_weight", TEACHER_WEIGHTS.values(), ids=TEACHER_WEIGHTS.keys())
 @pytest.mark.parametrize("seed", [0, 1])
-def test_total_loss_matches_chain(weighting, seed):
+def test_total_loss_matches_chain(teacher_weight, seed):
     """Shared inputs (student feats, texts, prototypes) get their gradients in the chain's order."""
     results = []
     for build in ("fused", "chain"):
-        it = _iteration(seed, HyperParams(weighting_mode=weighting))
+        it = _iteration(seed, HyperParams(teacher_weight=teacher_weight))
         loss, bd = getattr(it, build)()
         loss.backward()
         results.append((loss.data, bd.values(), bd.r0_mean, [p.grad for p in it.student.parameters()]))

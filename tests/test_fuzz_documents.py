@@ -1,8 +1,10 @@
 """Fuzzed JSON documents: `report`'s metrics.json and the experiment config.
 
 Each case breaks one thing in a valid document - a value replaced by a
-wrongly typed one, NaN or infinity, a ragged or nested matrix, a missing
-or unknown key, text that is not UTF-8 or not whole JSON - and runs the
+wrongly typed one, NaN or infinity, a ragged or nested matrix, a matrix
+of the wrong shape or with an entry outside [0, 1], a summary the matrix
+does not give, a missing or unknown key, text that is not UTF-8 or not
+whole JSON - and runs the
 command that reads it. The config is broken in its file and, as well,
 through a MULKI_* override. Every case must exit 2 and print exactly one
 line, starting "error: ", and `report` must write no table.
@@ -86,7 +88,7 @@ def test_valid_metrics_document_is_reported(report_paths):
 def broken_metrics(draw):
     doc = json.loads(json.dumps(VALID_METRICS))
     matrix = doc["matrix"]
-    how = draw(st.sampled_from(["value", "entry", "ragged", "missing", "matrix", "root"]))
+    how = draw(st.sampled_from(["value", "entry", "ragged", "shape", "range", "summary", "missing", "matrix", "root"]))
     if how == "value":
         doc[draw(st.sampled_from(sorted(metrics.SUMMARIES)))] = draw(st.sampled_from(NOT_NUMBERS))
     elif how == "entry":
@@ -98,6 +100,15 @@ def broken_metrics(draw):
             row.pop()
         else:
             row.append(0.5)
+    elif how == "shape":
+        doc["matrix"] = draw(st.sampled_from([matrix[1:], [*matrix, matrix[0]], [row[:-1] for row in matrix], [[0.5]]]))
+    elif how == "range":
+        row = draw(st.sampled_from(matrix))
+        outside = st.one_of(st.floats(1.0, 1e300, exclude_min=True), st.floats(-1e300, 0.0, exclude_max=True))
+        row[draw(st.integers(0, len(row) - 1))] = draw(outside)
+    elif how == "summary":
+        name = draw(st.sampled_from(sorted(metrics.SUMMARIES)))
+        doc[name] = draw(st.floats(0.0, 1.0).filter(lambda v: v != doc[name]))
     elif how == "missing":
         del doc[draw(st.sampled_from(REQUIRED))]
     elif how == "matrix":
@@ -122,12 +133,14 @@ SECTION_FIELDS = [
     for section, cls in (("stream", StreamConfig), ("model", ModelConfig), ("hyper", HyperParams))
     for f in fields(cls)
 ]
-# per field type, values that type never accepts (every count field is >= 0, every mode a known name)
+# per field type, values that type never accepts (every count field is >= 0, every mode a known name,
+# the one field with a null default a weight in [0, 1])
 WRONG = {
     float: NOT_NUMBERS,
     int: (2.5, -1, *NON_FINITE, None, True, "x", [], {"a": 1}),
     bool: (0, 1, "true", None, *NON_FINITE, []),
     str: ("nope", 1, None, True, [], *NON_FINITE),
+    type(None): (1.5, -0.1, "similarity", True, "x", [], {"a": 1}, *NON_FINITE),
 }
 WRONG_TOP = {
     "stream": ([], 1, "x", None),

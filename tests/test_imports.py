@@ -1,8 +1,9 @@
 """Import direction inside the package.
 
 config owns the schema every layer reads, so it sits below the trainer:
-neither config.py nor anything it imports may import runner or cli. No
-package module imports cli, the outermost layer.
+neither config.py nor anything it imports may import runner or cli, and
+it reaches no training code at all (losses, tensor). No package module
+imports cli, the outermost layer.
 """
 
 import ast
@@ -41,6 +42,10 @@ def reachable(module: str) -> set:
 def test_config_imports_neither_runner_nor_cli():
     assert imported_modules(PACKAGE / "config.py").isdisjoint({"runner", "cli"})
     assert reachable("config").isdisjoint({"runner", "cli"})
+
+
+def test_config_reaches_neither_losses_nor_tensor():
+    assert reachable("config").isdisjoint({"losses", "tensor"})
 
 
 def test_no_package_module_imports_cli():

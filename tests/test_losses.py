@@ -1,4 +1,4 @@
-"""Loss terms: closed forms, numpy oracles, fixed points, weighting modes."""
+"""Loss terms: closed forms, numpy oracles, fixed points, teacher weights."""
 
 import math
 
@@ -9,7 +9,7 @@ import reference_ops as R
 from gradcheck import check_grads, unit_rows
 from mulki import tensor as T
 from mulki.encoder import DualEncoder, snapshot
-from mulki.errors import ConfigError, ContractError, ShapeMismatchError
+from mulki.errors import ContractError, ShapeMismatchError
 from mulki.losses import (
     LossBreakdown,
     StudentOutputs,
@@ -371,23 +371,18 @@ def test_wc_permutation_invariant(rng):
 # mdd assembly
 
 
-def np_mdd(c0, prev, student, protos, alpha, beta, weighting):
+def np_mdd(c0, prev, student, protos, alpha, beta, teacher_weight):
     """Independent numpy assembly mirroring the documented formula."""
     b = student["feats"].shape[0]
-    if weighting == "similarity":
+    if teacher_weight is None:
         r0 = np_weights(c0["itd"], prev["itd"], student["itd"])
-        rp = 1.0 - r0
-    elif weighting == "average":
-        r0 = np.full(b, 0.5)
-        rp = np.full(b, 0.5)
-    elif weighting == "only_c0":
-        r0, rp = np.ones(b), None
     else:
-        r0, rp = None, np.ones(b)
+        r0 = np.full(b, teacher_weight)
+    rp = 1.0 - r0
 
     total = 0.0
     for teacher, r in ((c0, r0), (prev, rp)):
-        if r is None:
+        if teacher_weight is not None and not r.any():  # a teacher at fixed weight 0 drops out, p&t too
             continue
         per_fd = ((teacher["feats"] - student["feats"]) ** 2).sum(axis=1)
         total += (per_fd * r).mean()
@@ -435,33 +430,29 @@ def build_packs(rng, b=4, k=3, d=6, tau=2.0):
     return c0_out, prev_out, student, protos, packs
 
 
-@pytest.mark.parametrize("weighting", ["similarity", "average", "only_c0", "only_prev"])
-def test_mdd_matches_numpy_oracle(rng, weighting):
+@pytest.mark.parametrize(
+    "teacher_weight", [None, 0.5, 1.0, 0.0, 0.25], ids=["similarity", "average", "only_c0", "only_prev", "0.25"]
+)
+def test_mdd_matches_numpy_oracle(rng, teacher_weight):
     c0_out, prev_out, student, protos, packs = build_packs(rng)
-    loss, info = mdd_loss(c0_out, prev_out, student, protos, alpha=0.7, beta=1.3, weighting=weighting)
-    expected = np_mdd(packs["c0"], packs["prev"], packs["student"], protos.data, 0.7, 1.3, weighting)
+    loss, info = mdd_loss(c0_out, prev_out, student, protos, alpha=0.7, beta=1.3, teacher_weight=teacher_weight)
+    expected = np_mdd(packs["c0"], packs["prev"], packs["student"], protos.data, 0.7, 1.3, teacher_weight)
     assert abs(loss.item() - expected) < 1e-12
     assert loss.requires_grad
-
-
-def test_mdd_unknown_mode(rng):
-    c0_out, prev_out, student, protos, _ = build_packs(rng)
-    with pytest.raises(ConfigError):
-        mdd_loss(c0_out, prev_out, student, protos, weighting="softmax")
 
 
 def test_mdd_average_equals_similarity_when_teachers_coincide(rng):
     seed = int(rng.integers(0, 2**31))
     r1 = np.random.default_rng(seed)
     c0_out, _, student, protos, _ = build_packs(r1)
-    sim, _ = mdd_loss(c0_out, c0_out, student, protos, weighting="similarity")
-    avg, _ = mdd_loss(c0_out, c0_out, student, protos, weighting="average")
+    sim, _ = mdd_loss(c0_out, c0_out, student, protos)
+    avg, _ = mdd_loss(c0_out, c0_out, student, protos, teacher_weight=0.5)
     assert sim.item() == avg.item()
 
 
 def test_mdd_alpha_beta_zero_is_weighted_fd(rng):
     c0_out, prev_out, student, protos, packs = build_packs(rng)
-    loss, _ = mdd_loss(c0_out, prev_out, student, protos, alpha=0.0, beta=0.0, weighting="similarity", enable_ird=False, enable_idd=False)
+    loss, _ = mdd_loss(c0_out, prev_out, student, protos, alpha=0.0, beta=0.0, enable_ird=False, enable_idd=False)
     r0 = np_weights(packs["c0"]["itd"], packs["prev"]["itd"], packs["student"]["itd"])
     fd0 = (((packs["c0"]["feats"] - packs["student"]["feats"]) ** 2).sum(axis=1) * r0).mean()
     fdp = (((packs["prev"]["feats"] - packs["student"]["feats"]) ** 2).sum(axis=1) * (1 - r0)).mean()
@@ -575,7 +566,7 @@ def test_distillation_fixed_point_values_and_gradients():
     prev_out = teacher_outputs(frozen, x, token_ids, protos, tau=2.0)
     student = student_outputs(model, model.encode_images(x), token_ids, protos, tau=2.0)
 
-    loss, info = mdd_loss(c0_out, prev_out, student, protos, weighting="similarity")
+    loss, info = mdd_loss(c0_out, prev_out, student, protos)
     # hard-zero structure: feature and relation gaps are exactly zero
     assert info["fd0"] == 0.0 and info["fd_prev"] == 0.0
     assert info["ird0"] == 0.0 and info["ird_prev"] == 0.0

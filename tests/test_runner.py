@@ -144,7 +144,13 @@ def count_calls(monkeypatch, owner, name) -> list:
 
 @pytest.mark.parametrize(
     "variant, keeps_store, bundles",
-    [("continual_ft", False, []), ("only_c0", True, ["c0"]), ("only_prev", True, ["prev"]), ("full", True, ["c0", "prev"])],
+    [
+        ("continual_ft", False, []),
+        ("only_c0", True, ["c0"]),
+        ("only_prev", True, ["prev"]),
+        ("full", True, ["c0", "prev"]),
+        ("average", True, ["c0", "prev"]),  # a fixed weight strictly between 0 and 1
+    ],
 )
 def test_each_arm_builds_only_what_its_terms_read(tiny_stream, monkeypatch, variant, keeps_store, bundles):
     """The prototype store exists iff some term reads it; a teacher bundle is built iff its teacher has weight."""
@@ -334,8 +340,8 @@ def test_drift_anchor_only_on_multi_domain_streams_with_wc(tiny_stream, tmp_path
 
 def test_run_validates_hyper(tiny_stream):
     c0 = make_c0(tiny_stream)
-    with pytest.raises(ConfigError):
-        run_stream(tiny_stream, fast_hyper(weighting_mode="harmonic"), 1, c0)
+    with pytest.raises(ConfigError, match="hyper.teacher_weight"):
+        run_stream(tiny_stream, fast_hyper(teacher_weight=1.5), 1, c0)
 
 
 def test_hyper_and_model_dict_parsing():

@@ -10,6 +10,7 @@ import pytest
 
 from mulki.cli import main
 from mulki.config import config_from_dict
+from mulki.encoder import DualEncoder, save_checkpoint, snapshot
 from mulki.errors import ConfigError, StreamFormatError
 from mulki.taskgen import (
     StreamConfig,
@@ -116,14 +117,14 @@ def test_train_test_disjoint():
 def test_batches_deterministic_and_varied():
     stream = generate_stream(small_config())
     task = stream.tasks[0]
-    run1 = [(x.data.copy(), y.copy()) for x, y, _ in batches(task, 8, seed=5, iterations=4)]
-    run2 = [(x.data.copy(), y.copy()) for x, y, _ in batches(task, 8, seed=5, iterations=4)]
+    run1 = [(x.copy(), y.copy()) for x, y, _ in batches(task, 8, seed=5, iterations=4)]
+    run2 = [(x.copy(), y.copy()) for x, y, _ in batches(task, 8, seed=5, iterations=4)]
     for (x1, y1), (x2, y2) in zip(run1, run2):
         assert np.array_equal(x1, x2) and np.array_equal(y1, y2)
     assert not np.array_equal(run1[0][0], run1[1][0])  # iterations differ
 
     other_seed = next(iter(batches(task, 8, seed=6, iterations=1)))[0]
-    assert not np.array_equal(run1[0][0], other_seed.data)
+    assert not np.array_equal(run1[0][0], other_seed)
 
     for x, y in run1:
         assert x.shape == (8, stream.d_in)
@@ -133,7 +134,7 @@ def test_batches_deterministic_and_varied():
 def test_batch_indices_select_the_batch():
     task = generate_stream(small_config()).tasks[0]
     for x, y, idx in batches(task, 8, seed=5, iterations=3):
-        assert np.array_equal(x.data, task.train_x[idx])
+        assert np.array_equal(x, task.train_x[idx])
         assert np.array_equal(y, task.train_y[idx])
 
 
@@ -214,6 +215,19 @@ def set_int(payload: bytearray, manifest: dict, field: str, value: int, at: int 
     raise KeyError(field)
 
 
+def empty_split(payload: bytearray, manifest: dict, i: int, split: str) -> None:
+    """Make task i's `split` ("train" or "test") hold no samples, in the manifest and the payload alike."""
+    offset, cut = 0, []
+    for name, _, shape in _fields(manifest["d_in"], manifest["pool"], manifest["tasks"]):
+        size = 8 * math.prod(shape)
+        if name.startswith(f"tasks[{i}].{split}."):
+            cut.append((offset, offset + size))
+        offset += size
+    for start, end in reversed(cut):
+        del payload[start:end]
+    manifest["tasks"][i][2 if split == "train" else 3] = 0
+
+
 def corrupt(tmp_path, mutate, name):
     """Save the tiny stream, let `mutate(manifest, payload, stream)` edit it in place, and write it back."""
     stream = generate_stream(tiny_stream_config())
@@ -252,6 +266,9 @@ def corrupt(tmp_path, mutate, name):
          "field tasks[1].test.class_ids holds label 0"),
         ("repeated_class_id", lambda m, p, s: set_int(p, m, "tasks[0].class_ids", s.tasks[0].class_ids[0], at=1),
          "field tasks[0].class_ids holds a repeated class id"),
+        ("empty_train", lambda m, p, s: empty_split(p, m, 0, "train"), "field tasks[0] must be"),
+        ("empty_test", lambda m, p, s: empty_split(p, m, 1, "test"), "field tasks[1] must be"),
+        ("no_classes", lambda m, p, s: m["tasks"][0].__setitem__(1, 0), "field tasks[0] must be"),
     ],
 )
 def test_corrupted_fields_are_named(tmp_path, name, mutate, fragment):
@@ -259,6 +276,22 @@ def test_corrupted_fields_are_named(tmp_path, name, mutate, fragment):
     with pytest.raises(StreamFormatError) as err:
         load_stream(path)
     assert fragment in str(err.value)
+
+
+def test_task_without_train_samples_exits_2(tmp_path, capsys, monkeypatch):
+    """`run` on a stream whose task 1 has no train samples stops at load, before any training."""
+    for name in list(os.environ):
+        if name.startswith("MULKI_"):
+            monkeypatch.delenv(name)
+    stream = generate_stream(tiny_stream_config())
+    c0 = tmp_path / "c0.ckpt"
+    save_checkpoint(snapshot(DualEncoder(0, vocab_size=stream.vocab_size, d_in=stream.d_in)), c0)
+    path = corrupt(tmp_path, lambda m, p, s: empty_split(p, m, 0, "train"), "empty")
+    out = tmp_path / "run"
+    argv = ["run", "--stream", str(path), "--c0", str(c0), "--out", str(out), "--seeds", "0", "--variant", "continual_ft"]
+    assert main(argv) == 2
+    assert "field tasks[0] must be" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_label_outside_its_task_exits_2_before_pretraining(tmp_path, capsys, monkeypatch):
