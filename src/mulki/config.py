@@ -17,7 +17,9 @@ Unknown keys are rejected by name, and every section value must have the
 type of its field's default: a JSON bool for flags, an integer for
 counts, a finite number for real-valued knobs (no NaN or Infinity), a
 string for modes, null or a finite number where the default is null;
-anything else is a ConfigError naming the key.
+anything else is a ConfigError naming the key. Counts are bounded too:
+the iteration counts by MAX_ITERATIONS, and the stream section by the
+bytes of the arrays it implies (`taskgen.MAX_STREAM_BYTES`).
 Environment variables prefixed with MULKI_ override file values:
 MULKI_<SECTION>__<KEY> for section fields (e.g. MULKI_HYPER__LR=0.002,
 MULKI_STREAM__N_TASKS=3) and MULKI_<KEY> for top-level fields (e.g.
@@ -39,6 +41,7 @@ ENV_PREFIX = "MULKI_"
 
 TOP_LEVEL_KEYS = ("stream", "model", "hyper", "seeds", "variant", "out_dir")
 SECTIONS = ("stream", "model", "hyper")
+MAX_ITERATIONS = 10**6  # per task and for pretraining: hours of training, far past any config in use
 
 # Ablation arms: named overrides applied on top of the configured hyper.
 # "full" is the complete method; the component arms keep only what they
@@ -132,6 +135,9 @@ class HyperParams:
                 raise ConfigError(f"hyper.{name} must be >= 1")
         if self.pretrain_iterations < 0:
             raise ConfigError("hyper.pretrain_iterations must be >= 0")
+        for name in ("iterations_per_task", "pretrain_iterations"):
+            if getattr(self, name) > MAX_ITERATIONS:
+                raise ConfigError(f"hyper.{name} must be <= {MAX_ITERATIONS}, got {getattr(self, name)}")
         if not 0.0 <= self.gamma0 <= self.gamma_max <= 1.0:
             raise ConfigError("hyper gamma schedule must satisfy 0 <= gamma0 <= gamma_max <= 1")
 

@@ -9,11 +9,19 @@ similarity is a plain dot product downstream.
 Token id 0 is reserved for the shared template token; class tokens
 start at 1.
 
+Each tower is one tape node (`tower`): its backward runs the generic-op
+chain's numpy expressions in the chain's order (tests/reference_ops.py
+`encode_images`, `encode_texts`), so the encodings and the parameter
+gradients are the chain's bits, and it hands each parameter its gradient
+directly, as parameters are leaves and stay off the tape.
+
 All nine parameters live in one contiguous float64 buffer in PARAM_ORDER
-(`tensor.pack`), and each parameter leaf is a view of its slice. So
+(`tensor.pack`), and each parameter leaf is a view of its slice; their
+gradients land in one flat gradient buffer of the same layout. So
 `params_flat` is one copy of the buffer, `load_flat` one assignment into
-it, and the optimizer and the drift penalty read and step the buffer
-directly. A snapshot or a trainable copy gets a buffer of its own.
+it, and the optimizer and the drift penalty read and step the buffers
+directly. A snapshot or a trainable copy gets a buffer of its own; a
+snapshot, being frozen, gets no gradient buffer.
 """
 
 from __future__ import annotations
@@ -47,6 +55,32 @@ CHECKPOINT_FORMAT_VERSION = 1
 def _init_param(rng: np.random.Generator, shape: tuple, fan_in: int) -> Tensor:
     bound = 1.0 / np.sqrt(fan_in)
     return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
+
+
+def tower(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, table: Tensor | None = None) -> Tensor:
+    """l2_normalize(tanh(e @ w1 + b1) @ w2 + b2, axis=1) as one node, where e is x @ table, or x without a table.
+
+    The weights are one model's parameters: all trainable or all frozen.
+    Only the image tower's input `x` may carry a gradient; the text
+    tower's `x` is its constant token picker.
+    """
+    emb = x.data if table is None else x.data @ table.data
+    hidden = np.tanh(emb @ w1.data + b1.data)
+    unit = T.UnitRows(hidden @ w2.data + b2.data)
+
+    def backward(g):
+        g_out = unit.grad(g)
+        b2._accumulate(np.add.reduce(g_out, axis=0))
+        w2._accumulate(hidden.T @ g_out)
+        g_pre = (g_out @ w2.data.T) * (1.0 - hidden * hidden)
+        b1._accumulate(np.add.reduce(g_pre, axis=0))
+        w1._accumulate(emb.T @ g_pre)
+        if table is not None:
+            table._accumulate(x.data.T @ (g_pre @ w1.data.T))
+        elif x.requires_grad:
+            x._accumulate(g_pre @ w1.data.T)
+
+    return T.node(unit.data, (x, w1, b1, w2, b2) if table is None else (table, w1, b1, w2, b2), backward)
 
 
 class DualEncoder:
@@ -108,8 +142,7 @@ class DualEncoder:
             raise ShapeMismatchError(f"encode_images expects [B, {self.d_in}], got {x.shape}")
         if x.shape[0] == 0:
             return Tensor(np.zeros((0, self.embed_dim)))
-        h = T.tanh(T.linear(x, self.img_w1, self.img_b1))
-        return T.l2_normalize(T.linear(h, self.img_w2, self.img_b2), axis=1)
+        return tower(x, self.img_w1, self.img_b1, self.img_w2, self.img_b2)
 
     def encode_texts(self, token_ids) -> Tensor:
         """Map class token ids to unit-norm [K, embed_dim] embeddings.
@@ -127,9 +160,7 @@ class DualEncoder:
         for row, t in enumerate(ids):
             picker[row, t] += 0.5
             picker[row, TEMPLATE_TOKEN] += 0.5
-        emb = T.matmul(Tensor(picker), self.token_table)
-        h = T.tanh(T.linear(emb, self.txt_w1, self.txt_b1))
-        return T.l2_normalize(T.linear(h, self.txt_w2, self.txt_b2), axis=1)
+        return tower(Tensor(picker), self.txt_w1, self.txt_b1, self.txt_w2, self.txt_b2, table=self.token_table)
 
 
 class ModelSnapshot:

@@ -5,15 +5,17 @@ before the moment update each step (so a step with zero gradient and
 nonzero decay shrinks parameters, and a step with zero gradient and zero
 decay is a no-op).
 
-A step runs element-wise over one flat buffer: the parameters are
+A step runs element-wise over flat buffers: the parameters are
 `tensor.Leaves` (a model's `parameters()`, whose buffer the optimizer
 steps in place), or are packed into such a buffer at construction. The
-moments are flat too; each parameter keeps its own step count. A
-parameter whose grad is None is masked out of the step, so its data,
-moments and step count stay untouched even under weight decay (no write
-reaches its lanes). Every other element goes through the same numpy
-expressions as a per-parameter loop (tests/reference_ops.py), so the
-result is the same bits.
+step reads the gradients from the Leaves' flat gradient buffer, where
+backward passes write them, without gathering them first. The moments
+are flat too; each parameter keeps its own step count. A parameter whose
+grad is None is masked out of the step, so its data, moments and step
+count stay untouched even under weight decay (no write reaches its
+lanes). Every other element goes through the same numpy expressions as a
+per-parameter loop (tests/reference_ops.py), so the result is the same
+bits.
 
 This is the single place in the package that rewrites parameter storage
 during training; graphs never span an optimizer step.
@@ -65,17 +67,18 @@ class AdamW:
             return
         self._t = [t + on for t, on in zip(self._t, live)]
         mask = True if all(live) else np.repeat(live, self._sizes)
-        g = np.concatenate([p.grad if on else np.zeros(p.shape) for p, on in zip(self.params, live)], axis=None)
+        grad = self.params.flat_grad()
         theta, m, v = self.params.flat, self._m, self._v
-        # the per-parameter expressions term by term, with two scratch buffers (g, later
-        # the update; g * g, later the denominator); theta, m and v change in live lanes only
+        # the per-parameter expressions term by term, with two scratch buffers (the scaled
+        # gradient, later the update; its square, later the denominator); theta, m and v
+        # change in live lanes only, so what masked lanes of the gradient hold never matters
         if self.weight_decay != 0.0:
             np.multiply(theta, 1.0 - self.lr * self.weight_decay, out=theta, where=mask)
-        sq = np.multiply(g, g)
+        sq = np.multiply(grad, grad)
         np.multiply(sq, 1.0 - self.beta2, out=sq)
         np.multiply(v, self.beta2, out=v, where=mask)
         np.add(v, sq, out=v, where=mask)
-        np.multiply(g, 1.0 - self.beta1, out=g)
+        g = np.multiply(grad, 1.0 - self.beta1)
         np.multiply(m, self.beta1, out=m, where=mask)
         np.add(m, g, out=m, where=mask)
         update = np.divide(m, self._correction(self.beta1, live), out=g)

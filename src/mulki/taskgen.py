@@ -40,6 +40,10 @@ _TAG_TEST = 14
 _TAG_POOL = 15
 _TAG_BATCH = 16
 
+# The most bytes the arrays a stream config implies may take: every sample's
+# float64 features and int64 label, and the d_in x d_in frame of each domain.
+MAX_STREAM_BYTES = 2**30
+
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng([int(seed)] + [int(k) for k in key])
@@ -78,6 +82,15 @@ class StreamConfig:
             raise ConfigError(f"stream.pretrain_label_noise must lie in [0, 1], got {self.pretrain_label_noise}")
         if self.mode == "multi_domain" and self.min_domain_separation < 0:
             raise ConfigError("stream.min_domain_separation must be >= 0")
+        rows = self.n_tasks * self.classes_per_task * (self.train_per_class + self.test_per_class + self.pretrain_per_class)
+        frames = self.n_tasks if self.mode == "multi_domain" else 1
+        nbytes = 8 * (rows * (self.d_in + 1) + frames * self.d_in * self.d_in)
+        if nbytes > MAX_STREAM_BYTES:
+            counts = ("n_tasks", "classes_per_task", "d_in", "train_per_class", "test_per_class", "pretrain_per_class")
+            key = max(counts, key=lambda name: getattr(self, name) // getattr(StreamConfig, name))  # furthest above its default
+            raise ConfigError(
+                f"stream.{key} is {getattr(self, key)}: the stream's arrays would take {nbytes} bytes, over the {MAX_STREAM_BYTES}-byte budget"
+            )
 
 
 @dataclass(eq=False)

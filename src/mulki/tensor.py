@@ -1,49 +1,58 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Just enough machinery for a small dual encoder and its training losses:
-generic ops (2-D matmul, elementwise arithmetic with limited numpy-style
-broadcasting, reductions, stable softmax, row normalization) and fused
-nodes for the chains the training loop builds every iteration:
+`add` and `scale`, the drift penalty `sum_sq_diff`, and fused nodes for
+the chains the training loop builds every iteration:
 
-  * linear(x, w, b)            x @ w + b
   * cosine_sim(a, b)           matmul(l2_normalize(a), transpose(l2_normalize(b)))
   * cosine_softmax(a, b, tau)  softmax(cosine_sim(a, b) / tau) along rows
   * soft_ce_mean(target, pred, weights, scale)
                                scale * mean(weights * -sum(target * log(max(pred, LOG_EPS))))
 
-A fused node runs, forward and backward, the same numpy expressions as
-the generic-op chain it replaces, in the same order and on arrays of the
+(`encoder.tower` is the fourth: each encoder tower as one node.) A fused
+node runs, forward and backward, the same numpy expressions as the
+generic-op chain it replaces, in the same order and on arrays of the
 same memory layout, so its value and every gradient it hands on are
-bit-identical to the chain's (tests/reference_ops.py keeps the chains;
-tests/test_fused_ops.py holds each node to its chain). Gradients a chain
-would sum inside itself are summed in the chain's order before the one
-`_accumulate` call per parent. The kernels they share (`cosine_forward`,
-`cosine_backward`, `softmax_forward`, `softmax_backward`, `soft_ce_rows`,
-`soft_ce_backward`, `row_terms_backward`, and `node` to put a result on
-the tape) are public so that `losses` builds its fused terms from them.
-Every value is a contiguous float64 numpy array.
+bit-identical to the chain's (tests/reference_ops.py keeps the chains
+and the generic ops they are built from; tests/test_fused_ops.py holds
+each node to its chain). Gradients a chain would sum inside itself are
+summed in the chain's order before the one `_accumulate` call per
+parent. The kernels they share (`cosine_forward`, `cosine_backward`,
+`softmax_forward`, `softmax_backward`, `soft_ce_rows`,
+`soft_ce_backward`, `row_terms_backward`, `UnitRows`, and `node` to put
+a result on the tape) are public so that `losses` and `encoder` build
+their fused nodes from them. Every value is a contiguous float64 numpy
+array.
 
 Op outputs are never mutated after creation. The one sanctioned mutation
 point in the package is leaf parameter storage, which optimizers rewrite
 between tape builds; a graph never survives past the backward pass that
-consumed it. Because of that, a tensor's unit-row normalization (the
-forward value of `l2_normalize(t, axis=1)`) is computed once and kept on
-the tensor (`unit_rows`), except for trainable leaves; every consumer
-still runs its own backward through it.
+consumed it. Because of that, a tensor's unit-row normalization is
+computed once and kept on the tensor (`unit_rows`), except for trainable
+leaves; every consumer still runs its own backward through it.
 
 Trainable leaves are views: `pack` copies a list of leaves into one flat
 float64 buffer and makes each leaf's data the view of its slice, so a
 model's parameters (`Leaves`) can be read, written and stepped as one
 vector. Their storage still changes under them, which is why they stay
-out of the unit-row memo.
+out of the unit-row memo. When some leaf requires grad, `pack` also
+gives them one flat gradient buffer of the same layout, and each leaf's
+`.grad` is the view of its slice of it (its lanes) once a gradient
+arrives.
+
+The tape holds op nodes only; leaves stay off it. During a pass each
+tape node collects its gradient in a slot of its own, which the pass
+clears once the node's backward has consumed it, so intermediate nodes
+never hold a `.grad`. A leaf's gradient goes straight into its `.grad`
+(into its lanes when packed): the first contribution is assigned, later
+ones are added in the order the tape hands them on. Gradients therefore
+accumulate: calling backward twice without clearing `.grad` adds the
+second pass on top of the first. Optimizers call `zero_grad`.
 
 Backward kernels hand per-row factors on as broadcast columns or scalars
 and let the one element-wise product that consumes them broadcast: each
 element gets the same product, so the same bits, as from a materialized
 copy.
-
-Gradients accumulate: calling backward twice without clearing `.grad`
-adds the second pass on top of the first. Optimizers call `zero_grad`.
 """
 
 from __future__ import annotations
@@ -73,7 +82,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_unit")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_unit", "_g", "_lane")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = _as_array(data)
@@ -82,6 +91,8 @@ class Tensor:
         self._parents: tuple = ()
         self._backward = None
         self._unit: UnitRows | None = None
+        self._g: np.ndarray | None = None  # a tape node's gradient in the running pass
+        self._lane: np.ndarray | None = None  # a packed leaf's slice of the gradient buffer
 
     @property
     def shape(self) -> tuple:
@@ -105,17 +116,17 @@ class Tensor:
         return Tensor(self.data)
 
     def _accumulate(self, g: np.ndarray) -> None:
-        buffers = GradTape._pass_buffers
-        if buffers is not None:
-            # pass buffers are only ever replaced, never written in place, so
+        if self._backward is not None:
+            # pass gradients are only ever replaced, never written in place, so
             # the first contribution is kept without a copy
-            key = id(self)
-            prev = buffers.get(key)
-            buffers[key] = np.asarray(g, dtype=np.float64) if prev is None else prev + g
-            return
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            prev = self._g
+            self._g = np.asarray(g, dtype=np.float64) if prev is None else prev + g
+        elif self.grad is None:
+            grad = np.empty_like(self.data) if self._lane is None else self._lane
+            grad[...] = g
+            self.grad = grad
+        else:
+            self.grad += g
 
     def backward(self) -> None:
         """Reverse-mode pass seeded with d(self)/d(self) = 1. Scalar roots only.
@@ -130,32 +141,15 @@ class Tensor:
             return
         GradTape.trace(self).run()
 
-    # Operator sugar. Non-Tensor operands are wrapped as constants.
+    # Operator sugar. Non-Tensor operands of + are wrapped as constants; * takes a number.
     def __add__(self, other):
         return add(self, _wrap(other))
 
-    def __radd__(self, other):
-        return add(_wrap(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other), self)
-
     def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, _wrap(other))
+        return scale(self, other)
 
     def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, _wrap(other))
+        return scale(self, other)
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -171,41 +165,54 @@ class Leaves(tuple):
 
     `flat` is that buffer: each leaf's data is the view of its slice, so
     writing `flat` writes every leaf, and reading it reads them all without
-    a copy. Only `pack` makes one.
+    a copy. `grad` is the flat gradient buffer of the same layout, or None
+    when no leaf requires grad (a frozen copy). Only `pack` makes one.
     """
 
     flat: np.ndarray
+    grad: np.ndarray | None
+
+    def flat_grad(self) -> np.ndarray:
+        """The gradient buffer with each leaf's .grad in its lanes.
+
+        Backward passes write there already; a .grad assigned by hand is
+        copied in. The lanes of a leaf whose .grad is None hold whatever
+        an earlier pass left.
+        """
+        for p in self:
+            if p.grad is not None and p.grad is not p._lane:
+                p._lane[...] = p.grad
+        return self.grad
 
 
 def pack(leaves) -> Leaves:
     """Copy `leaves`' values into one new flat buffer and make each leaf's data its slice.
 
     The leaves keep their values, shapes and identities; only their storage
-    moves into the buffer.
+    moves into the buffer. If some leaf requires grad, each leaf also gets
+    its lanes in a new zeroed gradient buffer.
     """
     leaves = Leaves(leaves)
     leaves.flat = np.concatenate([p.data.reshape(-1) for p in leaves]) if leaves else np.zeros(0)
+    leaves.grad = np.zeros_like(leaves.flat) if any(p.requires_grad for p in leaves) else None
     offset = 0
     for p in leaves:
-        p.data = leaves.flat[offset : offset + p.size].reshape(p.shape)
+        span = slice(offset, offset + p.size)
+        p.data = leaves.flat[span].reshape(p.shape)
+        p._lane = None if leaves.grad is None else leaves.grad[span].reshape(p.shape)
         offset += p.size
     return leaves
 
 
 class GradTape:
-    """Topologically ordered record of the gradient-carrying nodes reachable from a root.
+    """Topologically ordered record of the op nodes reachable from a root through gradient-carrying ops.
 
-    Constants are left off the tape: no gradient ever reaches them. The
-    order is a pure function of graph construction, so replaying the
-    tape on identical inputs yields bitwise-identical gradients. While a
-    pass runs, gradients flow through a pass-local buffer (keyed by node
-    identity); at the end only leaves (nodes without a backward rule, such
-    as parameters) get them flushed into .grad. .grad therefore only ever
-    holds completed passes, repeated passes add up cleanly, and
-    intermediate nodes never hold a .grad.
+    Leaves and constants are left off the tape: leaves take their
+    gradients from the nodes that consume them, and no gradient ever
+    reaches a constant. The order is a pure function of graph
+    construction (a depth-first post-order from the root), so replaying
+    the tape on identical inputs yields bitwise-identical gradients.
     """
-
-    _pass_buffers: dict | None = None
 
     def __init__(self, nodes: list):
         self.nodes = nodes  # root last
@@ -213,39 +220,35 @@ class GradTape:
     @classmethod
     def trace(cls, root: Tensor) -> "GradTape":
         order: list[Tensor] = []
-        visited: set[int] = set()
+        visited: set[Tensor] = set()
         stack: list[tuple[Tensor, bool]] = [(root, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
                 order.append(node)
                 continue
-            if id(node) in visited:
+            if node in visited:
                 continue
-            visited.add(id(node))
+            visited.add(node)
             stack.append((node, True))
             for parent in node._parents:
-                if parent.requires_grad and id(parent) not in visited:
+                if parent._backward is not None and parent not in visited:
                     stack.append((parent, False))
         return cls(order)
 
     def run(self) -> None:
-        buffers: dict[int, np.ndarray] = {}
-        GradTape._pass_buffers = buffers
+        root = self.nodes[-1]
+        root._accumulate(np.ones_like(root.data))
         try:
-            root = self.nodes[-1]
-            buffers[id(root)] = np.ones_like(root.data)
             for node in reversed(self.nodes):
-                g = buffers.get(id(node))
-                if g is not None and node._backward is not None:
-                    node._backward(g)
-        finally:
-            GradTape._pass_buffers = None
-        for node in self.nodes:
-            if node._backward is None:
-                g = buffers.get(id(node))
+                g = node._g
                 if g is not None:
-                    node._accumulate(g)
+                    node._g = None
+                    node._backward(g)
+        except BaseException:
+            for node in self.nodes:
+                node._g = None
+            raise
 
 
 def node(data: np.ndarray, parents: tuple, backward) -> Tensor:
@@ -265,7 +268,7 @@ def node(data: np.ndarray, parents: tuple, backward) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# elementwise arithmetic
+# arithmetic
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -283,36 +286,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return node(data, (a, b), backward)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        data = a.data - b.data
-    except ValueError as exc:
-        raise ShapeMismatchError(f"sub: {a.shape} vs {b.shape}") from exc
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g, b.shape))
-
-    return node(data, (a, b), backward)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        data = a.data * b.data
-    except ValueError as exc:
-        raise ShapeMismatchError(f"mul: {a.shape} vs {b.shape}") from exc
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.shape))
-
-    return node(data, (a, b), backward)
-
-
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
     data = a.data * c
@@ -324,56 +297,14 @@ def scale(a: Tensor, c: float) -> Tensor:
     return node(data, (a,), backward)
 
 
-# ---------------------------------------------------------------------------
-# linear algebra
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeMismatchError(f"matmul needs 2-D operands, got {a.shape} @ {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeMismatchError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
-    data = a.data @ b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g @ b.data.T)
-        if b.requires_grad:
-            b._accumulate(a.data.T @ g)
-
-    return node(data, (a, b), backward)
-
-
-def transpose(a: Tensor) -> Tensor:
-    if a.ndim != 2:
-        raise ShapeMismatchError(f"transpose needs a 2-D tensor, got {a.shape}")
-    data = a.data.T.copy()
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g.T)
-
-    return node(data, (a,), backward)
-
-
-def reshape(a: Tensor, shape: tuple) -> Tensor:
-    data = a.data.reshape(shape)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g.reshape(a.shape))
-
-    return node(data, (a,), backward)
-
-
 def sum_sq_diff(parts, ref: np.ndarray) -> Tensor:
     """||concat(flatten(parts)) - ref||^2 as one node; `ref` is a constant.
 
     `Leaves` are read straight from their flat buffer; other parts are
     concatenated. The backward pass hands each part its slice of
     2 * g * (theta - ref), so a list of parameter leaves gets one
-    contribution each without any intermediate reshape or concatenation
-    nodes on the tape.
+    contribution each, written into its lanes of the gradient buffer,
+    without any intermediate reshape or concatenation nodes on the tape.
     """
     if not parts:
         raise ContractError("sum_sq_diff needs at least one tensor")
@@ -396,45 +327,6 @@ def sum_sq_diff(parts, ref: np.ndarray) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# elementwise nonlinearities
-
-
-def tanh(a: Tensor) -> Tensor:
-    data = np.tanh(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * (1.0 - data * data))
-
-    return node(data, (a,), backward)
-
-
-# ---------------------------------------------------------------------------
-# reductions
-
-
-def tsum(a: Tensor, axis: int | None = None) -> Tensor:
-    data = a.data.sum(axis=axis)
-
-    def backward(g):
-        if not a.requires_grad:
-            return
-        if axis is None:
-            a._accumulate(np.broadcast_to(g, a.shape).copy())
-        else:
-            a._accumulate(np.broadcast_to(np.expand_dims(g, axis), a.shape).copy())
-
-    return node(data, (a,), backward)
-
-
-def mean(a: Tensor, axis: int | None = None) -> Tensor:
-    if a.size == 0:
-        raise ContractError("mean of an empty tensor")
-    n = a.size if axis is None else a.shape[axis]
-    return scale(tsum(a, axis=axis), 1.0 / n)
-
-
-# ---------------------------------------------------------------------------
 # normalizations
 
 
@@ -442,51 +334,29 @@ def softmax_forward(x: np.ndarray, axis: int) -> np.ndarray:
     """Stable softmax values along `axis` (max-subtracted before exponentiation)."""
     shifted = x - np.maximum.reduce(x, axis=axis, keepdims=True)  # x.max without its Python wrapper
     e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+    return e / np.add.reduce(e, axis=axis, keepdims=True)
 
 
 def softmax_backward(g: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:
     """Gradient of the softmax input, given output `y` and its gradient `g`."""
-    inner = (g * y).sum(axis=axis, keepdims=True)
+    inner = np.add.reduce(g * y, axis=axis, keepdims=True)
     return y * (g - inner)
 
 
-def softmax(a: Tensor, axis: int) -> Tensor:
-    """Stable softmax along `axis`."""
-    data = softmax_forward(a.data, axis)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(softmax_backward(g, data, axis))
-
-    return node(data, (a,), backward)
-
-
 def _normalized(x: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
-    norms = np.sqrt((x * x).sum(axis=axis, keepdims=True))
+    norms = np.sqrt(np.add.reduce(x * x, axis=axis, keepdims=True))
     if (norms == 0.0).any():
         raise DegenerateInputError("l2_normalize: zero-norm slice")
     return x / norms, norms
 
 
 def _normalized_backward(g: np.ndarray, unit: np.ndarray, norms: np.ndarray, axis: int) -> np.ndarray:
-    inner = (g * unit).sum(axis=axis, keepdims=True)
+    inner = np.add.reduce(g * unit, axis=axis, keepdims=True)
     return (g - unit * inner) / norms
 
 
-def l2_normalize(a: Tensor, axis: int) -> Tensor:
-    """Scale slices along `axis` to unit Euclidean norm; zero slices error."""
-    data, norms = _normalized(a.data, axis)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_normalized_backward(g, data, norms, axis))
-
-    return node(data, (a,), backward)
-
-
 class UnitRows:
-    """Forward value of `l2_normalize(t, axis=1)` for a 2-D tensor `t`.
+    """Forward value of `l2_normalize(t, axis=1)` for a 2-D array `t`; zero rows raise.
 
     `data` holds the unit rows and `norms` the [n, 1] row norms. `t` is
     `data.T` as the C-contiguous copy a transpose node would hold, made on
@@ -540,29 +410,6 @@ def take_rows(a: Tensor, idx) -> Tensor:
 # fused nodes (see the module docstring for their contract)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b for [n, i] x, [i, o] w and a bias broadcast over rows, as one node."""
-    if x.ndim != 2 or w.ndim != 2:
-        raise ShapeMismatchError(f"linear needs 2-D x and w, got {x.shape} @ {w.shape}")
-    if x.shape[1] != w.shape[0]:
-        raise ShapeMismatchError(f"linear: inner dims differ, {x.shape} @ {w.shape}")
-    product = x.data @ w.data
-    try:
-        data = product + b.data
-    except ValueError as exc:
-        raise ShapeMismatchError(f"linear: bias {b.shape} vs {product.shape}") from exc
-
-    def backward(g):
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.shape))
-        if x.requires_grad:
-            x._accumulate(g @ w.data.T)
-        if w.requires_grad:
-            w._accumulate(x.data.T @ g)
-
-    return node(data, (x, w, b), backward)
-
-
 def cosine_forward(a: Tensor, b: Tensor) -> tuple[UnitRows, UnitRows, np.ndarray]:
     """(unit rows of a, unit rows of b, [m, n] row cosines) for [m, d] a and [n, d] b. Zero rows raise."""
     if a.ndim != 2 or b.ndim != 2:
@@ -605,7 +452,7 @@ def cosine_softmax(a: Tensor, b: Tensor, tau: float) -> Tensor:
 
 def soft_ce_rows(target: np.ndarray, pred: np.ndarray) -> np.ndarray:
     """-sum(target * log(max(pred, LOG_EPS))) along the last axis of 2-D arrays."""
-    return (-target * np.log(np.maximum(pred, LOG_EPS))).sum(axis=1)
+    return np.add.reduce(-target * np.log(np.maximum(pred, LOG_EPS)), axis=1)
 
 
 def row_terms_backward(g_sum, weights: np.ndarray | None = None):

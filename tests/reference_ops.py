@@ -1,14 +1,19 @@
 """The generic-op chains that the fused nodes replaced, kept as test oracles.
 
-Every function here builds, from mulki.tensor's generic ops, exactly the
-chain the package built before its fused node existed: the same ops on
-the same operands in the same order. A fused node must match its chain
-bit for bit, in the forward value and in every leaf gradient
-(tests/test_fused_ops.py). The elementwise ops only these chains use
-(log, sqrt, maximum_scalar, concat1d) and the composites built from them
-(soft_cross_entropy, frobenius_norm) live here as well, with their tests.
-So does `AdamW`, the per-parameter optimizer loop that the flat step
-replaced (tests/test_optim.py holds the flat step to it).
+Every chain here builds, from generic ops, exactly the chain the package
+built before its fused node existed: the same ops on the same operands
+in the same order. A fused node must match its chain bit for bit, in the
+forward value and in every leaf gradient (tests/test_fused_ops.py). The
+generic ops themselves live here too, since no production code calls
+them any more: the elementwise arithmetic (mul, sub, log, sqrt,
+maximum_scalar), linear algebra and shapes (matmul, transpose, reshape,
+concat1d), tanh, the reductions (tsum, mean), softmax and l2_normalize,
+and the composites built from them (soft_cross_entropy, frobenius_norm);
+tests/test_tensor.py checks their gradients. They put themselves on the
+tape and hand gradients on through mulki.tensor's `Tensor._accumulate`,
+and reuse its normalization kernels, so a chain's bits are the ones the
+package computed. So does `AdamW`, the per-parameter optimizer loop that
+the flat step replaced (tests/test_optim.py holds the flat step to it).
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from mulki.losses import LossBreakdown, StudentOutputs, TeacherOutputs, sample_w
 from mulki.tensor import LOG_EPS, Tensor
 
 # ---------------------------------------------------------------------------
-# elementwise ops and composites only the chains use
+# generic ops and composites only the chains use
 
 
 def _node(data, parents: tuple, backward) -> Tensor:
@@ -32,6 +37,127 @@ def _node(data, parents: tuple, backward) -> Tensor:
         out._parents = parents
         out._backward = backward
     return out
+
+
+def sub(a: Tensor, b: Tensor) -> Tensor:
+    try:
+        data = a.data - b.data
+    except ValueError as exc:
+        raise ShapeMismatchError(f"sub: {a.shape} vs {b.shape}") from exc
+
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(T._unbroadcast(g, a.shape))
+        if b.requires_grad:
+            b._accumulate(T._unbroadcast(-g, b.shape))
+
+    return _node(data, (a, b), backward)
+
+
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    try:
+        data = a.data * b.data
+    except ValueError as exc:
+        raise ShapeMismatchError(f"mul: {a.shape} vs {b.shape}") from exc
+
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(T._unbroadcast(g * b.data, a.shape))
+        if b.requires_grad:
+            b._accumulate(T._unbroadcast(g * a.data, b.shape))
+
+    return _node(data, (a, b), backward)
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    if a.ndim != 2 or b.ndim != 2:
+        raise ShapeMismatchError(f"matmul needs 2-D operands, got {a.shape} @ {b.shape}")
+    if a.shape[1] != b.shape[0]:
+        raise ShapeMismatchError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
+    data = a.data @ b.data
+
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(g @ b.data.T)
+        if b.requires_grad:
+            b._accumulate(a.data.T @ g)
+
+    return _node(data, (a, b), backward)
+
+
+def transpose(a: Tensor) -> Tensor:
+    if a.ndim != 2:
+        raise ShapeMismatchError(f"transpose needs a 2-D tensor, got {a.shape}")
+    data = a.data.T.copy()
+
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(g.T)
+
+    return _node(data, (a,), backward)
+
+
+def reshape(a: Tensor, shape: tuple) -> Tensor:
+    data = a.data.reshape(shape)
+
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(g.reshape(a.shape))
+
+    return _node(data, (a,), backward)
+
+
+def tanh(a: Tensor) -> Tensor:
+    data = np.tanh(a.data)
+
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(g * (1.0 - data * data))
+
+    return _node(data, (a,), backward)
+
+
+def tsum(a: Tensor, axis: int | None = None) -> Tensor:
+    data = a.data.sum(axis=axis)
+
+    def backward(g):
+        if not a.requires_grad:
+            return
+        if axis is None:
+            a._accumulate(np.broadcast_to(g, a.shape).copy())
+        else:
+            a._accumulate(np.broadcast_to(np.expand_dims(g, axis), a.shape).copy())
+
+    return _node(data, (a,), backward)
+
+
+def mean(a: Tensor, axis: int | None = None) -> Tensor:
+    if a.size == 0:
+        raise ContractError("mean of an empty tensor")
+    n = a.size if axis is None else a.shape[axis]
+    return T.scale(tsum(a, axis=axis), 1.0 / n)
+
+
+def softmax(a: Tensor, axis: int) -> Tensor:
+    """Stable softmax along `axis`."""
+    data = T.softmax_forward(a.data, axis)
+
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(T.softmax_backward(g, data, axis))
+
+    return _node(data, (a,), backward)
+
+
+def l2_normalize(a: Tensor, axis: int) -> Tensor:
+    """Scale slices along `axis` to unit Euclidean norm; zero slices error."""
+    data, norms = T._normalized(a.data, axis)
+
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(T._normalized_backward(g, data, norms, axis))
+
+    return _node(data, (a,), backward)
 
 
 def log(a: Tensor) -> Tensor:
@@ -95,18 +221,18 @@ def soft_cross_entropy(target: Tensor, pred: Tensor) -> Tensor:
         raise ShapeMismatchError(f"soft_cross_entropy needs 1-D or 2-D input, got {pred.shape}")
     weights = Tensor(-target.data)
     logp = log(maximum_scalar(pred, LOG_EPS))
-    prod = T.mul(weights, logp)
-    return T.tsum(prod) if pred.ndim == 1 else T.tsum(prod, axis=1)
+    prod = mul(weights, logp)
+    return tsum(prod) if pred.ndim == 1 else tsum(prod, axis=1)
 
 
 def frobenius_norm(a: Tensor) -> Tensor:
     """sqrt of the sum of squared entries (zero subgradient at zero)."""
-    return sqrt(T.tsum(T.mul(a, a)))
+    return sqrt(tsum(mul(a, a)))
 
 
 def params_flat_tensor(model) -> Tensor:
     """Differentiable flat view of the parameters: reshape each, then concat."""
-    return concat1d([T.reshape(p, (-1,)) for p in model.parameters()])
+    return concat1d([reshape(p, (-1,)) for p in model.parameters()])
 
 
 # ---------------------------------------------------------------------------
@@ -116,31 +242,31 @@ def params_flat_tensor(model) -> Tensor:
 def cosine_sim(a: Tensor, b: Tensor) -> Tensor:
     """1-D: a scalar; 2-D [m, d] and [n, d]: the [m, n] matrix of row cosines."""
     if a.ndim == 1 and b.ndim == 1:
-        return T.tsum(T.mul(T.l2_normalize(a, axis=0), T.l2_normalize(b, axis=0)))
-    return T.matmul(T.l2_normalize(a, axis=1), T.transpose(T.l2_normalize(b, axis=1)))
+        return tsum(mul(l2_normalize(a, axis=0), l2_normalize(b, axis=0)))
+    return matmul(l2_normalize(a, axis=1), transpose(l2_normalize(b, axis=1)))
 
 
 def cosine_softmax(a: Tensor, b: Tensor, tau: float) -> Tensor:
-    return T.softmax(T.scale(cosine_sim(a, b), 1.0 / tau), axis=1)
+    return softmax(T.scale(cosine_sim(a, b), 1.0 / tau), axis=1)
 
 
 def soft_ce_mean(target: Tensor, pred: Tensor, weights: Tensor | None = None, scale: float | None = None) -> Tensor:
     """mean(soft_cross_entropy * weights), then a scale node when `scale` is given."""
     per_row = soft_cross_entropy(target, pred)
     if weights is not None:
-        per_row = T.mul(per_row, weights)
-    out = T.mean(per_row)
+        per_row = mul(per_row, weights)
+    out = mean(per_row)
     return out if scale is None else T.scale(out, scale)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    return T.add(T.matmul(x, w), b)
+    return T.add(matmul(x, w), b)
 
 
 def encode_images(model, x) -> Tensor:
     x = x if isinstance(x, Tensor) else Tensor(x)
-    h = T.tanh(linear(x, model.img_w1, model.img_b1))
-    return T.l2_normalize(linear(h, model.img_w2, model.img_b2), axis=1)
+    h = tanh(linear(x, model.img_w1, model.img_b1))
+    return l2_normalize(linear(h, model.img_w2, model.img_b2), axis=1)
 
 
 def encode_texts(model, token_ids) -> Tensor:
@@ -148,9 +274,9 @@ def encode_texts(model, token_ids) -> Tensor:
     for row, t in enumerate(token_ids):
         picker[row, int(t)] += 0.5
         picker[row, TEMPLATE_TOKEN] += 0.5
-    emb = T.matmul(Tensor(picker), model.token_table)
-    h = T.tanh(linear(emb, model.txt_w1, model.txt_b1))
-    return T.l2_normalize(linear(h, model.txt_w2, model.txt_b2), axis=1)
+    emb = matmul(Tensor(picker), model.token_table)
+    h = tanh(linear(emb, model.txt_w1, model.txt_b1))
+    return l2_normalize(linear(h, model.txt_w2, model.txt_b2), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -168,23 +294,23 @@ def cross_entropy(dist: Tensor, label_positions) -> Tensor:
 def csa_loss(protos: Tensor, texts: Tensor, tau: float) -> Tensor:
     logits = T.scale(cosine_sim(protos, texts), 1.0 / tau)
     eye = Tensor(np.eye(protos.shape[0]))
-    proto_to_text = T.mean(soft_cross_entropy(eye, T.softmax(logits, axis=1)))
-    text_to_proto = T.mean(soft_cross_entropy(eye, T.transpose(T.softmax(logits, axis=0))))
+    proto_to_text = mean(soft_cross_entropy(eye, softmax(logits, axis=1)))
+    text_to_proto = mean(soft_cross_entropy(eye, transpose(softmax(logits, axis=0))))
     return T.scale(T.add(proto_to_text, text_to_proto), 0.5)
 
 
 def fd_loss(teacher_feats: Tensor, student_feats: Tensor, weights: Tensor | None = None) -> tuple[Tensor, float]:
     """(mean of weights * per-row squared distance, unweighted mean as logged)."""
-    diff = T.sub(teacher_feats, student_feats)
-    per_sample = T.tsum(T.mul(diff, diff), axis=1)
-    raw = T.mean(per_sample).item()
-    return T.mean(per_sample if weights is None else T.mul(per_sample, weights)), raw
+    diff = sub(teacher_feats, student_feats)
+    per_sample = tsum(mul(diff, diff), axis=1)
+    raw = mean(per_sample).item()
+    return mean(per_sample if weights is None else mul(per_sample, weights)), raw
 
 
 def relation_gap(t_sims: Tensor, s_sims: Tensor, row_weights: Tensor | None) -> Tensor:
-    diff = T.sub(t_sims, s_sims)
+    diff = sub(t_sims, s_sims)
     if row_weights is not None:
-        diff = T.mul(T.reshape(row_weights, (row_weights.size, 1)), diff)
+        diff = mul(reshape(row_weights, (row_weights.size, 1)), diff)
     b, k = diff.shape
     return T.scale(frobenius_norm(diff), 1.0 / np.sqrt(b * k))
 
@@ -208,14 +334,14 @@ def i2t_loss(
     per_i2t = soft_cross_entropy(teacher_dist, student_dist)
     raw = float(per_i2t.data.sum() * (1.0 / per_i2t.size))
     if weights is not None:
-        per_i2t = T.mul(per_i2t, weights)
-    out = T.mean(per_i2t)
+        per_i2t = mul(per_i2t, weights)
+    out = mean(per_i2t)
     return (out if beta is None else T.scale(out, beta)), raw
 
 
 def pt_loss(teacher, student_pt: Tensor, student_tp: Tensor) -> Tensor:
-    a = T.mean(soft_cross_entropy(teacher.proto_text_dist, student_pt))
-    b = T.mean(soft_cross_entropy(teacher.text_proto_dist, student_tp))
+    a = mean(soft_cross_entropy(teacher.proto_text_dist, student_pt))
+    b = mean(soft_cross_entropy(teacher.text_proto_dist, student_tp))
     return T.add(a, b)
 
 

@@ -13,10 +13,6 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mulki"
 ALLOWED = {
     # the console-script entry point (pyproject.toml) and `python -m mulki.cli`
     "cli.main",
-    # generic ops kept in src only so tests/reference_ops.py can build the
-    # unfused chains the fused kernels are checked against
-    "tensor.softmax",
-    "tensor.transpose",
 }
 
 

@@ -305,6 +305,35 @@ def test_bad_config_key_exits_2(tmp_path, capsys):
     assert "lamda1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, config, key",
+    [
+        ("generate", {"stream": {"n_tasks": 10**20}}, "stream.n_tasks"),
+        ("generate", {"stream": {"train_per_class": 10**12}}, "stream.train_per_class"),
+        ("pretrain", {"hyper": {"pretrain_iterations": 10**20}}, "hyper.pretrain_iterations"),
+        ("run", {"hyper": {"iterations_per_task": 10**20}}, "hyper.iterations_per_task"),
+    ],
+    ids=["n_tasks", "train_per_class", "pretrain_iterations", "iterations_per_task"],
+)
+def test_counts_past_their_bound_exit_2(tmp_path, capsys, monkeypatch, command, config, key):
+    """The config is refused before any input is read or any stream generated."""
+    for name in list(os.environ):
+        if name.startswith("MULKI_"):
+            monkeypatch.delenv(name)
+
+    def no_generation(*args, **kwargs):
+        raise AssertionError("a stream generation started")
+
+    monkeypatch.setattr("mulki.cli.generate_stream", no_generation)
+    cfg = tmp_path / "big.json"
+    cfg.write_text(json.dumps(config))
+    stream, c0 = str(tmp_path / "missing.bin"), str(tmp_path / "missing.ckpt")
+    inputs = {"generate": [], "pretrain": ["--stream", stream], "run": ["--stream", stream, "--c0", c0]}
+    assert main([command, "--config", str(cfg), *inputs[command], "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and key in err
+
+
 @pytest.mark.parametrize("source", ["file", "env"])
 def test_stale_weighting_mode_key_exits_2(tmp_path, capsys, monkeypatch, source):
     """The four-way mode string that teacher_weight replaced is an unknown key now."""

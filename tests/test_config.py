@@ -84,6 +84,29 @@ def test_wrongly_typed_value_named(raw, key):
     assert key in str(err.value)
 
 
+# counts past their bound: the stream's arrays over the byte budget, or too many iterations
+OVERSIZED = [
+    ({"stream": {"n_tasks": 10**20}}, "stream.n_tasks"),
+    ({"stream": {"pretrain_per_class": 10**400}}, "stream.pretrain_per_class"),  # past any float
+    ({"stream": {"train_per_class": 10**12}}, "stream.train_per_class"),
+    ({"stream": {"d_in": 20000}}, "stream.d_in"),  # the domain frames alone take 16 GB
+    ({"stream": {"mode": "class_incremental", "classes_per_task": 10**7}}, "stream.classes_per_task"),
+    ({"hyper": {"iterations_per_task": 10**20}}, "hyper.iterations_per_task"),
+    ({"hyper": {"pretrain_iterations": 10**6 + 1}}, "hyper.pretrain_iterations"),
+]
+
+
+@pytest.mark.parametrize("raw, key", OVERSIZED, ids=[key for _, key in OVERSIZED])
+def test_counts_past_their_bound_named(raw, key):
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(raw)
+    assert key in str(err.value)
+
+
+def test_counts_within_their_bound_accepted():
+    config_from_dict({"stream": {"train_per_class": 20000}, "hyper": {"iterations_per_task": 10**6, "pretrain_iterations": 10**6}})
+
+
 @pytest.mark.parametrize("value", BAD_TEACHER_WEIGHTS, ids=repr)
 def test_bad_teacher_weight_named(value):
     with pytest.raises(ConfigError) as err:

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import mulki.tensor as T
+import reference_ops as R
 from mulki.encoder import (
     PARAM_ORDER,
     DualEncoder,
@@ -21,15 +23,13 @@ def make_model(seed=0, vocab_size=7, d_in=8, d_tok=6, hidden=10, embed_dim=5):
 
 
 def train_steps(model, rng, steps=5):
-    from mulki import tensor as T
-
     opt = AdamW(model.parameters(), lr=0.05)
     for _ in range(steps):
         x = Tensor(rng.normal(size=(4, model.d_in)))
         target = Tensor(rng.normal(size=(4, model.embed_dim)))
         img = model.encode_images(x)
         txt = model.encode_texts([1, 2, 3, 1])
-        loss = T.add(T.tsum(T.mul(img, target)), T.tsum(T.mul(txt, target)))
+        loss = T.add(R.tsum(R.mul(img, target)), R.tsum(R.mul(txt, target)))
         opt.zero_grad()
         loss.backward()
         opt.step()
@@ -165,6 +165,8 @@ def test_snapshot_and_trainable_copy_own_their_buffers(rng):
             assert not np.shares_memory(a, b)
     assert not frozen._model.parameters().flat.flags.writeable
     assert not any(p.data.flags.writeable for p in frozen._model.parameters())
+    assert frozen._model.parameters().grad is None  # frozen: no gradient buffer
+    assert not np.shares_memory(m.parameters().grad, copy.parameters().grad)
 
     before = frozen.params_flat()
     train_steps(m, rng, steps=3)
@@ -203,9 +205,7 @@ def test_params_flat_tensor_matches_and_is_differentiable():
     flat = params_flat_tensor(m)
     assert np.array_equal(flat.data, params_flat(m))
     assert flat.requires_grad
-    from mulki import tensor as T
-
-    T.tsum(T.mul(flat, flat)).backward()
+    R.tsum(R.mul(flat, flat)).backward()
     for p in m.parameters():
         assert p.grad is not None
         assert np.allclose(p.grad, 2.0 * p.data, atol=1e-12)

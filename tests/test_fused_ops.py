@@ -22,7 +22,8 @@ import reference_ops as R
 from gradcheck import check_grads, prob_rows, unit_rows
 from mulki import losses
 from mulki.config import HyperParams
-from mulki.encoder import DualEncoder, params_flat, snapshot
+from mulki.encoder import DualEncoder, load_flat, params_flat, snapshot, tower
+from mulki.errors import DegenerateInputError
 from mulki.losses import TeacherOutputs, sample_weights, weighted_teachers
 from mulki.prototypes import PrototypeStore
 from mulki.tensor import LOG_EPS, GradTape, Tensor
@@ -64,7 +65,7 @@ def _run(build, values, grads, through_node, seed):
     out = build(*inputs)
     out = out[0] if isinstance(out, tuple) else out
     upstream = np.random.default_rng(seed).normal(size=out.shape)
-    root = out if out.shape == () else T.tsum(T.mul(out, Tensor(upstream)))
+    root = out if out.shape == () else R.tsum(R.mul(out, Tensor(upstream)))
     if root.requires_grad:
         root.backward()
     return out, [leaf.grad for leaf in leaves]
@@ -105,12 +106,41 @@ def row_weights(draw, b):
 
 
 @SETTINGS
-@given(st.data(), dims, widths, widths, dims, flags, st.booleans())
-def test_linear_matches_chain(data, n, i, o, seed, grads, through_node):
-    x = data.draw(matrices((n, i)))
-    w = data.draw(matrices((i, o)))
-    b = data.draw(arrays(np.float64, (o,), elements=st.floats(-3.0, 3.0)))
-    assert_same(T.linear, R.linear, [x, w, b], [grads[0], grads[1], True], through_node, seed)
+@given(st.data(), dims, widths, dims, widths, widths, dims, st.sampled_from(["images", "texts", "both"]), st.booleans())
+def test_towers_match_chains(data, vocab, d_in, d_tok, hidden, embed, seed, towers, x_grad):
+    """Both encodings and all nine parameter gradients (and the image input's) equal the chains', exactly."""
+    shape = dict(vocab_size=vocab, d_in=d_in, d_tok=d_tok, hidden=hidden, embed_dim=embed)
+    values = data.draw(arrays(np.float64, params_flat(DualEncoder(0, **shape)).size, elements=st.floats(-3.0, 3.0)))
+    x = data.draw(matrices((data.draw(dims), d_in)))
+    ids = data.draw(st.lists(st.integers(0, vocab - 1), min_size=1, max_size=6))
+    up = np.random.default_rng(seed)
+    up_img, up_txt = up.normal(size=(x.shape[0], embed)), up.normal(size=(len(ids), embed))
+
+    def run(encode_images, encode_texts):
+        model = DualEncoder(0, **shape)
+        load_flat(model, values)
+        xt = Tensor(x.copy(), requires_grad=x_grad)
+        terms = []
+        if towers != "texts":
+            terms.append(R.tsum(R.mul(encode_images(model, xt), Tensor(up_img))))
+        if towers != "images":
+            terms.append(R.tsum(R.mul(encode_texts(model, ids), Tensor(up_txt))))
+        loss = terms[0] if len(terms) == 1 else T.add(*terms)
+        loss.backward()
+        return loss.data, [p.grad for p in model.parameters()] + [xt.grad]
+
+    try:
+        c_loss, c_grads = run(R.encode_images, R.encode_texts)
+    except DegenerateInputError:  # an encoding with a zero row: the node refuses it as the chain does
+        with pytest.raises(DegenerateInputError):
+            run(DualEncoder.encode_images, DualEncoder.encode_texts)
+        return
+    f_loss, f_grads = run(DualEncoder.encode_images, DualEncoder.encode_texts)
+    assert np.array_equal(f_loss, c_loss)
+    for f, c in zip(f_grads, c_grads):
+        assert (f is None) == (c is None)
+        if f is not None:
+            assert np.array_equal(f, c)
 
 
 @SETTINGS
@@ -282,20 +312,21 @@ def test_teacher_bundle_rows_match_chain(rng):
 def test_iteration_tape_is_fused():
     it = _iteration(0, HyperParams())
     loss, _ = it.fused()
-    # 18 encoder nodes and leaves, 2 supervised, 3 student distributions,
+    # 2 encoder towers, 2 supervised, 3 student distributions,
     # 3 csa (+ scale, add), 23 distillation (7 per teacher, 7 adds, scale, add), 3 anchor
-    assert len(GradTape.trace(loss).nodes) == 52
+    assert len(GradTape.trace(loss).nodes) == 36
     chain_loss, _ = it.chain()
-    assert len(GradTape.trace(chain_loss).nodes) == 158
+    assert len(GradTape.trace(chain_loss).nodes) == 149  # leaves stay off every tape, the chain's 9 too
 
 
 def test_each_fused_op_is_one_node(rng):
     a = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
     b = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-    w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
     pred = Tensor(prob_rows(rng, 4, 2), requires_grad=True)
+    model = DualEncoder(0, vocab_size=4, d_in=3, d_tok=2, hidden=5, embed_dim=3)
     for out in (
-        T.linear(a, w, Tensor(np.zeros(2))),
+        model.encode_images(a.data),
+        model.encode_texts([1, 3]),
         T.cosine_sim(a, b),
         T.cosine_softmax(a, b, 2.0),
         T.soft_ce_mean(Tensor(prob_rows(rng, 4, 2)), pred),
@@ -318,7 +349,7 @@ def test_unit_rows_computed_once_except_on_trainable_leaves(rng):
     const = Tensor(rng.normal(size=(3, 4)))
     unit = T.unit_rows(const)
     assert unit is T.unit_rows(const)
-    assert np.array_equal(unit.data, T.l2_normalize(const, axis=1).data)
+    assert np.array_equal(unit.data, R.l2_normalize(const, axis=1).data)
     assert np.array_equal(unit.t, unit.data.T) and unit.t.flags.c_contiguous
 
 
@@ -327,14 +358,16 @@ def test_unit_rows_computed_once_except_on_trainable_leaves(rng):
 
 
 def test_fused_op_grads(rng):
-    x, w, bias = rng.normal(size=(4, 3)), rng.normal(size=(3, 2)), rng.normal(size=2)
-    up = rng.normal(size=(4, 2))
-    check_grads(lambda p: T.tsum(T.mul(T.linear(p[0], p[1], p[2]), Tensor(up))), [x, w, bias], rel=1e-6)
+    x, picker = rng.normal(size=(4, 3)), rng.uniform(0.0, 1.0, size=(4, 6))
+    table, w1, b1 = rng.normal(size=(6, 3)), rng.normal(size=(3, 5)), rng.normal(size=5)
+    w2, b2, up = rng.normal(size=(5, 2)), rng.normal(size=2), rng.normal(size=(4, 2))
+    check_grads(lambda p: R.tsum(R.mul(tower(*p), Tensor(up))), [x, w1, b1, w2, b2], rel=1e-6)
+    check_grads(lambda p: R.tsum(R.mul(tower(Tensor(picker), *p[1:], table=p[0]), Tensor(up))), [table, w1, b1, w2, b2], rel=1e-6)
 
     a, b = rng.normal(size=(4, 5)), rng.normal(size=(3, 5))
     up = rng.normal(size=(4, 3))
-    check_grads(lambda p: T.tsum(T.mul(T.cosine_sim(p[0], p[1]), Tensor(up))), [a, b], rel=1e-6)
-    check_grads(lambda p: T.tsum(T.mul(T.cosine_softmax(p[0], p[1], 0.5), Tensor(up))), [a, b], rel=1e-6)
+    check_grads(lambda p: R.tsum(R.mul(T.cosine_sim(p[0], p[1]), Tensor(up))), [a, b], rel=1e-6)
+    check_grads(lambda p: R.tsum(R.mul(T.cosine_softmax(p[0], p[1], 0.5), Tensor(up))), [a, b], rel=1e-6)
 
     t, p = prob_rows(rng, 4, 3), prob_rows(rng, 4, 3)
     wts = Tensor(rng.uniform(0.1, 1.0, size=4))

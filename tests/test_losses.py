@@ -340,20 +340,24 @@ def test_wc_on_parameter_list_is_one_node_matching_the_flat_chain():
         # a forward contribution too, so each leaf sums two gradients as in training
         loss = Tensor(0.0)
         for p in model.parameters():
-            loss = loss + T.tsum(T.mul(p, p))
+            loss = loss + R.tsum(R.mul(p, p))
         loss = loss + penalty(model, ref) * 0.1
         loss.backward()
         return loss.data.tobytes(), [p.grad.tobytes() for p in model.parameters()]
 
     def old_chain(model, ref):
-        diff = T.sub(params_flat_tensor(model), Tensor(ref))
-        return T.tsum(T.mul(diff, diff))
+        diff = R.sub(params_flat_tensor(model), Tensor(ref))
+        return R.tsum(R.mul(diff, diff))
 
     assert run(lambda model, ref: wc_loss(model.parameters(), ref)) == run(old_chain)
 
     model = DualEncoder(3, vocab_size=5, d_in=6, d_tok=4, hidden=8, embed_dim=6)
     ref = np.random.default_rng(1).normal(size=params_flat(model).size)
-    assert len(GradTape.trace(wc_loss(model.parameters(), ref)).nodes) == 1 + len(model.parameters())
+    penalty = wc_loss(model.parameters(), ref)
+    assert GradTape.trace(penalty).nodes == [penalty]  # the leaves stay off the tape
+    penalty.backward()
+    assert all(p.grad is p._lane for p in model.parameters())
+    assert model.parameters().grad.tobytes() == (2.0 * (params_flat(model) - ref)).tobytes()
     check_grads(lambda ps: wc_loss(ps, ref), [p.data for p in model.parameters()], rel=1e-6)
     with pytest.raises(ShapeMismatchError):
         wc_loss(model.parameters(), ref[:-1])

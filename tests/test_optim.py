@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+import mulki.tensor as T
+import reference_ops as R
+from mulki.encoder import DualEncoder, params_flat
 from mulki.errors import ContractError
 from mulki.optim import AdamW
 from mulki.tensor import Tensor
@@ -139,8 +142,6 @@ def test_flat_step_matches_per_parameter_reference(rng):
     through weight decay, a moment reset and parameters whose grad is None."""
     from reference_ops import AdamW as ReferenceAdamW
 
-    from mulki.encoder import DualEncoder, params_flat
-
     model = DualEncoder(4, vocab_size=6, d_in=5, d_tok=3, hidden=7, embed_dim=4)
     loose = [Tensor(p.data.copy(), requires_grad=True) for p in model.parameters()]
     settings = dict(lr=0.03, betas=(0.8, 0.99), eps=1e-6, weight_decay=0.05)
@@ -167,3 +168,73 @@ def test_loose_parameters_are_packed_and_stepped_in_place(rng):
     opt.step()
     assert not np.array_equal(opt.params.flat, before)
     assert np.array_equal(np.concatenate([p.data.ravel(), q.data]), opt.params.flat)
+
+
+# ---------------------------------------------------------------------------
+# stepping a model from the gradient buffer backward passes write
+
+
+def _iteration_loss(model, rng):
+    """A training iteration's objective on `model`: both towers, supervision and the drift anchor."""
+    from mulki import losses
+
+    feats = model.encode_images(rng.normal(size=(8, model.d_in)))
+    texts = model.encode_texts([1, 2, 3])
+    loss = losses.cross_entropy(losses.image_text_dist(feats, texts, 0.07), rng.integers(0, 3, size=8))
+    return T.add(loss, T.scale(losses.wc_loss(model.parameters(), params_flat(model) + 0.01), 0.1))
+
+
+def test_flat_step_matches_per_parameter_reference_over_real_iterations():
+    """Gradients written by real backward passes into the buffer step to the per-parameter loop's bits."""
+    from reference_ops import AdamW as ReferenceAdamW
+
+    model = DualEncoder(5, vocab_size=6, d_in=5, d_tok=3, hidden=7, embed_dim=4)
+    loose = [Tensor(p.data.copy(), requires_grad=True) for p in model.parameters()]
+    settings = dict(lr=0.03, betas=(0.8, 0.99), eps=1e-6, weight_decay=0.05)
+    flat_opt, ref_opt = AdamW(model.parameters(), **settings), ReferenceAdamW(loose, **settings)
+    rng = np.random.default_rng(0)
+    for step in range(5):
+        flat_opt.zero_grad()
+        _iteration_loss(model, rng).backward()
+        assert all(p.grad is p._lane for p in model.parameters())
+        for p, q in zip(model.parameters(), loose):
+            q.grad = p.grad.copy()
+        flat_opt.step()
+        ref_opt.step()
+        assert params_flat(model).tobytes() == np.concatenate([q.data.ravel() for q in loose]).tobytes(), step
+
+
+def test_zero_grad_clears_buffer_gradients_and_the_next_pass_starts_afresh():
+    model = DualEncoder(5, vocab_size=6, d_in=5, d_tok=3, hidden=7, embed_dim=4)
+    opt = AdamW(model.parameters(), lr=0.01, weight_decay=0.5)
+    _iteration_loss(model, np.random.default_rng(1)).backward()
+    once = model.parameters().grad.copy()
+    _iteration_loss(model, np.random.default_rng(1)).backward()
+    assert not np.array_equal(model.parameters().grad, once)  # two passes add up
+    opt.zero_grad()
+    assert all(p.grad is None for p in model.parameters())
+    before = params_flat(model)
+    opt.step()  # nothing to step, not even decay
+    assert np.array_equal(params_flat(model), before)
+    _iteration_loss(model, np.random.default_rng(1)).backward()
+    assert model.parameters().grad.tobytes() == once.tobytes()
+
+
+def test_parameters_without_a_gradient_keep_their_lanes_under_weight_decay():
+    """The image tower alone: the text parameters get no gradient, and no write reaches their lanes."""
+    model = DualEncoder(5, vocab_size=6, d_in=5, d_tok=3, hidden=7, embed_dim=4)
+    opt = AdamW(model.parameters(), lr=0.01, weight_decay=0.5)
+    params = model.parameters()
+    _iteration_loss(model, np.random.default_rng(2)).backward()
+    opt.step()  # every parameter has moments now
+    opt.zero_grad()
+    image = slice(0, sum(p.size for p in params[:4]))
+    text = slice(image.stop, None)
+    theta, m, v = params.flat.copy(), opt._m.copy(), opt._v.copy()
+    R.tsum(model.encode_images(np.ones((3, 5)))).backward()
+    assert [p.grad is not None for p in params] == [True] * 4 + [False] * 5
+    opt.step()
+    assert np.array_equal(params.flat[text], theta[text])
+    assert np.array_equal(opt._m[text], m[text]) and np.array_equal(opt._v[text], v[text])
+    assert not np.array_equal(params.flat[image], theta[image])
+    assert opt._t == [2] * 4 + [1] * 5

@@ -1,4 +1,4 @@
-"""Autodiff core: forward oracles, finite-difference gradients, semantics."""
+"""Autodiff core and the generic ops in reference_ops.py: forward oracles, finite-difference gradients, semantics."""
 
 import math
 
@@ -19,35 +19,35 @@ from mulki.tensor import LOG_EPS, GradTape, Tensor
 def test_arithmetic_grads(rng):
     a = rng.uniform(-1, 1, size=(3, 4))
     b = rng.uniform(-1, 1, size=(3, 4))
-    check_grads(lambda p: T.tsum(T.add(p[0], p[1])), [a, b])
-    check_grads(lambda p: T.tsum(T.sub(p[0], p[1])), [a, b])
-    check_grads(lambda p: T.tsum(T.mul(p[0], p[1])), [a, b])
-    check_grads(lambda p: T.tsum(T.scale(p[0], -2.5)), [a])
+    check_grads(lambda p: R.tsum(T.add(p[0], p[1])), [a, b])
+    check_grads(lambda p: R.tsum(R.sub(p[0], p[1])), [a, b])
+    check_grads(lambda p: R.tsum(R.mul(p[0], p[1])), [a, b])
+    check_grads(lambda p: R.tsum(T.scale(p[0], -2.5)), [a])
 
 
 def test_broadcast_grads(rng):
     a = rng.uniform(-1, 1, size=(3, 4))
     row = rng.uniform(-1, 1, size=(4,))
-    check_grads(lambda p: T.tsum(T.add(p[0], p[1])), [a, row])
-    check_grads(lambda p: T.tsum(T.mul(p[0], p[1])), [a, row])
+    check_grads(lambda p: R.tsum(T.add(p[0], p[1])), [a, row])
+    check_grads(lambda p: R.tsum(R.mul(p[0], p[1])), [a, row])
 
 
 def test_matmul_hand_examples():
     eye = Tensor(np.eye(2))
-    assert np.array_equal(T.matmul(eye, eye).data, np.eye(2))
-    out = T.matmul(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([[1.0], [1.0]]))
+    assert np.array_equal(R.matmul(eye, eye).data, np.eye(2))
+    out = R.matmul(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([[1.0], [1.0]]))
     assert np.array_equal(out.data, [[3.0], [7.0]])
 
 
 def test_matmul_grads(rng):
     a = rng.uniform(-1, 1, size=(3, 4))
     b = rng.uniform(-1, 1, size=(4, 2))
-    check_grads(lambda p: T.tsum(T.matmul(p[0], p[1])), [a, b], rel=1e-6)
+    check_grads(lambda p: R.tsum(R.matmul(p[0], p[1])), [a, b], rel=1e-6)
 
 
 def test_matmul_shape_error():
     with pytest.raises(ShapeMismatchError):
-        T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
+        R.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
 
 
 def test_add_shape_error():
@@ -58,34 +58,34 @@ def test_add_shape_error():
 def test_elementwise_grads(rng):
     a = rng.uniform(0.2, 1.0, size=(2, 3))
     signed = rng.uniform(-1, 1, size=(2, 3))
-    check_grads(lambda p: T.tsum(R.log(p[0])), [a])
-    check_grads(lambda p: T.tsum(T.tanh(p[0])), [signed])
-    check_grads(lambda p: T.tsum(R.sqrt(p[0])), [a])
+    check_grads(lambda p: R.tsum(R.log(p[0])), [a])
+    check_grads(lambda p: R.tsum(R.tanh(p[0])), [signed])
+    check_grads(lambda p: R.tsum(R.sqrt(p[0])), [a])
     # keep maximum entries away from its kink
     off_kink = signed + np.where(signed >= 0, 0.5, -0.5)
-    check_grads(lambda p: T.tsum(R.maximum_scalar(p[0], 0.1)), [off_kink])
+    check_grads(lambda p: R.tsum(R.maximum_scalar(p[0], 0.1)), [off_kink])
 
 
 def test_reduction_grads(rng):
     a = rng.uniform(-1, 1, size=(3, 4))
-    check_grads(lambda p: T.tsum(p[0]), [a])
-    check_grads(lambda p: T.mean(p[0]), [a])
-    check_grads(lambda p: T.tsum(T.tsum(p[0], axis=0)), [a])
-    check_grads(lambda p: T.tsum(T.mean(p[0], axis=1)), [a])
+    check_grads(lambda p: R.tsum(p[0]), [a])
+    check_grads(lambda p: R.mean(p[0]), [a])
+    check_grads(lambda p: R.tsum(R.tsum(p[0], axis=0)), [a])
+    check_grads(lambda p: R.tsum(R.mean(p[0], axis=1)), [a])
 
 
 def test_mean_empty_error():
     with pytest.raises(ContractError):
-        T.mean(Tensor(np.zeros((0,))))
+        R.mean(Tensor(np.zeros((0,))))
 
 
 def test_shape_op_grads(rng):
     a = rng.uniform(-1, 1, size=(3, 4))
     v1 = rng.uniform(-1, 1, size=(3,))
     v2 = rng.uniform(-1, 1, size=(2,))
-    check_grads(lambda p: T.tsum(T.transpose(p[0])), [a])
-    check_grads(lambda p: T.tsum(T.mul(T.reshape(p[0], (4, 3)), T.reshape(p[0], (4, 3)))), [a])
-    check_grads(lambda p: T.tsum(T.mul(R.concat1d([p[0], p[1]]), R.concat1d([p[0], p[1]]))), [v1, v2])
+    check_grads(lambda p: R.tsum(R.transpose(p[0])), [a])
+    check_grads(lambda p: R.tsum(R.mul(R.reshape(p[0], (4, 3)), R.reshape(p[0], (4, 3)))), [a])
+    check_grads(lambda p: R.tsum(R.mul(R.concat1d([p[0], p[1]]), R.concat1d([p[0], p[1]]))), [v1, v2])
 
 
 def test_concat1d_layout():
@@ -98,33 +98,33 @@ def test_concat1d_layout():
 
 
 def test_softmax_symmetry_and_analytic():
-    assert np.allclose(T.softmax(Tensor([0.0, 0.0]), axis=0).data, [0.5, 0.5], atol=1e-15)
-    out = T.softmax(Tensor([math.log(1.0), math.log(3.0)]), axis=0)
+    assert np.allclose(R.softmax(Tensor([0.0, 0.0]), axis=0).data, [0.5, 0.5], atol=1e-15)
+    out = R.softmax(Tensor([math.log(1.0), math.log(3.0)]), axis=0)
     assert np.allclose(out.data, [0.25, 0.75], atol=1e-12)
 
 
 def test_softmax_oracle_and_rows(rng):
     x = rng.uniform(-1, 1, size=5)
     expected = np.exp(x) / np.exp(x).sum()
-    assert np.allclose(T.softmax(Tensor(x), axis=0).data, expected, atol=1e-12)
+    assert np.allclose(R.softmax(Tensor(x), axis=0).data, expected, atol=1e-12)
 
     m = rng.uniform(-1, 1, size=(4, 6))
-    out = T.softmax(Tensor(m), axis=1).data
+    out = R.softmax(Tensor(m), axis=1).data
     assert np.allclose(out.sum(axis=1), 1.0, atol=1e-12)
     assert np.all(out >= 0)
 
 
 def test_softmax_stability_under_shift():
     x = np.array([1000.0, 1000.5, 999.0])
-    out = T.softmax(Tensor(x), axis=0).data
+    out = R.softmax(Tensor(x), axis=0).data
     assert np.all(np.isfinite(out)) and abs(out.sum() - 1.0) < 1e-12
 
 
 def test_softmax_grads(rng):
     m = rng.uniform(-1, 1, size=(3, 4))
     w = rng.uniform(-1, 1, size=(3, 4))
-    check_grads(lambda p: T.tsum(T.mul(T.softmax(p[0], axis=1), Tensor(w))), [m])
-    check_grads(lambda p: T.tsum(T.mul(T.softmax(p[0], axis=0), Tensor(w))), [m])
+    check_grads(lambda p: R.tsum(R.mul(R.softmax(p[0], axis=1), Tensor(w))), [m])
+    check_grads(lambda p: R.tsum(R.mul(R.softmax(p[0], axis=0), Tensor(w))), [m])
 
 
 # ---------------------------------------------------------------------------
@@ -132,26 +132,26 @@ def test_softmax_grads(rng):
 
 
 def test_l2_normalize_examples():
-    assert np.allclose(T.l2_normalize(Tensor([3.0, 4.0]), axis=0).data, [0.6, 0.8], atol=1e-15)
+    assert np.allclose(R.l2_normalize(Tensor([3.0, 4.0]), axis=0).data, [0.6, 0.8], atol=1e-15)
     u = np.array([1.0, 0.0, 0.0])
-    assert np.array_equal(T.l2_normalize(Tensor(u), axis=0).data, u)
+    assert np.array_equal(R.l2_normalize(Tensor(u), axis=0).data, u)
 
 
 def test_l2_normalize_unit_norm(rng):
     m = rng.uniform(-1, 1, size=(5, 7))
-    out = T.l2_normalize(Tensor(m), axis=1).data
+    out = R.l2_normalize(Tensor(m), axis=1).data
     assert np.allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-9)
 
 
 def test_l2_normalize_zero_error():
     with pytest.raises(DegenerateInputError):
-        T.l2_normalize(Tensor(np.zeros((2, 3))), axis=1)
+        R.l2_normalize(Tensor(np.zeros((2, 3))), axis=1)
 
 
 def test_l2_normalize_grads(rng):
     m = rng.uniform(0.2, 1.0, size=(3, 4)) * np.sign(rng.uniform(-1, 1, size=(3, 4)))
     w = rng.uniform(-1, 1, size=(3, 4))
-    check_grads(lambda p: T.tsum(T.mul(T.l2_normalize(p[0], axis=1), Tensor(w))), [m], rel=1e-6)
+    check_grads(lambda p: R.tsum(R.mul(R.l2_normalize(p[0], axis=1), Tensor(w))), [m], rel=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +191,7 @@ def test_cosine_sim_zero_vector_error():
 def test_cosine_sim_grads(rng):
     a, b = rng.normal(size=(3, 5)), rng.normal(size=(4, 5))
     w = rng.normal(size=(3, 4))
-    check_grads(lambda p: T.tsum(T.mul(T.cosine_sim(p[0], p[1]), Tensor(w))), [a, b], rel=1e-6)
+    check_grads(lambda p: R.tsum(R.mul(T.cosine_sim(p[0], p[1]), Tensor(w))), [a, b], rel=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +242,7 @@ def test_soft_ce_target_is_constant(rng):
     assert t.grad is None
     assert p.grad is not None and np.any(p.grad != 0)
     t.grad = p.grad = None
-    T.tsum(R.soft_cross_entropy(t, p)).backward()
+    R.tsum(R.soft_cross_entropy(t, p)).backward()
     assert t.grad is None
     assert p.grad is not None and np.any(p.grad != 0)
     with pytest.raises(ContractError):
@@ -253,7 +253,7 @@ def test_soft_ce_grads(rng):
     t = prob_rows(rng, 3, 4)
     p = prob_rows(rng, 3, 4)
     w = rng.uniform(0.1, 1.0, size=3)
-    check_grads(lambda q: T.tsum(R.soft_cross_entropy(Tensor(t), q[0])), [p], rel=1e-6)
+    check_grads(lambda q: R.tsum(R.soft_cross_entropy(Tensor(t), q[0])), [p], rel=1e-6)
     check_grads(lambda q: T.soft_ce_mean(Tensor(t), q[0], weights=Tensor(w), scale=1.3), [p], rel=1e-6)
 
 
@@ -263,7 +263,7 @@ def test_soft_ce_grads(rng):
 
 def test_sqrt_zero_subgradient():
     x = Tensor(np.zeros(3), requires_grad=True)
-    T.tsum(R.sqrt(x)).backward()
+    R.tsum(R.sqrt(x)).backward()
     assert np.array_equal(x.grad, np.zeros(3))
 
 
@@ -275,7 +275,7 @@ def test_frobenius_norm_matches_numpy(rng):
 def test_frobenius_norm_zero_matrix_backward():
     a = Tensor(np.zeros((2, 2)), requires_grad=True)
     b = Tensor(np.zeros((2, 2)))
-    R.frobenius_norm(T.sub(a, b)).backward()
+    R.frobenius_norm(R.sub(a, b)).backward()
     assert np.all(np.isfinite(a.grad))
     assert np.array_equal(a.grad, np.zeros((2, 2)))
 
@@ -286,13 +286,13 @@ def test_frobenius_norm_zero_matrix_backward():
 
 def test_backward_square():
     x = Tensor(3.0, requires_grad=True)
-    T.mul(x, x).backward()
+    R.mul(x, x).backward()
     assert x.grad == 6.0
 
 
 def test_backward_constant_no_grads():
     x = Tensor(5.0)
-    y = T.mul(x, x)
+    y = R.mul(x, x)
     y.backward()
     assert x.grad is None and y.grad is None
 
@@ -305,7 +305,7 @@ def test_backward_non_scalar_error():
 
 def test_backward_accumulates_across_calls():
     x = Tensor(3.0, requires_grad=True)
-    y = T.mul(x, x)
+    y = R.mul(x, x)
     y.backward()
     y.backward()
     assert x.grad == 12.0
@@ -313,14 +313,14 @@ def test_backward_accumulates_across_calls():
 
 def test_backward_accumulates_within_graph():
     x = Tensor(2.0, requires_grad=True)
-    y = T.add(T.mul(x, x), x)  # x^2 + x -> 2x + 1 = 5
+    y = T.add(R.mul(x, x), x)  # x^2 + x -> 2x + 1 = 5
     y.backward()
     assert x.grad == 5.0
 
 
 def test_detach_blocks_gradient():
     x = Tensor(2.0, requires_grad=True)
-    y = T.mul(x.detach(), x)  # only the live branch contributes
+    y = R.mul(x.detach(), x)  # only the live branch contributes
     y.backward()
     assert x.grad == 2.0
 
@@ -335,9 +335,9 @@ def test_item_non_scalar_error():
 
 
 def _composite(x: Tensor, w: Tensor) -> Tensor:
-    h = T.tanh(T.matmul(x, w))
-    n = T.l2_normalize(h, axis=1)
-    s = T.softmax(T.cosine_sim(n, n), axis=1)
+    h = R.tanh(R.matmul(x, w))
+    n = R.l2_normalize(h, axis=1)
+    s = R.softmax(T.cosine_sim(n, n), axis=1)
     return T.soft_ce_mean(Tensor(np.eye(s.shape[0])), s)
 
 
@@ -355,36 +355,70 @@ def test_bitwise_determinism():
 
 def test_gradtape_order_root_last():
     x = Tensor(1.0, requires_grad=True)
-    y = T.mul(x, x)
-    tape = GradTape.trace(y)
-    assert tape.nodes[-1] is y
-    assert x in tape.nodes
+    y = R.mul(x, x)
+    z = T.scale(y, 2.0)
+    tape = GradTape.trace(z)
+    assert tape.nodes == [y, z]
+    assert x not in tape.nodes  # leaves stay off the tape
 
 
 def test_backward_flushes_only_leaves(rng):
+    """Only leaves end a pass holding a gradient; tape nodes keep none, in .grad or in their pass slot."""
     x = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
     w = Tensor(rng.normal(size=(6, 5)), requires_grad=True)
     loss = _composite(x, w)
     tape = GradTape.trace(loss)
-    # replay the pass by hand to see every node's gradient buffer
-    GradTape._pass_buffers = buffers = {id(loss): np.ones_like(loss.data)}
-    try:
-        for node in reversed(tape.nodes):
-            if id(node) in buffers and node._backward is not None:
-                node._backward(buffers[id(node)])
-    finally:
-        GradTape._pass_buffers = None
-
+    assert all(node._backward is not None for node in tape.nodes)
     loss.backward()
-    assert all(node.grad is None for node in tape.nodes if node._backward is not None)
-    assert x.grad.tobytes() == buffers[id(x)].tobytes()
-    assert w.grad.tobytes() == buffers[id(w)].tobytes()
+    assert all(node.grad is None and node._g is None for node in tape.nodes)
+
+    # the same pass on packed leaves writes the same bits into their lanes of the one buffer
+    px, pw = Tensor(x.data.copy(), requires_grad=True), Tensor(w.data.copy(), requires_grad=True)
+    leaves = T.pack([px, pw])
+    _composite(px, pw).backward()
+    assert np.shares_memory(px.grad, leaves.grad) and np.shares_memory(pw.grad, leaves.grad)
+    assert px.grad.tobytes() == x.grad.tobytes() and pw.grad.tobytes() == w.grad.tobytes()
+    assert leaves.grad.tobytes() == np.concatenate([x.grad.ravel(), w.grad.ravel()]).tobytes()
 
 
 def test_tape_leaves_out_constants(rng):
     x = Tensor(rng.normal(size=3), requires_grad=True)
     c = Tensor(rng.normal(size=3))
-    tape = GradTape.trace(T.tsum(T.mul(x, c)))
-    assert c not in tape.nodes and x in tape.nodes
-    assert all(node.requires_grad for node in tape.nodes)
+    tape = GradTape.trace(R.tsum(R.mul(x, c)))
+    assert c not in tape.nodes and x not in tape.nodes
+    assert all(node.requires_grad and node._backward is not None for node in tape.nodes)
 
+
+# ---------------------------------------------------------------------------
+# the flat gradient buffer
+
+
+def test_pack_gives_a_gradient_buffer_only_to_trainable_leaves(rng):
+    trainable = T.pack([Tensor(rng.normal(size=(2, 3)), requires_grad=True), Tensor(rng.normal(size=4), requires_grad=True)])
+    assert trainable.grad.shape == trainable.flat.shape and not trainable.grad.any()
+    assert all(p.grad is None for p in trainable)
+    assert T.pack([Tensor(rng.normal(size=3))]).grad is None
+
+
+def test_packed_passes_add_up_in_their_lanes(rng):
+    """The first contribution is assigned (a -0.0 stays -0.0), a second pass adds on top."""
+    a, b = Tensor(rng.normal(size=(2, 3)), requires_grad=True), Tensor(rng.normal(size=4), requires_grad=True)
+    leaves = T.pack([a, b])
+    loss = T.add(R.tsum(R.mul(a, a)), T.scale(R.tsum(b), -0.0))
+    loss.backward()
+    assert a.grad is a._lane and b.grad is b._lane
+    first = leaves.grad.copy()
+    assert np.array_equal(first[:6], 2.0 * a.data.ravel())
+    assert np.all(np.signbit(b.grad)) and not b.grad.any()  # assigned, not added to +0.0
+    loss.backward()
+    assert leaves.grad.tobytes() == (first + first).tobytes()
+
+
+def test_flat_grad_takes_gradients_assigned_by_hand(rng):
+    a, b, c = (Tensor(rng.normal(size=n), requires_grad=True) for n in (2, 3, 1))
+    leaves = T.pack([a, b, c])
+    a.grad, b.grad = np.array([1.0, 2.0]), None
+    R.tsum(R.mul(c, c)).backward()
+    flat = leaves.flat_grad()
+    assert flat is leaves.grad
+    assert np.array_equal(flat[:2], [1.0, 2.0]) and np.array_equal(flat[5:], 2.0 * c.data)
