@@ -38,6 +38,8 @@ def _load_experiment(args) -> ExperimentConfig:
             seeds = []
         if not seeds or min(seeds) < 0 or max(seeds) >= 2**63:
             raise ConfigError(f"--seeds must be a comma-separated list of integers in [0, 2**63), got {args.seeds!r}")
+        if len(set(seeds)) < len(seeds):
+            raise ConfigError(f"--seeds must not repeat a seed, got {args.seeds!r}")
         cfg.seeds = seeds
     return cfg
 
@@ -100,6 +102,8 @@ def cmd_run(args) -> int:
 def cmd_ablate(args) -> int:
     cfg = _load_experiment(args)
     names = [v for v in args.variant.split(",") if v] if args.variant else list(VARIANTS)
+    if len(set(names)) < len(names):
+        raise ConfigError(f"--variant must not repeat an arm, got {args.variant!r}")
     arms = [(name, apply_variant(cfg.hyper, name)) for name in names]  # every name checked before any run
     stream, c0 = _stream_and_c0(args, cfg)
     out_root = _out_dir(args, cfg)

@@ -42,6 +42,7 @@ ENV_PREFIX = "MULKI_"
 TOP_LEVEL_KEYS = ("stream", "model", "hyper", "seeds", "variant", "out_dir")
 SECTIONS = ("stream", "model", "hyper")
 MAX_ITERATIONS = 10**6  # per task and for pretraining: hours of training, far past any config in use
+ENSEMBLES = ("we", "ewe", "off")  # hyper.ensemble: running mean, running mean that re-centres training, none
 
 # Ablation arms: named overrides applied on top of the configured hyper.
 # "full" is the complete method; the component arms keep only what they
@@ -49,22 +50,14 @@ MAX_ITERATIONS = 10**6  # per task and for pretraining: hours of training, far p
 VARIANTS: dict[str, dict] = {
     "full": {},
     "continual_ft": dict(
-        enable_csa=False,
-        enable_fd=False,
-        enable_ird=False,
-        enable_idd=False,
-        enable_wc=False,
-        enable_we=False,
-        enable_ewe=False,
-        lambda1=0.0,
-        lambda2=0.0,
+        enable_csa=False, enable_fd=False, enable_ird=False, enable_idd=False, enable_wc=False, ensemble="off"
     ),
-    "wo_we_wc": dict(enable_we=False, enable_ewe=False, enable_wc=False),
-    "wo_we": dict(enable_we=False, enable_ewe=False),
-    "only_fd": dict(enable_csa=False, enable_ird=False, enable_idd=False, enable_wc=False, enable_we=False, enable_ewe=False),
-    "only_ird": dict(enable_csa=False, enable_fd=False, enable_idd=False, enable_wc=False, enable_we=False, enable_ewe=False),
-    "only_idd": dict(enable_csa=False, enable_fd=False, enable_ird=False, enable_wc=False, enable_we=False, enable_ewe=False),
-    "only_mdd": dict(enable_csa=False, enable_wc=False, enable_we=False, enable_ewe=False),
+    "wo_we_wc": dict(ensemble="off", enable_wc=False),
+    "wo_we": dict(ensemble="off"),
+    "only_fd": dict(enable_csa=False, enable_ird=False, enable_idd=False, enable_wc=False, ensemble="off"),
+    "only_ird": dict(enable_csa=False, enable_fd=False, enable_idd=False, enable_wc=False, ensemble="off"),
+    "only_idd": dict(enable_csa=False, enable_fd=False, enable_ird=False, enable_wc=False, ensemble="off"),
+    "only_mdd": dict(enable_csa=False, enable_wc=False, ensemble="off"),
     "only_c0": dict(teacher_weight=1.0),
     "only_prev": dict(teacher_weight=0.0),
     "average": dict(teacher_weight=0.5),
@@ -114,17 +107,18 @@ class HyperParams:
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
     we_interval: int = 50       # iterations between ensemble averagings
-    ewe_eta: int = 5            # averagings between live-parameter overwrites
+    ewe_eta: int = 5            # averagings between live-parameter overwrites ("ewe")
+    ensemble: str = "we"        # one of ENSEMBLES
     teacher_weight: float | None = None  # fixed weight on c0 (1 - it on c_prev); None: per-sample similarity
     enable_csa: bool = True
     enable_fd: bool = True
     enable_ird: bool = True
     enable_idd: bool = True
     enable_wc: bool = True
-    enable_we: bool = True
-    enable_ewe: bool = False
 
     def validate(self) -> None:
+        if self.ensemble not in ENSEMBLES:
+            raise ConfigError(f"hyper.ensemble must be one of {ENSEMBLES}, got {self.ensemble!r}")
         if self.teacher_weight is not None and not 0 <= self.teacher_weight <= 1:
             raise ConfigError(f"hyper.teacher_weight must be null or in [0, 1], got {self.teacher_weight!r}")
         for name in ("tau", "tau_ce", "lr"):
@@ -150,14 +144,6 @@ class HyperParams:
     def uses_prototypes(self) -> bool:
         """Some enabled term reads the prototypes, so the trainer keeps a prototype store."""
         return self.enable_csa or self.distills
-
-    def ensemble_mode(self) -> str | None:
-        """The ensemble a run keeps: "ewe", "we", or None for none."""
-        if self.enable_ewe:
-            return "ewe"
-        if self.enable_we:
-            return "we"
-        return None
 
 
 @dataclass
@@ -227,6 +213,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     seeds = raw.get("seeds", [0, 1, 2, 3, 4])
     if not isinstance(seeds, list) or not seeds or not all(type(s) is int and 0 <= s < 2**63 for s in seeds):
         raise ConfigError(f"config key 'seeds' must be a non-empty list of integers in [0, 2**63), got {seeds!r}")
+    if len(set(seeds)) < len(seeds):
+        raise ConfigError(f"config key 'seeds' must not repeat a seed, got {seeds!r}")
     out_dir = raw.get("out_dir")
     if out_dir is not None and not isinstance(out_dir, str):
         raise ConfigError("config key 'out_dir' must be a string")

@@ -5,7 +5,8 @@ model and the previous task's model) with the full objective from
 `losses`, while a prototype store tracks class feature means and a
 weight ensemble averages the parameter trajectory. The model a task
 hands onward - evaluated, checkpointed, and used as the next task's
-teacher - is the ensemble, not the raw last iterate.
+teacher - is the ensemble, not the raw last iterate, unless
+`hyper.ensemble` is "off".
 
 One loop serves every arm, and it builds only what the enabled terms
 read (`HyperParams.distills`, `uses_prototypes`): the prototype store
@@ -23,10 +24,11 @@ with a store, EMA-update each class in the batch from the detached
 features, in ascending id order -> build the loss from the batch's label
 positions, the teachers' rows for the batch and the drift anchor ->
 backward -> one flat AdamW step -> on every `we_interval`-th iteration,
-fold the flat parameters into the ensemble (and, in "ewe" mode,
-periodically overwrite the live parameters with it). The store is purged
-after the last iteration. All randomness is derived from the run seed; a
-run is a pure function of (stream, hyper, seed, initial model).
+fold the flat parameters into the ensemble (and under "ewe", after every
+`ewe_eta`-th averaging, load the ensemble into the live parameters and
+reset AdamW's moments). The store is purged after the last iteration.
+All randomness is derived from the run seed; a run is a pure function of
+(stream, hyper, seed, initial model).
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from .errors import ConfigError, ContractError, TrainingDivergedError
 from .jsonutil import format_float, write_canonical, write_lines
 from .optim import AdamW
 from .prototypes import PrototypeStore
-from .weightspace import ewe_step, final_params, we_init, we_step
+from .weightspace import we_init, we_step
 
 _TAG_PRETRAIN_BATCH = 21
 
@@ -139,7 +141,7 @@ def train_task(
     """Train `student` on one task against both teachers, in place.
 
     On return the student carries the task's final parameters (the
-    ensemble mean when weight ensembling is on). The prototype store, when
+    ensemble mean unless `hyper.ensemble` is "off"). The prototype store, when
     an enabled term reads it, lives only inside this window: seeded from
     the initial model before the first iteration, purged after the last.
     Every batch's loss takes its teacher rows from the per-task bundles of
@@ -166,8 +168,7 @@ def train_task(
             for teacher, weighted in zip((c0, c_prev), losses.weighted_teachers(hyper.teacher_weight))
         )
 
-    mode = hyper.ensemble_mode()
-    we_state = we_init(params_flat(student), hyper.we_interval, hyper.ewe_eta, mode) if mode else None
+    we_state = None if hyper.ensemble == "off" else we_init(params_flat(student), hyper.we_interval)
     opt = _adamw(student, hyper)
     loss_rows = []
 
@@ -191,12 +192,13 @@ def train_task(
         opt.step()
         if we_state is not None and k % we_state.interval == 0:
             we_step(we_state, params_flat(student), k)
-            if ewe_step(we_state, k):
+            if hyper.ensemble == "ewe" and we_state.m % hyper.ewe_eta == 0:
                 load_flat(student, we_state.theta_hat)
                 opt.reset_moments()
         loss_rows.append((task.task_id, k, bd))
 
-    load_flat(student, final_params(we_state, params_flat(student)))
+    if we_state is not None:
+        load_flat(student, we_state.theta_hat)
     if store is not None:
         store.purge()
     return TaskResult(checkpoint=snapshot(student), loss_rows=loss_rows)

@@ -164,22 +164,19 @@ def _domain_frames(config: StreamConfig, seed: int) -> list[tuple[np.ndarray, np
         rotations.append(q * np.sign(np.diag(r)))
 
     base_means = _base_means(config, seed)
-    spread = config.domain_spread
+    spread, floor = config.domain_spread, config.min_domain_separation
     for _ in range(40):
         directions = rng.normal(size=(config.n_tasks, d))
         directions /= np.linalg.norm(directions, axis=1, keepdims=True)
         offsets = directions * spread
-        means = [
-            [rotations[t] @ base_means[t][k] + offsets[t] for k in range(config.classes_per_task)]
-            for t in range(config.n_tasks)
-        ]
-        worst = np.inf
-        for a in range(config.n_tasks):
-            for b in range(a + 1, config.n_tasks):
-                for ma in means[a]:
-                    for mb in means[b]:
-                        worst = min(worst, float(np.linalg.norm(ma - mb)))
-        if config.n_tasks == 1 or worst >= config.min_domain_separation:
+        means = np.array([[rotations[t] @ mean + offsets[t] for mean in base_means[t]] for t in range(config.n_tasks)])
+        # each class mean against all of the later domains' at once, until one falls short;
+        # one such array at a time, so the check needs no more memory than `means`
+        if all(
+            np.linalg.norm(means[t + 1 :].reshape(-1, d) - mean, axis=1).min() >= floor
+            for t in range(config.n_tasks - 1)
+            for mean in means[t]
+        ):
             return [(rotations[t], offsets[t]) for t in range(config.n_tasks)]
         spread *= 1.3
     raise ConfigError(

@@ -1,12 +1,13 @@
-"""Parameter-space integration: running weight ensembles and drift penalty.
+"""Parameter-space integration: the running weight ensemble.
 
 During a task the trainer keeps a running uniform average of parameter
 snapshots: the task's starting parameters, then the live parameters
 every `interval` iterations. After m averaging events the ensemble
-equals the plain mean of those m + 1 vectors. In "ewe" mode the live
-parameters are additionally overwritten by the ensemble after every
-eta-th averaging, which re-centers optimization on the smoothed
-trajectory.
+equals the plain mean of those m + 1 vectors, as in stochastic weight
+averaging. What the trainer does with the mean (hand it onward at task
+end, and under `hyper.ensemble` "ewe" also load it into the live
+parameters after every `ewe_eta`-th averaging) is decided in
+`runner.train_task`.
 
 The drift penalty (squared distance to the previous task's final
 parameters) lives in losses.wc_loss; this module owns the ensemble
@@ -21,8 +22,6 @@ import numpy as np
 
 from .errors import ContractError
 
-MODES = ("we", "ewe")
-
 
 @dataclass
 class WEState:
@@ -36,24 +35,18 @@ class WEState:
     theta_hat: np.ndarray
     m: int
     interval: int
-    eta: int
-    mode: str
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ContractError(f"unknown ensemble mode {self.mode!r}; expected one of {MODES}")
         if self.interval < 1:
             raise ContractError(f"interval must be >= 1, got {self.interval}")
-        if self.eta < 1:
-            raise ContractError(f"eta must be >= 1, got {self.eta}")
         if self.m < 0:
             raise ContractError(f"averaging count must be >= 0, got {self.m}")
 
 
-def we_init(theta_start: np.ndarray, interval: int, eta: int = 5, mode: str = "we") -> WEState:
+def we_init(theta_start: np.ndarray, interval: int) -> WEState:
     """Start an ensemble at a task's initial parameters."""
     theta_start = np.asarray(theta_start, dtype=np.float64)
-    return WEState(theta_hat=theta_start.copy(), m=0, interval=int(interval), eta=int(eta), mode=mode)
+    return WEState(theta_hat=theta_start.copy(), m=0, interval=int(interval))
 
 
 def we_step(state: WEState, theta_current: np.ndarray, k: int) -> bool:
@@ -80,23 +73,3 @@ def we_step(state: WEState, theta_current: np.ndarray, k: int) -> bool:
     state.m += 1
     state.theta_hat = state.theta_hat + (theta_current - state.theta_hat) / (state.m + 1)
     return True
-
-
-def ewe_step(state: WEState, k: int) -> bool:
-    """True when iteration k should overwrite live parameters with theta_hat.
-
-    Only fires in "ewe" mode, after every eta-th averaging event. The
-    caller performs the overwrite (and resets optimizer moments, since
-    the live point jumps).
-    """
-    if state.mode != "ewe":
-        return False
-    return k % (state.eta * state.interval) == 0 and state.m > 0
-
-
-def final_params(state: WEState | None, raw_params: np.ndarray) -> np.ndarray:
-    """The parameters a task hands onward: the ensemble, if one ran."""
-    if state is None:
-        return np.asarray(raw_params, dtype=np.float64).copy()
-    return state.theta_hat.copy()
-

@@ -345,6 +345,52 @@ def test_stale_weighting_mode_key_exits_2(tmp_path, capsys, monkeypatch, source)
     assert "'weighting_mode'" in capsys.readouterr().err
 
 
+def exits_2_with_one_line(argv, capsys, *names) -> None:
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and all(name in err for name in names), err
+
+
+@pytest.mark.parametrize("value", ["EWE", "", True, None, 1], ids=repr)
+def test_bad_ensemble_exits_2(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.delenv("MULKI_HYPER__ENSEMBLE", raising=False)
+    cfg = tmp_path / "ensemble.json"
+    cfg.write_text(json.dumps({"hyper": {"ensemble": value}}))
+    exits_2_with_one_line(["generate", "--config", str(cfg), "--out", str(tmp_path / "s.json")], capsys, "hyper.ensemble")
+
+
+@pytest.mark.parametrize("key", ["enable_we", "enable_ewe"])
+@pytest.mark.parametrize("source", ["file", "env"])
+def test_stale_ensemble_flags_exit_2(tmp_path, capsys, monkeypatch, source, key):
+    """The two flags that `ensemble` replaced are unknown keys now."""
+    cfg = tmp_path / "stale.json"
+    cfg.write_text(json.dumps({"hyper": {key: True}} if source == "file" else {}))
+    if source == "env":
+        monkeypatch.setenv(f"MULKI_HYPER__{key.upper()}", "true")
+    exits_2_with_one_line(["generate", "--config", str(cfg), "--out", str(tmp_path / "s.json")], capsys, f"'{key}'")
+
+
+def test_repeated_config_seeds_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "seeds.json"
+    cfg.write_text(json.dumps({"seeds": [0, 0]}))
+    exits_2_with_one_line(["generate", "--config", str(cfg), "--out", str(tmp_path / "s.json")], capsys, "'seeds'")
+
+
+@pytest.mark.parametrize(
+    "command, flags, key",
+    [("run", ["--seeds", "0,0"], "--seeds"), ("ablate", ["--seeds", "0,0"], "--seeds"),
+     ("ablate", ["--variant", "full,full"], "--variant"),
+     ("ablate", ["--seeds", "0", "--variant", "continual_ft,continual_ft"], "--variant")],
+    ids=["run-seeds", "ablate-seeds", "ablate-arms", "ablate-seed-and-arms"],
+)
+def test_repeated_seeds_or_arms_exit_2(pipeline, tmp_path, capsys, command, flags, key):
+    """One seed or arm counted twice would read as a spread of 0 in ablation.json; refused before any run."""
+    out = tmp_path / "x"
+    inputs = ["--stream", str(pipeline.stream), "--c0", str(pipeline.c0)]
+    exits_2_with_one_line([command, "--config", str(pipeline.cfg), *inputs, "--out", str(out), *flags], capsys, key)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "section, key, value",
     [("hyper", "lr", "x"), ("model", "hidden", "x"), ("stream", "n_tasks", "x"),

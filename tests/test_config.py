@@ -67,7 +67,7 @@ WRONG_TYPES = [
     ({"stream": {"n_tasks": "x"}}, "n_tasks"),
     ({"hyper": {"batch_size": 2.5}}, "batch_size"),
     ({"hyper": {"enable_fd": "no"}}, "enable_fd"),
-    ({"hyper": {"enable_we": 1}}, "enable_we"),
+    ({"hyper": {"enable_we": 1}}, "enable_we"),  # an unknown key (one of the two flags ensemble replaced)
     ({"hyper": {"iterations_per_task": True}}, "iterations_per_task"),
     ({"hyper": {"tau": False}}, "tau"),
     ({"hyper": {"weighting_mode": 2}}, "weighting_mode"),  # an unknown key (the one teacher_weight replaced) is named too
@@ -217,12 +217,9 @@ def test_every_variant_produces_valid_hyper():
 
 def test_continual_ft_variant_disables_everything():
     hyper = apply_variant(HyperParams(), "continual_ft")
-    assert not any(
-        (hyper.enable_csa, hyper.enable_fd, hyper.enable_ird, hyper.enable_idd,
-         hyper.enable_wc, hyper.enable_we, hyper.enable_ewe)
-    )
-    assert hyper.lambda1 == 0.0 and hyper.lambda2 == 0.0
-    assert hyper.ensemble_mode() is None
+    assert not any((hyper.enable_csa, hyper.enable_fd, hyper.enable_ird, hyper.enable_idd, hyper.enable_wc))
+    assert hyper.ensemble == "off"
+    assert not hyper.uses_prototypes  # so no term reads lambda1 or lambda2
 
 
 def test_weighting_variants_change_only_the_mode():

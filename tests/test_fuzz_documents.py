@@ -146,7 +146,7 @@ WRONG_TOP = {
     "stream": ([], 1, "x", None),
     "model": ([], 1, "x", None),
     "hyper": ([], 1, "x", None),
-    "seeds": ([], [-1], [2**63], [1.5], [True], ["0"], "0", None, math.nan),
+    "seeds": ([], [-1], [2**63], [1.5], [True], ["0"], "0", None, math.nan, [0, 0]),
     "variant": ("nope", 1, None, []),
     "out_dir": (1, [], True, math.nan),
 }

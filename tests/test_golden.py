@@ -7,6 +7,9 @@ the hashes are keyed by), c0.ckpt, metrics.json, losses.csv and every task
 checkpoint. The `arms` entry pins the other arms on the smoke config:
 `ablate --seeds 0 --variant continual_ft,only_c0,only_prev,average`, with
 metrics.json, losses.csv and every task checkpoint keyed "<arm>/<file>".
+The `ewe` entry is the smoke pipeline with `hyper.ensemble` "ewe" and
+`ewe_eta` 2, so the ensemble overwrites the live parameters at iterations
+20 and 40 of each task; no arm runs that mode.
 Float results depend on the numpy/BLAS stack, so the tests skip (and say
 why) on a stack other than the one the hashes were recorded on.
 
@@ -71,6 +74,15 @@ def pipeline_hashes(config: Path, work: Path) -> dict:
     return {path.name: _sha256(path) for path in [stream, c0, *_run_artifacts(out / "seed_00")]}
 
 
+def ewe_hashes(config: Path, work: Path) -> dict:
+    """`pipeline_hashes` on `config` with the re-centring ensemble, overwriting after every 2nd averaging."""
+    raw = json.loads(config.read_text())
+    raw["hyper"].update(ensemble="ewe", ewe_eta=2)
+    derived = work / "ewe.json"
+    derived.write_text(json.dumps(raw))
+    return pipeline_hashes(derived, work)
+
+
 def arm_hashes(config: Path, work: Path) -> dict:
     """`ablate` the non-full arms on `config` under `work`; sha256 of each run artifact as "<arm>/<file>"."""
     stream, c0 = _stream_and_c0(config, work)
@@ -105,6 +117,10 @@ def test_smoke_arms_match_golden_hashes(tmp_path, monkeypatch):
     check_golden("arms", arm_hashes, CONFIGS["smoke"], tmp_path, monkeypatch)
 
 
+def test_smoke_ewe_matches_golden_hashes(tmp_path, monkeypatch):
+    check_golden("ewe", ewe_hashes, CONFIGS["smoke"], tmp_path, monkeypatch)
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -114,5 +130,7 @@ if __name__ == "__main__":
             doc[entry] = pipeline_hashes(config, Path(work))
     with tempfile.TemporaryDirectory() as work:
         doc["arms"] = arm_hashes(CONFIGS["smoke"], Path(work))
+    with tempfile.TemporaryDirectory() as work:
+        doc["ewe"] = ewe_hashes(CONFIGS["smoke"], Path(work))
     GOLDEN.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN}", file=sys.stderr)

@@ -1,5 +1,7 @@
 """AdamW: hand-checked steps, a reference-loop oracle, moment lifecycle."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -72,16 +74,15 @@ def test_zero_grad_zero_decay_is_noop(rng):
     assert np.array_equal(p.data, theta0)
 
 
-def test_grad_none_skipped_even_with_decay(rng):
-    theta0 = rng.normal(size=5)
-    p = Tensor(theta0.copy(), requires_grad=True)
-    q = make_param(rng)
+def test_grad_none_refused_before_any_write(rng):
+    p, q = make_param(rng, (5,)), make_param(rng)
     opt = AdamW([p, q], lr=0.1, weight_decay=0.5)
     q.grad = np.ones(4)
-    before_q = q.data.copy()
-    opt.step()  # p has no grad at all
-    assert np.array_equal(p.data, theta0)
-    assert not np.array_equal(q.data, before_q)
+    before = opt.params.flat.copy()
+    with pytest.raises(ContractError, match=re.escape("parameter 0 (shape (5,)) has no gradient")):
+        opt.step()  # p has no grad at all, so not even the decay runs
+    assert np.array_equal(opt.params.flat, before)
+    assert opt._t == 0 and not opt._m.any() and not opt._v.any()
 
 
 def test_zero_grad_clears(rng):
@@ -139,21 +140,20 @@ def test_invalid_hyperparameters(rng):
 
 def test_flat_step_matches_per_parameter_reference(rng):
     """20 steps on a model's buffer equal the per-parameter loop bit for bit,
-    through weight decay, a moment reset and parameters whose grad is None."""
+    through weight decay and a moment reset."""
     from reference_ops import AdamW as ReferenceAdamW
 
     model = DualEncoder(4, vocab_size=6, d_in=5, d_tok=3, hidden=7, embed_dim=4)
     loose = [Tensor(p.data.copy(), requires_grad=True) for p in model.parameters()]
     settings = dict(lr=0.03, betas=(0.8, 0.99), eps=1e-6, weight_decay=0.05)
     flat_opt, ref_opt = AdamW(model.parameters(), **settings), ReferenceAdamW(loose, **settings)
-    skipped = {1: {2}, 4: {0, 5}, 12: {8}, 13: {8}}  # step -> parameters without a grad
     for step in range(1, 21):
         if step == 9:
             flat_opt.reset_moments()
             ref_opt.reset_moments()
-        for i, (p, q) in enumerate(zip(model.parameters(), loose)):
-            g = None if i in skipped.get(step, ()) else rng.normal(size=p.shape)
-            p.grad, q.grad = g, None if g is None else g.copy()
+        for p, q in zip(model.parameters(), loose):
+            p.grad = rng.normal(size=p.shape)
+            q.grad = p.grad.copy()
         flat_opt.step()
         ref_opt.step()
         assert params_flat(model).tobytes() == np.concatenate([q.data.ravel() for q in loose]).tobytes(), step
@@ -214,27 +214,26 @@ def test_zero_grad_clears_buffer_gradients_and_the_next_pass_starts_afresh():
     opt.zero_grad()
     assert all(p.grad is None for p in model.parameters())
     before = params_flat(model)
-    opt.step()  # nothing to step, not even decay
+    with pytest.raises(ContractError):
+        opt.step()  # nothing to step from, not even decay
     assert np.array_equal(params_flat(model), before)
     _iteration_loss(model, np.random.default_rng(1)).backward()
     assert model.parameters().grad.tobytes() == once.tobytes()
 
 
 def test_parameters_without_a_gradient_keep_their_lanes_under_weight_decay():
-    """The image tower alone: the text parameters get no gradient, and no write reaches their lanes."""
+    """The image tower alone: the text parameters get no gradient, so the step is refused before any write."""
     model = DualEncoder(5, vocab_size=6, d_in=5, d_tok=3, hidden=7, embed_dim=4)
     opt = AdamW(model.parameters(), lr=0.01, weight_decay=0.5)
     params = model.parameters()
     _iteration_loss(model, np.random.default_rng(2)).backward()
     opt.step()  # every parameter has moments now
     opt.zero_grad()
-    image = slice(0, sum(p.size for p in params[:4]))
-    text = slice(image.stop, None)
     theta, m, v = params.flat.copy(), opt._m.copy(), opt._v.copy()
     R.tsum(model.encode_images(np.ones((3, 5)))).backward()
     assert [p.grad is not None for p in params] == [True] * 4 + [False] * 5
-    opt.step()
-    assert np.array_equal(params.flat[text], theta[text])
-    assert np.array_equal(opt._m[text], m[text]) and np.array_equal(opt._v[text], v[text])
-    assert not np.array_equal(params.flat[image], theta[image])
-    assert opt._t == [2] * 4 + [1] * 5
+    with pytest.raises(ContractError, match=re.escape(f"parameter 4 (shape {params[4].shape}) has no gradient")):
+        opt.step()
+    assert np.array_equal(params.flat, theta)
+    assert np.array_equal(opt._m, m) and np.array_equal(opt._v, v)
+    assert opt._t == 1

@@ -248,7 +248,7 @@ def test_ensembling_changes_final_parameters(tiny_stream, monkeypatch):
     c0 = make_c0(tiny_stream)
     states = capture_we_states(monkeypatch)
     raw = train_task(
-        c0.trainable_copy(), c0, c0, tiny_stream.tasks[0], fast_hyper(enable_we=False), 2
+        c0.trainable_copy(), c0, c0, tiny_stream.tasks[0], fast_hyper(ensemble="off"), 2
     )
     assert states == []  # no ensemble is started
     averaged = train_task(
@@ -260,13 +260,63 @@ def test_ensembling_changes_final_parameters(tiny_stream, monkeypatch):
 def test_ewe_overwrites_live_parameters(tiny_stream):
     c0 = make_c0(tiny_stream)
     # eta * interval = 4 divides 8: the live weights jump to the mean mid-task
-    hyper = fast_hyper(iterations_per_task=8, we_interval=2, ewe_eta=2, enable_ewe=True)
+    hyper = fast_hyper(iterations_per_task=8, we_interval=2, ewe_eta=2, ensemble="ewe")
     ewe = train_task(c0.trainable_copy(), c0, c0, tiny_stream.tasks[0], hyper, 2)
     we_only = train_task(
         c0.trainable_copy(), c0, c0, tiny_stream.tasks[0],
         fast_hyper(iterations_per_task=8, we_interval=2), 2,
     )
     assert not np.array_equal(ewe.checkpoint.params_flat(), we_only.checkpoint.params_flat())
+
+
+def ensemble_events(tiny_stream, monkeypatch, ensemble) -> list:
+    """Averagings, parameter loads and moment resets of one 8-iteration task (interval 2, eta 2), in order.
+
+    Each event is (name, k), where k is the iteration of the latest averaging (0 before the first).
+    """
+    c0 = make_c0(tiny_stream)
+    events, latest = [], [0]
+    real_step, real_load, real_reset = runner.we_step, runner.load_flat, AdamW.reset_moments
+
+    def step(state, theta, k):
+        latest[0] = k
+        events.append(("average", k))
+        return real_step(state, theta, k)
+
+    def load(model, vector):
+        events.append(("load", latest[0]))
+        real_load(model, vector)
+
+    def reset(opt):
+        events.append(("reset", latest[0]))
+        real_reset(opt)
+
+    monkeypatch.setattr(runner, "we_step", step)
+    monkeypatch.setattr(runner, "load_flat", load)
+    monkeypatch.setattr(AdamW, "reset_moments", reset)
+    hyper = fast_hyper(iterations_per_task=8, we_interval=2, ewe_eta=2, ensemble=ensemble)
+    train_task(c0.trainable_copy(), c0, c0, tiny_stream.tasks[0], hyper, 2)
+    return events
+
+
+def test_ewe_overwrite_schedule(tiny_stream, monkeypatch):
+    # every eta-th averaging (k = 4, 8) loads the ensemble and resets the moments; the task end loads it once more
+    assert ensemble_events(tiny_stream, monkeypatch, "ewe") == [
+        ("reset", 0),
+        ("average", 2), ("average", 4), ("load", 4), ("reset", 4),
+        ("average", 6), ("average", 8), ("load", 8), ("reset", 8),
+        ("load", 8),
+    ]
+
+
+def test_ewe_inactive_in_we_mode(tiny_stream, monkeypatch):
+    assert ensemble_events(tiny_stream, monkeypatch, "we") == [
+        ("reset", 0), ("average", 2), ("average", 4), ("average", 6), ("average", 8), ("load", 8),
+    ]
+
+
+def test_no_ensemble_leaves_the_last_iterate(tiny_stream, monkeypatch):
+    assert ensemble_events(tiny_stream, monkeypatch, "off") == [("reset", 0)]
 
 
 def test_pretrain_deterministic(tiny_stream):
@@ -363,9 +413,11 @@ def test_hyper_and_model_dict_parsing():
 
 
 def test_ensemble_mode_mapping():
-    assert HyperParams(enable_we=False, enable_ewe=False).ensemble_mode() is None
-    assert HyperParams(enable_we=True, enable_ewe=False).ensemble_mode() == "we"
-    assert HyperParams(enable_we=False, enable_ewe=True).ensemble_mode() == "ewe"
+    assert HyperParams().ensemble == "we"
+    for name in ("full", "only_c0", "only_prev", "average"):
+        assert apply_variant(HyperParams(ensemble="ewe"), name).ensemble == "ewe"
+    for name in ("continual_ft", "wo_we_wc", "wo_we", "only_fd", "only_ird", "only_idd", "only_mdd"):
+        assert apply_variant(HyperParams(ensemble="ewe"), name).ensemble == "off"
 
 
 def test_save_run_record(tmp_path, tiny_stream):

@@ -4,6 +4,9 @@ import json
 import math
 import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +16,12 @@ from mulki.config import config_from_dict
 from mulki.encoder import DualEncoder, save_checkpoint, snapshot
 from mulki.errors import ConfigError, StreamFormatError
 from mulki.taskgen import (
+    _TAG_FRAME,
     StreamConfig,
+    _base_means,
+    _domain_frames,
     _fields,
+    _rng,
     batches,
     generate_stream,
     load_stream,
@@ -85,6 +92,57 @@ def test_multi_domain_separation_floor():
                     assert np.linalg.norm(ca.mean - cb.mean) >= cfg.min_domain_separation
     domains = {c.domain_id for c in stream.all_classes()}
     assert domains == {0, 1, 2}
+
+
+def loop_domain_frames(config, seed):
+    """`_domain_frames` with its separation check as a loop over every cross-domain pair of class means."""
+    d, rng = config.d_in, _rng(seed, _TAG_FRAME)
+    rotations = []
+    for _ in range(config.n_tasks):
+        q, r = np.linalg.qr(rng.normal(size=(d, d)))
+        rotations.append(q * np.sign(np.diag(r)))
+    base_means, spread = _base_means(config, seed), config.domain_spread
+    for _ in range(40):
+        directions = rng.normal(size=(config.n_tasks, d))
+        offsets = directions / np.linalg.norm(directions, axis=1, keepdims=True) * spread
+        means = [[rotations[t] @ mean + offsets[t] for mean in base_means[t]] for t in range(config.n_tasks)]
+        worst = min(
+            np.linalg.norm(ma - mb)
+            for a in range(config.n_tasks) for b in range(a + 1, config.n_tasks) for ma in means[a] for mb in means[b]
+        )
+        if worst >= config.min_domain_separation:
+            return list(zip(rotations, offsets))
+        spread *= 1.3
+    return None
+
+
+@pytest.mark.parametrize("floor", [0.0, 0.8, 2.0, 3.0, 6.0, 50.0, 1e6])
+@pytest.mark.parametrize("seed", [0, 11])
+def test_separation_check_matches_the_pairwise_loop(floor, seed):
+    """Same frames after the same number of re-draws, or the same refusal."""
+    config = small_config(n_tasks=4, d_in=3, min_domain_separation=floor)
+    want = loop_domain_frames(config, seed)
+    if want is None:
+        with pytest.raises(ConfigError, match="min_domain_separation"):
+            _domain_frames(config, seed)
+        return
+    for (rotation, offset), (want_rotation, want_offset) in zip(_domain_frames(config, seed), want, strict=True):
+        assert np.array_equal(rotation, want_rotation) and np.array_equal(offset, want_offset)
+
+
+def test_separation_check_on_many_domains_ends(tmp_path):
+    """1,000 two-class domains in 2-d: `generate` settles the separation floor, either way, within a minute."""
+    config = tmp_path / "many.json"
+    config.write_text(json.dumps({"stream": {
+        "n_tasks": 1000, "classes_per_task": 2, "d_in": 2, "train_per_class": 1, "test_per_class": 1, "pretrain_per_class": 1,
+    }}))
+    env = {name: value for name, value in os.environ.items() if not name.startswith("MULKI_")}
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(__file__).resolve().parent.parent / "src"), env.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-m", "mulki.cli", "generate", "--config", str(config), "--out", str(tmp_path / "s.bin")],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode in (0, 2), proc.stderr
 
 
 def test_per_class_sample_mean_statistics():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mulki.errors import ContractError
-from mulki.weightspace import WEState, ewe_step, final_params, we_init, we_step
+from mulki.weightspace import WEState, we_init, we_step
 
 
 def test_init_copies_start(rng):
@@ -80,44 +80,8 @@ def test_step_errors(rng):
         we_step(state, rng.normal(size=5), 2)
 
 
-def test_ewe_overwrite_schedule(rng):
-    state = we_init(rng.normal(size=4), interval=2, eta=3, mode="ewe")
-    # before any averaging has happened, never fire
-    assert not ewe_step(state, 6)
-    we_step(state, rng.normal(size=4), 2)
-    fired = [k for k in range(1, 25) if ewe_step(state, k)]
-    assert fired == [6, 12, 18, 24]  # every eta * interval iterations
-
-
-def test_ewe_inactive_in_we_mode(rng):
-    state = we_init(rng.normal(size=4), interval=2, eta=3, mode="we")
-    we_step(state, rng.normal(size=4), 2)
-    assert not ewe_step(state, 6)
-
-
-def test_final_params(rng):
-    raw = rng.normal(size=7)
-    got = final_params(None, raw)
-    assert np.array_equal(got, raw)
-    got[0] = 42.0
-    assert raw[0] != 42.0
-
-    state = we_init(rng.normal(size=7), interval=1)
-    we_step(state, rng.normal(size=7), 1)
-    final = final_params(state, raw)
-    assert np.array_equal(final, state.theta_hat)
-    final[0] = 42.0
-    assert state.theta_hat[0] != 42.0
-
-
 def test_state_validation(rng):
     with pytest.raises(ContractError):
-        WEState(theta_hat=rng.normal(size=3), m=0, interval=0, eta=5, mode="we")
+        WEState(theta_hat=rng.normal(size=3), m=0, interval=0)
     with pytest.raises(ContractError):
-        WEState(theta_hat=rng.normal(size=3), m=0, interval=1, eta=0, mode="we")
-    for mode in ("cyclic", "off"):  # no ensemble is a None state, not a mode
-        with pytest.raises(ContractError):
-            WEState(theta_hat=rng.normal(size=3), m=0, interval=1, eta=5, mode=mode)
-    with pytest.raises(ContractError):
-        WEState(theta_hat=rng.normal(size=3), m=-1, interval=1, eta=5, mode="we")
-
+        WEState(theta_hat=rng.normal(size=3), m=-1, interval=1)
