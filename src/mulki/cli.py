@@ -8,7 +8,8 @@
 
 Configuration comes from the JSON file plus MULKI_-prefixed environment
 overrides (see config module). Exit code 0 on success, 2 on any
-configuration, format, or contract error.
+configuration, format, or contract error, and on any path that cannot be
+read or written.
 """
 
 from __future__ import annotations
@@ -248,10 +249,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except MulkiError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (MulkiError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -121,9 +121,12 @@ class HyperParams:
             raise ConfigError(f"hyper.ensemble must be one of {ENSEMBLES}, got {self.ensemble!r}")
         if self.teacher_weight is not None and not 0 <= self.teacher_weight <= 1:
             raise ConfigError(f"hyper.teacher_weight must be null or in [0, 1], got {self.teacher_weight!r}")
-        for name in ("tau", "tau_ce", "lr"):
+        for name in ("tau", "tau_ce", "lr", "adam_eps"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"hyper.{name} must be > 0")
+        for name in ("gamma_step", "weight_decay"):  # the EMA schedule never falls; decay never grows weights
+            if getattr(self, name) < 0:
+                raise ConfigError(f"hyper.{name} must be >= 0")
         for name in ("iterations_per_task", "batch_size", "we_interval", "ewe_eta"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"hyper.{name} must be >= 1")

@@ -20,11 +20,15 @@ All nine parameters live in one contiguous float64 buffer in PARAM_ORDER
 gradients land in one flat gradient buffer of the same layout. So
 `params_flat` is one copy of the buffer, `load_flat` one assignment into
 it, and the optimizer and the drift penalty read and step the buffers
-directly. A snapshot or a trainable copy gets a buffer of its own; a
-snapshot, being frozen, gets no gradient buffer.
+directly. A snapshot (`snapshot`) is a DualEncoder too: a frozen copy
+with a read-only buffer of its own and no gradient buffer, which
+`load_flat` refuses. `trainable_copy` gives a model buffers of its own
+again.
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 
@@ -162,56 +166,25 @@ class DualEncoder:
             picker[row, TEMPLATE_TOKEN] += 0.5
         return tower(Tensor(picker), self.txt_w1, self.txt_b1, self.txt_w2, self.txt_b2, table=self.token_table)
 
+    def trainable_copy(self) -> "DualEncoder":
+        """A trainable copy with parameter and gradient buffers of its own, holding this model's exact parameters."""
+        twin = copy.copy(self)
+        twin._bind(T.pack([Tensor(p.data, requires_grad=True) for p in self._params]))
+        return twin
 
-class ModelSnapshot:
-    """Frozen copy of a DualEncoder.
 
-    Parameters are copied into a buffer of the snapshot's own, marked
-    read-only, and never require gradients, so everything a snapshot
-    encodes is detached by construction. Snapshots taken before further
-    training steps are unaffected by them.
+def snapshot(model: DualEncoder) -> DualEncoder:
+    """A frozen copy of `model`: a DualEncoder whose parameters sit in a
+    read-only buffer of its own, with no gradient buffer, so everything it
+    encodes is detached by construction and later training of `model` does
+    not reach it.
     """
-
-    def __init__(self, model: DualEncoder):
-        frozen = DualEncoder.__new__(DualEncoder)
-        frozen.seed = model.seed
-        frozen.vocab_size = model.vocab_size
-        frozen.d_in = model.d_in
-        frozen.d_tok = model.d_tok
-        frozen.hidden = model.hidden
-        frozen.embed_dim = model.embed_dim
-        params = T.pack([Tensor(p.data) for p in model.parameters()])
-        for array in (params.flat, *(p.data for p in params)):
-            array.flags.writeable = False
-        frozen._bind(params)
-        self._model = frozen
-
-    @property
-    def seed(self) -> int:
-        return self._model.seed
-
-    @property
-    def dims(self) -> dict:
-        return self._model.dims
-
-    def encode_images(self, x) -> Tensor:
-        return self._model.encode_images(x)
-
-    def encode_texts(self, token_ids) -> Tensor:
-        return self._model.encode_texts(token_ids)
-
-    def params_flat(self) -> np.ndarray:
-        return params_flat(self._model)
-
-    def trainable_copy(self) -> DualEncoder:
-        """A fresh DualEncoder carrying this snapshot's exact parameters."""
-        model = DualEncoder(self._model.seed, **self._model.dims)
-        load_flat(model, self._model.parameters().flat)
-        return model
-
-
-def snapshot(model: DualEncoder) -> ModelSnapshot:
-    return ModelSnapshot(model)
+    frozen = copy.copy(model)
+    params = T.pack([Tensor(p.data) for p in model.parameters()])
+    for array in (params.flat, *(p.data for p in params)):
+        array.flags.writeable = False
+    frozen._bind(params)
+    return frozen
 
 
 def params_flat(model: DualEncoder) -> np.ndarray:
@@ -230,19 +203,18 @@ def load_flat(model: DualEncoder, vector: np.ndarray) -> None:
     flat[...] = vector
 
 
-def save_checkpoint(model, path) -> None:
+def save_checkpoint(model: DualEncoder, path) -> None:
     """Write a checkpoint: a framed file (`jsonutil.write_framed`) whose
     manifest holds the versions, dims, seed and parameter count, and whose
     payload is the flat parameter vector in PARAM_ORDER. Round trips are
     bit-exact.
     """
-    inner = model._model if isinstance(model, ModelSnapshot) else model
-    vector = params_flat(inner)
+    vector = params_flat(model)
     manifest = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "param_ordering_version": PARAM_ORDERING_VERSION,
-        "dims": inner.dims,
-        "seed": inner.seed,
+        "dims": model.dims,
+        "seed": model.seed,
         "count": int(vector.size),
     }
     write_framed(path, manifest, [vector])

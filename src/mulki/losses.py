@@ -45,11 +45,12 @@ with their unit rows normalized once per task; only the two K x K
 prototype-text distributions depend on the moving prototypes and are
 rebuilt per batch.
 
-`total_loss` builds only what an enabled term reads. Always the
-student's texts and the supervised distribution at tau_ce; the prototype
-matrix for csa and relation distance; the student's image-text
-distribution at tau for distribution matching or similarity weighting;
-the student's and teachers' prototype-text and text-prototype
+`total_loss` takes the prototypes as one constant matrix, `protos` (row
+k for the task's k-th class), and builds only what an enabled term
+reads. Always the student's texts and the supervised distribution at
+tau_ce; the prototypes for csa and relation distance; the student's
+image-text distribution at tau for distribution matching or similarity
+weighting; the student's and teachers' prototype-text and text-prototype
 distributions for distribution matching only. A teacher whose weight is
 exactly 0 has no bundle.
 """
@@ -459,8 +460,7 @@ def total_loss(
     feats: Tensor,
     label_positions,
     token_ids,
-    class_ids,
-    store,
+    protos: Tensor | None,
     hyper,
     teachers: tuple[TeacherOutputs, TeacherOutputs] | None,
     batch_rows,
@@ -470,18 +470,17 @@ def total_loss(
 
     `feats` is the student's encoding of the batch images.
     `label_positions` index into `token_ids` (the current task's classes,
-    in a fixed order) and `class_ids` gives the matching prototype keys.
+    in a fixed order) and into the rows of `protos`, the prototypes in
+    that order (None when no enabled term reads them).
     `teachers` holds the (c0, c_prev) `teacher_outputs` over the whole
     training set the batch was drawn from (None when every distillation
     channel is off, and either entry None for a teacher without weight),
-    and `batch_rows` the batch's row indices into it. `store` is None
-    when no enabled term reads prototypes. The drift anchor is added iff
-    `wc_reference` is given. Teachers and prototypes are constants. Only
-    the distributions an enabled term reads are built (see the module
-    docstring); with every component disabled this reduces to plain
-    supervised fine-tuning.
+    and `batch_rows` the batch's row indices into it. The drift anchor is
+    added iff `wc_reference` is given. Teachers and prototypes are
+    constants. Only the distributions an enabled term reads are built (see
+    the module docstring); with every component disabled this reduces to
+    plain supervised fine-tuning.
     """
-    protos = store.matrix(class_ids).detach() if hyper.uses_prototypes else None
     pt_protos = protos if hyper.enable_idd else None
     weighs = hyper.distills and hyper.teacher_weight is None
     student = student_outputs(student_model, feats, token_ids, pt_protos, hyper.tau, img_text=hyper.enable_idd or weighs)

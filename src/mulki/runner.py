@@ -19,16 +19,16 @@ Per task, before the first iteration: look up every training label's
 class position at once (a label outside the task's classes raises
 ContractError), seed the store from the initial model, and run each
 weighted teacher once over the task's training set. Per iteration:
-sample batch (with its row indices) -> encode it with the student ->
-with a store, EMA-update each class in the batch from the detached
-features, in ascending id order -> build the loss from the batch's label
-positions, the teachers' rows for the batch and the drift anchor ->
-backward -> one flat AdamW step -> on every `we_interval`-th iteration,
-fold the flat parameters into the ensemble (and under "ewe", after every
-`ewe_eta`-th averaging, load the ensemble into the live parameters and
-reset AdamW's moments). The store is purged after the last iteration.
-All randomness is derived from the run seed; a run is a pure function of
-(stream, hyper, seed, initial model).
+sample batch (its images and row indices) -> encode it with the student
+-> with a store, EMA-update each class in the batch from the feature
+array, in label-position order -> build the loss from the batch's label
+positions, the prototype matrix, the teachers' rows for the batch and
+the drift anchor -> backward -> one flat AdamW step -> on every
+`we_interval`-th iteration, fold the flat parameters into the ensemble
+(and under "ewe", after every `ewe_eta`-th averaging, load the ensemble
+into the live parameters and reset AdamW's moments). The store is
+dropped with the task's window. All randomness is derived from the run
+seed; a run is a pure function of (stream, hyper, seed, initial model).
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import numpy as np
 
 from . import losses, metrics, taskgen
 from .config import HyperParams, ModelConfig
-from .encoder import DualEncoder, ModelSnapshot, load_flat, params_flat, save_checkpoint, snapshot
+from .encoder import DualEncoder, load_flat, params_flat, save_checkpoint, snapshot
 from .errors import ConfigError, ContractError, TrainingDivergedError
 from .jsonutil import format_float, write_canonical, write_lines
 from .optim import AdamW
@@ -55,7 +55,7 @@ _TAG_PRETRAIN_BATCH = 21
 class TaskResult:
     """What one task's training window leaves behind."""
 
-    checkpoint: ModelSnapshot
+    checkpoint: DualEncoder    # frozen (`snapshot`)
     loss_rows: list
 
 
@@ -65,7 +65,7 @@ class RunRecord:
 
     matrix: np.ndarray         # row 0: the initial model's zero-shot row
     loss_rows: list            # (task_id, iteration, LossBreakdown)
-    checkpoints: list          # per-task ModelSnapshot
+    checkpoints: list          # per-task frozen DualEncoder
     config_echo: dict
     seed: int
 
@@ -80,7 +80,7 @@ def _adamw(model: DualEncoder, hyper: HyperParams) -> AdamW:
     )
 
 
-def pretrain(stream, hyper: HyperParams, seed: int, model_cfg: ModelConfig | None = None) -> ModelSnapshot:
+def pretrain(stream, hyper: HyperParams, seed: int, model_cfg: ModelConfig | None = None) -> DualEncoder:
     """Contrastively pretrain the initial model on the label-noisy pool.
 
     Symmetric batch InfoNCE: image row b should match text row b among
@@ -131,8 +131,8 @@ def _label_positions(task) -> np.ndarray:
 
 def train_task(
     student: DualEncoder,
-    c0: ModelSnapshot,
-    c_prev: ModelSnapshot,
+    c0: DualEncoder,
+    c_prev: DualEncoder,
     task,
     hyper: HyperParams,
     seed: int,
@@ -143,14 +143,13 @@ def train_task(
     On return the student carries the task's final parameters (the
     ensemble mean unless `hyper.ensemble` is "off"). The prototype store, when
     an enabled term reads it, lives only inside this window: seeded from
-    the initial model before the first iteration, purged after the last.
+    the initial model before the first iteration, dropped on return.
     Every batch's loss takes its teacher rows from the per-task bundles of
     the weighted teachers, and adds the drift anchor toward
     `wc_reference` iff one is given.
     """
     positions = _label_positions(task)
     token_ids = task.token_ids
-    class_ids = task.class_ids
     store = None
     if hyper.uses_prototypes:
         store = PrototypeStore.init_from_model(
@@ -162,7 +161,7 @@ def train_task(
         )
     teachers = None
     if hyper.distills:
-        pt_protos = store.matrix(class_ids).detach() if hyper.enable_idd else None
+        pt_protos = store.matrix() if hyper.enable_idd else None
         teachers = tuple(
             losses.teacher_outputs(teacher, task.train_x, token_ids, pt_protos, hyper.tau) if weighted else None
             for teacher, weighted in zip((c0, c_prev), losses.weighted_teachers(hyper.teacher_weight))
@@ -172,15 +171,14 @@ def train_task(
     opt = _adamw(student, hyper)
     loss_rows = []
 
-    for k, (x, labels, rows) in enumerate(
-        taskgen.batches(task, hyper.batch_size, seed, hyper.iterations_per_task), start=1
-    ):
+    protos = None
+    for k, (x, rows) in enumerate(taskgen.batches(task, hyper.batch_size, seed, hyper.iterations_per_task), start=1):
         feats = student.encode_images(x)
+        batch_positions = positions[rows]
         if store is not None:
-            store.ema_update({cid: feats.data[labels == cid] for cid in sorted(set(labels.tolist()))})
-        loss, bd = losses.total_loss(
-            student, feats, positions[rows], token_ids, class_ids, store, hyper, teachers, rows, wc_reference
-        )
+            store.ema_update(feats.data, batch_positions)
+            protos = store.matrix()
+        loss, bd = losses.total_loss(student, feats, batch_positions, token_ids, protos, hyper, teachers, rows, wc_reference)
         if not math.isfinite(bd.total):
             raise TrainingDivergedError(
                 f"task {task.task_id} iteration {k}: non-finite loss; breakdown "
@@ -199,8 +197,6 @@ def train_task(
 
     if we_state is not None:
         load_flat(student, we_state.theta_hat)
-    if store is not None:
-        store.purge()
     return TaskResult(checkpoint=snapshot(student), loss_rows=loss_rows)
 
 
@@ -218,7 +214,7 @@ def run_stream(
     stream,
     hyper: HyperParams,
     seed: int,
-    c0: ModelSnapshot,
+    c0: DualEncoder,
     config_echo: dict | None = None,
 ) -> RunRecord:
     """Sequential pass over the stream's tasks starting from `c0`.
@@ -240,7 +236,7 @@ def run_stream(
     checkpoints: list = []
     for i, task in enumerate(stream.tasks, start=1):
         c_prev = snapshot(student)
-        wc_reference = c_prev.params_flat() if use_wc else None
+        wc_reference = params_flat(c_prev) if use_wc else None
         result = train_task(student, c0, c_prev, task, hyper, seed, wc_reference=wc_reference)
         loss_rows.extend(result.loss_rows)
         checkpoints.append(result.checkpoint)

@@ -119,8 +119,9 @@ class TaskSpec:
     def token_ids(self) -> list[int]:
         return [c.token_id for c in self.classes]
 
-    def images_by_class(self) -> dict[int, np.ndarray]:
-        return {c.class_id: self.train_x[self.train_y == c.class_id] for c in self.classes}
+    def images_by_class(self) -> list[np.ndarray]:
+        """Each class's training images, in class order."""
+        return [self.train_x[self.train_y == c.class_id] for c in self.classes]
 
 
 @dataclass(eq=False)
@@ -276,7 +277,7 @@ def _pretrain_pool(tasks, config: StreamConfig, seed: int):
 def batches(task: TaskSpec, batch_size: int, seed: int, iterations: int):
     """Yield `iterations` batches sampled with replacement from task.train.
 
-    Each batch is (images, class ids, row indices into task.train_x).
+    Each batch is (images, row indices into task.train_x).
     Batch i is a pure function of (seed, task_id, i): regenerating the
     stream and re-running gives identical batches.
     """
@@ -286,7 +287,7 @@ def batches(task: TaskSpec, batch_size: int, seed: int, iterations: int):
     for it in range(1, iterations + 1):
         rng = _rng(seed, _TAG_BATCH, task.task_id, it)
         idx = rng.integers(0, n, size=batch_size)
-        yield task.train_x[idx], task.train_y[idx], idx
+        yield task.train_x[idx], idx
 
 
 # ---------------------------------------------------------------------------

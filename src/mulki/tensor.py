@@ -111,10 +111,6 @@ class Tensor:
             raise ContractError(f"item() needs a single element, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        """A view of the same data with no graph attached."""
-        return Tensor(self.data)
-
     def _accumulate(self, g: np.ndarray) -> None:
         if self._backward is not None:
             # pass gradients are only ever replaced, never written in place, so

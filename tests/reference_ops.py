@@ -390,9 +390,8 @@ def _outputs(feats, texts, protos, tau) -> dict:
     )
 
 
-def total_loss(x, label_positions, token_ids, student_model, c0, c_prev, store, hyper, class_ids, wc_reference=None):
+def total_loss(x, label_positions, token_ids, student_model, c0, c_prev, protos, hyper, wc_reference=None):
     """The whole objective for one batch, teachers encoding the batch themselves."""
-    protos = store.matrix(class_ids).detach()
     texts = encode_texts(student_model, token_ids)
     student = StudentOutputs(texts=texts, **_outputs(encode_images(student_model, x), texts, protos, hyper.tau))
     bd = LossBreakdown()
@@ -405,8 +404,8 @@ def total_loss(x, label_positions, token_ids, student_model, c0, c_prev, store, 
     if hyper.enable_fd or hyper.enable_ird or hyper.enable_idd:
         teachers = []
         for teacher in (c0, c_prev):
-            t_texts = encode_texts(teacher._model, token_ids)
-            teachers.append(TeacherOutputs(texts=t_texts, **_outputs(encode_images(teacher._model, x), t_texts, protos, hyper.tau)))
+            t_texts = encode_texts(teacher, token_ids)
+            teachers.append(TeacherOutputs(texts=t_texts, **_outputs(encode_images(teacher, x), t_texts, protos, hyper.tau)))
         mdd, info = mdd_loss(
             *teachers, student, protos, alpha=hyper.alpha, beta=hyper.beta, teacher_weight=hyper.teacher_weight,
             enable_fd=hyper.enable_fd, enable_ird=hyper.enable_ird, enable_idd=hyper.enable_idd,

@@ -18,7 +18,7 @@ import pytest
 from mulki import losses, metrics
 from mulki.cli import main as cli_main
 from mulki.config import apply_variant
-from mulki.encoder import DualEncoder, snapshot
+from mulki.encoder import DualEncoder, params_flat, snapshot
 from mulki.metrics import AccuracyMatrix
 from mulki.prototypes import PrototypeStore
 from mulki.runner import HyperParams, ModelConfig, pretrain, run_stream
@@ -174,20 +174,20 @@ def _mulki_gap(seed: int, coords_per_seed: int = 40) -> float:
     c_prev = snapshot(DualEncoder(seed + 51, **dims))
     student = DualEncoder(seed + 52, **dims)
     rng = np.random.default_rng([301, seed])
-    store = PrototypeStore.init_from_model(c0, {c: rng.normal(size=(5, D)) for c in range(K)})
+    store = PrototypeStore.init_from_model(c0, [rng.normal(size=(5, D)) for _ in range(K)])
     x = rng.normal(size=(B, D))
     label_positions = rng.integers(0, K, size=B)
     token_ids = np.arange(1, K + 1)
     hyper = HyperParams()
-    wc_ref = c_prev.params_flat()
-    class_ids, rows = list(range(K)), np.arange(B)
-    protos = store.matrix(class_ids).detach()
+    wc_ref = params_flat(c_prev)
+    rows = np.arange(B)
+    protos = store.matrix()
     # the teachers are frozen: their bundles are built once, the student is re-encoded per evaluation
     teachers = tuple(losses.teacher_outputs(t, x, token_ids, protos, hyper.tau) for t in (c0, c_prev))
 
     def make():
         feats = student.encode_images(x)
-        loss, _ = losses.total_loss(student, feats, label_positions, token_ids, class_ids, store, hyper, teachers, rows, wc_ref)
+        loss, _ = losses.total_loss(student, feats, label_positions, token_ids, protos, hyper, teachers, rows, wc_ref)
         return loss
 
     gap = 0.0
@@ -301,7 +301,7 @@ class _IdentityEncoder:
 def test_criterion_3_prototype_ema():
     rng = np.random.default_rng(303)
     p0 = rng.normal(size=D)
-    store = PrototypeStore.init_from_model(_IdentityEncoder(), {0: p0[None, :]})
+    store = PrototypeStore.init_from_model(_IdentityEncoder(), [p0[None, :]])
     v = rng.normal(size=D)
     target = v / np.linalg.norm(v)
     gamma_24 = gamma_25 = None
@@ -310,8 +310,8 @@ def test_criterion_3_prototype_ema():
             gamma_24 = store.gamma
         if k == 25:
             gamma_25 = store.gamma
-        store.ema_update({0: v[None, :]})
-    angle = float(np.arccos(np.clip(np.dot(store.get(0), target), -1.0, 1.0)))
+        store.ema_update(v[None, :], np.zeros(1, dtype=np.int64))
+    angle = float(np.arccos(np.clip(np.dot(store.rows[0], target), -1.0, 1.0)))
     ok_angle = angle < 1e-3
     ok_gamma = gamma_24 < 0.98 and gamma_25 == 0.98
     _verdict(

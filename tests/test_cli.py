@@ -312,8 +312,9 @@ def test_bad_config_key_exits_2(tmp_path, capsys):
         ("generate", {"stream": {"train_per_class": 10**12}}, "stream.train_per_class"),
         ("pretrain", {"hyper": {"pretrain_iterations": 10**20}}, "hyper.pretrain_iterations"),
         ("run", {"hyper": {"iterations_per_task": 10**20}}, "hyper.iterations_per_task"),
+        ("run", {"hyper": {"adam_eps": -1e-8}}, "hyper.adam_eps"),
     ],
-    ids=["n_tasks", "train_per_class", "pretrain_iterations", "iterations_per_task"],
+    ids=["n_tasks", "train_per_class", "pretrain_iterations", "iterations_per_task", "adam_eps"],
 )
 def test_counts_past_their_bound_exit_2(tmp_path, capsys, monkeypatch, command, config, key):
     """The config is refused before any input is read or any stream generated."""
@@ -417,6 +418,21 @@ def test_no_output_location_exits_2(pipeline, capsys):
     ])
     assert code == 2
     assert "output location" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["report", "generate", "run"])
+def test_unreadable_paths_exit_2(pipeline, tmp_path, capsys, command):
+    """A path that names a directory where a file belongs, or a file where a directory belongs."""
+    target = tmp_path / "a_directory"
+    target.mkdir()
+    argv = {
+        "report": ["report", str(pipeline.cfg), "--out", str(tmp_path / "r.csv")],  # run directory is a file
+        "generate": ["generate", "--config", str(pipeline.cfg), "--out", str(target)],
+        "run": ["run", "--config", str(pipeline.cfg), "--stream", str(target), "--c0", str(pipeline.c0),
+                "--out", str(tmp_path / "x")],
+    }[command]
+    exits_2_with_one_line(argv, capsys, "error:")
+    assert list(tmp_path.glob("*.tmp")) == [] and list(target.iterdir()) == []
 
 
 def test_report_missing_metrics_exits_2(tmp_path, capsys):

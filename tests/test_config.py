@@ -84,7 +84,8 @@ def test_wrongly_typed_value_named(raw, key):
     assert key in str(err.value)
 
 
-# counts past their bound: the stream's arrays over the byte budget, or too many iterations
+# values past their bound: the stream's arrays over the byte budget, too many iterations,
+# or a hyper value outside the range its meaning allows
 OVERSIZED = [
     ({"stream": {"n_tasks": 10**20}}, "stream.n_tasks"),
     ({"stream": {"pretrain_per_class": 10**400}}, "stream.pretrain_per_class"),  # past any float
@@ -93,6 +94,9 @@ OVERSIZED = [
     ({"stream": {"mode": "class_incremental", "classes_per_task": 10**7}}, "stream.classes_per_task"),
     ({"hyper": {"iterations_per_task": 10**20}}, "hyper.iterations_per_task"),
     ({"hyper": {"pretrain_iterations": 10**6 + 1}}, "hyper.pretrain_iterations"),
+    ({"hyper": {"gamma_step": -0.5}}, "hyper.gamma_step"),  # the EMA schedule would fall
+    ({"hyper": {"weight_decay": -5000}}, "hyper.weight_decay"),
+    ({"hyper": {"adam_eps": 0}}, "hyper.adam_eps"),  # a zero denominator at the first step
 ]
 
 

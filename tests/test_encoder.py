@@ -119,13 +119,19 @@ def test_snapshot_matches_student_at_equal_params(rng):
     assert m.encode_images(Tensor(x)).requires_grad is True
 
 
-def test_snapshot_trainable_copy_round_trip(rng):
+def test_snapshot_trainable_copy_round_trip(rng, monkeypatch):
     m = make_model()
     train_steps(m, rng, steps=3)
     frozen = snapshot(m)
+
+    def no_init(*args, **kwargs):
+        raise AssertionError("trainable_copy re-ran the seeded init")
+
+    monkeypatch.setattr(DualEncoder, "__init__", no_init)
     copy = frozen.trainable_copy()
-    assert np.array_equal(params_flat(copy), frozen.params_flat())
+    assert np.array_equal(params_flat(copy), params_flat(frozen))
     assert copy.img_w1.data.flags.writeable
+    assert (copy.seed, copy.dims) == (m.seed, m.dims)
 
 
 def test_params_flat_round_trip(rng):
@@ -159,19 +165,21 @@ def test_snapshot_and_trainable_copy_own_their_buffers(rng):
     m = make_model()
     frozen = snapshot(m)
     copy = frozen.trainable_copy()
-    buffers = [m.parameters().flat, frozen._model.parameters().flat, copy.parameters().flat]
+    assert type(frozen) is DualEncoder and type(copy) is DualEncoder
+    buffers = [m.parameters().flat, frozen.parameters().flat, copy.parameters().flat]
     for i, a in enumerate(buffers):
         for b in buffers[i + 1 :]:
             assert not np.shares_memory(a, b)
-    assert not frozen._model.parameters().flat.flags.writeable
-    assert not any(p.data.flags.writeable for p in frozen._model.parameters())
-    assert frozen._model.parameters().grad is None  # frozen: no gradient buffer
+    assert not frozen.parameters().flat.flags.writeable
+    assert not any(p.data.flags.writeable or p.requires_grad for p in frozen.parameters())
+    assert frozen.parameters().grad is None  # frozen: no gradient buffer
     assert not np.shares_memory(m.parameters().grad, copy.parameters().grad)
+    assert all(p.requires_grad for p in copy.parameters())
 
-    before = frozen.params_flat()
+    before = params_flat(frozen)
     train_steps(m, rng, steps=3)
     train_steps(copy, rng, steps=3)
-    assert np.array_equal(frozen.params_flat(), before)
+    assert np.array_equal(params_flat(frozen), before)
     assert not np.array_equal(params_flat(m), before)
     assert not np.array_equal(params_flat(copy), before)
 
@@ -184,10 +192,10 @@ def test_load_flat_length_error():
 
 def test_load_flat_frozen_error():
     frozen = snapshot(make_model())
-    before = frozen.params_flat()
+    before = params_flat(frozen)
     with pytest.raises(ContractError):
-        load_flat(frozen._model, before + 1.0)
-    assert np.array_equal(frozen.params_flat(), before)
+        load_flat(frozen, before + 1.0)
+    assert np.array_equal(params_flat(frozen), before)
 
 
 def test_load_flat_changes_encodings(rng):

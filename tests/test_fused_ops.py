@@ -256,19 +256,19 @@ def _iteration(seed, hyper):
     dims = dict(vocab_size=8, d_in=12, d_tok=6, hidden=10, embed_dim=16)
     c0, c_prev = snapshot(DualEncoder(seed + 50, **dims)), snapshot(DualEncoder(seed + 51, **dims))
     student = DualEncoder(seed + 52, **dims)
-    store = PrototypeStore.init_from_model(c0, {c: rng.normal(size=(4, 12)) for c in range(5)})
+    store = PrototypeStore.init_from_model(c0, [rng.normal(size=(4, 12)) for _ in range(5)])
     x, labels = rng.normal(size=(32, 12)), rng.integers(0, 5, size=32)
-    class_ids, token_ids, ref = list(range(5)), [1, 2, 3, 4, 5], params_flat(student) + 0.01
+    token_ids, ref = [1, 2, 3, 4, 5], params_flat(student) + 0.01
 
     def fused():
         """The trainer's path: teacher bundles over the batch, the student's features encoded first."""
-        protos = store.matrix(class_ids).detach()
+        protos = store.matrix()
         teachers = tuple(losses.teacher_outputs(t, x, token_ids, protos, hyper.tau) for t in (c0, c_prev))
         feats = student.encode_images(x)
-        return losses.total_loss(student, feats, labels, token_ids, class_ids, store, hyper, teachers, np.arange(32), ref)
+        return losses.total_loss(student, feats, labels, token_ids, protos, hyper, teachers, np.arange(32), ref)
 
     def chain():
-        return R.total_loss(x, labels, token_ids, student, c0, c_prev, store, hyper, class_ids, ref)
+        return R.total_loss(x, labels, token_ids, student, c0, c_prev, store.matrix(), hyper, ref)
 
     return SimpleNamespace(student=student, fused=fused, chain=chain)
 

@@ -489,10 +489,9 @@ def test_teacher_rows_equal_per_batch_teacher_outputs(tiny_stream):
 
     task = tiny_stream.tasks[0]
     teacher = snapshot(DualEncoder(5, vocab_size=tiny_stream.vocab_size, d_in=tiny_stream.d_in, d_tok=8, hidden=16, embed_dim=8))
-    store = PrototypeStore.init_from_model(teacher, task.images_by_class())
-    protos = store.matrix(task.class_ids).detach()
+    protos = PrototypeStore.init_from_model(teacher, task.images_by_class()).matrix()
     whole = teacher_outputs(teacher, task.train_x, task.token_ids, protos, tau=2.0)
-    for it, (x, _, idx) in enumerate(batches(task, 8, seed=3, iterations=40)):
+    for it, (x, idx) in enumerate(batches(task, 8, seed=3, iterations=40)):
         moved = Tensor(np.roll(protos.data, it, axis=1))  # prototypes drift between batches
         fresh = teacher_outputs(teacher, x, task.token_ids, moved, tau=2.0)
         cut = whole.rows(idx, moved, tau=2.0)
@@ -507,7 +506,7 @@ def test_teacher_rows_carry_unit_rows_equal_to_a_fresh_normalization(tiny_stream
     task = tiny_stream.tasks[0]
     teacher = snapshot(DualEncoder(5, vocab_size=tiny_stream.vocab_size, d_in=tiny_stream.d_in))  # default widths
     whole = teacher_outputs(teacher, task.train_x, task.token_ids, None, tau=2.0)
-    for it, (_, _, idx) in enumerate(batches(task, 32, seed=3, iterations=50)):
+    for it, (_, idx) in enumerate(batches(task, 32, seed=3, iterations=50)):
         cut = whole.rows(idx, None, tau=2.0)
         kept = cut.feats._unit
         assert kept is not None and T.unit_rows(cut.feats) is kept  # handed over, not recomputed
@@ -539,11 +538,11 @@ def test_total_loss_with_teacher_bundles_matches_per_batch():
     student, c0, c_prev, store, x, labels, token_ids, hyper = total_loss_setup(seed=6)
     pool = np.random.default_rng(1).normal(size=(10, 6))
     rows = np.array([3, 1, 4, 1, 5, 9])
-    protos = store.matrix([0, 1, 2]).detach()
+    protos = store.matrix()
     teachers = tuple(teacher_outputs(t, pool, token_ids, protos, hyper.tau) for t in (c0, c_prev))
-    _, fresh = R.total_loss(pool[rows], labels, token_ids, student, c0, c_prev, store, hyper, [0, 1, 2])
+    _, fresh = R.total_loss(pool[rows], labels, token_ids, student, c0, c_prev, protos, hyper)
     feats = student.encode_images(pool[rows])
-    _, cached = total_loss(student, feats, labels, token_ids, [0, 1, 2], store, hyper, teachers, rows)
+    _, cached = total_loss(student, feats, labels, token_ids, protos, hyper, teachers, rows)
     assert fresh.values() == cached.values()
     assert fresh.r0_mean == cached.r0_mean is not None
 
@@ -556,11 +555,11 @@ def fixed_point_setup(seed=0):
     model = DualEncoder(seed, vocab_size=5, d_in=6, d_tok=4, hidden=8, embed_dim=6)
     frozen = snapshot(model)
     rng = np.random.default_rng(seed + 1)
-    images = {0: rng.normal(size=(4, 6)), 1: rng.normal(size=(4, 6)), 2: rng.normal(size=(4, 6))}
+    images = [rng.normal(size=(4, 6)), rng.normal(size=(4, 6)), rng.normal(size=(4, 6))]
     store = PrototypeStore.init_from_model(frozen, images)
     x = rng.normal(size=(5, 6))
     token_ids = [1, 2, 3]
-    protos = store.matrix([0, 1, 2]).detach()
+    protos = store.matrix()
     return model, frozen, x, token_ids, protos
 
 
@@ -606,7 +605,7 @@ def total_loss_setup(seed=0, hyper=None):
     prev_model = DualEncoder(seed + 51, vocab_size=5, d_in=6, d_tok=4, hidden=8, embed_dim=6)
     student = DualEncoder(seed + 52, vocab_size=5, d_in=6, d_tok=4, hidden=8, embed_dim=6)
     c0, c_prev = snapshot(teacher_model), snapshot(prev_model)
-    images = {0: rng.normal(size=(4, 6)), 1: rng.normal(size=(4, 6)), 2: rng.normal(size=(4, 6))}
+    images = [rng.normal(size=(4, 6)), rng.normal(size=(4, 6)), rng.normal(size=(4, 6))]
     store = PrototypeStore.init_from_model(c0, images)
     x = rng.normal(size=(6, 6))
     labels = [0, 1, 2, 0, 1, 2]
@@ -617,11 +616,10 @@ def total_loss_setup(seed=0, hyper=None):
 
 def bundled_loss(student, c0, c_prev, store, x, labels, token_ids, hyper, wc_reference=None):
     """total_loss on batch `x` with both teacher bundles built over `x` itself (batch rows 0..B-1)."""
-    class_ids = [0, 1, 2]
-    protos = store.matrix(class_ids).detach()
+    protos = store.matrix()
     teachers = tuple(teacher_outputs(t, x, token_ids, protos, hyper.tau) for t in (c0, c_prev))
     feats = student.encode_images(x)
-    return total_loss(student, feats, labels, token_ids, class_ids, store, hyper, teachers, np.arange(len(x)), wc_reference)
+    return total_loss(student, feats, labels, token_ids, protos, hyper, teachers, np.arange(len(x)), wc_reference)
 
 
 def test_total_loss_breakdown_identity():
@@ -666,9 +664,9 @@ def test_no_gradient_reaches_teachers_or_prototypes():
     student, c0, c_prev, store, x, labels, token_ids, hyper = total_loss_setup(seed=4)
     loss, _ = bundled_loss(student, c0, c_prev, store, x, labels, token_ids, hyper)
     loss.backward()
-    for p in c0._model.parameters():
+    for p in c0.parameters():
         assert p.grad is None
-    for p in c_prev._model.parameters():
+    for p in c_prev.parameters():
         assert p.grad is None
     assert all(p.grad is not None for p in student.parameters())
 

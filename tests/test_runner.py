@@ -50,7 +50,8 @@ def test_continual_ft_bitwise_matches_reference_loop(tiny_stream):
             weight_decay=hyper.weight_decay,
         )
         position_of = {cid: p for p, cid in enumerate(task.class_ids)}
-        for x, labels, _ in taskgen.batches(task, hyper.batch_size, seed, hyper.iterations_per_task):
+        for x, rows in taskgen.batches(task, hyper.batch_size, seed, hyper.iterations_per_task):
+            labels = task.train_y[rows]
             feats = student.encode_images(x)
             texts = student.encode_texts(task.token_ids)
             dist = losses.image_text_dist(feats, texts, hyper.tau_ce)
@@ -61,7 +62,7 @@ def test_continual_ft_bitwise_matches_reference_loop(tiny_stream):
         matrix.append(evaluate_row(snapshot(student), tiny_stream, i))
 
     assert np.array_equal(record.matrix, np.array(matrix))
-    assert np.array_equal(record.checkpoints[-1].params_flat(), params_flat(student))
+    assert np.array_equal(params_flat(record.checkpoints[-1]), params_flat(student))
 
 
 def test_double_run_is_bitwise_identical(tiny_stream):
@@ -70,7 +71,7 @@ def test_double_run_is_bitwise_identical(tiny_stream):
     b = run_stream(tiny_stream, fast_hyper(), 1, c0)
     assert np.array_equal(a.matrix, b.matrix)
     for ca, cb in zip(a.checkpoints, b.checkpoints):
-        assert np.array_equal(ca.params_flat(), cb.params_flat())
+        assert np.array_equal(params_flat(ca), params_flat(cb))
 
 
 def test_matrix_shape_and_row0(tiny_stream):
@@ -85,9 +86,9 @@ def test_matrix_shape_and_row0(tiny_stream):
 
 def test_teacher_parameters_never_move(tiny_stream):
     c0 = make_c0(tiny_stream)
-    before = c0.params_flat()
+    before = params_flat(c0)
     run_stream(tiny_stream, fast_hyper(), 1, c0)
-    assert np.array_equal(c0.params_flat(), before)
+    assert np.array_equal(params_flat(c0), before)
 
 
 class InstrumentedStore(PrototypeStore):
@@ -97,16 +98,12 @@ class InstrumentedStore(PrototypeStore):
     def init_from_model(cls, model, images_by_class, **kw):
         store = super().init_from_model(model, images_by_class, **kw)
         store.__class__ = cls
-        cls.events.append(("init", sorted(images_by_class)))
+        cls.events.append(("init", [len(images) for images in images_by_class]))
         return store
 
-    def ema_update(self, feats_by_class):
-        type(self).events.append(("update", sorted(feats_by_class)))
-        return super().ema_update(feats_by_class)
-
-    def purge(self):
-        type(self).events.append(("purge", len(self)))
-        super().purge()
+    def ema_update(self, feats, positions):
+        type(self).events.append(("update", sorted(set(positions.tolist()))))
+        return super().ema_update(feats, positions)
 
 
 def test_prototype_store_lifecycle(tiny_stream, monkeypatch):
@@ -119,14 +116,14 @@ def test_prototype_store_lifecycle(tiny_stream, monkeypatch):
     events = InstrumentedStore.events
     kinds = [kind for kind, _ in events]
     n, iters = tiny_stream.n_tasks, hyper.iterations_per_task
-    # per task: one init, `iterations` updates, one purge; store full at purge
-    assert kinds == (["init"] + ["update"] * iters + ["purge"]) * n
+    # per task: one init from every class's training images in class order, then `iterations` updates
+    assert kinds == (["init"] + ["update"] * iters) * n
     for i, task in enumerate(tiny_stream.tasks):
-        init_payload = events[i * (iters + 2)][1]
-        assert init_payload == sorted(task.class_ids)
+        init_payload = events[i * (iters + 1)][1]
+        assert init_payload == [int(np.sum(task.train_y == class_id)) for class_id in task.class_ids]
     for kind, payload in events:
-        if kind == "purge":
-            assert payload == tiny_stream.tasks[0].classes.__len__()
+        if kind == "update":
+            assert payload and set(payload) <= set(range(len(tiny_stream.tasks[0].classes)))
 
 
 def count_calls(monkeypatch, owner, name) -> list:
@@ -160,7 +157,6 @@ def test_each_arm_builds_only_what_its_terms_read(tiny_stream, monkeypatch, vari
         for name, owner, attr in [
             ("init", PrototypeStore, "init_from_model"),
             ("ema", PrototypeStore, "ema_update"),
-            ("purge", PrototypeStore, "purge"),
             ("teacher", losses, "teacher_outputs"),
             ("rows", losses.TeacherOutputs, "rows"),
             ("dist", losses, "image_text_dist"),
@@ -170,7 +166,7 @@ def test_each_arm_builds_only_what_its_terms_read(tiny_stream, monkeypatch, vari
     run_stream(tiny_stream, hyper, 1, c0)
 
     n, iters = tiny_stream.n_tasks, hyper.iterations_per_task
-    assert len(calls["init"]) == len(calls["purge"]) == (n if keeps_store else 0)
+    assert len(calls["init"]) == (n if keeps_store else 0)
     assert len(calls["ema"]) == (n * iters if keeps_store else 0)
     assert ["c0" if args[0] is c0 else "prev" for args in calls["teacher"]] == bundles * n
     assert len(calls["rows"]) == len(bundles) * n * iters
@@ -241,7 +237,7 @@ def test_we_state_accounting(tiny_stream, monkeypatch):
     (state,) = states
     assert state.m == 3  # floor(10 / 3)
     assert np.array_equal(params_flat(student), state.theta_hat)
-    assert np.array_equal(result.checkpoint.params_flat(), state.theta_hat)
+    assert np.array_equal(params_flat(result.checkpoint), state.theta_hat)
 
 
 def test_ensembling_changes_final_parameters(tiny_stream, monkeypatch):
@@ -254,7 +250,7 @@ def test_ensembling_changes_final_parameters(tiny_stream, monkeypatch):
     averaged = train_task(
         c0.trainable_copy(), c0, c0, tiny_stream.tasks[0], fast_hyper(we_interval=2), 2
     )
-    assert not np.array_equal(raw.checkpoint.params_flat(), averaged.checkpoint.params_flat())
+    assert not np.array_equal(params_flat(raw.checkpoint), params_flat(averaged.checkpoint))
 
 
 def test_ewe_overwrites_live_parameters(tiny_stream):
@@ -266,7 +262,7 @@ def test_ewe_overwrites_live_parameters(tiny_stream):
         c0.trainable_copy(), c0, c0, tiny_stream.tasks[0],
         fast_hyper(iterations_per_task=8, we_interval=2), 2,
     )
-    assert not np.array_equal(ewe.checkpoint.params_flat(), we_only.checkpoint.params_flat())
+    assert not np.array_equal(params_flat(ewe.checkpoint), params_flat(we_only.checkpoint))
 
 
 def ensemble_events(tiny_stream, monkeypatch, ensemble) -> list:
@@ -322,14 +318,14 @@ def test_no_ensemble_leaves_the_last_iterate(tiny_stream, monkeypatch):
 def test_pretrain_deterministic(tiny_stream):
     a = make_c0(tiny_stream, seed=5)
     b = make_c0(tiny_stream, seed=5)
-    assert np.array_equal(a.params_flat(), b.params_flat())
-    assert not np.array_equal(a.params_flat(), make_c0(tiny_stream, seed=6).params_flat())
+    assert np.array_equal(params_flat(a), params_flat(b))
+    assert not np.array_equal(params_flat(a), params_flat(make_c0(tiny_stream, seed=6)))
 
 
 def test_pretrain_zero_iterations_is_random_init(tiny_stream):
     got = pretrain(tiny_stream, fast_hyper(pretrain_iterations=0), 4, ModelConfig(**TINY_MODEL))
     fresh = DualEncoder(4, vocab_size=tiny_stream.vocab_size, d_in=tiny_stream.d_in, **TINY_MODEL)
-    assert np.array_equal(got.params_flat(), params_flat(fresh))
+    assert np.array_equal(params_flat(got), params_flat(fresh))
 
 
 def test_pretrain_rejects_empty_pool(tiny_stream):

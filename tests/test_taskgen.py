@@ -149,9 +149,7 @@ def test_per_class_sample_mean_statistics():
     cfg = small_config(train_per_class=400, noise_scale=0.5)
     stream = generate_stream(cfg)
     for task in stream.tasks:
-        groups = task.images_by_class()
-        for c in task.classes:
-            x = groups[c.class_id]
+        for c, x in zip(task.classes, task.images_by_class(), strict=True):
             # chi-square norm bound: far looser than per-coordinate 3 sigma
             bound = 3.0 * c.noise_scale * np.sqrt(cfg.d_in / x.shape[0])
             assert np.linalg.norm(x.mean(axis=0) - c.mean) <= bound
@@ -175,8 +173,8 @@ def test_train_test_disjoint():
 def test_batches_deterministic_and_varied():
     stream = generate_stream(small_config())
     task = stream.tasks[0]
-    run1 = [(x.copy(), y.copy()) for x, y, _ in batches(task, 8, seed=5, iterations=4)]
-    run2 = [(x.copy(), y.copy()) for x, y, _ in batches(task, 8, seed=5, iterations=4)]
+    run1 = [(x.copy(), idx.copy()) for x, idx in batches(task, 8, seed=5, iterations=4)]
+    run2 = [(x.copy(), idx.copy()) for x, idx in batches(task, 8, seed=5, iterations=4)]
     for (x1, y1), (x2, y2) in zip(run1, run2):
         assert np.array_equal(x1, x2) and np.array_equal(y1, y2)
     assert not np.array_equal(run1[0][0], run1[1][0])  # iterations differ
@@ -184,16 +182,18 @@ def test_batches_deterministic_and_varied():
     other_seed = next(iter(batches(task, 8, seed=6, iterations=1)))[0]
     assert not np.array_equal(run1[0][0], other_seed)
 
-    for x, y in run1:
+    for x, idx in run1:
         assert x.shape == (8, stream.d_in)
-        assert set(y) <= set(task.class_ids)
+        assert set(task.train_y[idx]) <= set(task.class_ids)
 
 
 def test_batch_indices_select_the_batch():
     task = generate_stream(small_config()).tasks[0]
-    for x, y, idx in batches(task, 8, seed=5, iterations=3):
+    for it, (x, idx) in enumerate(batches(task, 8, seed=5, iterations=3), start=1):
         assert np.array_equal(x, task.train_x[idx])
-        assert np.array_equal(y, task.train_y[idx])
+        # the batch's key: (seed, the batch tag 16, task id, iteration)
+        want = np.random.default_rng([5, 16, task.task_id, it]).integers(0, len(task.train_x), size=8)
+        assert np.array_equal(idx, want)
 
 
 def test_batches_rejects_bad_size():
