@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import metrics
-from .config import VARIANTS, ExperimentConfig, apply_env_overrides, apply_variant, config_from_dict, load_config
+from .config import VARIANTS, ExperimentConfig, apply_env_overrides, apply_variant, check_seeds, config_from_dict, load_config
 from .encoder import load_checkpoint, save_checkpoint, snapshot
 from .errors import ConfigError, MulkiError
 from .jsonutil import format_float, is_number, write_canonical, write_lines
@@ -36,12 +36,8 @@ def _load_experiment(args) -> ExperimentConfig:
         try:
             seeds = [int(s) for s in args.seeds.split(",") if s]
         except ValueError:
-            seeds = []
-        if not seeds or min(seeds) < 0 or max(seeds) >= 2**63:
-            raise ConfigError(f"--seeds must be a comma-separated list of integers in [0, 2**63), got {args.seeds!r}")
-        if len(set(seeds)) < len(seeds):
-            raise ConfigError(f"--seeds must not repeat a seed, got {args.seeds!r}")
-        cfg.seeds = seeds
+            raise ConfigError(f"--seeds must be a comma-separated list of integers, got {args.seeds!r}") from None
+        cfg.seeds = check_seeds(seeds, "--seeds")
     return cfg
 
 

@@ -1,5 +1,5 @@
-"""Experiment configuration: the model and hyper sections, JSON files,
-environment overrides, variants.
+"""Experiment configuration: the stream, model and hyper sections, JSON
+files, environment overrides, variants.
 
 A config file has up to six top-level keys:
 
@@ -12,14 +12,12 @@ A config file has up to six top-level keys:
       "out_dir": "runs/exp"
     }
 
-Every key is optional and defaults are documented on the dataclasses.
-Unknown keys are rejected by name, and every section value must have the
-type of its field's default: a JSON bool for flags, an integer for
-counts, a finite number for real-valued knobs (no NaN or Infinity), a
-string for modes, null or a finite number where the default is null;
-anything else is a ConfigError naming the key. Counts are bounded too:
-the iteration counts by MAX_ITERATIONS, and the stream section by the
-bytes of the arrays it implies (`taskgen.MAX_STREAM_BYTES`).
+Every key is optional. Unknown keys are rejected by name. Each section
+field declares its bound beside its default (`knob`), and building a
+section checks every field's type and bound in one loop (`_check`), so no
+section object holds a value outside its bound; a bad value is a
+ConfigError naming `section.key`. Two rules span fields and sit beside
+the loop: gamma0 <= gamma_max, and the stream's byte budget.
 Environment variables prefixed with MULKI_ override file values:
 MULKI_<SECTION>__<KEY> for section fields (e.g. MULKI_HYPER__LR=0.002,
 MULKI_STREAM__N_TASKS=3) and MULKI_<KEY> for top-level fields (e.g.
@@ -30,19 +28,24 @@ Values are parsed as JSON, falling back to plain strings.
 from __future__ import annotations
 
 import json
+import operator
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 from .errors import ConfigError
-from .jsonutil import is_number
-from .taskgen import StreamConfig
+from .jsonutil import is_count, is_number
 
 ENV_PREFIX = "MULKI_"
 
 TOP_LEVEL_KEYS = ("stream", "model", "hyper", "seeds", "variant", "out_dir")
 SECTIONS = ("stream", "model", "hyper")
-MAX_ITERATIONS = 10**6  # per task and for pretraining: hours of training, far past any config in use
+MODES = ("multi_domain", "class_incremental")  # stream.mode
 ENSEMBLES = ("we", "ewe", "off")  # hyper.ensemble: running mean, running mean that re-centres training, none
+MAX_ITERATIONS = 10**6  # per task and for pretraining: hours of training, far past any config in use
+MAX_WIDTH = 2**16  # model widths and batch size: far past any config in use, and refused before any allocation
+# The most bytes the arrays a stream config implies may take: every sample's
+# float64 features and int64 label, and the d_in x d_in frame of each domain.
+MAX_STREAM_BYTES = 2**30
 
 # Ablation arms: named overrides applied on top of the configured hyper.
 # "full" is the complete method; the component arms keep only what they
@@ -64,79 +67,122 @@ VARIANTS: dict[str, dict] = {
 }
 
 _TYPE_NAMES = {bool: "a JSON bool", int: "an integer", float: "a finite number", str: "a string", type(None): "null or a finite number"}
+_COMPARE = {">=": operator.ge, ">": operator.gt, "<=": operator.le, "<": operator.lt, "one of": lambda value, choices: value in choices}
 
 
-@dataclass
+def knob(default, *, lo=None, above=None, hi=None, below=None, choices=None):
+    """A section field: its default and its bound, value >= lo, > above, <= hi, < below and one of `choices`."""
+    limits = tuple((sign, limit) for sign, limit in zip(_COMPARE, (lo, above, hi, below, choices)) if limit is not None)
+    return field(default=default, metadata={"limits": limits})
+
+
+def _check(section, name: str) -> None:
+    """ConfigError naming `<section>.<name>` unless that field's value has its default's type and lies within its bound.
+
+    Each type is one of `_TYPE_NAMES`; a float field takes an integer too, kept as given so the echo keeps its bytes.
+    """
+    spec, value = section.__dataclass_fields__[name], getattr(section, name)
+    kind, key = type(spec.default), f"{section.KEY}.{name}"
+    if kind is float or kind is type(None):
+        typed = is_number(value) or (value is None and kind is not float)
+    else:
+        typed = isinstance(value, kind) and isinstance(value, bool) == (kind is bool)
+    if not typed:
+        raise ConfigError(f"{key} must be {_TYPE_NAMES[kind]}, got {value!r}")
+    limits = spec.metadata.get("limits", ())  # none for a flag
+    if value is not None and not all(_COMPARE[sign](value, limit) for sign, limit in limits):
+        raise ConfigError(f"{key} must be " + " and ".join(f"{sign} {limit}" for sign, limit in limits) + f", got {value!r}")
+
+
+@dataclass(frozen=True)
+class StreamConfig:
+    """The synthetic task stream `taskgen.generate_stream` draws."""
+    KEY = "stream"  # the section's name in a config file and in its errors
+
+    mode: str = knob("multi_domain", choices=MODES)
+    n_tasks: int = knob(5, lo=2)
+    classes_per_task: int = knob(5, lo=2)
+    d_in: int = knob(32, lo=1)
+    train_per_class: int = knob(200, lo=1)
+    test_per_class: int = knob(100, lo=1)
+    noise_scale: float = knob(0.3, lo=0)
+    mean_scale: float = knob(1.0, above=0)
+    pretrain_per_class: int = knob(20, lo=1)
+    pretrain_label_noise: float = knob(0.3, lo=0, hi=1)
+    domain_spread: float = knob(1.0, lo=0)
+    min_domain_separation: float = knob(0.8, lo=0)
+    seed: int = knob(7, lo=0, below=2**63)
+
+    def __post_init__(self):
+        for spec in fields(self):
+            _check(self, spec.name)
+        rows = self.n_tasks * self.classes_per_task * (self.train_per_class + self.test_per_class + self.pretrain_per_class)
+        frames = self.n_tasks if self.mode == "multi_domain" else 1
+        nbytes = 8 * (rows * (self.d_in + 1) + frames * self.d_in * self.d_in)
+        if nbytes > MAX_STREAM_BYTES:
+            counts = ("n_tasks", "classes_per_task", "d_in", "train_per_class", "test_per_class", "pretrain_per_class")
+            key = max(counts, key=lambda name: getattr(self, name) // getattr(StreamConfig, name))  # furthest above its default
+            raise ConfigError(
+                f"stream.{key} is {getattr(self, key)}: the stream's arrays would take {nbytes} bytes, over the {MAX_STREAM_BYTES}-byte budget"
+            )
+
+
+@dataclass(frozen=True)
 class ModelConfig:
     """Encoder dimensions; input width and vocabulary come from the stream."""
+    KEY = "model"
 
-    d_tok: int = 16
-    hidden: int = 64
-    embed_dim: int = 16
+    d_tok: int = knob(16, lo=1, hi=MAX_WIDTH)
+    hidden: int = knob(64, lo=1, hi=MAX_WIDTH)
+    embed_dim: int = knob(16, lo=1, hi=MAX_WIDTH)
 
-    def validate(self) -> None:
-        for name in ("d_tok", "hidden", "embed_dim"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"model.{name} must be >= 1")
+    def __post_init__(self):
+        for spec in fields(self):
+            _check(self, spec.name)
 
 
-@dataclass
+@dataclass(frozen=True)
 class HyperParams:
     """Every knob of a run, with the package defaults.
 
     enable_wc is honored only on multi-domain streams; run_stream drops
     the drift penalty in class-incremental mode regardless of the flag.
     """
+    KEY = "hyper"
 
-    tau: float = 2.0            # distillation temperature
-    tau_ce: float = 0.07        # supervised / contrastive logit temperature
-    alpha: float = 1.0          # weight of the relation-distance channel
-    beta: float = 1.0           # weight of the distribution channels
-    lambda1: float = 1.0        # weight of prototype-text alignment
-    lambda2: float = 1.0        # weight of the dual-teacher distillation block
-    lambda_wc: float = 0.1      # weight of the parameter drift penalty
-    gamma0: float = 0.0         # prototype EMA schedule start
-    gamma_step: float = 0.04    # prototype EMA schedule increment per iteration
-    gamma_max: float = 0.98     # prototype EMA schedule cap
-    iterations_per_task: int = 300
-    pretrain_iterations: int = 500
-    batch_size: int = 32
-    lr: float = 1e-3
-    weight_decay: float = 1e-4
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    we_interval: int = 50       # iterations between ensemble averagings
-    ewe_eta: int = 5            # averagings between live-parameter overwrites ("ewe")
-    ensemble: str = "we"        # one of ENSEMBLES
-    teacher_weight: float | None = None  # fixed weight on c0 (1 - it on c_prev); None: per-sample similarity
+    tau: float = knob(2.0, above=0)        # distillation temperature
+    tau_ce: float = knob(0.07, above=0)    # supervised / contrastive logit temperature
+    alpha: float = knob(1.0, lo=0)         # weight of the relation-distance channel
+    beta: float = knob(1.0, lo=0)          # weight of the distribution channels
+    lambda1: float = knob(1.0, lo=0)       # weight of prototype-text alignment
+    lambda2: float = knob(1.0, lo=0)       # weight of the dual-teacher distillation block
+    lambda_wc: float = knob(0.1, lo=0)     # weight of the parameter drift penalty
+    gamma0: float = knob(0.0, lo=0, hi=1)  # prototype EMA schedule start, at most gamma_max
+    gamma_step: float = knob(0.04, lo=0)   # prototype EMA schedule increment per iteration: gamma never falls
+    gamma_max: float = knob(0.98, lo=0, hi=1)  # prototype EMA schedule cap
+    iterations_per_task: int = knob(300, lo=1, hi=MAX_ITERATIONS)
+    pretrain_iterations: int = knob(500, lo=0, hi=MAX_ITERATIONS)
+    batch_size: int = knob(32, lo=1, hi=MAX_WIDTH)
+    lr: float = knob(1e-3, above=0)
+    weight_decay: float = knob(1e-4, lo=0)  # decay never grows weights
+    adam_beta1: float = knob(0.9, lo=0, below=1)
+    adam_beta2: float = knob(0.999, lo=0, below=1)
+    adam_eps: float = knob(1e-8, above=0)   # no zero denominator at the first step
+    we_interval: int = knob(50, lo=1)       # iterations between ensemble averagings
+    ewe_eta: int = knob(5, lo=1)            # averagings between live-parameter overwrites ("ewe")
+    ensemble: str = knob("we", choices=ENSEMBLES)
+    teacher_weight: float | None = knob(None, lo=0, hi=1)  # fixed weight on c0 (1 - it on c_prev); None: per-sample similarity
     enable_csa: bool = True
     enable_fd: bool = True
     enable_ird: bool = True
     enable_idd: bool = True
     enable_wc: bool = True
 
-    def validate(self) -> None:
-        if self.ensemble not in ENSEMBLES:
-            raise ConfigError(f"hyper.ensemble must be one of {ENSEMBLES}, got {self.ensemble!r}")
-        if self.teacher_weight is not None and not 0 <= self.teacher_weight <= 1:
-            raise ConfigError(f"hyper.teacher_weight must be null or in [0, 1], got {self.teacher_weight!r}")
-        for name in ("tau", "tau_ce", "lr", "adam_eps"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"hyper.{name} must be > 0")
-        for name in ("gamma_step", "weight_decay"):  # the EMA schedule never falls; decay never grows weights
-            if getattr(self, name) < 0:
-                raise ConfigError(f"hyper.{name} must be >= 0")
-        for name in ("iterations_per_task", "batch_size", "we_interval", "ewe_eta"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"hyper.{name} must be >= 1")
-        if self.pretrain_iterations < 0:
-            raise ConfigError("hyper.pretrain_iterations must be >= 0")
-        for name in ("iterations_per_task", "pretrain_iterations"):
-            if getattr(self, name) > MAX_ITERATIONS:
-                raise ConfigError(f"hyper.{name} must be <= {MAX_ITERATIONS}, got {getattr(self, name)}")
-        if not 0.0 <= self.gamma0 <= self.gamma_max <= 1.0:
-            raise ConfigError("hyper gamma schedule must satisfy 0 <= gamma0 <= gamma_max <= 1")
+    def __post_init__(self):
+        for spec in fields(self):
+            _check(self, spec.name)
+        if self.gamma0 > self.gamma_max:
+            raise ConfigError(f"hyper.gamma0 must be <= hyper.gamma_max, got {self.gamma0} > {self.gamma_max}")
 
     @property
     def distills(self) -> bool:
@@ -174,36 +220,26 @@ def apply_variant(hyper: HyperParams, variant: str) -> HyperParams:
     """A copy of `hyper` with the named ablation arm's overrides applied."""
     if not isinstance(variant, str) or variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}; expected one of {sorted(VARIANTS)}")
-    merged = asdict(hyper)
-    merged.update(VARIANTS[variant])
-    return HyperParams(**merged)
+    return replace(hyper, **VARIANTS[variant])
 
 
 def _section(cls, raw, name: str):
-    """Build and validate section dataclass `cls` from its raw JSON object.
-
-    Each value must have the type of its field's default; a float field
-    takes any finite number, an integer kept as given so the echo keeps
-    its bytes, and a field whose default is null takes null or a finite
-    number.
-    """
+    """Section dataclass `cls` built from its raw JSON object, which checks every value."""
     if not isinstance(raw, dict):
         raise ConfigError(f"config section {name!r} must be an object")
-    types = {f.name: type(f.default) for f in fields(cls)}
-    unknown = sorted(set(raw) - set(types))
+    unknown = sorted(set(raw) - {f.name for f in fields(cls)})
     if unknown:
         raise ConfigError(f"unknown {name} config key {unknown[0]!r}")
-    for key, value in raw.items():
-        kind = types[key]
-        if kind is float or kind is type(None):
-            valid = is_number(value) or (value is None and kind is not float)
-        else:
-            valid = isinstance(value, kind) and isinstance(value, bool) == (kind is bool)
-        if not valid:
-            raise ConfigError(f"{name}.{key} must be {_TYPE_NAMES[kind]}, got {value!r}")
-    section = cls(**raw)
-    section.validate()
-    return section
+    return cls(**raw)
+
+
+def check_seeds(seeds, source: str) -> list:
+    """A copy of `seeds`; a ConfigError naming `source` unless it is a non-empty list of distinct integers in [0, 2**63)."""
+    if not isinstance(seeds, list) or not seeds or not all(map(is_count, seeds)):
+        raise ConfigError(f"{source} must be a non-empty list of integers in [0, 2**63), got {seeds!r}")
+    if len(set(seeds)) < len(seeds):
+        raise ConfigError(f"{source} must not repeat a seed, got {seeds!r}")
+    return list(seeds)
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -213,11 +249,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if unknown:
         raise ConfigError(f"unknown config key {sorted(unknown)[0]!r}")
 
-    seeds = raw.get("seeds", [0, 1, 2, 3, 4])
-    if not isinstance(seeds, list) or not seeds or not all(type(s) is int and 0 <= s < 2**63 for s in seeds):
-        raise ConfigError(f"config key 'seeds' must be a non-empty list of integers in [0, 2**63), got {seeds!r}")
-    if len(set(seeds)) < len(seeds):
-        raise ConfigError(f"config key 'seeds' must not repeat a seed, got {seeds!r}")
+    seeds = check_seeds(raw.get("seeds", [0, 1, 2, 3, 4]), "config key 'seeds'")
     out_dir = raw.get("out_dir")
     if out_dir is not None and not isinstance(out_dir, str):
         raise ConfigError("config key 'out_dir' must be a string")
@@ -225,7 +257,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         stream=_section(StreamConfig, raw.get("stream", {}), "stream"),
         model=_section(ModelConfig, raw.get("model", {}), "model"),
         hyper=_section(HyperParams, raw.get("hyper", {}), "hyper"),
-        seeds=list(seeds),
+        seeds=seeds,
         variant=raw.get("variant", "full"),
         out_dir=out_dir,
     )

@@ -31,10 +31,6 @@ from .errors import ContractError
 
 class AdamW:
     def __init__(self, params, lr=1e-3, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0):
-        if lr < 0:
-            raise ContractError(f"invalid learning rate {lr}")
-        if not 0.0 <= betas[0] < 1.0 or not 0.0 <= betas[1] < 1.0:
-            raise ContractError(f"invalid betas {betas}")
         self.params = params if isinstance(params, T.Leaves) else T.pack(list(params))
         self.lr = float(lr)
         self.beta1 = float(betas[0])

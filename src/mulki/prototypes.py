@@ -37,8 +37,6 @@ class PrototypeStore:
     """One unit prototype per class, as the rows of `rows` in the task's class order, plus the gamma schedule."""
 
     def __init__(self, rows, gamma0: float = 0.0, gamma_step: float = 0.04, gamma_max: float = 0.98):
-        if not 0.0 <= gamma0 <= gamma_max <= 1.0:
-            raise ContractError(f"invalid gamma schedule: start {gamma0}, cap {gamma_max}")
         self.rows = np.array(rows, dtype=np.float64)
         self._gamma0 = float(gamma0)
         self.gamma_step = float(gamma_step)

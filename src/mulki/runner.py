@@ -225,7 +225,6 @@ def run_stream(
     previous task's final parameters and only applies on multi-domain
     streams with `enable_wc`; this is the one place that decides it.
     """
-    hyper.validate()
     n = stream.n_tasks
     matrix = np.zeros((n + 1, n))
     matrix[0] = evaluate_row(c0, stream, 0)

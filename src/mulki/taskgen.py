@@ -15,6 +15,9 @@ model genuine but imperfect zero-shot ability on all tasks.
 
 Token id 0 is the shared template token, so class c gets token c + 1.
 
+A stream is drawn from a `config.StreamConfig`, whose every bound and
+byte budget were checked when it was built.
+
 Everything is a pure function of (config, seed): per-purpose RNG streams
 are derived from the seed, and per-iteration batch sampling is keyed by
 (seed, task, iteration) so any batch can be regenerated independently.
@@ -26,11 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import MODES, StreamConfig
 from .errors import ConfigError, StreamFormatError
 from .jsonutil import is_count, read_framed, write_framed
 
 STREAM_FORMAT_VERSION = 2  # 1 was canonical JSON
-MODES = ("multi_domain", "class_incremental")
 
 # RNG stream tags; each purpose draws from its own derived generator.
 _TAG_FRAME = 11
@@ -40,57 +43,9 @@ _TAG_TEST = 14
 _TAG_POOL = 15
 _TAG_BATCH = 16
 
-# The most bytes the arrays a stream config implies may take: every sample's
-# float64 features and int64 label, and the d_in x d_in frame of each domain.
-MAX_STREAM_BYTES = 2**30
-
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng([int(seed)] + [int(k) for k in key])
-
-
-@dataclass
-class StreamConfig:
-    mode: str = "multi_domain"
-    n_tasks: int = 5
-    classes_per_task: int = 5
-    d_in: int = 32
-    train_per_class: int = 200
-    test_per_class: int = 100
-    noise_scale: float = 0.3
-    mean_scale: float = 1.0
-    pretrain_per_class: int = 20
-    pretrain_label_noise: float = 0.3
-    domain_spread: float = 1.0
-    min_domain_separation: float = 0.8
-    seed: int = 7
-
-    def validate(self) -> None:
-        if self.mode not in MODES:
-            raise ConfigError(f"stream.mode must be one of {MODES}, got {self.mode!r}")
-        for name in ("n_tasks", "classes_per_task"):
-            if getattr(self, name) < 2:
-                raise ConfigError(f"stream.{name} must be >= 2, got {getattr(self, name)}")
-        if not 0 <= self.seed < 2**63:
-            raise ConfigError(f"stream.seed must lie in [0, 2**63), got {self.seed}")
-        for name in ("d_in", "train_per_class", "test_per_class", "pretrain_per_class"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"stream.{name} must be >= 1, got {getattr(self, name)}")
-        if self.noise_scale < 0 or self.mean_scale <= 0:
-            raise ConfigError("stream.noise_scale must be >= 0 and stream.mean_scale > 0")
-        if not 0.0 <= self.pretrain_label_noise <= 1.0:
-            raise ConfigError(f"stream.pretrain_label_noise must lie in [0, 1], got {self.pretrain_label_noise}")
-        if self.mode == "multi_domain" and self.min_domain_separation < 0:
-            raise ConfigError("stream.min_domain_separation must be >= 0")
-        rows = self.n_tasks * self.classes_per_task * (self.train_per_class + self.test_per_class + self.pretrain_per_class)
-        frames = self.n_tasks if self.mode == "multi_domain" else 1
-        nbytes = 8 * (rows * (self.d_in + 1) + frames * self.d_in * self.d_in)
-        if nbytes > MAX_STREAM_BYTES:
-            counts = ("n_tasks", "classes_per_task", "d_in", "train_per_class", "test_per_class", "pretrain_per_class")
-            key = max(counts, key=lambda name: getattr(self, name) // getattr(StreamConfig, name))  # furthest above its default
-            raise ConfigError(
-                f"stream.{key} is {getattr(self, key)}: the stream's arrays would take {nbytes} bytes, over the {MAX_STREAM_BYTES}-byte budget"
-            )
 
 
 @dataclass(eq=False)
@@ -197,7 +152,6 @@ def _base_means(config: StreamConfig, seed: int) -> list[np.ndarray]:
 
 
 def generate_stream(config: StreamConfig, seed: int | None = None) -> StreamSpec:
-    config.validate()
     seed = config.seed if seed is None else int(seed)
     base_means = _base_means(config, seed)
 
@@ -281,8 +235,6 @@ def batches(task: TaskSpec, batch_size: int, seed: int, iterations: int):
     Batch i is a pure function of (seed, task_id, i): regenerating the
     stream and re-running gives identical batches.
     """
-    if batch_size < 1:
-        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     n = task.train_x.shape[0]
     for it in range(1, iterations + 1):
         rng = _rng(seed, _TAG_BATCH, task.task_id, it)

@@ -37,8 +37,6 @@ class WEState:
     interval: int
 
     def __post_init__(self):
-        if self.interval < 1:
-            raise ContractError(f"interval must be >= 1, got {self.interval}")
         if self.m < 0:
             raise ContractError(f"averaging count must be >= 0, got {self.m}")
 

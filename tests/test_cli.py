@@ -335,6 +335,31 @@ def test_counts_past_their_bound_exit_2(tmp_path, capsys, monkeypatch, command, 
     assert err.count("\n") == 1 and key in err
 
 
+@pytest.mark.parametrize(
+    "name, value, key",
+    [("HYPER__LAMBDA1", "-3", "hyper.lambda1"), ("HYPER__LAMBDA2", "-3", "hyper.lambda2"),
+     ("HYPER__LAMBDA_WC", "-3", "hyper.lambda_wc"), ("HYPER__ALPHA", "-2", "hyper.alpha"),
+     ("HYPER__BETA", "-2", "hyper.beta"), ("HYPER__ADAM_BETA1", "1.5", "hyper.adam_beta1"),
+     ("MODEL__HIDDEN", "200000000", "model.hidden")],
+    ids=lambda v: v,
+)
+def test_values_past_their_bound_exit_2(tmp_path, capsys, monkeypatch, name, value, key):
+    """A negative loss weight, an AdamW beta of 1 or more and an oversized width each exit 2 naming the key,
+    on the smoke config and before any stream is drawn or array allocated."""
+    for env in list(os.environ):
+        if env.startswith("MULKI_"):
+            monkeypatch.delenv(env)
+
+    def no_generation(*args, **kwargs):
+        raise AssertionError("a stream generation started")
+
+    monkeypatch.setattr("mulki.cli.generate_stream", no_generation)
+    monkeypatch.setenv(f"MULKI_{name}", value)
+    smoke = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "smoke.json")
+    exits_2_with_one_line(["generate", "--config", smoke, "--out", str(tmp_path / "s.bin")], capsys, key)
+    assert not (tmp_path / "s.bin").exists()
+
+
 @pytest.mark.parametrize("source", ["file", "env"])
 def test_stale_weighting_mode_key_exits_2(tmp_path, capsys, monkeypatch, source):
     """The four-way mode string that teacher_weight replaced is an unknown key now."""

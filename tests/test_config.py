@@ -1,6 +1,8 @@
-"""Config files, environment overrides, ablation variants."""
+"""Config files, environment overrides, ablation variants, the bound table."""
 
 import json
+import math
+from dataclasses import fields
 
 import pytest
 
@@ -8,6 +10,8 @@ from mulki.config import (
     VARIANTS,
     ExperimentConfig,
     HyperParams,
+    ModelConfig,
+    StreamConfig,
     apply_env_overrides,
     apply_variant,
     config_from_dict,
@@ -97,6 +101,17 @@ OVERSIZED = [
     ({"hyper": {"gamma_step": -0.5}}, "hyper.gamma_step"),  # the EMA schedule would fall
     ({"hyper": {"weight_decay": -5000}}, "hyper.weight_decay"),
     ({"hyper": {"adam_eps": 0}}, "hyper.adam_eps"),  # a zero denominator at the first step
+    ({"hyper": {"lambda1": -3}}, "hyper.lambda1"),  # the run would maximise the alignment loss
+    ({"hyper": {"lr": -0.1}}, "hyper.lr"),
+    ({"hyper": {"adam_beta1": 1.0}}, "hyper.adam_beta1"),
+    ({"hyper": {"adam_beta2": -0.1}}, "hyper.adam_beta2"),
+    ({"hyper": {"gamma0": 0.99, "gamma_max": 0.98}}, "hyper.gamma0"),  # the schedule would start above its cap
+    ({"hyper": {"gamma0": -0.1}}, "hyper.gamma0"),
+    ({"hyper": {"we_interval": 0}}, "hyper.we_interval"),
+    ({"hyper": {"batch_size": 0}}, "hyper.batch_size"),
+    ({"hyper": {"batch_size": 400000000}}, "hyper.batch_size"),  # would fail to allocate its first batch
+    ({"model": {"hidden": 200000000}}, "model.hidden"),  # would fail to allocate the image tower
+    ({"stream": {"mode": "class_incremental", "min_domain_separation": -1.0}}, "stream.min_domain_separation"),
 ]
 
 
@@ -212,10 +227,11 @@ def test_env_overrides_do_not_mutate_input():
 
 
 def test_every_variant_produces_valid_hyper():
+    """Building the arm's section checks its values, so every variant's overrides lie within their bounds."""
     base = HyperParams()
     for name in VARIANTS:
         hyper = apply_variant(base, name)
-        hyper.validate()
+        assert isinstance(hyper, HyperParams)
         assert hyper.tau == base.tau  # untouched knobs survive
 
 
@@ -249,3 +265,49 @@ def test_echo_is_complete_and_serializable():
     text = json.dumps(echo)
     assert "iterations_per_task" in text
     assert "n_tasks" in text
+
+
+# ---------------------------------------------------------------------------
+# the bound table: every section field declares its bound beside its default
+
+
+SECTION_FIELDS = [(cls, spec) for cls in (StreamConfig, ModelConfig, HyperParams) for spec in fields(cls)]
+# values a field needs beside it to be accepted: gamma0 reaches 1 only under a cap of 1
+COMPANIONS = {"gamma0": {"gamma_max": 1.0}}
+
+
+def around(sign, limit, kind):
+    """(just outside, just inside) the limit `value <sign> limit` sets, for a field of type `kind`."""
+    if sign == "one of":
+        return [(choice + "!", choice) for choice in limit]
+    if kind is int:
+        down, up = limit - 1, limit + 1
+    else:
+        limit = float(limit)
+        down, up = math.nextafter(limit, -math.inf), math.nextafter(limit, math.inf)
+    return {">=": [(down, limit)], ">": [(limit, up)], "<=": [(up, limit)], "<": [(limit, down)]}[sign]
+
+
+@pytest.mark.parametrize("cls, spec", SECTION_FIELDS, ids=[f"{cls.KEY}.{spec.name}" for cls, spec in SECTION_FIELDS])
+def test_every_bound_holds_at_its_edge(cls, spec):
+    """Just past each side of a field's bound is a ConfigError naming the key; just inside is accepted.
+
+    A number or mode field without a declared bound fails here, so no new field can skip the table.
+    """
+    kind, key = type(spec.default), f"{cls.KEY}.{spec.name}"
+    limits = spec.metadata.get("limits", ())
+    if kind is bool:
+        assert limits == ()
+        return
+    assert limits, f"{key} declares no bound"
+    for sign, limit in limits:
+        for outside, inside in around(sign, limit, kind):
+            with pytest.raises(ConfigError, match=f"^{key} must be"):
+                cls(**COMPANIONS.get(spec.name, {}), **{spec.name: outside})
+            assert getattr(cls(**COMPANIONS.get(spec.name, {}), **{spec.name: inside}), spec.name) == inside
+
+
+def test_sections_are_frozen():
+    hyper = HyperParams()
+    with pytest.raises(AttributeError):
+        hyper.lambda1 = -3.0

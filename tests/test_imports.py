@@ -1,9 +1,10 @@
 """Import direction inside the package.
 
-config owns the schema every layer reads, so it sits below the trainer:
-neither config.py nor anything it imports may import runner or cli, and
-it reaches no training code at all (losses, tensor). No package module
-imports cli, the outermost layer.
+config owns the schema every layer reads, so it sits at the bottom: it
+imports no package module but errors and jsonutil, and taskgen takes
+StreamConfig from it. Neither config.py nor anything it imports may
+import runner or cli, and it reaches no training code at all (losses,
+tensor). No package module imports cli, the outermost layer.
 """
 
 import ast
@@ -51,3 +52,18 @@ def test_config_reaches_neither_losses_nor_tensor():
 def test_no_package_module_imports_cli():
     importers = [p.name for p in sorted(PACKAGE.glob("*.py")) if p.name != "cli.py" and "cli" in imported_modules(p)]
     assert importers == []
+
+
+def test_config_imports_only_errors_and_jsonutil():
+    assert imported_modules(PACKAGE / "config.py") <= {"errors", "jsonutil"}
+
+
+def test_taskgen_takes_stream_config_from_config():
+    tree = ast.parse((PACKAGE / "taskgen.py").read_text(encoding="utf-8"))
+    sources = {
+        node.module.removeprefix("mulki").lstrip(".")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and any(alias.name == "StreamConfig" for alias in node.names)
+    }
+    assert sources == {"config"}
+    assert not any(isinstance(node, ast.ClassDef) and node.name == "StreamConfig" for node in ast.walk(tree))

@@ -623,8 +623,9 @@ def bundled_loss(student, c0, c_prev, store, x, labels, token_ids, hyper, wc_ref
 
 
 def test_total_loss_breakdown_identity():
-    student, c0, c_prev, store, x, labels, token_ids, hyper = total_loss_setup()
-    hyper.lambda1, hyper.lambda2, hyper.lambda_wc = 0.9, 1.1, 0.3
+    student, c0, c_prev, store, x, labels, token_ids, hyper = total_loss_setup(
+        hyper=HyperParams(lambda1=0.9, lambda2=1.1, lambda_wc=0.3)
+    )
     from mulki.encoder import params_flat
 
     ref = params_flat(student) + 0.01

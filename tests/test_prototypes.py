@@ -171,13 +171,6 @@ def test_matrix_order_and_constantness(rng):
     assert not np.any(store.rows == 0.0)
 
 
-def test_invalid_schedule_rejected():
-    with pytest.raises(ContractError):
-        PrototypeStore(np.eye(2), gamma0=0.99, gamma_max=0.98)
-    with pytest.raises(ContractError):
-        PrototypeStore(np.eye(2), gamma0=-0.1)
-
-
 # ---------------------------------------------------------------------------
 # the task-ordered store against the class-id rule it replaced
 

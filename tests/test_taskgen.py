@@ -196,12 +196,6 @@ def test_batch_indices_select_the_batch():
         assert np.array_equal(idx, want)
 
 
-def test_batches_rejects_bad_size():
-    stream = generate_stream(small_config())
-    with pytest.raises(ConfigError):
-        next(batches(stream.tasks[0], 0, seed=1, iterations=1))
-
-
 def test_pretrain_pool_composition():
     cfg = small_config(pretrain_per_class=50, pretrain_label_noise=0.1)
     stream = generate_stream(cfg)

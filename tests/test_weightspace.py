@@ -81,7 +81,6 @@ def test_step_errors(rng):
 
 
 def test_state_validation(rng):
-    with pytest.raises(ContractError):
-        WEState(theta_hat=rng.normal(size=3), m=0, interval=0)
+    """A negative averaging count is refused; the interval's bound is hyper.we_interval's (tests/test_config.py)."""
     with pytest.raises(ContractError):
         WEState(theta_hat=rng.normal(size=3), m=-1, interval=1)
