@@ -24,7 +24,7 @@ import numpy as np
 from . import metrics
 from .config import VARIANTS, ExperimentConfig, apply_env_overrides, apply_variant, check_seeds, config_from_dict, load_config
 from .encoder import load_checkpoint, save_checkpoint, snapshot
-from .errors import ConfigError, MulkiError
+from .errors import ConfigError, MulkiError, TrainingDivergedError
 from .jsonutil import format_float, is_number, write_canonical, write_lines
 from .runner import evaluate_row, pretrain, run_stream, save_run_record
 from .taskgen import generate_stream, load_stream, save_stream
@@ -38,6 +38,8 @@ def _load_experiment(args) -> ExperimentConfig:
         except ValueError:
             raise ConfigError(f"--seeds must be a comma-separated list of integers, got {args.seeds!r}") from None
         cfg.seeds = check_seeds(seeds, "--seeds")
+    if args.command != "generate":
+        cfg.check_run_bytes()
     return cfg
 
 
@@ -58,6 +60,25 @@ def _stream_and_c0(args, cfg: ExperimentConfig):
         if c0.dims[dim] != value:
             raise ConfigError(f"{key} is {value}, but c0 {args.c0} has {dim} {c0.dims[dim]}")
     return stream, c0
+
+
+def _run_arm(stream, hyper, seeds: list, c0, echo: dict, out_dir: str, log_seeds: bool) -> list[dict]:
+    """Train `seeds` as one stack from `c0`, save each run under out_dir/seed_NN; the runs' summaries.
+
+    A divergence saves the runs of the seeds before the diverged one, as running them in turn would, then raises."""
+    try:
+        records, error = run_stream(stream, hyper, seeds, [c0] * len(seeds), config_echo=echo), None
+    except TrainingDivergedError as err:
+        records, error = err.records, err
+    summaries = []
+    for record in records:
+        save_run_record(record, os.path.join(out_dir, f"seed_{record.seed:02d}"))
+        summaries.append(metrics.summaries(record.matrix))
+        if log_seeds:
+            print(f"seed {record.seed}: " + ", ".join(f"{k}={v:.4f}" for k, v in summaries[-1].items()))
+    if error is not None:
+        raise error
+    return summaries
 
 
 def cmd_generate(args) -> int:
@@ -86,12 +107,7 @@ def cmd_run(args) -> int:
     hyper = apply_variant(cfg.hyper, cfg.variant)
     stream, c0 = _stream_and_c0(args, cfg)
     out_root = _out_dir(args, cfg)
-    echo = cfg.echo()
-    for seed in cfg.seeds:
-        record = run_stream(stream, hyper, seed, c0, config_echo=echo)
-        run_dir = os.path.join(out_root, f"seed_{seed:02d}")
-        save_run_record(record, run_dir)
-        print(f"seed {seed}: " + ", ".join(f"{k}={v:.4f}" for k, v in metrics.summaries(record.matrix).items()))
+    _run_arm(stream, hyper, cfg.seeds, c0, cfg.echo(), out_root, log_seeds=True)
     print(f"wrote {len(cfg.seeds)} run(s) under {out_root}")
     return 0
 
@@ -108,34 +124,18 @@ def cmd_ablate(args) -> int:
     echo = cfg.echo()
     table: dict[str, dict] = {}
     for name, hyper in arms:
-        per_seed = {metric: [] for metric in metrics.SUMMARIES}
-        for seed in cfg.seeds:
-            record = run_stream(stream, hyper, seed, c0, config_echo=echo)
-            save_run_record(record, os.path.join(out_root, name, f"seed_{seed:02d}"))
-            for metric, value in metrics.summaries(record.matrix).items():
-                per_seed[metric].append(value)
-        table[name] = {
-            metric: {
-                "mean": float(np.mean(values)),
-                "std": float(np.std(values)),
-                "seeds": [float(v) for v in values],
-            }
-            for metric, values in per_seed.items()
-        }
+        runs = _run_arm(stream, hyper, cfg.seeds, c0, echo, os.path.join(out_root, name), log_seeds=False)
+        table[name] = {}
+        for metric in metrics.SUMMARIES:
+            values = [float(run[metric]) for run in runs]
+            table[name][metric] = {"mean": float(np.mean(values)), "std": float(np.std(values)), "seeds": values}
         means = ", ".join(f"{metric}={table[name][metric]['mean']:.4f}" for metric in metrics.SUMMARIES)
         print(f"{name}: {means}")
 
     write_canonical({"seeds": list(cfg.seeds), "variants": table}, os.path.join(out_root, "ablation.json"))
-    header = ["variant"]
-    for metric in metrics.SUMMARIES:
-        header.extend([f"{metric}_mean", f"{metric}_std"])
-    lines = [",".join(header)]
-    for name in names:
-        row = [name]
-        for metric in metrics.SUMMARIES:
-            row.append(format_float(table[name][metric]["mean"]))
-            row.append(format_float(table[name][metric]["std"]))
-        lines.append(",".join(row))
+    columns = [(metric, stat) for metric in metrics.SUMMARIES for stat in ("mean", "std")]
+    lines = [",".join(["variant", *(f"{metric}_{stat}" for metric, stat in columns)])]
+    lines += [",".join([name, *(format_float(table[name][metric][stat]) for metric, stat in columns)]) for name in names]
     write_lines(lines, os.path.join(out_root, "ablation.csv"))
     print(f"wrote ablation summary under {out_root}")
     return 0

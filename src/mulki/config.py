@@ -16,8 +16,9 @@ Every key is optional. Unknown keys are rejected by name. Each section
 field declares its bound beside its default (`knob`), and building a
 section checks every field's type and bound in one loop (`_check`), so no
 section object holds a value outside its bound; a bad value is a
-ConfigError naming `section.key`. Two rules span fields and sit beside
-the loop: gamma0 <= gamma_max, and the stream's byte budget.
+ConfigError naming `section.key`. Rules that span fields sit beside the
+loop: gamma0 <= gamma_max, the stream's byte budget, and the run's
+(`ExperimentConfig.check_run_bytes`, checked by the commands that train).
 Environment variables prefixed with MULKI_ override file values:
 MULKI_<SECTION>__<KEY> for section fields (e.g. MULKI_HYPER__LR=0.002,
 MULKI_STREAM__N_TASKS=3) and MULKI_<KEY> for top-level fields (e.g.
@@ -46,6 +47,9 @@ MAX_WIDTH = 2**16  # model widths and batch size: far past any config in use, an
 # The most bytes the arrays a stream config implies may take: every sample's
 # float64 features and int64 label, and the d_in x d_in frame of each domain.
 MAX_STREAM_BYTES = 2**30
+# The most bytes a run's models and batches may take: per seed, the parameters and, for the
+# most rows one call encodes (a batch, a task's train or test set), a row of the widest array.
+MAX_RUN_BYTES = 2**30
 
 # Ablation arms: named overrides applied on top of the configured hyper.
 # "full" is the complete method; the component arms keep only what they
@@ -203,6 +207,21 @@ class ExperimentConfig:
     seeds: list = field(default_factory=lambda: [0, 1, 2, 3, 4])
     variant: str = "full"
     out_dir: str | None = None
+
+    def check_run_bytes(self) -> None:
+        """ConfigError naming the count furthest above its default if a run's models and batches pass MAX_RUN_BYTES."""
+        stream, model, hyper = self.stream, self.model, self.hyper
+        vocab = stream.n_tasks * stream.classes_per_task + 1
+        params = model.hidden * (stream.d_in + 2 * model.embed_dim + model.d_tok + 2) + vocab * model.d_tok + 2 * model.embed_dim
+        rows = max(hyper.batch_size, stream.classes_per_task * max(stream.train_per_class, stream.test_per_class))
+        width = max(stream.d_in, model.d_tok, model.hidden, model.embed_dim, vocab, hyper.batch_size)  # a batch's B x B similarities too
+        nbytes = 8 * len(self.seeds) * (params + rows * width)
+        if nbytes > MAX_RUN_BYTES:
+            named = {model: ("d_tok", "hidden", "embed_dim"), hyper: ("batch_size",), stream: ("n_tasks", "classes_per_task", "train_per_class", "test_per_class")}
+            counts = [(f"{section.KEY}.{name}", getattr(section, name), getattr(type(section), name)) for section in named for name in named[section]]
+            key, value, _ = max(counts + [("seeds", len(self.seeds), 5)], key=lambda count: count[1] // count[2])  # furthest above its default
+            value = f"a list of {value}" if key == "seeds" else value
+            raise ConfigError(f"{key} is {value}: a run's models and batches would take {nbytes} bytes, over the {MAX_RUN_BYTES}-byte budget")
 
     def echo(self) -> dict:
         """Fully resolved config as plain JSON-serializable data."""

@@ -9,21 +9,21 @@ similarity is a plain dot product downstream.
 Token id 0 is reserved for the shared template token; class tokens
 start at 1.
 
-Each tower is one tape node (`tower`): its backward runs the generic-op
-chain's numpy expressions in the chain's order (tests/reference_ops.py
-`encode_images`, `encode_texts`), so the encodings and the parameter
-gradients are the chain's bits, and it hands each parameter its gradient
-directly, as parameters are leaves and stay off the tape.
+Each tower is one tape node (`tower`) whose backward runs the generic-op
+chain's numpy expressions in order (tests/reference_ops.py), so
+encodings and gradients are the chain's bits; it hands each parameter
+(a leaf, off the tape) its gradient directly.
 
-All nine parameters live in one contiguous float64 buffer in PARAM_ORDER
-(`tensor.pack`), and each parameter leaf is a view of its slice; their
-gradients land in one flat gradient buffer of the same layout. So
-`params_flat` is one copy of the buffer, `load_flat` one assignment into
-it, and the optimizer and the drift penalty read and step the buffers
-directly. A snapshot (`snapshot`) is a DualEncoder too: a frozen copy
-with a read-only buffer of its own and no gradient buffer, which
-`load_flat` refuses. `trainable_copy` gives a model buffers of its own
-again.
+All nine parameters are views into one float64 buffer in PARAM_ORDER
+(`tensor.pack`), their gradients into one gradient buffer of the same
+layout: `params_flat` copies the buffer, `load_flat` assigns into it, and
+the optimizer and drift penalty step them directly. A snapshot
+(`snapshot`) is a frozen DualEncoder with a read-only buffer of its own
+and no gradient buffer. A stack (`stack`) is one trainable DualEncoder
+for S > 1 models in lockstep: every parameter gains a leading seed axis, the
+buffers are [S, P], and the towers map [S, B, d_in] images (or [B, d_in]
+ones every seed sees) to [S, B, embed_dim]; `snapshot(stack, s)` freezes
+seed s's model alone.
 """
 
 from __future__ import annotations
@@ -62,27 +62,28 @@ def _init_param(rng: np.random.Generator, shape: tuple, fan_in: int) -> Tensor:
 
 
 def tower(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, table: Tensor | None = None) -> Tensor:
-    """l2_normalize(tanh(e @ w1 + b1) @ w2 + b2, axis=1) as one node, where e is x @ table, or x without a table.
+    """l2_normalize(tanh(e @ w1 + b1) @ w2 + b2, axis=-1) as one node, where e is x @ table, or x without a table.
 
-    The weights are one model's parameters: all trainable or all frozen.
-    Only the image tower's input `x` may carry a gradient; the text
-    tower's `x` is its constant token picker.
+    The weights are one model's parameters (a stack's, each with a leading
+    seed axis): all trainable or all frozen. Only the image tower's input
+    `x` may carry a gradient; the text tower's `x` is its constant token
+    picker.
     """
     emb = x.data if table is None else x.data @ table.data
-    hidden = np.tanh(emb @ w1.data + b1.data)
-    unit = T.UnitRows(hidden @ w2.data + b2.data)
+    hidden = np.tanh(emb @ w1.data + b1.data[..., None, :])
+    unit = T.UnitRows(hidden @ w2.data + b2.data[..., None, :])
 
     def backward(g):
         g_out = unit.grad(g)
-        b2._accumulate(np.add.reduce(g_out, axis=0))
-        w2._accumulate(hidden.T @ g_out)
-        g_pre = (g_out @ w2.data.T) * (1.0 - hidden * hidden)
-        b1._accumulate(np.add.reduce(g_pre, axis=0))
-        w1._accumulate(emb.T @ g_pre)
+        b2._accumulate(np.add.reduce(g_out, axis=-2))
+        w2._accumulate(hidden.swapaxes(-1, -2) @ g_out)
+        g_pre = (g_out @ w2.data.swapaxes(-1, -2)) * (1.0 - hidden * hidden)
+        b1._accumulate(np.add.reduce(g_pre, axis=-2))
+        w1._accumulate(emb.swapaxes(-1, -2) @ g_pre)
         if table is not None:
-            table._accumulate(x.data.T @ (g_pre @ w1.data.T))
+            table._accumulate(x.data.swapaxes(-1, -2) @ (g_pre @ w1.data.swapaxes(-1, -2)))
         elif x.requires_grad:
-            x._accumulate(g_pre @ w1.data.T)
+            x._accumulate(g_pre @ w1.data.swapaxes(-1, -2))
 
     return T.node(unit.data, (x, w1, b1, w2, b2) if table is None else (table, w1, b1, w2, b2), backward)
 
@@ -107,6 +108,7 @@ class DualEncoder:
         self.d_tok = int(d_tok)
         self.hidden = int(hidden)
         self.embed_dim = int(embed_dim)
+        self._picker: tuple = (None, None)  # the last (token ids, picker), for the next call
 
         rng = np.random.default_rng(self.seed)
         self.img_w1 = _init_param(rng, (d_in, hidden), d_in)
@@ -140,11 +142,11 @@ class DualEncoder:
         return self._params
 
     def encode_images(self, x) -> Tensor:
-        """Map [B, d_in] inputs to unit-norm [B, embed_dim] embeddings."""
+        """Map [B, d_in] inputs (a stack's also [S, B, d_in]) to unit-norm [..., B, embed_dim] embeddings."""
         x = x if isinstance(x, Tensor) else Tensor(x)
-        if x.ndim != 2 or x.shape[1] != self.d_in:
+        if x.ndim not in (2, self._params.flat.ndim + 1) or x.shape[-1] != self.d_in:
             raise ShapeMismatchError(f"encode_images expects [B, {self.d_in}], got {x.shape}")
-        if x.shape[0] == 0:
+        if x.shape[-2] == 0:
             return Tensor(np.zeros((0, self.embed_dim)))
         return tower(x, self.img_w1, self.img_b1, self.img_w2, self.img_b2)
 
@@ -152,35 +154,46 @@ class DualEncoder:
         """Map class token ids to unit-norm [K, embed_dim] embeddings.
 
         Each class's input is the average of its token row and the shared
-        template row of the token table.
+        template row of the token table. The last class list's checked
+        picker is kept, so a trainer's repeated list is checked once.
         """
-        ids = [int(t) for t in token_ids]
-        for t in ids:
-            if t < 0 or t >= self.vocab_size:
-                raise UnknownTokenError(f"token id {t} outside vocabulary of size {self.vocab_size}")
-        if not ids:
-            return Tensor(np.zeros((0, self.embed_dim)))
-        picker = np.zeros((len(ids), self.vocab_size))
-        for row, t in enumerate(ids):
-            picker[row, t] += 0.5
-            picker[row, TEMPLATE_TOKEN] += 0.5
-        return tower(Tensor(picker), self.txt_w1, self.txt_b1, self.txt_w2, self.txt_b2, table=self.token_table)
-
-    def trainable_copy(self) -> "DualEncoder":
-        """A trainable copy with parameter and gradient buffers of its own, holding this model's exact parameters."""
-        twin = copy.copy(self)
-        twin._bind(T.pack([Tensor(p.data, requires_grad=True) for p in self._params]))
-        return twin
+        key = tuple(token_ids)
+        if key != self._picker[0]:
+            ids = [int(t) for t in key]
+            for t in ids:
+                if t < 0 or t >= self.vocab_size:
+                    raise UnknownTokenError(f"token id {t} outside vocabulary of size {self.vocab_size}")
+            if not ids:
+                return Tensor(np.zeros((0, self.embed_dim)))
+            rows = np.zeros((len(ids), self.vocab_size))
+            for row, t in enumerate(ids):
+                rows[row, t] += 0.5
+                rows[row, TEMPLATE_TOKEN] += 0.5
+            self._picker = (key, Tensor(rows))
+        return tower(self._picker[1], self.txt_w1, self.txt_b1, self.txt_w2, self.txt_b2, table=self.token_table)
 
 
-def snapshot(model: DualEncoder) -> DualEncoder:
-    """A frozen copy of `model`: a DualEncoder whose parameters sit in a
-    read-only buffer of its own, with no gradient buffer, so everything it
-    encodes is detached by construction and later training of `model` does
-    not reach it.
-    """
-    frozen = copy.copy(model)
-    params = T.pack([Tensor(p.data) for p in model.parameters()])
+def stack(models: list) -> DualEncoder:
+    """One trainable DualEncoder for `models` in lockstep: slice s of each
+    parameter (and row s of the [S, P] buffers) is models[s]'s, and `seed`
+    lists their seeds. A stack of one model is a trainable copy of it,
+    without a seed axis, so a single seed trains on the 2-D arrays."""
+    twin, lead = copy.copy(models[0]), ((len(models),) if len(models) > 1 else ())
+    if lead:
+        twin.seed = [m.seed for m in models]
+    leaves = [np.reshape([getattr(m, name).data for m in models], lead + getattr(twin, name).shape) for name in PARAM_ORDER]
+    twin._bind(T.pack([Tensor(leaf, requires_grad=True) for leaf in leaves], lead))
+    return twin
+
+
+def snapshot(model: DualEncoder, index: int | None = None) -> DualEncoder:
+    """A frozen copy of `model`, or with `index` of that seed's model in a stack: a DualEncoder whose
+    parameters sit in a read-only buffer of its own, with no gradient buffer, so everything it encodes
+    is detached and later training of `model` does not reach it."""
+    frozen, lead, pick = copy.copy(model), model.parameters().flat.shape[:-1], slice(None)
+    if lead and index is not None:
+        frozen.seed, lead, pick = model.seed[index], (), index
+    params = T.pack([Tensor(p.data[pick]) for p in model.parameters()], lead)
     for array in (params.flat, *(p.data for p in params)):
         array.flags.writeable = False
     frozen._bind(params)

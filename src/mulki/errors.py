@@ -37,8 +37,11 @@ class UnknownTokenError(MulkiError, KeyError):
 
 
 class TrainingDivergedError(MulkiError, RuntimeError):
-    """Training produced a non-finite loss; carries the loss breakdown dump."""
+    """Training produced a non-finite loss; carries the loss breakdown dump, the seed that
+    diverged and (from `runner.run_stream`) in `records` the finished runs of the seeds before it."""
 
-    def __init__(self, message: str, breakdown=None):
+    def __init__(self, message: str, breakdown=None, seed=None):
         super().__init__(message)
         self.breakdown = breakdown
+        self.seed = seed
+        self.records: list = []

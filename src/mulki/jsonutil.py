@@ -112,8 +112,8 @@ def write_canonical(obj, path) -> None:
 
 
 def write_lines(lines, path) -> None:
-    """Write `lines` as UTF-8 text, each ended by a newline."""
-    write_atomic(path, ["".join(line + "\n" for line in lines).encode("utf-8")])
+    """Write the iterable `lines` as UTF-8 text, each ended by a newline, one line at a time."""
+    write_atomic(path, ((line + "\n").encode("utf-8") for line in lines))
 
 
 def write_framed(path, manifest: dict, arrays) -> None:

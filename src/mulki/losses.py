@@ -18,32 +18,26 @@ away from gets the larger pull. A number w in [0, 1] is a fixed weight w
 on the initial model and 1 - w on the previous one; a teacher whose
 weight is exactly 0 is skipped, its prototype/text term with it
 (`weighted_teachers` decides this for the trainer and the loss alike).
-The prototype/text channel is exempt from the mixing and carries a fixed
-half weight per weighted teacher.
+The prototype/text channel carries a fixed half weight per weighted
+teacher. A contrastive term aligns class prototypes with the student's
+texts, and cross-entropy on the current task is the supervised signal;
+distillation distributions use a soft temperature (default 2), the
+supervised logits a sharp one (default 0.07).
 
-A separate contrastive term aligns class prototypes with the student's
-text embeddings, and plain cross-entropy on the current task provides
-the supervised signal. Temperatures: distillation distributions use a
-soft temperature (default 2); the supervised logits use a sharp one
-(default 0.07).
+Each term is one tape node (`csa_loss`, `fd_loss`, `ird_loss`; i2t and
+p&t through `tensor.soft_ce_mean`, the distributions through
+`tensor.cosine_softmax`) that runs the numpy expressions of the generic-op
+chain it replaced (tests/reference_ops.py), so losses, gradients and
+artifacts are the chains' bits. `fd_loss`, `ird_loss` and `i2t_loss`
+also return the unweighted value the breakdown logs. A stack's [S, ...]
+operands give one value per seed, each that seed's bits alone.
 
-Each term is one tape node: `csa_loss`, `fd_loss` and `ird_loss` here,
-i2t and p&t through `tensor.soft_ce_mean`, the distributions through
-`tensor.cosine_softmax`. A node runs the same numpy expressions, in the
-same order, as the generic-op chain it replaced (kept in
-tests/reference_ops.py), so losses, gradients and every artifact are
-bit-identical to the chains'. `fd_loss`, `ird_loss` and `i2t_loss` also
-return the unweighted value the breakdown logs, read off the same
-forward arrays.
-
-Prototypes and teacher outputs are constants here; gradients flow only
-into the student. Both teachers stay frozen for a whole task, so the
-trainer runs `teacher_outputs` once per weighted teacher per task over
-the task's whole training set (checked once, there) and takes each
-batch's rows from that bundle with `TeacherOutputs.rows`, feature rows
-with their unit rows normalized once per task; only the two K x K
-prototype-text distributions depend on the moving prototypes and are
-rebuilt per batch.
+Prototypes and teacher outputs are constants; gradients flow only into
+the student. Both teachers stay frozen for a task, so the trainer runs
+`teacher_outputs` once per weighted teacher per task over the task's
+training set (checked there) and cuts each batch's rows from that bundle
+with `TeacherOutputs.rows`; only the two K x K prototype-text
+distributions follow the moving prototypes and are rebuilt per batch.
 
 `total_loss` takes the prototypes as one constant matrix, `protos` (row
 k for the task's k-th class), and builds only what an enabled term
@@ -80,27 +74,28 @@ def csa_loss(protos: Tensor, texts: Tensor, tau: float) -> Tensor:
     the cosines over tau. The prototypes are constants, so this term trains
     the text tower toward the prototype anchors.
     """
-    if protos.ndim != 2 or texts.ndim != 2:
+    if protos.ndim < 2 or texts.ndim < 2:
         raise ShapeMismatchError(f"csa_loss needs 2-D inputs, got {protos.shape} and {texts.shape}")
-    if protos.shape[0] != texts.shape[0]:
+    if protos.shape[-2] != texts.shape[-2]:
         raise ShapeMismatchError(f"csa_loss: class counts differ, {protos.shape} vs {texts.shape}")
-    k = protos.shape[0]
+    k = protos.shape[-2]
     if k == 0:
         raise ContractError("csa_loss: empty class set")
     up, ut, sims = T.cosine_forward(protos, texts)
     c = float(1.0 / tau)
     logits = sims * c
     eye = np.eye(k)
-    proto_to_text = T.softmax_forward(logits, 1)
-    by_column = T.softmax_forward(logits, 0)
-    text_to_proto = by_column.T.copy()
+    proto_to_text = T.softmax_forward(logits, -1)
+    by_column = T.softmax_forward(logits, -2)
+    text_to_proto = by_column.swapaxes(-1, -2).copy()
     n = float(1.0 / k)
-    data = (T.soft_ce_rows(eye, proto_to_text).sum() * n + T.soft_ce_rows(eye, text_to_proto).sum() * n) * 0.5
+    by_rows = np.add.reduce(T.soft_ce_rows(eye, proto_to_text), axis=-1) * n
+    data = (by_rows + np.add.reduce(T.soft_ce_rows(eye, text_to_proto), axis=-1) * n) * 0.5
 
     def backward(g):
         g_sum = g * 0.5 * n
-        g_logits = T.softmax_backward(T.soft_ce_backward(g_sum, eye, proto_to_text), proto_to_text, 1) + T.softmax_backward(
-            T.soft_ce_backward(g_sum, eye, text_to_proto).T, by_column, 0
+        g_logits = T.softmax_backward(T.soft_ce_backward(g_sum, eye, proto_to_text), proto_to_text, -1) + T.softmax_backward(
+            T.soft_ce_backward(g_sum, eye, text_to_proto).swapaxes(-1, -2), by_column, -2
         )
         T.cosine_backward(g_logits * c, protos, texts, up, ut)
 
@@ -114,21 +109,21 @@ def fd_loss(teacher_feats: Tensor, student_feats: Tensor, weights: Tensor | None
     """
     if teacher_feats.shape != student_feats.shape:
         raise ShapeMismatchError(f"fd_loss: {teacher_feats.shape} vs {student_feats.shape}")
-    if teacher_feats.ndim != 2 or teacher_feats.shape[0] == 0:
+    if teacher_feats.ndim < 2 or teacher_feats.shape[-2] == 0:
         raise ContractError(f"fd_loss: need a non-empty [B, d] batch, got {teacher_feats.shape}")
     if teacher_feats.requires_grad:
         raise ContractError("fd_loss: teacher features must be detached")
     w = None if weights is None else weights.data
     diff = teacher_feats.data - student_feats.data
-    rows = (diff * diff).sum(axis=1)
-    c = float(1.0 / rows.size)
-    data = (rows if w is None else rows * w).sum() * c
+    rows = np.add.reduce(diff * diff, axis=-1)
+    c = float(1.0 / rows.shape[-1])
+    data = np.add.reduce(rows if w is None else rows * w, axis=-1) * c
 
     def backward(g):
         half = T.row_terms_backward(g * c, w) * diff
         student_feats._accumulate(-(half + half))
 
-    return T.node(data, (student_feats,), backward), float(rows.sum() * c)
+    return T.node(data, (student_feats,), backward), np.add.reduce(rows, axis=-1) * c
 
 
 def ird_loss(
@@ -146,18 +141,18 @@ def ird_loss(
     weights scale the difference rows first. At a zero gap the gradient is
     zero. Teacher features and prototypes are constants.
     """
-    if protos.ndim != 2 or protos.shape[0] == 0:
+    if protos.ndim < 2 or protos.shape[-2] == 0:
         raise ContractError("ird_loss: empty prototype set")
     if teacher_feats.requires_grad:
         raise ContractError("ird_loss: teacher features must be detached")
     t_sims = T.cosine_sim(teacher_feats, protos).data
     us, up, s_sims = T.cosine_forward(student_feats, protos)
     diff = t_sims - s_sims
-    r = None if weights is None else weights.data.reshape((weights.size, 1))
+    r = None if weights is None else weights.data[..., None]
     gap = diff if r is None else r * diff
-    total = (gap * gap).sum()
+    b, k = gap.shape[-2:]
+    total = np.add.reduce((gap * gap).reshape(gap.shape[:-2] + (b * k,)), axis=-1)  # each seed's .sum()
     norm = np.sqrt(total)
-    b, k = gap.shape
     c = float(1.0 / np.sqrt(b * k))
     a = float(alpha)
     data = norm * c * a
@@ -165,19 +160,19 @@ def ird_loss(
     def backward(g):
         g_norm = g * a * c
         g_total = np.where(total > 0.0, g_norm * 0.5 / np.where(total > 0.0, norm, 1.0), 0.0)
-        half = g_total * gap
+        half = g_total[..., None, None] * gap
         g_diff = half + half
         if r is not None:
             g_diff = g_diff * r
         T.cosine_backward(-g_diff, student_feats, protos, us, up)
 
-    flat = diff.ravel()
-    return T.node(data, (student_feats,), backward), math.sqrt(flat.dot(flat)) / math.sqrt(b * k)
+    gaps = [math.sqrt(flat.dot(flat)) / math.sqrt(b * k) for flat in diff.reshape(-1, b * k)]
+    return T.node(data, (student_feats,), backward), gaps[0] if diff.ndim == 2 else np.array(gaps)
 
 
 def image_text_dist(feats: Tensor, texts: Tensor, tau: float) -> Tensor:
     """Rows of softmax(cosine(feats, texts) / tau): one distribution per row."""
-    if texts.ndim != 2 or texts.shape[0] == 0:
+    if texts.ndim < 2 or texts.shape[-2] == 0:
         raise ContractError("image_text_dist: empty text set")
     return T.cosine_softmax(feats, texts, tau)
 
@@ -193,7 +188,7 @@ def i2t_loss(
         raise ShapeMismatchError(f"i2t_loss: {teacher_dist.shape} vs {student_dist.shape}")
     rows = T.soft_ce_rows(teacher_dist.data, student_dist.data)
     loss = T.soft_ce_mean(teacher_dist, student_dist, weights, scale=beta, rows=rows)
-    return loss, float(rows.sum() * (1.0 / rows.size))
+    return loss, np.add.reduce(rows, axis=-1) * (1.0 / rows.shape[-1])
 
 
 def pt_loss(teacher: "TeacherOutputs", student_pt: Tensor, student_tp: Tensor) -> Tensor:
@@ -222,9 +217,9 @@ def sample_weights(dist_c0: Tensor, dist_prev: Tensor, dist_student: Tensor) -> 
         )
 
     def _row_cos(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        num = (a * b).sum(axis=1)
-        # np.linalg.norm(., axis=1) by its own formula, without the Python wrapper
-        den = np.sqrt(np.add.reduce(a * a, axis=1)) * np.sqrt(np.add.reduce(b * b, axis=1))
+        num = np.add.reduce(a * b, axis=-1)
+        # np.linalg.norm(., axis=-1) by its own formula, without the Python wrapper
+        den = np.sqrt(np.add.reduce(a * a, axis=-1)) * np.sqrt(np.add.reduce(b * b, axis=-1))
         return num / den
 
     s0 = _row_cos(dist_c0.data, dist_student.data)
@@ -251,12 +246,6 @@ def wc_loss(theta_t, theta_prev) -> Tensor:
 # batch output bundles
 
 
-def _check_rows_sum_to_one(dist: Tensor, what: str) -> None:
-    sums = dist.data.sum(axis=1)
-    if not np.allclose(sums, 1.0, atol=1e-9):
-        raise ContractError(f"{what}: rows must sum to 1")
-
-
 @dataclass
 class TeacherOutputs:
     """Everything a frozen teacher contributes for a set of images. All constant.
@@ -281,8 +270,9 @@ class TeacherOutputs:
             if value is not None and value.requires_grad:
                 raise ContractError(f"TeacherOutputs.{name} must be detached")
         for name in ("img_text_dist", "proto_text_dist", "text_proto_dist"):
-            if getattr(self, name) is not None:
-                _check_rows_sum_to_one(getattr(self, name), f"TeacherOutputs.{name}")
+            dist = getattr(self, name)
+            if dist is not None and not np.allclose(np.add.reduce(dist.data, axis=-1), 1.0, atol=1e-9):
+                raise ContractError(f"TeacherOutputs.{name}: rows must sum to 1")
 
     def rows(self, idx, protos: Tensor | None, tau: float) -> "TeacherOutputs":
         """The bundle for image rows `idx`, against the current prototypes.
@@ -300,7 +290,7 @@ class TeacherOutputs:
             raise ContractError("TeacherOutputs.rows needs the teacher's texts")
         out = copy.copy(self)
         out.feats = T.take_rows(self.feats, idx)
-        out.img_text_dist = Tensor(self.img_text_dist.data[idx])
+        out.img_text_dist = Tensor(T.gather(self.img_text_dist.data, idx))
         out.proto_text_dist, out.text_proto_dist = _proto_text_dists(protos, self.texts, tau)
         return out
 
@@ -351,7 +341,7 @@ def student_outputs(model, feats: Tensor, token_ids, protos: Tensor | None, tau:
 
 @dataclass
 class LossBreakdown:
-    """Scalar values of every term, for logging and divergence dumps.
+    """Values of every term, for logging and divergence dumps: per seed, so [S] arrays for a stack.
 
     fd/ird/idd entries hold the raw (unweighted) term values; `mdd` is the
     assembled teacher-weighted sum actually used in the objective, and
@@ -409,15 +399,11 @@ def mdd_loss(
     if teacher_weight is None:
         r0, r_prev = sample_weights(c0_out.img_text_dist, prev_out.img_text_dist, student.img_text_dist)
     else:
-        batch = student.feats.shape[0]
-        r0, r_prev = Tensor(np.full(batch, float(teacher_weight))), Tensor(np.full(batch, 1.0 - teacher_weight))
+        rows = student.feats.shape[:-1]
+        r0, r_prev = Tensor(np.full(rows, float(teacher_weight))), Tensor(np.full(rows, 1.0 - teacher_weight))
 
-    info = {
-        "fd0": 0.0, "fd_prev": 0.0,
-        "ird0": 0.0, "ird_prev": 0.0,
-        "idd0": 0.0, "idd_prev": 0.0,
-        "r0": r0.data.copy(),
-    }
+    info = dict.fromkeys(("fd0", "fd_prev", "ird0", "ird_prev", "idd0", "idd_prev"), np.zeros(r0.shape[:-1]))
+    info["r0"] = r0.data.copy()
     terms: list[Tensor] = []
     for tag, teacher, r, weighted in zip(("0", "_prev"), (c0_out, prev_out), (r0, r_prev), weighted_teachers(teacher_weight)):
         if not weighted:
@@ -433,7 +419,7 @@ def mdd_loss(
             pt = pt_loss(teacher, student.proto_text_dist, student.text_proto_dist)
             terms.append(i2t)
             terms.append(T.scale(pt, 0.5 * beta))
-            info["idd" + tag] = i2t_raw + pt.item()
+            info["idd" + tag] = i2t_raw + pt.data
     if not terms:
         return None, info
     total = terms[0]
@@ -443,16 +429,14 @@ def mdd_loss(
 
 
 def cross_entropy(dist: Tensor, label_positions) -> Tensor:
-    """Mean negative log-probability of the true columns of `dist`."""
+    """Mean negative log-probability of the true columns of `dist` (per seed of a stack)."""
     labels = np.asarray(label_positions, dtype=np.int64)
-    b, k = dist.shape
-    if labels.shape != (b,):
-        raise ShapeMismatchError(f"cross_entropy: {b} rows but labels shape {labels.shape}")
+    k = dist.shape[-1]
+    if labels.shape != dist.shape[:-1]:
+        raise ShapeMismatchError(f"cross_entropy: {dist.shape[-2]} rows but labels shape {labels.shape}")
     if labels.size and (labels.min() < 0 or labels.max() >= k):
         raise ContractError(f"cross_entropy: label positions must lie in [0, {k})")
-    onehot = np.zeros((b, k))
-    onehot[np.arange(b), labels] = 1.0
-    return T.soft_ce_mean(Tensor(onehot), dist)
+    return T.soft_ce_mean(Tensor((labels[..., None] == np.arange(k)).astype(np.float64)), dist)
 
 
 def total_loss(
@@ -485,45 +469,33 @@ def total_loss(
     weighs = hyper.distills and hyper.teacher_weight is None
     student = student_outputs(student_model, feats, token_ids, pt_protos, hyper.tau, img_text=hyper.enable_idd or weighs)
 
-    bd = LossBreakdown()
     supervised = cross_entropy(image_text_dist(student.feats, student.texts, hyper.tau_ce), label_positions)
-    bd.ce = supervised.item()
+    bd = LossBreakdown(*np.zeros((len(LossBreakdown.FIELDS),) + supervised.shape))
+    bd.ce = supervised.data
     loss = supervised
 
     if hyper.enable_csa:
         csa = csa_loss(protos, student.texts, hyper.tau)
-        bd.csa = csa.item()
+        bd.csa = csa.data
         loss = T.add(loss, T.scale(csa, hyper.lambda1))
 
     if hyper.distills:
         c0_out, prev_out = (None if t is None else t.rows(batch_rows, pt_protos, hyper.tau) for t in teachers)
         mdd, info = mdd_loss(
-            c0_out,
-            prev_out,
-            student,
-            protos,
-            alpha=hyper.alpha,
-            beta=hyper.beta,
-            teacher_weight=hyper.teacher_weight,
-            enable_fd=hyper.enable_fd,
-            enable_ird=hyper.enable_ird,
-            enable_idd=hyper.enable_idd,
+            c0_out, prev_out, student, protos, hyper.alpha, hyper.beta, hyper.teacher_weight,
+            hyper.enable_fd, hyper.enable_ird, hyper.enable_idd,
         )
         if mdd is not None:
-            bd.fd0 = info["fd0"]
-            bd.fd_prev = info["fd_prev"]
-            bd.ird0 = info["ird0"]
-            bd.ird_prev = info["ird_prev"]
-            bd.idd0 = info["idd0"]
-            bd.idd_prev = info["idd_prev"]
-            bd.r0_mean = float(np.mean(info["r0"]))
-            bd.mdd = mdd.item()
+            for name in ("fd0", "fd_prev", "ird0", "ird_prev", "idd0", "idd_prev"):
+                setattr(bd, name, info[name])
+            bd.r0_mean = np.add.reduce(info["r0"], axis=-1) / info["r0"].shape[-1]  # np.mean's own arithmetic
+            bd.mdd = mdd.data
             loss = T.add(loss, T.scale(mdd, hyper.lambda2))
 
     if wc_reference is not None:
         wc = wc_loss(student_model.parameters(), wc_reference)
-        bd.wc = wc.item()
+        bd.wc = wc.data
         loss = T.add(loss, T.scale(wc, hyper.lambda_wc))
 
-    bd.total = loss.item()
+    bd.total = loss.data
     return loss, bd

@@ -37,10 +37,6 @@ class AccuracyMatrix:
             raise ContractError("accuracy entries must lie in [0, 1]")
         self.values = arr
 
-    @property
-    def n_tasks(self) -> int:
-        return self.values.shape[1]
-
 
 def _as_matrix(matrix) -> np.ndarray:
     if isinstance(matrix, AccuracyMatrix):

@@ -8,31 +8,40 @@ hands onward - evaluated, checkpointed, and used as the next task's
 teacher - is the ensemble, not the raw last iterate, unless
 `hyper.ensemble` is "off".
 
+An arm's seeds train in lockstep as one stack (`encoder.stack`): the
+parameters, gradients, AdamW moments and ensemble are [S, P] buffers,
+each seed draws its own batches, and every loss is one value per seed.
+Each slice runs a single model's numpy code, so each seed's artifacts are
+the bytes of that seed run alone (one seed trains on 2-D arrays). Per-seed
+loops remain for the prototype stores, a diverged loss's breakdown, the
+checkpoints and evaluation. A teacher all seeds share is one model, its
+bundle built once per task.
+
 One loop serves every arm, and it builds only what the enabled terms
-read (`HyperParams.distills`, `uses_prototypes`): the prototype store
-exists when alignment or a distillation channel is on, and a teacher
+read (`HyperParams.distills`, `uses_prototypes`): the prototype stores
+exist when alignment or a distillation channel is on, and a teacher
 bundle when a channel is on and that teacher's weight is not exactly 0
 (`losses.weighted_teachers`). So `continual_ft` keeps no store and no
 bundle, `only_c0`/`only_prev` (teacher_weight 1 and 0) one bundle.
 
 Per task, before the first iteration: look up every training label's
 class position at once (a label outside the task's classes raises
-ContractError), seed the store from the initial model, and run each
-weighted teacher once over the task's training set. Per iteration:
-sample batch (its images and row indices) -> encode it with the student
--> with a store, EMA-update each class in the batch from the feature
-array, in label-position order -> build the loss from the batch's label
-positions, the prototype matrix, the teachers' rows for the batch and
-the drift anchor -> backward -> one flat AdamW step -> on every
+ContractError), seed each store from its seed's initial model, and run
+each weighted teacher once over the task's training set. Per iteration:
+draw each seed's batch (images and row indices) -> encode the stack ->
+with stores, EMA-update each seed's classes in its batch, in
+label-position order -> build the loss from the batch's label positions,
+the prototypes, the teachers' rows for the batch and the drift anchor ->
+refuse a non-finite loss -> backward -> one flat AdamW step -> on every
 `we_interval`-th iteration, fold the flat parameters into the ensemble
 (and under "ewe", after every `ewe_eta`-th averaging, load the ensemble
-into the live parameters and reset AdamW's moments). The store is
-dropped with the task's window. All randomness is derived from the run
-seed; a run is a pure function of (stream, hyper, seed, initial model).
+into the live parameters and reset AdamW's moments). A seed's run is a
+pure function of (stream, hyper, seed, initial model).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -41,11 +50,12 @@ import numpy as np
 
 from . import losses, metrics, taskgen
 from .config import HyperParams, ModelConfig
-from .encoder import DualEncoder, load_flat, params_flat, save_checkpoint, snapshot
+from .encoder import DualEncoder, load_flat, params_flat, save_checkpoint, snapshot, stack
 from .errors import ConfigError, ContractError, TrainingDivergedError
 from .jsonutil import format_float, write_canonical, write_lines
 from .optim import AdamW
 from .prototypes import PrototypeStore
+from .tensor import Tensor, sum_seeds
 from .weightspace import we_init, we_step
 
 _TAG_PRETRAIN_BATCH = 21
@@ -53,31 +63,26 @@ _TAG_PRETRAIN_BATCH = 21
 
 @dataclass
 class TaskResult:
-    """What one task's training window leaves behind."""
+    """What one task's training window leaves behind, for each seed of the stack."""
 
-    checkpoint: DualEncoder    # frozen (`snapshot`)
-    loss_rows: list
+    checkpoints: list          # per seed, frozen (`snapshot`)
+    losses: np.ndarray         # [iterations, S, len(FIELDS) + 1]: LossBreakdown.FIELDS, then r0_mean (NaN: None)
 
 
 @dataclass
 class RunRecord:
-    """Everything a finished sequential run persists."""
+    """Everything a finished sequential run of one seed persists."""
 
     matrix: np.ndarray         # row 0: the initial model's zero-shot row
-    loss_rows: list            # (task_id, iteration, LossBreakdown)
+    losses: np.ndarray         # one row per iteration: task id, iteration, then TaskResult.losses' columns
     checkpoints: list          # per-task frozen DualEncoder
     config_echo: dict
     seed: int
 
 
 def _adamw(model: DualEncoder, hyper: HyperParams) -> AdamW:
-    return AdamW(
-        model.parameters(),
-        lr=hyper.lr,
-        betas=(hyper.adam_beta1, hyper.adam_beta2),
-        eps=hyper.adam_eps,
-        weight_decay=hyper.weight_decay,
-    )
+    betas = (hyper.adam_beta1, hyper.adam_beta2)
+    return AdamW(model.parameters(), lr=hyper.lr, betas=betas, eps=hyper.adam_eps, weight_decay=hyper.weight_decay)
 
 
 def pretrain(stream, hyper: HyperParams, seed: int, model_cfg: ModelConfig | None = None) -> DualEncoder:
@@ -89,14 +94,8 @@ def pretrain(stream, hyper: HyperParams, seed: int, model_cfg: ModelConfig | Non
     tasks; its small size and label noise keep that ability imperfect.
     """
     model_cfg = model_cfg or ModelConfig()
-    model = DualEncoder(
-        seed,
-        vocab_size=stream.vocab_size,
-        d_in=stream.d_in,
-        d_tok=model_cfg.d_tok,
-        hidden=model_cfg.hidden,
-        embed_dim=model_cfg.embed_dim,
-    )
+    widths = dict(d_tok=model_cfg.d_tok, hidden=model_cfg.hidden, embed_dim=model_cfg.embed_dim)
+    model = DualEncoder(seed, vocab_size=stream.vocab_size, d_in=stream.d_in, **widths)
     opt = _adamw(model, hyper)
     pool_x, pool_tokens = stream.pretrain_x, stream.pretrain_tokens
     n = pool_x.shape[0]
@@ -129,125 +128,147 @@ def _label_positions(task) -> np.ndarray:
     return order[np.searchsorted(ids, task.train_y, sorter=order)]
 
 
+def _stacked(arrays: list, lead: tuple) -> np.ndarray:
+    """The seeds' arrays along the seed axis `lead`: (S,), or () for a single seed, whose array serves as it is."""
+    return np.array(arrays) if lead else arrays[0]
+
+
+def _teacher(models: list) -> DualEncoder:
+    """The one model every seed shares, or else the models as a frozen stack."""
+    return models[0] if all(m is models[0] for m in models) else snapshot(stack(models))
+
+
 def train_task(
     student: DualEncoder,
-    c0: DualEncoder,
-    c_prev: DualEncoder,
+    c0s: list,
+    c_prevs: list,
     task,
     hyper: HyperParams,
-    seed: int,
+    seeds: list,
     wc_reference: np.ndarray | None = None,
 ) -> TaskResult:
-    """Train `student` on one task against both teachers, in place.
+    """Train the stack `student` (`encoder.stack`, slice s for seeds[s]) on one task against both teachers, in place.
 
-    On return the student carries the task's final parameters (the
-    ensemble mean unless `hyper.ensemble` is "off"). The prototype store, when
-    an enabled term reads it, lives only inside this window: seeded from
-    the initial model before the first iteration, dropped on return.
-    Every batch's loss takes its teacher rows from the per-task bundles of
-    the weighted teachers, and adds the drift anchor toward
-    `wc_reference` iff one is given.
+    `c0s` and `c_prevs` hold each seed's initial and previous model (one
+    object where the seeds share it). On return the student carries the
+    task's final parameters (the ensemble mean unless `hyper.ensemble` is
+    "off"). The prototype stores, when an enabled term reads them, live
+    only inside this window: seeded from the initial models before the
+    first iteration, dropped on return. Every batch's loss takes its
+    teacher rows from the per-task bundles of the weighted teachers, and
+    adds the drift anchor toward `wc_reference` ([S, P]) iff one is given.
+    A non-finite loss raises TrainingDivergedError for its first seed.
     """
     positions = _label_positions(task)
     token_ids = task.token_ids
-    store = None
+    n, lead = len(seeds), student.parameters().flat.shape[:-1]
+    stores = protos = None
     if hyper.uses_prototypes:
-        store = PrototypeStore.init_from_model(
-            c0,
-            task.images_by_class(),
-            gamma0=hyper.gamma0,
-            gamma_step=hyper.gamma_step,
-            gamma_max=hyper.gamma_max,
-        )
+        images = task.images_by_class()
+        schedule = dict(gamma0=hyper.gamma0, gamma_step=hyper.gamma_step, gamma_max=hyper.gamma_max)
+        stores = [PrototypeStore.init_from_model(c0, images, **schedule) for c0 in c0s]
+        protos = Tensor(_stacked([store.matrix().data for store in stores], lead))
     teachers = None
     if hyper.distills:
-        pt_protos = store.matrix() if hyper.enable_idd else None
+        pt_protos = protos if hyper.enable_idd else None
         teachers = tuple(
             losses.teacher_outputs(teacher, task.train_x, token_ids, pt_protos, hyper.tau) if weighted else None
-            for teacher, weighted in zip((c0, c_prev), losses.weighted_teachers(hyper.teacher_weight))
+            for teacher, weighted in zip(map(_teacher, (c0s, c_prevs)), losses.weighted_teachers(hyper.teacher_weight))
         )
 
     we_state = None if hyper.ensemble == "off" else we_init(params_flat(student), hyper.we_interval)
     opt = _adamw(student, hyper)
-    loss_rows = []
-
-    protos = None
-    for k, (x, rows) in enumerate(taskgen.batches(task, hyper.batch_size, seed, hyper.iterations_per_task), start=1):
-        feats = student.encode_images(x)
+    log = np.empty((hyper.iterations_per_task, len(losses.LossBreakdown.FIELDS) + 1, n))
+    draws = [taskgen.batches(task, hyper.batch_size, seed, hyper.iterations_per_task) for seed in seeds]
+    for k, batch in enumerate(zip(*draws), start=1):
+        rows = _stacked([idx for _, idx in batch], lead)
+        feats = student.encode_images(_stacked([x for x, _ in batch], lead))
         batch_positions = positions[rows]
-        if store is not None:
-            store.ema_update(feats.data, batch_positions)
-            protos = store.matrix()
+        if stores is not None:
+            for store, seed_feats, seed_positions in zip(stores, feats.data.reshape(n, *feats.shape[-2:]), batch_positions.reshape(n, -1)):
+                store.ema_update(seed_feats, seed_positions)
+            protos = Tensor(_stacked([store.matrix().data for store in stores], lead))
         loss, bd = losses.total_loss(student, feats, batch_positions, token_ids, protos, hyper, teachers, rows, wc_reference)
-        if not math.isfinite(bd.total):
+        if not np.isfinite(bd.total).all():
+            s = int(np.argmin(np.isfinite(np.reshape(bd.total, n))))
+            dump = losses.LossBreakdown(*(float(np.reshape(v, n)[s]) for v in [*bd.values(), bd.r0_mean] if v is not None))
             raise TrainingDivergedError(
-                f"task {task.task_id} iteration {k}: non-finite loss; breakdown "
-                + ", ".join(f"{name}={getattr(bd, name)!r}" for name in bd.FIELDS),
-                breakdown=bd,
+                f"seed {seeds[s]} task {task.task_id} iteration {k}: non-finite loss; breakdown "
+                + ", ".join(f"{name}={getattr(dump, name)!r}" for name in dump.FIELDS),
+                breakdown=dump,
+                seed=seeds[s],
             )
+        log[k - 1, :-1] = np.array(bd.values()).reshape(-1, n)
+        log[k - 1, -1] = np.nan if bd.r0_mean is None else bd.r0_mean
         opt.zero_grad()
-        loss.backward()
+        (sum_seeds(loss) if lead else loss).backward()
         opt.step()
         if we_state is not None and k % we_state.interval == 0:
             we_step(we_state, params_flat(student), k)
             if hyper.ensemble == "ewe" and we_state.m % hyper.ewe_eta == 0:
                 load_flat(student, we_state.theta_hat)
                 opt.reset_moments()
-        loss_rows.append((task.task_id, k, bd))
 
     if we_state is not None:
         load_flat(student, we_state.theta_hat)
-    return TaskResult(checkpoint=snapshot(student), loss_rows=loss_rows)
+    return TaskResult(checkpoints=[snapshot(student, s) for s in range(n)], losses=log.transpose(0, 2, 1))
 
 
 def evaluate_row(model, stream, model_row: int) -> np.ndarray:
     """Accuracies of one model on every task in the stream."""
-    return np.array(
-        [
-            metrics.evaluate(model, task, metrics.evaluation_candidates(stream, model_row, task))
-            for task in stream.tasks
-        ]
-    )
+    return np.array([metrics.evaluate(model, task, metrics.evaluation_candidates(stream, model_row, task)) for task in stream.tasks])
 
 
 def run_stream(
     stream,
     hyper: HyperParams,
-    seed: int,
-    c0: DualEncoder,
+    seeds: list,
+    c0s: list,
     config_echo: dict | None = None,
-) -> RunRecord:
-    """Sequential pass over the stream's tasks starting from `c0`.
+) -> list[RunRecord]:
+    """Sequential pass over the stream's tasks for each seed, seed s from `c0s[s]`, in lockstep; one record per seed.
 
     Task i's teacher pair is (c0, model after task i-1); for the first
     task both teachers coincide with c0 and similarity weighting
     degenerates to an even split. The drift penalty references the
     previous task's final parameters and only applies on multi-domain
     streams with `enable_wc`; this is the one place that decides it.
+
+    A divergence raises what running the seeds one after another would:
+    the error of the first seed in `seeds` order that diverges, with the
+    records of the seeds before it (trained again as a stack) in `records`.
     """
-    n = stream.n_tasks
-    matrix = np.zeros((n + 1, n))
-    matrix[0] = evaluate_row(c0, stream, 0)
+    try:
+        return _run_stack(stream, hyper, list(seeds), list(c0s), dict(config_echo or {}))
+    except TrainingDivergedError as err:
+        first = list(seeds).index(err.seed)
+        err.records = run_stream(stream, hyper, seeds[:first], c0s[:first], config_echo) if first else []
+        raise
 
-    student = c0.trainable_copy()
+
+def _run_stack(stream, hyper: HyperParams, seeds: list, c0s: list, config_echo: dict) -> list[RunRecord]:
+    n, iterations = stream.n_tasks, hyper.iterations_per_task
+    matrices = [np.zeros((n + 1, n)) for _ in seeds]
+    for matrix, c0 in zip(matrices, c0s):
+        matrix[0] = evaluate_row(c0, stream, 0)
+
+    student = stack(c0s)
     use_wc = hyper.enable_wc and stream.mode == "multi_domain"
-    loss_rows: list = []
-    checkpoints: list = []
+    log = np.empty((len(seeds), n * iterations, len(losses.LossBreakdown.FIELDS) + 3))  # RunRecord.losses of each seed
+    checkpoints: list = [[] for _ in seeds]
     for i, task in enumerate(stream.tasks, start=1):
-        c_prev = snapshot(student)
-        wc_reference = params_flat(c_prev) if use_wc else None
-        result = train_task(student, c0, c_prev, task, hyper, seed, wc_reference=wc_reference)
-        loss_rows.extend(result.loss_rows)
-        checkpoints.append(result.checkpoint)
-        matrix[i] = evaluate_row(result.checkpoint, stream, i)
-
-    return RunRecord(
-        matrix=matrix,
-        loss_rows=loss_rows,
-        checkpoints=checkpoints,
-        config_echo=dict(config_echo or {}),
-        seed=seed,
-    )
+        c_prevs = [snapshot(student, s) for s in range(len(seeds))]
+        wc_reference = params_flat(student) if use_wc else None
+        result = train_task(student, c0s, c_prevs, task, hyper, seeds, wc_reference=wc_reference)
+        rows = slice((i - 1) * iterations, i * iterations)
+        log[:, rows, 0], log[:, rows, 1], log[:, rows, 2:] = task.task_id, np.arange(1, iterations + 1), result.losses.transpose(1, 0, 2)
+        for matrix, seed_checkpoints, checkpoint in zip(matrices, checkpoints, result.checkpoints):
+            seed_checkpoints.append(checkpoint)
+            matrix[i] = evaluate_row(checkpoint, stream, i)
+    return [
+        RunRecord(matrix=matrix, losses=log[s], checkpoints=ckpts, config_echo=config_echo, seed=seed)
+        for s, (seed, matrix, ckpts) in enumerate(zip(seeds, matrices, checkpoints))
+    ]
 
 
 def save_run_record(record: RunRecord, out_dir) -> None:
@@ -262,11 +283,9 @@ def save_run_record(record: RunRecord, out_dir) -> None:
     for i, ckpt in enumerate(record.checkpoints, start=1):
         save_checkpoint(ckpt, os.path.join(out_dir, f"task_{i:02d}.ckpt"))
 
-    header = ["task", "iteration", *losses.LossBreakdown.FIELDS, "r0_mean"]
-    lines = [",".join(header)]
-    for task_id, iteration, bd in record.loss_rows:
-        row = [str(task_id), str(iteration)]
-        row.extend(format_float(v) for v in bd.values())
-        row.append("" if bd.r0_mean is None else format_float(bd.r0_mean))
-        lines.append(",".join(row))
-    write_lines(lines, os.path.join(out_dir, "losses.csv"))
+    header = ",".join(["task", "iteration", *losses.LossBreakdown.FIELDS, "r0_mean"])
+    rows = (  # formatted one at a time as they are written
+        ",".join([str(int(task)), str(int(iteration)), *map(format_float, values), "" if math.isnan(r0) else format_float(r0)])
+        for task, iteration, *values, r0 in map(np.ndarray.tolist, record.losses)
+    )
+    write_lines(itertools.chain([header], rows), os.path.join(out_dir, "losses.csv"))

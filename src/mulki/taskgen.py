@@ -98,9 +98,6 @@ class StreamSpec:
         top = max(c.token_id for task in self.tasks for c in task.classes)
         return top + 1
 
-    def all_classes(self) -> list:
-        return [c for task in self.tasks for c in task.classes]
-
 
 # ---------------------------------------------------------------------------
 # generation
@@ -120,24 +117,44 @@ def _domain_frames(config: StreamConfig, seed: int) -> list[tuple[np.ndarray, np
         rotations.append(q * np.sign(np.diag(r)))
 
     base_means = _base_means(config, seed)
-    spread, floor = config.domain_spread, config.min_domain_separation
+    spread = config.domain_spread
     for _ in range(40):
         directions = rng.normal(size=(config.n_tasks, d))
         directions /= np.linalg.norm(directions, axis=1, keepdims=True)
         offsets = directions * spread
-        means = np.array([[rotations[t] @ mean + offsets[t] for mean in base_means[t]] for t in range(config.n_tasks)])
-        # each class mean against all of the later domains' at once, until one falls short;
-        # one such array at a time, so the check needs no more memory than `means`
-        if all(
-            np.linalg.norm(means[t + 1 :].reshape(-1, d) - mean, axis=1).min() >= floor
-            for t in range(config.n_tasks - 1)
-            for mean in means[t]
-        ):
+        # rotations[t] @ mean + offsets[t] for each class mean, one matrix-vector product per mean as written
+        means = np.array([np.matmul(rotations[t], base_means[t][..., None])[..., 0] + offsets[t] for t in range(config.n_tasks)])
+        if _separated(means, config.min_domain_separation):
             return [(rotations[t], offsets[t]) for t in range(config.n_tasks)]
         spread *= 1.3
     raise ConfigError(
         "could not satisfy min_domain_separation; lower the floor or raise domain_spread"
     )
+
+
+def _separated(means: np.ndarray, floor: float) -> bool:
+    """Whether every two rows of `means` [domain, class, d] from different domains lie at least `floor` apart.
+
+    The verdict of np.linalg.norm over every cross-domain pair, computing few:
+    domains whose bounding balls, or means whose projections on the line
+    through the balls' centres, lie `slack` apart (rounding included) are
+    farther apart for sure. The rest are compared, nearest projections first.
+    """
+    slack = floor + 1e-9 * (1.0 + np.abs(means).max())
+    centres = means.mean(axis=1)
+    radii = np.linalg.norm(means - centres[:, None], axis=-1).max(axis=1)
+    for t in range(len(means) - 1):
+        lengths = np.linalg.norm(centres[t + 1 :] - centres[t], axis=1)
+        for u in t + 1 + np.flatnonzero(lengths - radii[t] - radii[t + 1 :] < slack):
+            length = lengths[u - t - 1]
+            axis = (centres[u] - centres[t]) / length if length > 0 else np.eye(means.shape[-1])[0]
+            near, far = means[t] @ axis, means[u] @ axis
+            order = np.argsort(far)
+            lo, hi = np.searchsorted(far[order], near - slack), np.searchsorted(far[order], near + slack, side="right")
+            for i in np.argsort(-near):
+                if lo[i] < hi[i] and np.linalg.norm(means[u][order[lo[i] : hi[i]]] - means[t][i], axis=1).min() < floor:
+                    return False
+    return True
 
 
 def _base_means(config: StreamConfig, seed: int) -> list[np.ndarray]:
@@ -215,14 +232,14 @@ def _pretrain_pool(tasks, config: StreamConfig, seed: int):
     all_classes = [c for task in tasks for c in task.classes]
     tokens = np.array([c.token_id for c in all_classes], dtype=np.int64)
     xs, ys = [], []
-    for c in all_classes:
+    for position, c in enumerate(all_classes):
         rng = _rng(seed, _TAG_POOL, c.class_id)
         x = c.mean + c.noise_scale * rng.normal(size=(config.pretrain_per_class, c.mean.size))
         label = np.full(config.pretrain_per_class, c.token_id, dtype=np.int64)
         flip = rng.random(config.pretrain_per_class) < config.pretrain_label_noise
-        others = tokens[tokens != c.token_id]
-        if others.size:
-            label[flip] = rng.choice(others, size=int(flip.sum()))
+        # rng.choice among the other classes' (distinct) tokens, without building that array for every class
+        pick = rng.integers(0, len(tokens) - 1, size=int(flip.sum()))
+        label[flip] = tokens[pick + (pick >= position)]
         xs.append(x)
         ys.append(label)
     return np.concatenate(xs), np.concatenate(ys)

@@ -10,52 +10,48 @@ the chains the training loop builds every iteration:
                                scale * mean(weights * -sum(target * log(max(pred, LOG_EPS))))
 
 (`encoder.tower` is the fourth: each encoder tower as one node.) A fused
-node runs, forward and backward, the same numpy expressions as the
-generic-op chain it replaces, in the same order and on arrays of the
-same memory layout, so its value and every gradient it hands on are
-bit-identical to the chain's (tests/reference_ops.py keeps the chains
-and the generic ops they are built from; tests/test_fused_ops.py holds
+node runs, forward and backward, the numpy expressions of the generic-op
+chain it replaces, in the chain's order and on arrays of the same memory
+layout, so its value and every gradient it hands on are the chain's bits
+(tests/reference_ops.py keeps the chains; tests/test_fused_ops.py holds
 each node to its chain). Gradients a chain would sum inside itself are
-summed in the chain's order before the one `_accumulate` call per
-parent. The kernels they share (`cosine_forward`, `cosine_backward`,
-`softmax_forward`, `softmax_backward`, `soft_ce_rows`,
-`soft_ce_backward`, `row_terms_backward`, `UnitRows`, and `node` to put
-a result on the tape) are public so that `losses` and `encoder` build
-their fused nodes from them. Every value is a contiguous float64 numpy
-array.
+summed in its order before the one `_accumulate` call per parent. The
+kernels the nodes share (`cosine_forward`/`_backward`, `softmax_forward`/
+`_backward`, `soft_ce_rows`, `soft_ce_backward`, `row_terms_backward`,
+`UnitRows`, and `node` to put a result on the tape) are public, for
+`losses` and `encoder`. Every value is a contiguous float64 numpy array.
 
-Op outputs are never mutated after creation. The one sanctioned mutation
-point in the package is leaf parameter storage, which optimizers rewrite
-between tape builds; a graph never survives past the backward pass that
-consumed it. Because of that, a tensor's unit-row normalization is
-computed once and kept on the tensor (`unit_rows`), except for trainable
-leaves; every consumer still runs its own backward through it.
+Op outputs are never mutated; optimizers rewrite leaf parameter storage
+between tape builds, and a graph never outlives its backward pass. So a
+tensor's unit-row normalization is computed once and kept on it
+(`unit_rows`), except on trainable leaves.
 
-Trainable leaves are views: `pack` copies a list of leaves into one flat
-float64 buffer and makes each leaf's data the view of its slice, so a
-model's parameters (`Leaves`) can be read, written and stepped as one
-vector. Their storage still changes under them, which is why they stay
-out of the unit-row memo. When some leaf requires grad, `pack` also
-gives them one flat gradient buffer of the same layout, and each leaf's
-`.grad` is the view of its slice of it (its lanes) once a gradient
-arrives.
+`pack` copies leaves into one flat float64 buffer and makes each leaf's
+data the view of its slice, so a model's parameters (`Leaves`) are read,
+written and stepped as one vector; when some leaf requires grad, each
+leaf's `.grad` is the view of its slice (its lanes) of one flat gradient
+buffer of the same layout.
 
-The tape holds op nodes only; leaves stay off it. During a pass each
-tape node collects its gradient in a slot of its own, which the pass
-clears once the node's backward has consumed it, so intermediate nodes
-never hold a `.grad`. A leaf's gradient goes straight into its `.grad`
-(into its lanes when packed): the first contribution is assigned, later
-ones are added in the order the tape hands them on. Gradients therefore
-accumulate: calling backward twice without clearing `.grad` adds the
-second pass on top of the first. Optimizers call `zero_grad`.
+The tape holds op nodes only; leaves stay off it. Each tape node keeps
+its gradient in a slot of its own that the pass clears once consumed. A
+leaf's gradient goes straight into its `.grad`: the first contribution
+is assigned, later ones added in the order the tape hands them on, so
+gradients accumulate across backward passes until `zero_grad`. Backward
+kernels hand per-row factors on as broadcast columns or scalars; each
+element gets the same product, so the same bits, as from a copy.
 
-Backward kernels hand per-row factors on as broadcast columns or scalars
-and let the one element-wise product that consumes them broadcast: each
-element gets the same product, so the same bits, as from a materialized
-copy.
+A stack of S seeds trained in lockstep adds a leading seed axis: its
+parameters are [S, ...] views of one [S, P] buffer (`pack(leaves, (S,))`),
+its batches [S, B, d], its losses [S]. The fused nodes work over the last
+two axes, so each slice of a stacked call runs the kernels of a 2-D call
+on arrays of the same layout (matmul calls gemm per slice, reductions run
+along each slice alike): every seed gets the bits of its own 2-D run.
+`sum_seeds` makes a stack's [S] losses one scalar root.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -159,7 +155,8 @@ def _wrap(value) -> Tensor:
 class Leaves(tuple):
     """Leaf tensors whose data tile one flat float64 buffer, back to back in order.
 
-    `flat` is that buffer: each leaf's data is the view of its slice, so
+    `flat` is that buffer ([S, P] for a stack of S models, each leaf's data
+    then [S, ...]): each leaf's data is the view of its slice, so
     writing `flat` writes every leaf, and reading it reads them all without
     a copy. `grad` is the flat gradient buffer of the same layout, or None
     when no leaf requires grad (a frozen copy). Only `pack` makes one.
@@ -181,22 +178,24 @@ class Leaves(tuple):
         return self.grad
 
 
-def pack(leaves) -> Leaves:
+def pack(leaves, lead: tuple = ()) -> Leaves:
     """Copy `leaves`' values into one new flat buffer and make each leaf's data its slice.
 
-    The leaves keep their values, shapes and identities; only their storage
-    moves into the buffer. If some leaf requires grad, each leaf also gets
-    its lanes in a new zeroed gradient buffer.
+    `lead` is the shape of leading axes every leaf shares (a stack's seed
+    axis), so the buffer is [*lead, P]. The leaves keep their values, shapes
+    and identities; only their storage moves into the buffer. If some leaf
+    requires grad, each leaf also gets its lanes in a new zeroed gradient
+    buffer.
     """
     leaves = Leaves(leaves)
-    leaves.flat = np.concatenate([p.data.reshape(-1) for p in leaves]) if leaves else np.zeros(0)
+    leaves.flat = np.concatenate([p.data.reshape(lead + (-1,)) for p in leaves], axis=-1) if leaves else np.zeros(lead + (0,))
     leaves.grad = np.zeros_like(leaves.flat) if any(p.requires_grad for p in leaves) else None
     offset = 0
     for p in leaves:
-        span = slice(offset, offset + p.size)
-        p.data = leaves.flat[span].reshape(p.shape)
-        p._lane = None if leaves.grad is None else leaves.grad[span].reshape(p.shape)
-        offset += p.size
+        span = slice(offset, offset + p.size // math.prod(lead))
+        p.data = leaves.flat[..., span].reshape(p.shape)
+        p._lane = None if leaves.grad is None else leaves.grad[..., span].reshape(p.shape)
+        offset = span.stop
     return leaves
 
 
@@ -293,14 +292,23 @@ def scale(a: Tensor, c: float) -> Tensor:
     return node(data, (a,), backward)
 
 
+def sum_seeds(losses: Tensor) -> Tensor:
+    """The sum of a stack's [S] losses as one scalar node: its backward hands every seed's loss the root's gradient."""
+
+    def backward(g):
+        losses._accumulate(g * np.ones(losses.shape))
+
+    return node(np.add.reduce(losses.data, axis=None), (losses,), backward)
+
+
 def sum_sq_diff(parts, ref: np.ndarray) -> Tensor:
     """||concat(flatten(parts)) - ref||^2 as one node; `ref` is a constant.
 
-    `Leaves` are read straight from their flat buffer; other parts are
-    concatenated. The backward pass hands each part its slice of
-    2 * g * (theta - ref), so a list of parameter leaves gets one
-    contribution each, written into its lanes of the gradient buffer,
-    without any intermediate reshape or concatenation nodes on the tape.
+    `Leaves` are read straight from their flat buffer (a stack's gives one
+    value per seed); other parts are concatenated. The backward pass hands
+    each part its slice of 2 * g * (theta - ref), so a list of parameter
+    leaves gets one contribution each, written into its lanes of the
+    gradient buffer, with no reshape or concatenation nodes on the tape.
     """
     if not parts:
         raise ContractError("sum_sq_diff needs at least one tensor")
@@ -309,15 +317,17 @@ def sum_sq_diff(parts, ref: np.ndarray) -> Tensor:
     if flat.shape != ref.shape:
         raise ShapeMismatchError(f"sum_sq_diff: {flat.shape} vs {ref.shape}")
     diff = flat - ref
-    data = (diff * diff).sum()
+    data = np.add.reduce(diff * diff, axis=-1)
+    seeds = math.prod(flat.shape[:-1])
 
     def backward(g):
-        grad = 2.0 * (g * diff)  # exactly (g * diff) + (g * diff), the product rule's two terms
+        grad = 2.0 * (g[..., None] * diff)  # exactly (g * diff) + (g * diff), the product rule's two terms
         offset = 0
         for p in parts:
+            width = p.size // seeds
             if p.requires_grad:
-                p._accumulate(grad[offset : offset + p.size].reshape(p.shape))
-            offset += p.size
+                p._accumulate(grad[..., offset : offset + width].reshape(p.shape))
+            offset += width
 
     return node(data, tuple(parts), backward)
 
@@ -352,33 +362,43 @@ def _normalized_backward(g: np.ndarray, unit: np.ndarray, norms: np.ndarray, axi
 
 
 class UnitRows:
-    """Forward value of `l2_normalize(t, axis=1)` for a 2-D array `t`; zero rows raise.
+    """Forward value of `l2_normalize(t, axis=-1)` for an [..., n, d] array `t`; zero rows raise.
 
-    `data` holds the unit rows and `norms` the [n, 1] row norms. `t` is
-    `data.T` as the C-contiguous copy a transpose node would hold, made on
-    first use. `grad` is l2_normalize's backward through these rows.
+    `data` holds the unit rows and `norms` the [..., n, 1] row norms. `t` is
+    `data` transposed (its last two axes), as the C-contiguous copy a
+    transpose node would hold, made on first use. `grad` is l2_normalize's
+    backward through these rows.
     """
 
     __slots__ = ("data", "norms", "_t")
 
     def __init__(self, x: np.ndarray):
-        self.data, self.norms = _normalized(x, 1)
+        self.data, self.norms = _normalized(x, -1)
         self._t: np.ndarray | None = None
 
     @property
     def t(self) -> np.ndarray:
         if self._t is None:
-            self._t = self.data.T.copy()
+            self._t = self.data.swapaxes(-1, -2).copy()
         return self._t
 
     def grad(self, g: np.ndarray) -> np.ndarray:
-        return _normalized_backward(g, self.data, self.norms, 1)
+        return _normalized_backward(g, self.data, self.norms, -1)
 
     def take(self, idx) -> "UnitRows":
-        """Rows `idx`: each row is normalized on its own, so this equals normalizing those rows afresh."""
+        """Rows `idx` (see `gather`): each row is normalized on its own, so this equals normalizing those rows afresh."""
         out = UnitRows.__new__(UnitRows)
-        out.data, out.norms, out._t = self.data[idx], self.norms[idx], None
+        out.data, out.norms, out._t = gather(self.data, idx), gather(self.norms, idx), None
         return out
+
+
+def gather(a: np.ndarray, idx) -> np.ndarray:
+    """Rows `idx` of `a`: of an [n, d] array shared by every seed, `a[idx]`; of a
+    stack's [S, n, d] array, with [S, B] indices, row idx[s, b] of slice s."""
+    if a.ndim == 2:
+        return a[idx]
+    n = a.shape[-2]  # slice s's rows are rows s * n ... of the slices laid end to end
+    return a.reshape(-1, a.shape[-1])[idx + np.arange(0, len(a) * n, n)[:, None]]
 
 
 def unit_rows(a: Tensor) -> UnitRows:
@@ -397,7 +417,7 @@ def unit_rows(a: Tensor) -> UnitRows:
 
 def take_rows(a: Tensor, idx) -> Tensor:
     """Rows `idx` of the constant `a`, carrying the matching rows of `a`'s kept normalization."""
-    out = Tensor(a.data[idx])
+    out = Tensor(gather(a.data, idx))
     out._unit = unit_rows(a).take(idx)
     return out
 
@@ -407,10 +427,10 @@ def take_rows(a: Tensor, idx) -> Tensor:
 
 
 def cosine_forward(a: Tensor, b: Tensor) -> tuple[UnitRows, UnitRows, np.ndarray]:
-    """(unit rows of a, unit rows of b, [m, n] row cosines) for [m, d] a and [n, d] b. Zero rows raise."""
-    if a.ndim != 2 or b.ndim != 2:
+    """(unit rows of a, unit rows of b, [..., m, n] row cosines) for [..., m, d] a and [..., n, d] b. Zero rows raise."""
+    if a.ndim < 2 or b.ndim < 2:
         raise ShapeMismatchError(f"cosine_sim needs 2-D inputs, got ranks {a.ndim} and {b.ndim}")
-    if a.shape[1] != b.shape[1]:
+    if a.shape[-1] != b.shape[-1]:
         raise ShapeMismatchError(f"cosine_sim: feature dims differ, {a.shape} vs {b.shape}")
     ua, ub = unit_rows(a), unit_rows(b)
     return ua, ub, ua.data @ ub.t
@@ -419,9 +439,9 @@ def cosine_forward(a: Tensor, b: Tensor) -> tuple[UnitRows, UnitRows, np.ndarray
 def cosine_backward(g: np.ndarray, a: Tensor, b: Tensor, ua: UnitRows, ub: UnitRows) -> None:
     """Hand the gradient `g` of the cosine matrix to a, then to b."""
     if a.requires_grad:
-        a._accumulate(ua.grad(g @ ub.t.T))
+        a._accumulate(ua.grad(g @ ub.t.swapaxes(-1, -2)))
     if b.requires_grad:
-        b._accumulate(ub.grad((ua.data.T @ g).T))
+        b._accumulate(ub.grad((ua.data.swapaxes(-1, -2) @ g).swapaxes(-1, -2)))
 
 
 def cosine_sim(a: Tensor, b: Tensor) -> Tensor:
@@ -438,26 +458,26 @@ def cosine_softmax(a: Tensor, b: Tensor, tau: float) -> Tensor:
     """Rows of softmax(cosine_sim(a, b) / tau): one distribution over b's rows per row of a."""
     ua, ub, sims = cosine_forward(a, b)
     c = float(1.0 / tau)
-    data = softmax_forward(sims * c, 1)
+    data = softmax_forward(sims * c, -1)
 
     def backward(g):
-        cosine_backward(softmax_backward(g, data, 1) * c, a, b, ua, ub)
+        cosine_backward(softmax_backward(g, data, -1) * c, a, b, ua, ub)
 
     return node(data, (a, b), backward)
 
 
 def soft_ce_rows(target: np.ndarray, pred: np.ndarray) -> np.ndarray:
-    """-sum(target * log(max(pred, LOG_EPS))) along the last axis of 2-D arrays."""
-    return np.add.reduce(-target * np.log(np.maximum(pred, LOG_EPS)), axis=1)
+    """-sum(target * log(max(pred, LOG_EPS))) along the last axis."""
+    return np.add.reduce(-target * np.log(np.maximum(pred, LOG_EPS)), axis=-1)
 
 
 def row_terms_backward(g_sum, weights: np.ndarray | None = None):
-    """Gradient of every entry of an [n, k] array `m`, given the gradient
-    `g_sum` of sum(weights * m.sum(axis=1)): `g_sum` itself without
-    weights, else an [n, 1] column. Either broadcasts over `m`."""
+    """Gradient of every entry of an [..., n, k] array `m`, given the
+    per-seed gradient `g_sum` of sum(weights * m.sum(axis=-1)): `g_sum`
+    without weights, else an [..., n, 1] column, to broadcast over `m`."""
     if weights is None:
-        return g_sum
-    return (g_sum * weights)[:, None]
+        return g_sum[..., None, None]
+    return (g_sum[..., None] * weights)[..., None]
 
 
 def soft_ce_backward(g_sum, target: np.ndarray, pred: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
@@ -475,7 +495,7 @@ def soft_ce_mean(
     scale: float = 1.0,
     rows: np.ndarray | None = None,
 ) -> Tensor:
-    """scale * mean over rows of weights * soft_ce_rows(target, pred), as one node.
+    """scale * mean over rows of weights * soft_ce_rows(target, pred), as one node (one per seed of a stack).
 
     `target` and the per-row `weights` are constants: no gradient flows
     into them. `rows` may carry `soft_ce_rows(target.data, pred.data)`
@@ -483,22 +503,22 @@ def soft_ce_mean(
     """
     if target.shape != pred.shape:
         raise ShapeMismatchError(f"soft_ce_mean: {target.shape} vs {pred.shape}")
-    if pred.ndim != 2:
+    if pred.ndim < 2:
         raise ShapeMismatchError(f"soft_ce_mean needs 2-D input, got {pred.shape}")
-    if pred.shape[0] == 0:
+    if pred.shape[-2] == 0:
         raise ContractError("soft_ce_mean of an empty batch")
     w = None
     if weights is not None:
         if weights.requires_grad:
             raise ContractError("soft_ce_mean: weights must be constants")
-        if weights.shape != pred.shape[:1]:
-            raise ShapeMismatchError(f"soft_ce_mean: {pred.shape[0]} rows but weights {weights.shape}")
+        if weights.shape != pred.shape[:-1]:
+            raise ShapeMismatchError(f"soft_ce_mean: {pred.shape[-2]} rows but weights {weights.shape}")
         w = weights.data
     if rows is None:
         rows = soft_ce_rows(target.data, pred.data)
-    c = float(1.0 / rows.size)
+    c = float(1.0 / rows.shape[-1])
     s = float(scale)
-    data = (rows if w is None else rows * w).sum() * c * s
+    data = np.add.reduce(rows if w is None else rows * w, axis=-1) * c * s
 
     def backward(g):
         if pred.requires_grad:

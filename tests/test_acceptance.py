@@ -253,7 +253,7 @@ def test_criterion_2_identities():
 
     dims = dict(vocab_size=K + 1, d_in=D, d_tok=8, hidden=8, embed_dim=D)
     teacher = snapshot(DualEncoder(7, **dims))
-    twin = teacher.trainable_copy()
+    twin = DualEncoder(7, **dims)  # the teacher's seeded init, trainable
     x = rng.normal(size=(B, D))
     t_feats = teacher.encode_images(x)
     s_feats = twin.encode_images(x)
@@ -340,7 +340,7 @@ def grid():
         if name not in cache:
             hyper = apply_variant(base, name)
             t = time.time()
-            cache[name] = [run_stream(stream, hyper, s, c0s[s]).matrix for s in SEEDS]
+            cache[name] = [record.matrix for record in run_stream(stream, hyper, list(SEEDS), [c0s[s] for s in SEEDS])]
             times[name] = time.time() - t
         return cache[name]
 

@@ -360,6 +360,26 @@ def test_values_past_their_bound_exit_2(tmp_path, capsys, monkeypatch, name, val
     assert not (tmp_path / "s.bin").exists()
 
 
+@pytest.mark.parametrize(
+    "overrides, key",
+    [({"MODEL__D_TOK": "65536", "MODEL__HIDDEN": "65536"}, "model.d_tok"), ({"HYPER__BATCH_SIZE": "65536"}, "hyper.batch_size")],
+    ids=["widths", "batch_size"],
+)
+@pytest.mark.parametrize("command", ["pretrain", "run", "ablate"])
+def test_run_bytes_past_their_budget_exit_2(tmp_path, capsys, monkeypatch, overrides, key, command):
+    """Widths and a batch size each within their bound, whose products would not fit in memory,
+    exit 2 naming the key before any input is read; on the smoke config."""
+    for env in list(os.environ):
+        if env.startswith("MULKI_"):
+            monkeypatch.delenv(env)
+    for name, value in overrides.items():
+        monkeypatch.setenv(f"MULKI_{name}", value)
+    smoke = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "smoke.json")
+    missing = ["--stream", str(tmp_path / "missing.bin")] + (["--c0", str(tmp_path / "missing.ckpt")] if command != "pretrain" else [])
+    exits_2_with_one_line([command, "--config", smoke, *missing, "--out", str(tmp_path / "out")], capsys, key, "byte budget")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("source", ["file", "env"])
 def test_stale_weighting_mode_key_exits_2(tmp_path, capsys, monkeypatch, source):
     """The four-way mode string that teacher_weight replaced is an unknown key now."""

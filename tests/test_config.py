@@ -3,10 +3,12 @@
 import json
 import math
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
 from mulki.config import (
+    MAX_RUN_BYTES,
     VARIANTS,
     ExperimentConfig,
     HyperParams,
@@ -18,6 +20,8 @@ from mulki.config import (
     load_config,
 )
 from mulki.errors import ConfigError
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_defaults():
@@ -120,6 +124,27 @@ def test_counts_past_their_bound_named(raw, key):
     with pytest.raises(ConfigError) as err:
         config_from_dict(raw)
     assert key in str(err.value)
+
+
+# a run's models and batches over their byte budget; each row stays within every single bound
+RUN_OVERSIZED = [
+    ({"model": {"d_tok": 65536, "hidden": 65536}}, "model.d_tok"),  # a 32 GiB text-tower matrix
+    ({"hyper": {"batch_size": 65536}}, "hyper.batch_size"),  # a 32 GiB batch similarity matrix
+    ({"model": {"hidden": 4096}, "seeds": list(range(1000))}, "seeds"),  # a stack holds every seed's arrays
+    ({"stream": {"classes_per_task": 20000, "d_in": 2, "train_per_class": 1, "test_per_class": 1, "pretrain_per_class": 1}}, "stream.classes_per_task"),
+]
+
+
+@pytest.mark.parametrize("raw, key", RUN_OVERSIZED, ids=[key for _, key in RUN_OVERSIZED])
+def test_run_bytes_past_their_budget_named(raw, key):
+    cfg = config_from_dict(raw)  # each value within its own bound
+    with pytest.raises(ConfigError, match=f"^{key} is .*over the {MAX_RUN_BYTES}-byte budget"):
+        cfg.check_run_bytes()
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.name)
+def test_shipped_configs_within_the_run_budget(path):
+    load_config(path, environ={}).check_run_bytes()
 
 
 def test_counts_within_their_bound_accepted():

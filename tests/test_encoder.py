@@ -12,6 +12,7 @@ from mulki.encoder import (
     load_flat,
     params_flat,
     snapshot,
+    stack,
 )
 from mulki.errors import ContractError, ShapeMismatchError, UnknownTokenError
 from mulki.optim import AdamW
@@ -119,19 +120,23 @@ def test_snapshot_matches_student_at_equal_params(rng):
     assert m.encode_images(Tensor(x)).requires_grad is True
 
 
-def test_snapshot_trainable_copy_round_trip(rng, monkeypatch):
-    m = make_model()
+def test_snapshot_stack_round_trip(rng, monkeypatch):
+    m, other = make_model(), make_model(seed=4)
     train_steps(m, rng, steps=3)
     frozen = snapshot(m)
 
     def no_init(*args, **kwargs):
-        raise AssertionError("trainable_copy re-ran the seeded init")
+        raise AssertionError("stack re-ran the seeded init")
 
     monkeypatch.setattr(DualEncoder, "__init__", no_init)
-    copy = frozen.trainable_copy()
-    assert np.array_equal(params_flat(copy), params_flat(frozen))
-    assert copy.img_w1.data.flags.writeable
-    assert (copy.seed, copy.dims) == (m.seed, m.dims)
+    pair = stack([frozen, other])
+    assert np.array_equal(params_flat(pair), np.stack([params_flat(frozen), params_flat(other)]))
+    assert pair.img_w1.data.flags.writeable and pair.img_w1.shape == (2, *m.img_w1.shape)
+    assert (pair.seed, pair.dims) == ([m.seed, other.seed], m.dims)
+    for index, model in enumerate((frozen, other)):
+        alone = snapshot(pair, index)
+        assert np.array_equal(params_flat(alone), params_flat(model))
+        assert (alone.seed, alone.dims) == (model.seed, model.dims)
 
 
 def test_params_flat_round_trip(rng):
@@ -161,10 +166,10 @@ def test_parameters_are_views_of_one_buffer(rng):
         offset += param.size
 
 
-def test_snapshot_and_trainable_copy_own_their_buffers(rng):
+def test_snapshot_and_stack_own_their_buffers(rng):
     m = make_model()
     frozen = snapshot(m)
-    copy = frozen.trainable_copy()
+    copy = stack([frozen])
     assert type(frozen) is DualEncoder and type(copy) is DualEncoder
     buffers = [m.parameters().flat, frozen.parameters().flat, copy.parameters().flat]
     for i, a in enumerate(buffers):

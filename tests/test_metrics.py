@@ -93,9 +93,10 @@ class OracleModel:
     """Encodes images as their class one-hot direction; texts likewise."""
 
     def __init__(self, stream):
-        ids = sorted(c.class_id for c in stream.all_classes())
-        self.means = {c.class_id: c.mean for c in stream.all_classes()}
-        self.token_to_axis = {c.token_id: c.class_id for c in stream.all_classes()}
+        classes = [c for task in stream.tasks for c in task.classes]
+        ids = sorted(c.class_id for c in classes)
+        self.means = {c.class_id: c.mean for c in classes}
+        self.token_to_axis = {c.token_id: c.class_id for c in classes}
         self.n = len(ids)
         self.stream = stream
 

@@ -9,7 +9,7 @@ import mulki.losses as losses
 import mulki.runner as runner
 import mulki.taskgen as taskgen
 from mulki.config import apply_variant, config_from_dict
-from mulki.encoder import DualEncoder, load_flat, params_flat, snapshot
+from mulki.encoder import DualEncoder, load_flat, params_flat, snapshot, stack
 from mulki.errors import ConfigError, ContractError, TrainingDivergedError
 from mulki.optim import AdamW
 from mulki.prototypes import PrototypeStore
@@ -23,7 +23,6 @@ from mulki.runner import (
     train_task,
 )
 from mulki.taskgen import StreamSpec, generate_stream
-from mulki.tensor import Tensor
 
 from conftest import TINY_MODEL, fast_hyper, tiny_stream_config
 
@@ -32,14 +31,30 @@ def make_c0(stream, hyper=None, seed=0):
     return pretrain(stream, hyper or fast_hyper(), seed, ModelConfig(**TINY_MODEL))
 
 
+def trainable(model):
+    """A trainable single model holding `model`'s exact parameters."""
+    twin = DualEncoder(model.seed, **model.dims)
+    load_flat(twin, params_flat(model))
+    return twin
+
+
+def train_alone(c0, task, hyper, seed):
+    """train_task on a stack of one seed starting from c0, with c0 as both teachers; (student, result)."""
+    student = stack([c0])
+    return student, train_task(student, [c0], [c0], task, hyper, [seed])
+
+
+TOTAL = losses.LossBreakdown.FIELDS.index("total")
+
+
 def test_continual_ft_bitwise_matches_reference_loop(tiny_stream):
     seed = 3
     hyper = apply_variant(fast_hyper(), "continual_ft")
     c0 = make_c0(tiny_stream, seed=seed)
-    record = run_stream(tiny_stream, hyper, seed, c0)
+    (record,) = run_stream(tiny_stream, hyper, [seed], [c0])
 
-    # independent loop: plain image-text cross-entropy + AdamW, same batches
-    student = c0.trainable_copy()
+    # independent loop on a single model: plain image-text cross-entropy + AdamW, same batches
+    student = trainable(c0)
     matrix = [evaluate_row(c0, tiny_stream, 0)]
     for i, task in enumerate(tiny_stream.tasks, start=1):
         opt = AdamW(
@@ -67,8 +82,8 @@ def test_continual_ft_bitwise_matches_reference_loop(tiny_stream):
 
 def test_double_run_is_bitwise_identical(tiny_stream):
     c0 = make_c0(tiny_stream)
-    a = run_stream(tiny_stream, fast_hyper(), 1, c0)
-    b = run_stream(tiny_stream, fast_hyper(), 1, c0)
+    (a,) = run_stream(tiny_stream, fast_hyper(), [1], [c0])
+    (b,) = run_stream(tiny_stream, fast_hyper(), [1], [c0])
     assert np.array_equal(a.matrix, b.matrix)
     for ca, cb in zip(a.checkpoints, b.checkpoints):
         assert np.array_equal(params_flat(ca), params_flat(cb))
@@ -76,18 +91,18 @@ def test_double_run_is_bitwise_identical(tiny_stream):
 
 def test_matrix_shape_and_row0(tiny_stream):
     c0 = make_c0(tiny_stream)
-    record = run_stream(tiny_stream, fast_hyper(), 1, c0)
+    (record,) = run_stream(tiny_stream, fast_hyper(), [1], [c0])
     n = tiny_stream.n_tasks
     assert record.matrix.shape == (n + 1, n)
     assert np.array_equal(record.matrix[0], evaluate_row(c0, tiny_stream, 0))
     assert len(record.checkpoints) == n
-    assert len(record.loss_rows) == n * fast_hyper().iterations_per_task
+    assert len(record.losses) == n * fast_hyper().iterations_per_task
 
 
 def test_teacher_parameters_never_move(tiny_stream):
     c0 = make_c0(tiny_stream)
     before = params_flat(c0)
-    run_stream(tiny_stream, fast_hyper(), 1, c0)
+    run_stream(tiny_stream, fast_hyper(), [1], [c0])
     assert np.array_equal(params_flat(c0), before)
 
 
@@ -111,7 +126,7 @@ def test_prototype_store_lifecycle(tiny_stream, monkeypatch):
     InstrumentedStore.events = []
     monkeypatch.setattr(runner, "PrototypeStore", InstrumentedStore)
     hyper = fast_hyper()
-    run_stream(tiny_stream, hyper, 1, c0)
+    run_stream(tiny_stream, hyper, [1], [c0])
 
     events = InstrumentedStore.events
     kinds = [kind for kind, _ in events]
@@ -163,7 +178,7 @@ def test_each_arm_builds_only_what_its_terms_read(tiny_stream, monkeypatch, vari
         ]
     }
     hyper = apply_variant(fast_hyper(), variant)
-    run_stream(tiny_stream, hyper, 1, c0)
+    run_stream(tiny_stream, hyper, [1], [c0])
 
     n, iters = tiny_stream.n_tasks, hyper.iterations_per_task
     assert len(calls["init"]) == (n if keeps_store else 0)
@@ -182,7 +197,7 @@ def test_label_outside_the_task_raises_contract_error(tiny_stream):
     bad = taskgen.TaskSpec(task.task_id, task.classes, task.train_x, train_y, task.test_x, task.test_y)
     for variant in ("full", "continual_ft"):
         with pytest.raises(ContractError, match="training label 99"):
-            train_task(c0.trainable_copy(), c0, c0, bad, apply_variant(fast_hyper(), variant), 1)
+            train_alone(c0, bad, apply_variant(fast_hyper(), variant), 1)
 
 
 def test_loss_decreases_over_first_fifty_iterations():
@@ -192,9 +207,8 @@ def test_loss_decreases_over_first_fifty_iterations():
     drops = []
     for seed in range(5):
         c0 = pretrain(stream, hyper, seed)
-        student = c0.trainable_copy()
-        result = train_task(student, c0, c0, stream.tasks[0], hyper, seed)
-        totals = [bd.total for _, _, bd in result.loss_rows]
+        _, result = train_alone(c0, stream.tasks[0], hyper, seed)
+        totals = result.losses[:, 0, TOTAL]
         assert all(math.isfinite(t) for t in totals)
         drops.append(np.mean(totals[:10]) - np.mean(totals[-10:]))
     assert np.median(drops) > 0
@@ -202,17 +216,20 @@ def test_loss_decreases_over_first_fifty_iterations():
 
 def test_divergence_is_reported(tiny_stream, monkeypatch):
     c0 = make_c0(tiny_stream)
-    bad = losses.LossBreakdown()
-    bad.total = float("nan")
+    real_total_loss = losses.total_loss
 
     def explode(*args, **kwargs):
-        return Tensor(float("nan")), bad
+        loss, bd = real_total_loss(*args, **kwargs)
+        bd.total = bd.total * float("nan")
+        return loss, bd
 
     monkeypatch.setattr(losses, "total_loss", explode)
     with pytest.raises(TrainingDivergedError) as err:
-        run_stream(tiny_stream, fast_hyper(), 1, c0)
-    assert "iteration 1" in str(err.value)
-    assert err.value.breakdown is bad
+        run_stream(tiny_stream, fast_hyper(), [1], [c0])
+    assert str(err.value).startswith("seed 1 task 1 iteration 1: non-finite loss; breakdown ce=")
+    assert err.value.seed == 1 and err.value.records == []
+    bd = err.value.breakdown
+    assert math.isnan(bd.total) and math.isfinite(bd.ce) and type(bd.ce) is float
 
 
 def capture_we_states(monkeypatch) -> list:
@@ -232,37 +249,29 @@ def test_we_state_accounting(tiny_stream, monkeypatch):
     c0 = make_c0(tiny_stream)
     states = capture_we_states(monkeypatch)
     hyper = fast_hyper(iterations_per_task=10, we_interval=3)
-    student = c0.trainable_copy()
-    result = train_task(student, c0, c0, tiny_stream.tasks[0], hyper, 2)
+    student, result = train_alone(c0, tiny_stream.tasks[0], hyper, 2)
     (state,) = states
     assert state.m == 3  # floor(10 / 3)
     assert np.array_equal(params_flat(student), state.theta_hat)
-    assert np.array_equal(params_flat(result.checkpoint), state.theta_hat)
+    assert np.array_equal(params_flat(result.checkpoints[0]), state.theta_hat)
 
 
 def test_ensembling_changes_final_parameters(tiny_stream, monkeypatch):
     c0 = make_c0(tiny_stream)
     states = capture_we_states(monkeypatch)
-    raw = train_task(
-        c0.trainable_copy(), c0, c0, tiny_stream.tasks[0], fast_hyper(ensemble="off"), 2
-    )
+    _, raw = train_alone(c0, tiny_stream.tasks[0], fast_hyper(ensemble="off"), 2)
     assert states == []  # no ensemble is started
-    averaged = train_task(
-        c0.trainable_copy(), c0, c0, tiny_stream.tasks[0], fast_hyper(we_interval=2), 2
-    )
-    assert not np.array_equal(params_flat(raw.checkpoint), params_flat(averaged.checkpoint))
+    _, averaged = train_alone(c0, tiny_stream.tasks[0], fast_hyper(we_interval=2), 2)
+    assert not np.array_equal(params_flat(raw.checkpoints[0]), params_flat(averaged.checkpoints[0]))
 
 
 def test_ewe_overwrites_live_parameters(tiny_stream):
     c0 = make_c0(tiny_stream)
     # eta * interval = 4 divides 8: the live weights jump to the mean mid-task
     hyper = fast_hyper(iterations_per_task=8, we_interval=2, ewe_eta=2, ensemble="ewe")
-    ewe = train_task(c0.trainable_copy(), c0, c0, tiny_stream.tasks[0], hyper, 2)
-    we_only = train_task(
-        c0.trainable_copy(), c0, c0, tiny_stream.tasks[0],
-        fast_hyper(iterations_per_task=8, we_interval=2), 2,
-    )
-    assert not np.array_equal(params_flat(ewe.checkpoint), params_flat(we_only.checkpoint))
+    _, ewe = train_alone(c0, tiny_stream.tasks[0], hyper, 2)
+    _, we_only = train_alone(c0, tiny_stream.tasks[0], fast_hyper(iterations_per_task=8, we_interval=2), 2)
+    assert not np.array_equal(params_flat(ewe.checkpoints[0]), params_flat(we_only.checkpoints[0]))
 
 
 def ensemble_events(tiny_stream, monkeypatch, ensemble) -> list:
@@ -291,7 +300,7 @@ def ensemble_events(tiny_stream, monkeypatch, ensemble) -> list:
     monkeypatch.setattr(runner, "load_flat", load)
     monkeypatch.setattr(AdamW, "reset_moments", reset)
     hyper = fast_hyper(iterations_per_task=8, we_interval=2, ewe_eta=2, ensemble=ensemble)
-    train_task(c0.trainable_copy(), c0, c0, tiny_stream.tasks[0], hyper, 2)
+    train_alone(c0, tiny_stream.tasks[0], hyper, 2)
     return events
 
 
@@ -344,7 +353,6 @@ def test_pretrain_rejects_empty_pool(tiny_stream):
 def test_first_task_weights_degenerate_to_half(tiny_stream, monkeypatch):
     # both teachers are c0 on task 1, so every similarity weight is 0.5
     c0 = make_c0(tiny_stream)
-    student = c0.trainable_copy()
     weights = []
 
     def recording_sample_weights(*args):
@@ -354,11 +362,10 @@ def test_first_task_weights_degenerate_to_half(tiny_stream, monkeypatch):
 
     real_sample_weights = losses.sample_weights
     monkeypatch.setattr(losses, "sample_weights", recording_sample_weights)
-    result = train_task(student, c0, c0, tiny_stream.tasks[0], fast_hyper(), 2)
-    assert len(weights) == len(result.loss_rows)
+    _, result = train_alone(c0, tiny_stream.tasks[0], fast_hyper(), 2)
+    assert len(weights) == len(result.losses)
     assert all(np.all(r0 == 0.5) for r0 in weights)
-    for _, _, bd in result.loss_rows:
-        assert bd.r0_mean == 0.5
+    assert np.all(result.losses[:, 0, -1] == 0.5)  # the logged r0_mean
 
 
 def logged_wc(record, out_dir) -> list:
@@ -371,15 +378,15 @@ def logged_wc(record, out_dir) -> list:
 
 def test_drift_anchor_only_on_multi_domain_streams_with_wc(tiny_stream, tmp_path):
     c0 = make_c0(tiny_stream)
-    full = logged_wc(run_stream(tiny_stream, fast_hyper(), 1, c0), tmp_path / "full")
+    full = logged_wc(run_stream(tiny_stream, fast_hyper(), [1], [c0])[0], tmp_path / "full")
     # each task starts from its own reference (the previous task's model), so iteration 1 reads 0
     assert all(wc == 0.0 for _, it, wc in full if it == 1)
     assert all(wc > 0.0 for _, it, wc in full if it > 1)
     assert len(full) == tiny_stream.n_tasks * fast_hyper().iterations_per_task
 
-    off = logged_wc(run_stream(tiny_stream, fast_hyper(enable_wc=False), 1, c0), tmp_path / "off")
+    off = logged_wc(run_stream(tiny_stream, fast_hyper(enable_wc=False), [1], [c0])[0], tmp_path / "off")
     ci_stream = generate_stream(tiny_stream_config(mode="class_incremental"))
-    ci = logged_wc(run_stream(ci_stream, fast_hyper(enable_wc=True), 1, make_c0(ci_stream)), tmp_path / "ci")
+    ci = logged_wc(run_stream(ci_stream, fast_hyper(enable_wc=True), [1], [make_c0(ci_stream)])[0], tmp_path / "ci")
     for rows in (off, ci):
         assert rows and all(wc == 0.0 for _, _, wc in rows)
 
@@ -387,7 +394,7 @@ def test_drift_anchor_only_on_multi_domain_streams_with_wc(tiny_stream, tmp_path
 def test_run_validates_hyper(tiny_stream):
     c0 = make_c0(tiny_stream)
     with pytest.raises(ConfigError, match="hyper.teacher_weight"):
-        run_stream(tiny_stream, fast_hyper(teacher_weight=1.5), 1, c0)
+        run_stream(tiny_stream, fast_hyper(teacher_weight=1.5), [1], [c0])
 
 
 def test_hyper_and_model_dict_parsing():
@@ -418,7 +425,7 @@ def test_ensemble_mode_mapping():
 
 def test_save_run_record(tmp_path, tiny_stream):
     c0 = make_c0(tiny_stream)
-    record = run_stream(tiny_stream, fast_hyper(), 1, c0, config_echo={"variant": "full"})
+    (record,) = run_stream(tiny_stream, fast_hyper(), [1], [c0], config_echo={"variant": "full"})
     out = tmp_path / "run"
     save_run_record(record, out)
 
@@ -428,7 +435,7 @@ def test_save_run_record(tmp_path, tiny_stream):
     csv_lines = (out / "losses.csv").read_text().splitlines()
     assert csv_lines[0].startswith("task,iteration,ce,")
     assert csv_lines[0].endswith(",total,r0_mean")
-    assert len(csv_lines) == 1 + len(record.loss_rows)
+    assert len(csv_lines) == 1 + len(record.losses)
     assert csv_lines[1].split(",")[-1] != ""  # similarity mode logs r0
 
     again = tmp_path / "again"
@@ -436,7 +443,7 @@ def test_save_run_record(tmp_path, tiny_stream):
     for name in names:
         assert (out / name).read_bytes() == (again / name).read_bytes()
 
-    ft = run_stream(tiny_stream, apply_variant(fast_hyper(), "continual_ft"), 1, c0)
+    (ft,) = run_stream(tiny_stream, apply_variant(fast_hyper(), "continual_ft"), [1], [c0])
     ft_out = tmp_path / "ft"
     save_run_record(ft, ft_out)
     ft_lines = (ft_out / "losses.csv").read_text().splitlines()

@@ -52,6 +52,10 @@ def saved(stream, path) -> bytes:
     return path.read_bytes()
 
 
+def classes_of(stream) -> list:
+    return [c for task in stream.tasks for c in task.classes]
+
+
 def test_same_config_and_seed_identical(tmp_path):
     a = generate_stream(small_config())
     b = generate_stream(small_config())
@@ -73,11 +77,11 @@ def test_round_trip(tmp_path):
 
 def test_class_incremental_structure():
     stream = generate_stream(small_config(mode="class_incremental", n_tasks=4, classes_per_task=2))
-    ids = [c.class_id for c in stream.all_classes()]
+    ids = [c.class_id for c in classes_of(stream)]
     assert ids == list(range(8))  # N*K unique, contiguous
-    assert all(c.token_id == c.class_id + 1 for c in stream.all_classes())
+    assert all(c.token_id == c.class_id + 1 for c in classes_of(stream))
     assert stream.vocab_size == 9  # template token 0 plus 8 class tokens
-    assert all(c.domain_id == 0 for c in stream.all_classes())
+    assert all(c.domain_id == 0 for c in classes_of(stream))
 
 
 def test_multi_domain_separation_floor():
@@ -90,7 +94,7 @@ def test_multi_domain_separation_floor():
             for ca in ta.classes:
                 for cb in tb.classes:
                     assert np.linalg.norm(ca.mean - cb.mean) >= cfg.min_domain_separation
-    domains = {c.domain_id for c in stream.all_classes()}
+    domains = {c.domain_id for c in classes_of(stream)}
     assert domains == {0, 1, 2}
 
 
@@ -121,6 +125,17 @@ def loop_domain_frames(config, seed):
 def test_separation_check_matches_the_pairwise_loop(floor, seed):
     """Same frames after the same number of re-draws, or the same refusal."""
     config = small_config(n_tasks=4, d_in=3, min_domain_separation=floor)
+    check_against_the_pairwise_loop(config, seed)
+
+
+@pytest.mark.parametrize("floor", [0.0, 0.3, 0.8, 1.5])
+@pytest.mark.parametrize("seed", [0, 5])
+def test_separation_check_matches_the_pairwise_loop_on_crowded_planes(floor, seed):
+    """60 classes per domain in 2-d, where domains overlap and most pairs are left to compare."""
+    check_against_the_pairwise_loop(small_config(n_tasks=3, classes_per_task=60, d_in=2, min_domain_separation=floor), seed)
+
+
+def check_against_the_pairwise_loop(config, seed):
     want = loop_domain_frames(config, seed)
     if want is None:
         with pytest.raises(ConfigError, match="min_domain_separation"):
@@ -143,6 +158,21 @@ def test_separation_check_on_many_domains_ends(tmp_path):
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode in (0, 2), proc.stderr
+
+
+def test_generate_of_many_classes_in_few_domains_ends(tmp_path):
+    """2 domains of 100,000 classes in 2-d (~14 MB of arrays): `generate` writes the stream within a minute."""
+    config = tmp_path / "wide.json"
+    config.write_text(json.dumps({"stream": {
+        "n_tasks": 2, "classes_per_task": 100000, "d_in": 2, "train_per_class": 1, "test_per_class": 1, "pretrain_per_class": 1,
+    }}))
+    env = {name: value for name, value in os.environ.items() if not name.startswith("MULKI_")}
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(__file__).resolve().parent.parent / "src"), env.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-m", "mulki.cli", "generate", "--config", str(config), "--out", str(tmp_path / "s.bin")],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_per_class_sample_mean_statistics():
@@ -203,12 +233,12 @@ def test_pretrain_pool_composition():
     assert stream.pretrain_x.shape == (n_classes * 50, cfg.d_in)
     assert stream.pretrain_tokens.shape == (n_classes * 50,)
 
-    own = np.repeat([c.token_id for c in stream.all_classes()], 50)
+    own = np.repeat([c.token_id for c in classes_of(stream)], 50)
     flipped = (stream.pretrain_tokens != own).mean()
     assert 0.03 <= flipped <= 0.2  # noisy but mostly faithful
 
     clean = generate_stream(small_config(pretrain_label_noise=0.0))
-    own_clean = np.repeat([c.token_id for c in clean.all_classes()], 8)
+    own_clean = np.repeat([c.token_id for c in classes_of(clean)], 8)
     assert np.array_equal(clean.pretrain_tokens, own_clean)
 
 
