@@ -20,10 +20,10 @@ layout: `params_flat` copies the buffer, `load_flat` assigns into it, and
 the optimizer and drift penalty step them directly. A snapshot
 (`snapshot`) is a frozen DualEncoder with a read-only buffer of its own
 and no gradient buffer. A stack (`stack`) is one trainable DualEncoder
-for S > 1 models in lockstep: every parameter gains a leading seed axis, the
+for S >= 1 models in lockstep: every parameter gains a leading seed axis, the
 buffers are [S, P], and the towers map [S, B, d_in] images (or [B, d_in]
-ones every seed sees) to [S, B, embed_dim]; `snapshot(stack, s)` freezes
-seed s's model alone.
+ones every seed sees) to [S, B, embed_dim]; `snapshot(stack)` freezes the
+whole stack, `snapshot(stack, s)` seed s's model alone.
 """
 
 from __future__ import annotations
@@ -146,12 +146,10 @@ class DualEncoder:
         x = x if isinstance(x, Tensor) else Tensor(x)
         if x.ndim not in (2, self._params.flat.ndim + 1) or x.shape[-1] != self.d_in:
             raise ShapeMismatchError(f"encode_images expects [B, {self.d_in}], got {x.shape}")
-        if x.shape[-2] == 0:
-            return Tensor(np.zeros((0, self.embed_dim)))
         return tower(x, self.img_w1, self.img_b1, self.img_w2, self.img_b2)
 
     def encode_texts(self, token_ids) -> Tensor:
-        """Map class token ids to unit-norm [K, embed_dim] embeddings.
+        """Map class token ids to unit-norm [K, embed_dim] embeddings (a stack's [S, K, embed_dim]).
 
         Each class's input is the average of its token row and the shared
         template row of the token table. The last class list's checked
@@ -163,8 +161,6 @@ class DualEncoder:
             for t in ids:
                 if t < 0 or t >= self.vocab_size:
                     raise UnknownTokenError(f"token id {t} outside vocabulary of size {self.vocab_size}")
-            if not ids:
-                return Tensor(np.zeros((0, self.embed_dim)))
             rows = np.zeros((len(ids), self.vocab_size))
             for row, t in enumerate(ids):
                 rows[row, t] += 0.5
@@ -176,13 +172,11 @@ class DualEncoder:
 def stack(models: list) -> DualEncoder:
     """One trainable DualEncoder for `models` in lockstep: slice s of each
     parameter (and row s of the [S, P] buffers) is models[s]'s, and `seed`
-    lists their seeds. A stack of one model is a trainable copy of it,
-    without a seed axis, so a single seed trains on the 2-D arrays."""
-    twin, lead = copy.copy(models[0]), ((len(models),) if len(models) > 1 else ())
-    if lead:
-        twin.seed = [m.seed for m in models]
-    leaves = [np.reshape([getattr(m, name).data for m in models], lead + getattr(twin, name).shape) for name in PARAM_ORDER]
-    twin._bind(T.pack([Tensor(leaf, requires_grad=True) for leaf in leaves], lead))
+    lists their seeds. A single seed is a stack of one."""
+    twin = copy.copy(models[0])
+    twin.seed = [m.seed for m in models]
+    leaves = [np.array([getattr(m, name).data for m in models]) for name in PARAM_ORDER]
+    twin._bind(T.pack([Tensor(leaf, requires_grad=True) for leaf in leaves], (len(models),)))
     return twin
 
 
@@ -191,7 +185,7 @@ def snapshot(model: DualEncoder, index: int | None = None) -> DualEncoder:
     parameters sit in a read-only buffer of its own, with no gradient buffer, so everything it encodes
     is detached and later training of `model` does not reach it."""
     frozen, lead, pick = copy.copy(model), model.parameters().flat.shape[:-1], slice(None)
-    if lead and index is not None:
+    if index is not None:
         frozen.seed, lead, pick = model.seed[index], (), index
     params = T.pack([Tensor(p.data[pick]) for p in model.parameters()], lead)
     for array in (params.flat, *(p.data for p in params)):

@@ -167,7 +167,7 @@ def ird_loss(
         T.cosine_backward(-g_diff, student_feats, protos, us, up)
 
     gaps = [math.sqrt(flat.dot(flat)) / math.sqrt(b * k) for flat in diff.reshape(-1, b * k)]
-    return T.node(data, (student_feats,), backward), gaps[0] if diff.ndim == 2 else np.array(gaps)
+    return T.node(data, (student_feats,), backward), np.array(gaps).reshape(diff.shape[:-2])
 
 
 def image_text_dist(feats: Tensor, texts: Tensor, tau: float) -> Tensor:

@@ -8,28 +8,28 @@ hands onward - evaluated, checkpointed, and used as the next task's
 teacher - is the ensemble, not the raw last iterate, unless
 `hyper.ensemble` is "off".
 
-An arm's seeds train in lockstep as one stack (`encoder.stack`): the
-parameters, gradients, AdamW moments and ensemble are [S, P] buffers,
-each seed draws its own batches, and every loss is one value per seed.
-Each slice runs a single model's numpy code, so each seed's artifacts are
-the bytes of that seed run alone (one seed trains on 2-D arrays). Per-seed
-loops remain for the prototype stores, a diverged loss's breakdown, the
-checkpoints and evaluation. A teacher all seeds share is one model, its
-bundle built once per task.
+An arm's seeds train in lockstep as one stack (`encoder.stack`), a single
+seed as a stack of one: the parameters, gradients, AdamW moments and
+ensemble are [S, P] buffers, the prototypes one [S, K, d] store, each
+seed draws its own batches, and every loss is one value per seed. Each
+slice runs a single model's numpy code, so each seed's artifacts are the
+bytes of that seed run alone. Per-seed loops remain for a diverged loss's
+breakdown, the checkpoints and evaluation. An initial model all seeds
+share stays one model, its prototypes and bundle built once per task.
 
 One loop serves every arm, and it builds only what the enabled terms
-read (`HyperParams.distills`, `uses_prototypes`): the prototype stores
-exist when alignment or a distillation channel is on, and a teacher
+read (`HyperParams.distills`, `uses_prototypes`): the prototype store
+exists when alignment or a distillation channel is on, and a teacher
 bundle when a channel is on and that teacher's weight is not exactly 0
 (`losses.weighted_teachers`). So `continual_ft` keeps no store and no
 bundle, `only_c0`/`only_prev` (teacher_weight 1 and 0) one bundle.
 
 Per task, before the first iteration: look up every training label's
 class position at once (a label outside the task's classes raises
-ContractError), seed each store from its seed's initial model, and run
+ContractError), seed the store from the initial model(s), and run
 each weighted teacher once over the task's training set. Per iteration:
 draw each seed's batch (images and row indices) -> encode the stack ->
-with stores, EMA-update each seed's classes in its batch, in
+with a store, EMA-update each seed's classes in its batch, in
 label-position order -> build the loss from the batch's label positions,
 the prototypes, the teachers' rows for the batch and the drift anchor ->
 refuse a non-finite loss -> backward -> one flat AdamW step -> on every
@@ -128,20 +128,10 @@ def _label_positions(task) -> np.ndarray:
     return order[np.searchsorted(ids, task.train_y, sorter=order)]
 
 
-def _stacked(arrays: list, lead: tuple) -> np.ndarray:
-    """The seeds' arrays along the seed axis `lead`: (S,), or () for a single seed, whose array serves as it is."""
-    return np.array(arrays) if lead else arrays[0]
-
-
-def _teacher(models: list) -> DualEncoder:
-    """The one model every seed shares, or else the models as a frozen stack."""
-    return models[0] if all(m is models[0] for m in models) else snapshot(stack(models))
-
-
 def train_task(
     student: DualEncoder,
-    c0s: list,
-    c_prevs: list,
+    c0: DualEncoder,
+    c_prev: DualEncoder,
     task,
     hyper: HyperParams,
     seeds: list,
@@ -149,31 +139,30 @@ def train_task(
 ) -> TaskResult:
     """Train the stack `student` (`encoder.stack`, slice s for seeds[s]) on one task against both teachers, in place.
 
-    `c0s` and `c_prevs` hold each seed's initial and previous model (one
-    object where the seeds share it). On return the student carries the
-    task's final parameters (the ensemble mean unless `hyper.ensemble` is
-    "off"). The prototype stores, when an enabled term reads them, live
-    only inside this window: seeded from the initial models before the
-    first iteration, dropped on return. Every batch's loss takes its
+    `c0` and `c_prev` are the frozen initial and previous models: each one
+    model every seed shares, or a frozen stack of the seeds' own. On return
+    the student carries the task's final parameters (the ensemble mean
+    unless `hyper.ensemble` is "off"). The prototype store, when an enabled
+    term reads it, lives only inside this window: seeded from `c0` before
+    the first iteration, dropped on return. Every batch's loss takes its
     teacher rows from the per-task bundles of the weighted teachers, and
     adds the drift anchor toward `wc_reference` ([S, P]) iff one is given.
     A non-finite loss raises TrainingDivergedError for its first seed.
     """
     positions = _label_positions(task)
     token_ids = task.token_ids
-    n, lead = len(seeds), student.parameters().flat.shape[:-1]
-    stores = protos = None
+    n = len(seeds)
+    store = protos = None
     if hyper.uses_prototypes:
-        images = task.images_by_class()
         schedule = dict(gamma0=hyper.gamma0, gamma_step=hyper.gamma_step, gamma_max=hyper.gamma_max)
-        stores = [PrototypeStore.init_from_model(c0, images, **schedule) for c0 in c0s]
-        protos = Tensor(_stacked([store.matrix().data for store in stores], lead))
+        store = PrototypeStore.init_from_model(c0, task.images_by_class(), lead=(n,), **schedule)
+        protos = store.matrix()
     teachers = None
     if hyper.distills:
         pt_protos = protos if hyper.enable_idd else None
         teachers = tuple(
             losses.teacher_outputs(teacher, task.train_x, token_ids, pt_protos, hyper.tau) if weighted else None
-            for teacher, weighted in zip(map(_teacher, (c0s, c_prevs)), losses.weighted_teachers(hyper.teacher_weight))
+            for teacher, weighted in zip((c0, c_prev), losses.weighted_teachers(hyper.teacher_weight))
         )
 
     we_state = None if hyper.ensemble == "off" else we_init(params_flat(student), hyper.we_interval)
@@ -181,27 +170,26 @@ def train_task(
     log = np.empty((hyper.iterations_per_task, len(losses.LossBreakdown.FIELDS) + 1, n))
     draws = [taskgen.batches(task, hyper.batch_size, seed, hyper.iterations_per_task) for seed in seeds]
     for k, batch in enumerate(zip(*draws), start=1):
-        rows = _stacked([idx for _, idx in batch], lead)
-        feats = student.encode_images(_stacked([x for x, _ in batch], lead))
+        rows = np.array([idx for _, idx in batch])
+        feats = student.encode_images(np.array([x for x, _ in batch]))
         batch_positions = positions[rows]
-        if stores is not None:
-            for store, seed_feats, seed_positions in zip(stores, feats.data.reshape(n, *feats.shape[-2:]), batch_positions.reshape(n, -1)):
-                store.ema_update(seed_feats, seed_positions)
-            protos = Tensor(_stacked([store.matrix().data for store in stores], lead))
+        if store is not None:
+            store.ema_update(feats.data, batch_positions)
+            protos = store.matrix()
         loss, bd = losses.total_loss(student, feats, batch_positions, token_ids, protos, hyper, teachers, rows, wc_reference)
         if not np.isfinite(bd.total).all():
-            s = int(np.argmin(np.isfinite(np.reshape(bd.total, n))))
-            dump = losses.LossBreakdown(*(float(np.reshape(v, n)[s]) for v in [*bd.values(), bd.r0_mean] if v is not None))
+            s = int(np.argmin(np.isfinite(bd.total)))
+            dump = losses.LossBreakdown(*(float(v[s]) for v in [*bd.values(), bd.r0_mean] if v is not None))
             raise TrainingDivergedError(
                 f"seed {seeds[s]} task {task.task_id} iteration {k}: non-finite loss; breakdown "
                 + ", ".join(f"{name}={getattr(dump, name)!r}" for name in dump.FIELDS),
                 breakdown=dump,
                 seed=seeds[s],
             )
-        log[k - 1, :-1] = np.array(bd.values()).reshape(-1, n)
+        log[k - 1, :-1] = bd.values()
         log[k - 1, -1] = np.nan if bd.r0_mean is None else bd.r0_mean
         opt.zero_grad()
-        (sum_seeds(loss) if lead else loss).backward()
+        sum_seeds(loss).backward()
         opt.step()
         if we_state is not None and k % we_state.interval == 0:
             we_step(we_state, params_flat(student), k)
@@ -253,13 +241,14 @@ def _run_stack(stream, hyper: HyperParams, seeds: list, c0s: list, config_echo: 
         matrix[0] = evaluate_row(c0, stream, 0)
 
     student = stack(c0s)
+    c0 = c0s[0] if all(c is c0s[0] for c in c0s) else snapshot(stack(c0s))  # a model all seeds share stays one
     use_wc = hyper.enable_wc and stream.mode == "multi_domain"
     log = np.empty((len(seeds), n * iterations, len(losses.LossBreakdown.FIELDS) + 3))  # RunRecord.losses of each seed
     checkpoints: list = [[] for _ in seeds]
     for i, task in enumerate(stream.tasks, start=1):
-        c_prevs = [snapshot(student, s) for s in range(len(seeds))]
+        c_prev = snapshot(student)
         wc_reference = params_flat(student) if use_wc else None
-        result = train_task(student, c0s, c_prevs, task, hyper, seeds, wc_reference=wc_reference)
+        result = train_task(student, c0, c_prev, task, hyper, seeds, wc_reference=wc_reference)
         rows = slice((i - 1) * iterations, i * iterations)
         log[:, rows, 0], log[:, rows, 1], log[:, rows, 2:] = task.task_id, np.arange(1, iterations + 1), result.losses.transpose(1, 0, 2)
         for matrix, seed_checkpoints, checkpoint in zip(matrices, checkpoints, result.checkpoints):

@@ -40,13 +40,13 @@ gradients accumulate across backward passes until `zero_grad`. Backward
 kernels hand per-row factors on as broadcast columns or scalars; each
 element gets the same product, so the same bits, as from a copy.
 
-A stack of S seeds trained in lockstep adds a leading seed axis: its
-parameters are [S, ...] views of one [S, P] buffer (`pack(leaves, (S,))`),
-its batches [S, B, d], its losses [S]. The fused nodes work over the last
-two axes, so each slice of a stacked call runs the kernels of a 2-D call
-on arrays of the same layout (matmul calls gemm per slice, reductions run
-along each slice alike): every seed gets the bits of its own 2-D run.
-`sum_seeds` makes a stack's [S] losses one scalar root.
+A stack of S seeds trained in lockstep (S = 1 for a single seed) adds a
+leading seed axis: its parameters are [S, ...] views of one [S, P] buffer
+(`pack(leaves, (S,))`), its batches [S, B, d], its losses [S]. The fused
+nodes work over the last two axes, so each slice of a stacked call runs
+the kernels of a 2-D call on arrays of the same layout (matmul calls gemm
+per slice, reductions run along each slice alike): every seed gets the
+bits of its own 2-D run. `sum_seeds` makes the [S] losses one scalar root.
 """
 
 from __future__ import annotations

@@ -2,7 +2,10 @@
 
 A name that only tests reach is surface production does not run; it goes,
 or moves next to the tests that use it. A reference inside the name's own
-definition (recursion) does not count, and neither does an import.
+definition (recursion) does not count, and neither does an import. A name
+defined inside a class (a method, property or nested class) counts only
+`obj.name` attribute references, so a local variable that shares its name
+does not keep it alive.
 """
 
 import ast
@@ -17,7 +20,7 @@ ALLOWED = {
 
 
 def definitions_and_references():
-    """({"module.name": [(path, first line, last line)]}, [(path, line, name)])."""
+    """({"module.name": [(path, first line, last line, in a class)]}, [(path, line, name, is an attribute)])."""
     definitions, references = {}, []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -28,13 +31,13 @@ def definitions_and_references():
                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                     if not node.name.startswith("_") and (in_class or scope is tree):
                         key = f"{path.stem}.{node.name}"
-                        definitions.setdefault(key, []).append((path, node.lineno, node.end_lineno))
+                        definitions.setdefault(key, []).append((path, node.lineno, node.end_lineno, in_class))
                     scopes.append((node, isinstance(node, ast.ClassDef)))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                references.append((path, node.lineno, node.id))
+                references.append((path, node.lineno, node.id, False))
             elif isinstance(node, ast.Attribute):
-                references.append((path, node.lineno, node.attr))
+                references.append((path, node.lineno, node.attr, True))
     return definitions, references
 
 
@@ -43,9 +46,12 @@ def test_every_public_name_has_a_caller_in_src():
     uncalled = []
     for key, spans in sorted(definitions.items()):
         name = key.split(".", 1)[1]
+        attributes_only = all(in_class for *_, in_class in spans)
         called = any(
-            ref == name and not any(path == p and first <= line <= last for p, first, last in spans)
-            for path, line, ref in references
+            ref == name
+            and (is_attribute or not attributes_only)
+            and not any(path == p and first <= line <= last for p, first, last, _ in spans)
+            for path, line, ref, is_attribute in references
         )
         if not called and key not in ALLOWED:
             uncalled.append(key)

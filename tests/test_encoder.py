@@ -68,6 +68,9 @@ def test_encode_images_empty_batch():
     m = make_model()
     out = m.encode_images(np.zeros((0, m.d_in)))
     assert out.shape == (0, m.embed_dim)
+    pair = stack([m, make_model(seed=4)])
+    for x in (np.zeros((0, m.d_in)), np.zeros((2, 0, m.d_in))):  # images every seed sees, and each seed's own
+        assert pair.encode_images(x).shape == (2, 0, m.embed_dim)
 
 
 def test_encode_images_width_error():
@@ -86,6 +89,7 @@ def test_encode_texts_unit_rows():
 def test_encode_texts_empty():
     m = make_model()
     assert m.encode_texts([]).shape == (0, m.embed_dim)
+    assert stack([m, make_model(seed=4)]).encode_texts([]).shape == (2, 0, m.embed_dim)
 
 
 def test_encode_texts_unknown_token():

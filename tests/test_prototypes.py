@@ -1,11 +1,11 @@
-"""Prototype store: init oracle, EMA schedule, partition commute, the task-ordered rows."""
+"""Prototype store: init oracle, EMA schedule, partition commute, the task-ordered rows, a stack's store."""
 
 import math
 
 import numpy as np
 import pytest
 
-from mulki.encoder import DualEncoder, snapshot
+from mulki.encoder import DualEncoder, snapshot, stack
 from mulki.errors import ContractError, DegenerateInputError
 from mulki.prototypes import PrototypeStore
 from mulki.runner import _label_positions
@@ -169,6 +169,30 @@ def test_matrix_order_and_constantness(rng):
     assert np.array_equal(m.data, held) and not np.array_equal(store.rows, held)
     m.data[...] = 0.0
     assert not np.any(store.rows == 0.0)
+
+
+def test_a_stack_store_holds_the_bits_of_one_store_per_seed(rng):
+    """One [S, K, d] store, seeded from a frozen stack or from one model all seeds share, against a store per seed."""
+    models = [make_c0(seed) for seed in range(3)]
+    images = [rng.normal(size=(n, 6)) for n in (4, 7, 5)]
+    for c0s in (models, [models[0]] * 3):
+        c0 = c0s[0] if c0s[1] is c0s[0] else snapshot(stack(c0s))
+        joint = PrototypeStore.init_from_model(c0, images, lead=(3,), gamma_step=0.3)
+        alone = [PrototypeStore.init_from_model(model, images, gamma_step=0.3) for model in c0s]
+        assert joint.rows.shape == (3, 3, 5)
+        for _ in range(5):
+            feats, positions = rng.normal(size=(3, 8, 5)), rng.integers(0, 3, size=(3, 8))
+            assert all(np.array_equal(joint.rows[s], store.rows) for s, store in enumerate(alone))
+            joint.ema_update(feats, positions)
+            for s, store in enumerate(alone):
+                store.ema_update(feats[s], positions[s])
+        assert all(np.array_equal(joint.rows[s], store.rows) for s, store in enumerate(alone))
+        assert joint.gamma == alone[0].gamma
+    before = joint.rows.copy()
+    positions[2, 0] = 3  # out of range in the last seed only: no seed is written
+    with pytest.raises(ContractError):
+        joint.ema_update(feats, positions)
+    assert np.array_equal(joint.rows, before)
 
 
 # ---------------------------------------------------------------------------

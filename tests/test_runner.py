@@ -41,7 +41,7 @@ def trainable(model):
 def train_alone(c0, task, hyper, seed):
     """train_task on a stack of one seed starting from c0, with c0 as both teachers; (student, result)."""
     student = stack([c0])
-    return student, train_task(student, [c0], [c0], task, hyper, [seed])
+    return student, train_task(student, c0, c0, task, hyper, [seed])
 
 
 TOTAL = losses.LossBreakdown.FIELDS.index("total")
@@ -113,29 +113,32 @@ class InstrumentedStore(PrototypeStore):
     def init_from_model(cls, model, images_by_class, **kw):
         store = super().init_from_model(model, images_by_class, **kw)
         store.__class__ = cls
-        cls.events.append(("init", [len(images) for images in images_by_class]))
+        cls.events.append(("init", ([len(images) for images in images_by_class], store.rows.shape[:-1])))
         return store
 
     def ema_update(self, feats, positions):
-        type(self).events.append(("update", sorted(set(positions.tolist()))))
+        type(self).events.append(("update", sorted(set(positions.reshape(-1).tolist()))))
         return super().ema_update(feats, positions)
 
 
 def test_prototype_store_lifecycle(tiny_stream, monkeypatch):
     c0 = make_c0(tiny_stream)
+    seeds = [1, 2, 3]
     InstrumentedStore.events = []
     monkeypatch.setattr(runner, "PrototypeStore", InstrumentedStore)
     hyper = fast_hyper()
-    run_stream(tiny_stream, hyper, [1], [c0])
+    run_stream(tiny_stream, hyper, seeds, [c0] * len(seeds))
 
     events = InstrumentedStore.events
     kinds = [kind for kind, _ in events]
     n, iters = tiny_stream.n_tasks, hyper.iterations_per_task
-    # per task: one init from every class's training images in class order, then `iterations` updates
+    # per task, for the whole stack: one init from every class's training images in class order,
+    # holding every seed's rows, then `iterations` updates
     assert kinds == (["init"] + ["update"] * iters) * n
     for i, task in enumerate(tiny_stream.tasks):
-        init_payload = events[i * (iters + 1)][1]
-        assert init_payload == [int(np.sum(task.train_y == class_id)) for class_id in task.class_ids]
+        sizes, rows = events[i * (iters + 1)][1]
+        assert sizes == [int(np.sum(task.train_y == class_id)) for class_id in task.class_ids]
+        assert rows == (len(seeds), len(task.class_ids))
     for kind, payload in events:
         if kind == "update":
             assert payload and set(payload) <= set(range(len(tiny_stream.tasks[0].classes)))
@@ -252,8 +255,9 @@ def test_we_state_accounting(tiny_stream, monkeypatch):
     student, result = train_alone(c0, tiny_stream.tasks[0], hyper, 2)
     (state,) = states
     assert state.m == 3  # floor(10 / 3)
+    assert state.theta_hat.shape == (1, params_flat(c0).size)  # a single seed trains as a stack of one
     assert np.array_equal(params_flat(student), state.theta_hat)
-    assert np.array_equal(params_flat(result.checkpoints[0]), state.theta_hat)
+    assert np.array_equal(params_flat(result.checkpoints[0]), state.theta_hat[0])
 
 
 def test_ensembling_changes_final_parameters(tiny_stream, monkeypatch):
