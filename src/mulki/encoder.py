@@ -33,7 +33,7 @@ import copy
 import numpy as np
 
 from . import tensor as T
-from .errors import ContractError, ShapeMismatchError, UnknownTokenError
+from .errors import ContractError
 from .jsonutil import is_count, read_framed, write_framed
 from .tensor import Tensor
 
@@ -145,7 +145,7 @@ class DualEncoder:
         """Map [B, d_in] inputs (a stack's also [S, B, d_in]) to unit-norm [..., B, embed_dim] embeddings."""
         x = x if isinstance(x, Tensor) else Tensor(x)
         if x.ndim not in (2, self._params.flat.ndim + 1) or x.shape[-1] != self.d_in:
-            raise ShapeMismatchError(f"encode_images expects [B, {self.d_in}], got {x.shape}")
+            raise ContractError(f"encode_images expects [B, {self.d_in}], got {x.shape}")
         return tower(x, self.img_w1, self.img_b1, self.img_w2, self.img_b2)
 
     def encode_texts(self, token_ids) -> Tensor:
@@ -160,7 +160,7 @@ class DualEncoder:
             ids = [int(t) for t in key]
             for t in ids:
                 if t < 0 or t >= self.vocab_size:
-                    raise UnknownTokenError(f"token id {t} outside vocabulary of size {self.vocab_size}")
+                    raise ContractError(f"token id {t} outside vocabulary of size {self.vocab_size}")
             rows = np.zeros((len(ids), self.vocab_size))
             for row, t in enumerate(ids):
                 rows[row, t] += 0.5
@@ -204,7 +204,7 @@ def load_flat(model: DualEncoder, vector: np.ndarray) -> None:
     flat = model.parameters().flat
     vector = np.asarray(vector, dtype=np.float64)
     if vector.shape != flat.shape:
-        raise ShapeMismatchError(f"load_flat: expected {flat.size} values, got shape {vector.shape}")
+        raise ContractError(f"load_flat: expected {flat.size} values, got shape {vector.shape}")
     if not flat.flags.writeable:
         raise ContractError("load_flat: target parameters are frozen")
     flat[...] = vector
@@ -235,7 +235,7 @@ def load_checkpoint(path) -> DualEncoder:
     ill-typed "count"/"seed"/"dims", a non-finite parameter, or a payload
     that disagrees with its manifest - raises ContractError.
     """
-    manifest, arrays = read_framed(path, ContractError, "checkpoint")
+    manifest, arrays = read_framed(path, "checkpoint")
     for key, want in (("format_version", CHECKPOINT_FORMAT_VERSION), ("param_ordering_version", PARAM_ORDERING_VERSION)):
         if type(manifest.get(key)) is not int or manifest[key] != want:
             raise ContractError(f"checkpoint {path}: unsupported {key} {manifest.get(key)!r}")

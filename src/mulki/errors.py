@@ -1,8 +1,10 @@
 """Exception types shared across the package.
 
 Everything derives from MulkiError so callers can catch the package's
-failures in one clause. The subclasses also inherit the closest builtin
-(ValueError, KeyError, RuntimeError) so generic handling keeps working.
+failures in one clause. A bad config or CLI value is a ConfigError; a
+malformed file, a shape mismatch or any other violated precondition is a
+ContractError. The subclasses also inherit the closest builtin
+(ValueError, RuntimeError) so generic handling keeps working.
 """
 
 from __future__ import annotations
@@ -12,28 +14,13 @@ class MulkiError(Exception):
     """Base class for every error raised by this package."""
 
 
-class ShapeMismatchError(MulkiError, ValueError):
-    """Operands have incompatible shapes for the requested operation."""
-
-
-class DegenerateInputError(MulkiError, ValueError):
-    """Input is numerically degenerate, e.g. a zero vector fed to a normalizer."""
-
-
 class ContractError(MulkiError, ValueError):
-    """A documented precondition of an operation was violated."""
+    """A documented precondition was violated: a malformed stream or checkpoint (naming the
+    offending field), operands of incompatible shapes, a degenerate input or an unknown token id."""
 
 
 class ConfigError(MulkiError, ValueError):
     """Invalid or unknown configuration key / value."""
-
-
-class StreamFormatError(MulkiError, ValueError):
-    """A stream file is malformed; the message names the offending field."""
-
-
-class UnknownTokenError(MulkiError, KeyError):
-    """A token id falls outside the model's vocabulary."""
 
 
 class TrainingDivergedError(MulkiError, RuntimeError):

@@ -133,12 +133,12 @@ def write_framed(path, manifest: dict, arrays) -> None:
     write_atomic(path, chunks())
 
 
-def read_framed(path, error, what: str):
+def read_framed(path, what: str):
     """Read a framed file: (manifest, arrays).
 
     `arrays(fields)` cuts the payload into one array per (name, dtype, shape)
     in `fields`, in file order; dtype is np.float64 or np.int64, and every
-    shape entry must pass `is_count`. Raises `error`, naming `what` and
+    shape entry must pass `is_count`. Raises ContractError, naming `what` and
     `path`, on truncation, a header that is not a JSON object, a payload
     short of or running past the fields, or (naming the field) a float
     array holding NaN or infinity.
@@ -146,31 +146,31 @@ def read_framed(path, error, what: str):
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < _HEADER_LEN.size:
-        raise error(f"{what} {path} is truncated")
+        raise ContractError(f"{what} {path} is truncated")
     (header_len,) = _HEADER_LEN.unpack_from(data)
     start = _HEADER_LEN.size + header_len
     if len(data) < start:
-        raise error(f"{what} {path} is truncated")
+        raise ContractError(f"{what} {path} is truncated")
     try:
         manifest = json.loads(data[_HEADER_LEN.size : start].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise error(f"{what} {path}: corrupt header ({exc})") from exc
+        raise ContractError(f"{what} {path}: corrupt header ({exc})") from exc
     if not isinstance(manifest, dict):
-        raise error(f"{what} {path}: header is not a JSON object")
+        raise ContractError(f"{what} {path}: header is not a JSON object")
 
     def arrays(fields) -> list:
         if (len(data) - start) % 8 != 0:
-            raise error(f"{what} {path} is truncated")
+            raise ContractError(f"{what} {path} is truncated")
         expected = sum(math.prod(shape) for _, _, shape in fields)
         found = (len(data) - start) // 8
         if found != expected:
-            raise error(f"{what} {path}: expected {expected!r} values, found {found}")
+            raise ContractError(f"{what} {path}: expected {expected!r} values, found {found}")
         out, offset = [], start
         for name, dtype, shape in fields:
             count = math.prod(shape)
             array = np.frombuffer(data, np.dtype(dtype).newbyteorder("<"), count, offset).astype(dtype)
             if array.dtype.kind == "f" and not np.isfinite(array).all():
-                raise error(f"{what} {path}: field {name} holds a non-finite number")
+                raise ContractError(f"{what} {path}: field {name} holds a non-finite number")
             out.append(array.reshape(shape))
             offset += 8 * count
         return out

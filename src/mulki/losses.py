@@ -58,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ContractError, ShapeMismatchError
+from .errors import ContractError
 from .tensor import Tensor
 
 
@@ -75,9 +75,9 @@ def csa_loss(protos: Tensor, texts: Tensor, tau: float) -> Tensor:
     the text tower toward the prototype anchors.
     """
     if protos.ndim < 2 or texts.ndim < 2:
-        raise ShapeMismatchError(f"csa_loss needs 2-D inputs, got {protos.shape} and {texts.shape}")
+        raise ContractError(f"csa_loss needs 2-D inputs, got {protos.shape} and {texts.shape}")
     if protos.shape[-2] != texts.shape[-2]:
-        raise ShapeMismatchError(f"csa_loss: class counts differ, {protos.shape} vs {texts.shape}")
+        raise ContractError(f"csa_loss: class counts differ, {protos.shape} vs {texts.shape}")
     k = protos.shape[-2]
     if k == 0:
         raise ContractError("csa_loss: empty class set")
@@ -108,7 +108,7 @@ def fd_loss(teacher_feats: Tensor, student_feats: Tensor, weights: Tensor | None
     The teacher side is a constant; the weights, one per row, too.
     """
     if teacher_feats.shape != student_feats.shape:
-        raise ShapeMismatchError(f"fd_loss: {teacher_feats.shape} vs {student_feats.shape}")
+        raise ContractError(f"fd_loss: {teacher_feats.shape} vs {student_feats.shape}")
     if teacher_feats.ndim < 2 or teacher_feats.shape[-2] == 0:
         raise ContractError(f"fd_loss: need a non-empty [B, d] batch, got {teacher_feats.shape}")
     if teacher_feats.requires_grad:
@@ -185,7 +185,7 @@ def i2t_loss(
 ) -> tuple[Tensor, float]:
     """Image-text distillation: (beta * mean of weights * soft CE from teacher to student rows, unweighted mean)."""
     if teacher_dist.shape != student_dist.shape:
-        raise ShapeMismatchError(f"i2t_loss: {teacher_dist.shape} vs {student_dist.shape}")
+        raise ContractError(f"i2t_loss: {teacher_dist.shape} vs {student_dist.shape}")
     rows = T.soft_ce_rows(teacher_dist.data, student_dist.data)
     loss = T.soft_ce_mean(teacher_dist, student_dist, weights, scale=beta, rows=rows)
     return loss, np.add.reduce(rows, axis=-1) * (1.0 / rows.shape[-1])
@@ -212,7 +212,7 @@ def sample_weights(dist_c0: Tensor, dist_prev: Tensor, dist_student: Tensor) -> 
     and the less-similar teacher gets the larger weight.
     """
     if not dist_c0.shape == dist_prev.shape == dist_student.shape:
-        raise ShapeMismatchError(
+        raise ContractError(
             f"sample_weights: mismatched shapes {dist_c0.shape}, {dist_prev.shape}, {dist_student.shape}"
         )
 
@@ -288,9 +288,9 @@ class TeacherOutputs:
         """
         if self.texts is None:
             raise ContractError("TeacherOutputs.rows needs the teacher's texts")
-        out = copy.copy(self)
-        out.feats = T.take_rows(self.feats, idx)
-        out.img_text_dist = Tensor(T.gather(self.img_text_dist.data, idx))
+        out, at = copy.copy(self), T.row_index(self.feats.data, idx)
+        out.feats = T.take_rows(self.feats, at)
+        out.img_text_dist = Tensor(T.gather(self.img_text_dist.data, at))
         out.proto_text_dist, out.text_proto_dist = _proto_text_dists(protos, self.texts, tau)
         return out
 
@@ -433,7 +433,7 @@ def cross_entropy(dist: Tensor, label_positions) -> Tensor:
     labels = np.asarray(label_positions, dtype=np.int64)
     k = dist.shape[-1]
     if labels.shape != dist.shape[:-1]:
-        raise ShapeMismatchError(f"cross_entropy: {dist.shape[-2]} rows but labels shape {labels.shape}")
+        raise ContractError(f"cross_entropy: {dist.shape[-2]} rows but labels shape {labels.shape}")
     if labels.size and (labels.min() < 0 or labels.max() >= k):
         raise ContractError(f"cross_entropy: label positions must lie in [0, {k})")
     return T.soft_ce_mean(Tensor((labels[..., None] == np.arange(k)).astype(np.float64)), dist)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractError, ShapeMismatchError
+from .errors import ContractError
 
 
 class AccuracyMatrix:
@@ -30,7 +30,7 @@ class AccuracyMatrix:
     def __init__(self, values):
         arr = np.asarray(values, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] + 1:
-            raise ShapeMismatchError(f"accuracy matrix must be (N + 1) x N, got {arr.shape}")
+            raise ContractError(f"accuracy matrix must be (N + 1) x N, got {arr.shape}")
         if arr.shape[1] < 1:
             raise ContractError("accuracy matrix needs at least one task")
         if np.any(arr < 0.0) or np.any(arr > 1.0):

@@ -23,14 +23,14 @@ import math
 
 import numpy as np
 
-from .errors import ContractError, DegenerateInputError
+from .errors import ContractError
 from .tensor import Tensor
 
 
 def _normalize(vec: np.ndarray, position) -> np.ndarray:
     norm = math.sqrt(vec.dot(vec))  # np.linalg.norm's formula for a 1-D vector
     if norm == 0.0:
-        raise DegenerateInputError(f"class position {position}: feature mean has zero norm")
+        raise ContractError(f"class position {position}: feature mean has zero norm")
     return vec / norm
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import MODES, StreamConfig
-from .errors import ConfigError, StreamFormatError
+from .errors import ConfigError, ContractError
 from .jsonutil import is_count, read_framed, write_framed
 
 STREAM_FORMAT_VERSION = 2  # 1 was canonical JSON
@@ -314,32 +314,32 @@ def _fields(d_in: int, pool: int, tasks: list) -> list:
 
 
 def load_stream(path) -> StreamSpec:
-    """Read a stream written by `save_stream`; any malformed field raises StreamFormatError naming it.
+    """Read a stream written by `save_stream`; any malformed field raises ContractError naming it.
 
     Every train and test label must be one of its task's (distinct) class ids.
     """
     try:
-        manifest, arrays = read_framed(path, StreamFormatError, "stream")
-    except StreamFormatError:
+        manifest, arrays = read_framed(path, "stream")
+    except ContractError:
         with open(path, "rb") as fh:
             if fh.read(1) == b"{":
-                raise StreamFormatError(f"{path} is JSON, not a framed stream: regenerate it with `mulki generate`") from None
+                raise ContractError(f"{path} is JSON, not a framed stream: regenerate it with `mulki generate`") from None
         raise
     version = manifest.get("format_version")
     if type(version) is not int or version != STREAM_FORMAT_VERSION:
-        raise StreamFormatError(f"field format_version: unsupported value {version!r}")
+        raise ContractError(f"field format_version: unsupported value {version!r}")
     mode = manifest.get("mode")
     if mode not in MODES:
-        raise StreamFormatError(f"field mode: must be one of {MODES}, got {mode!r}")
+        raise ContractError(f"field mode: must be one of {MODES}, got {mode!r}")
     for key, least in (("seed", 0), ("d_in", 1), ("pool", 0)):
         if not is_count(manifest.get(key)) or manifest[key] < least:
-            raise StreamFormatError(f"field {key} must be an integer in [{least}, 2**63), got {manifest.get(key)!r}")
+            raise ContractError(f"field {key} must be an integer in [{least}, 2**63), got {manifest.get(key)!r}")
     tasks = manifest.get("tasks")
     if not isinstance(tasks, list) or not tasks:
-        raise StreamFormatError("field tasks: must be a non-empty list")
+        raise ContractError("field tasks: must be a non-empty list")
     for i, entry in enumerate(tasks):
         if not isinstance(entry, list) or len(entry) != 4 or not all(map(is_count, entry)) or 0 in entry[1:]:
-            raise StreamFormatError(
+            raise ContractError(
                 f"field tasks[{i}] must be [task_id, n_classes, n_train, n_test], integers in [0, 2**63), the three counts >= 1"
             )
 
@@ -349,11 +349,11 @@ def load_stream(path) -> StreamSpec:
     for i, (task_id, *_) in enumerate(tasks):
         class_ids, token_ids, domain_ids, noise_scales, means, train_x, train_y, test_x, test_y = rest[9 * i : 9 * i + 9]
         if len(set(class_ids.tolist())) != class_ids.size:
-            raise StreamFormatError(f"field tasks[{i}].class_ids holds a repeated class id")
+            raise ContractError(f"field tasks[{i}].class_ids holds a repeated class id")
         for split, labels in (("train", train_y), ("test", test_y)):
             outside = labels[~np.isin(labels, class_ids)]
             if outside.size:
-                raise StreamFormatError(
+                raise ContractError(
                     f"field tasks[{i}].{split}.class_ids holds label {outside[0]}, not one of the task's class ids"
                 )
         classes = [

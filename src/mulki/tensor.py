@@ -55,7 +55,7 @@ import math
 
 import numpy as np
 
-from .errors import ContractError, DegenerateInputError, ShapeMismatchError
+from .errors import ContractError
 
 LOG_EPS = 1e-12  # floor applied to probabilities before taking logs
 
@@ -270,7 +270,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     try:
         data = a.data + b.data
     except ValueError as exc:
-        raise ShapeMismatchError(f"add: {a.shape} vs {b.shape}") from exc
+        raise ContractError(f"add: {a.shape} vs {b.shape}") from exc
 
     def backward(g):
         if a.requires_grad:
@@ -315,7 +315,7 @@ def sum_sq_diff(parts, ref: np.ndarray) -> Tensor:
     ref = _as_array(ref)
     flat = parts.flat if isinstance(parts, Leaves) else np.concatenate([p.data.reshape(-1) for p in parts])
     if flat.shape != ref.shape:
-        raise ShapeMismatchError(f"sum_sq_diff: {flat.shape} vs {ref.shape}")
+        raise ContractError(f"sum_sq_diff: {flat.shape} vs {ref.shape}")
     diff = flat - ref
     data = np.add.reduce(diff * diff, axis=-1)
     seeds = math.prod(flat.shape[:-1])
@@ -352,7 +352,7 @@ def softmax_backward(g: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:
 def _normalized(x: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
     norms = np.sqrt(np.add.reduce(x * x, axis=axis, keepdims=True))
     if (norms == 0.0).any():
-        raise DegenerateInputError("l2_normalize: zero-norm slice")
+        raise ContractError("l2_normalize: zero-norm slice")
     return x / norms, norms
 
 
@@ -385,20 +385,25 @@ class UnitRows:
     def grad(self, g: np.ndarray) -> np.ndarray:
         return _normalized_backward(g, self.data, self.norms, -1)
 
-    def take(self, idx) -> "UnitRows":
-        """Rows `idx` (see `gather`): each row is normalized on its own, so this equals normalizing those rows afresh."""
+    def take(self, at) -> "UnitRows":
+        """Rows `at` (see `gather`): each row is normalized on its own, so this equals normalizing those rows afresh."""
         out = UnitRows.__new__(UnitRows)
-        out.data, out.norms, out._t = gather(self.data, idx), gather(self.norms, idx), None
+        out.data, out.norms, out._t = gather(self.data, at), gather(self.norms, at), None
         return out
 
 
-def gather(a: np.ndarray, idx) -> np.ndarray:
-    """Rows `idx` of `a`: of an [n, d] array shared by every seed, `a[idx]`; of a
-    stack's [S, n, d] array, with [S, B] indices, row idx[s, b] of slice s."""
+def row_index(a: np.ndarray, idx):
+    """`idx` as positions in `a`'s rows laid end to end: of an [n, d] array shared by every
+    seed, `idx` itself; of a stack's [S, n, d] array, with [S, B] indices, row idx[s, b] of slice s."""
     if a.ndim == 2:
-        return a[idx]
+        return idx
     n = a.shape[-2]  # slice s's rows are rows s * n ... of the slices laid end to end
-    return a.reshape(-1, a.shape[-1])[idx + np.arange(0, len(a) * n, n)[:, None]]
+    return idx + np.arange(0, len(a) * n, n)[:, None]
+
+
+def gather(a: np.ndarray, at) -> np.ndarray:
+    """Rows `at` (from `row_index` on an array of `a`'s leading shape) of `a`'s rows laid end to end."""
+    return a[at] if a.ndim == 2 else a.reshape(-1, a.shape[-1])[at]
 
 
 def unit_rows(a: Tensor) -> UnitRows:
@@ -415,10 +420,10 @@ def unit_rows(a: Tensor) -> UnitRows:
     return unit
 
 
-def take_rows(a: Tensor, idx) -> Tensor:
-    """Rows `idx` of the constant `a`, carrying the matching rows of `a`'s kept normalization."""
-    out = Tensor(gather(a.data, idx))
-    out._unit = unit_rows(a).take(idx)
+def take_rows(a: Tensor, at) -> Tensor:
+    """Rows `at` (see `gather`) of the constant `a`, carrying the matching rows of `a`'s kept normalization."""
+    out = Tensor(gather(a.data, at))
+    out._unit = unit_rows(a).take(at)
     return out
 
 
@@ -429,9 +434,9 @@ def take_rows(a: Tensor, idx) -> Tensor:
 def cosine_forward(a: Tensor, b: Tensor) -> tuple[UnitRows, UnitRows, np.ndarray]:
     """(unit rows of a, unit rows of b, [..., m, n] row cosines) for [..., m, d] a and [..., n, d] b. Zero rows raise."""
     if a.ndim < 2 or b.ndim < 2:
-        raise ShapeMismatchError(f"cosine_sim needs 2-D inputs, got ranks {a.ndim} and {b.ndim}")
+        raise ContractError(f"cosine_sim needs 2-D inputs, got ranks {a.ndim} and {b.ndim}")
     if a.shape[-1] != b.shape[-1]:
-        raise ShapeMismatchError(f"cosine_sim: feature dims differ, {a.shape} vs {b.shape}")
+        raise ContractError(f"cosine_sim: feature dims differ, {a.shape} vs {b.shape}")
     ua, ub = unit_rows(a), unit_rows(b)
     return ua, ub, ua.data @ ub.t
 
@@ -502,9 +507,9 @@ def soft_ce_mean(
     when the caller has it already.
     """
     if target.shape != pred.shape:
-        raise ShapeMismatchError(f"soft_ce_mean: {target.shape} vs {pred.shape}")
+        raise ContractError(f"soft_ce_mean: {target.shape} vs {pred.shape}")
     if pred.ndim < 2:
-        raise ShapeMismatchError(f"soft_ce_mean needs 2-D input, got {pred.shape}")
+        raise ContractError(f"soft_ce_mean needs 2-D input, got {pred.shape}")
     if pred.shape[-2] == 0:
         raise ContractError("soft_ce_mean of an empty batch")
     w = None
@@ -512,7 +517,7 @@ def soft_ce_mean(
         if weights.requires_grad:
             raise ContractError("soft_ce_mean: weights must be constants")
         if weights.shape != pred.shape[:-1]:
-            raise ShapeMismatchError(f"soft_ce_mean: {pred.shape[-2]} rows but weights {weights.shape}")
+            raise ContractError(f"soft_ce_mean: {pred.shape[-2]} rows but weights {weights.shape}")
         w = weights.data
     if rows is None:
         rows = soft_ce_rows(target.data, pred.data)

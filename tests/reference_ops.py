@@ -22,7 +22,7 @@ import numpy as np
 
 import mulki.tensor as T
 from mulki.encoder import TEMPLATE_TOKEN
-from mulki.errors import ContractError, ShapeMismatchError
+from mulki.errors import ContractError
 from mulki.losses import LossBreakdown, StudentOutputs, TeacherOutputs, sample_weights, wc_loss
 from mulki.tensor import LOG_EPS, Tensor
 
@@ -43,7 +43,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     try:
         data = a.data - b.data
     except ValueError as exc:
-        raise ShapeMismatchError(f"sub: {a.shape} vs {b.shape}") from exc
+        raise ContractError(f"sub: {a.shape} vs {b.shape}") from exc
 
     def backward(g):
         if a.requires_grad:
@@ -58,7 +58,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     try:
         data = a.data * b.data
     except ValueError as exc:
-        raise ShapeMismatchError(f"mul: {a.shape} vs {b.shape}") from exc
+        raise ContractError(f"mul: {a.shape} vs {b.shape}") from exc
 
     def backward(g):
         if a.requires_grad:
@@ -71,9 +71,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim != 2 or b.ndim != 2:
-        raise ShapeMismatchError(f"matmul needs 2-D operands, got {a.shape} @ {b.shape}")
+        raise ContractError(f"matmul needs 2-D operands, got {a.shape} @ {b.shape}")
     if a.shape[1] != b.shape[0]:
-        raise ShapeMismatchError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
+        raise ContractError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
     data = a.data @ b.data
 
     def backward(g):
@@ -87,7 +87,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def transpose(a: Tensor) -> Tensor:
     if a.ndim != 2:
-        raise ShapeMismatchError(f"transpose needs a 2-D tensor, got {a.shape}")
+        raise ContractError(f"transpose needs a 2-D tensor, got {a.shape}")
     data = a.data.T.copy()
 
     def backward(g):
@@ -201,7 +201,7 @@ def concat1d(parts: list) -> Tensor:
         raise ContractError("concat1d needs at least one tensor")
     for p in parts:
         if p.ndim != 1:
-            raise ShapeMismatchError(f"concat1d needs 1-D parts, got {p.shape}")
+            raise ContractError(f"concat1d needs 1-D parts, got {p.shape}")
     data = np.concatenate([p.data for p in parts])
     offsets = np.cumsum([0] + [p.size for p in parts])
 
@@ -216,9 +216,9 @@ def concat1d(parts: list) -> Tensor:
 def soft_cross_entropy(target: Tensor, pred: Tensor) -> Tensor:
     """-sum(target * log(max(pred, LOG_EPS))) along the last axis; target is a constant."""
     if target.shape != pred.shape:
-        raise ShapeMismatchError(f"soft_cross_entropy: {target.shape} vs {pred.shape}")
+        raise ContractError(f"soft_cross_entropy: {target.shape} vs {pred.shape}")
     if pred.ndim not in (1, 2):
-        raise ShapeMismatchError(f"soft_cross_entropy needs 1-D or 2-D input, got {pred.shape}")
+        raise ContractError(f"soft_cross_entropy needs 1-D or 2-D input, got {pred.shape}")
     weights = Tensor(-target.data)
     logp = log(maximum_scalar(pred, LOG_EPS))
     prod = mul(weights, logp)

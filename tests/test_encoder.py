@@ -1,5 +1,7 @@
 """Dual encoder: init, unit outputs, snapshots, flat params, checkpoints."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from mulki.encoder import (
     snapshot,
     stack,
 )
-from mulki.errors import ContractError, ShapeMismatchError, UnknownTokenError
+from mulki.errors import ContractError
 from mulki.optim import AdamW
 from mulki.tensor import Tensor
 
@@ -75,7 +77,7 @@ def test_encode_images_empty_batch():
 
 def test_encode_images_width_error():
     m = make_model()
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(ContractError, match=re.escape(f"encode_images expects [B, {m.d_in}], got (2, {m.d_in + 1})")):
         m.encode_images(np.zeros((2, m.d_in + 1)))
 
 
@@ -94,10 +96,17 @@ def test_encode_texts_empty():
 
 def test_encode_texts_unknown_token():
     m = make_model(vocab_size=4)
-    with pytest.raises(UnknownTokenError):
+    with pytest.raises(ContractError, match="^token id 4 outside vocabulary of size 4$"):
         m.encode_texts([4])
-    with pytest.raises(UnknownTokenError):
+    with pytest.raises(ContractError, match="^token id -1 outside vocabulary of size 4$"):
         m.encode_texts([-1])
+
+
+def test_unknown_token_error_prints_its_message_unquoted():
+    """The CLI prints `error: {exc}`; a KeyError's str() would wrap the message in quotes."""
+    with pytest.raises(ContractError) as err:
+        make_model(vocab_size=3).encode_texts([7])
+    assert f"error: {err.value}" == "error: token id 7 outside vocabulary of size 3"
 
 
 def test_snapshot_outputs_frozen_under_training(rng):
@@ -195,7 +204,7 @@ def test_snapshot_and_stack_own_their_buffers(rng):
 
 def test_load_flat_length_error():
     m = make_model()
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(ContractError, match=re.escape(f"load_flat: expected {m.parameters().flat.size} values, got shape (3,)")):
         load_flat(m, np.zeros(3))
 
 

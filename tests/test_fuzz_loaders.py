@@ -1,10 +1,10 @@
-"""Fuzzed framed files: the stream and checkpoint loaders fail only with their own error.
+"""Fuzzed framed files: the stream and checkpoint loaders fail only with ContractError.
 
 Each case corrupts a valid file - truncation at any byte, a flipped byte in
 the length prefix, a manifest value replaced by a wrongly typed or
 out-of-range one (every value and replacement is tried), NaN or infinity
 written over a float in the payload -
-and must raise StreamFormatError (stream) or ContractError (checkpoint),
+and must raise ContractError, the one error of both loaders,
 and make the command that reads the file exit 2. A flipped byte inside the
 manifest may leave a valid file (a digit of the seed, say), so those cases
 only have to raise nothing else.
@@ -22,14 +22,14 @@ from hypothesis import strategies as st
 
 from mulki.cli import main
 from mulki.encoder import DualEncoder, load_checkpoint, save_checkpoint
-from mulki.errors import ContractError, StreamFormatError
+from mulki.errors import ContractError
 from mulki.taskgen import generate_stream, load_stream, save_stream
 
 from conftest import TINY_MODEL, tiny_stream_config
 
 FUZZ = settings(derandomize=True, max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 REPLACEMENTS = (True, False, "x", "", -1, -(10**30), 10**30, [[1]], [])
-LOADERS = {"stream": (load_stream, StreamFormatError), "checkpoint": (load_checkpoint, ContractError)}
+LOADERS = {"stream": load_stream, "checkpoint": load_checkpoint}
 
 
 @pytest.fixture(scope="module")
@@ -85,11 +85,10 @@ def leaf_paths(value, path=()):
 
 
 def check_refused(files, kind: str, raw: bytes) -> None:
-    """Loading `raw` as `kind` raises that loader's error, and its command exits 2."""
-    load, error = LOADERS[kind]
+    """Loading `raw` as `kind` raises ContractError, and its command exits 2."""
     files["bad"].write_bytes(raw)
-    with pytest.raises(error):
-        load(files["bad"])
+    with pytest.raises(ContractError):
+        LOADERS[kind](files["bad"])
     with contextlib.redirect_stderr(io.StringIO()) as err:
         assert main(files["argv"][kind]) == 2
     assert err.getvalue().startswith("error: ")
@@ -119,10 +118,9 @@ def test_flipped_manifest_byte_raises_nothing_else(files, kind, data, mask):
     raw = bytearray(files[kind])
     (header_len,) = struct.unpack_from("<I", raw)
     raw[data.draw(st.integers(4, 3 + header_len))] ^= mask
-    load, error = LOADERS[kind]
     files["bad"].write_bytes(bytes(raw))
-    with contextlib.suppress(error):
-        load(files["bad"])
+    with contextlib.suppress(ContractError):
+        LOADERS[kind](files["bad"])
 
 
 @pytest.mark.parametrize("kind", sorted(LOADERS))

@@ -1,10 +1,12 @@
 """Accuracy matrix summaries and the cosine-argmax evaluator."""
 
+import re
+
 import numpy as np
 import pytest
 
 from mulki.encoder import DualEncoder, snapshot
-from mulki.errors import ContractError, ShapeMismatchError
+from mulki.errors import ContractError
 from mulki.metrics import (
     AccuracyMatrix,
     avg,
@@ -79,7 +81,7 @@ def test_summaries_within_bounds(rng):
 
 
 def test_matrix_validation():
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(ContractError, match=re.escape("accuracy matrix must be (N + 1) x N, got (3, 3)")):
         AccuracyMatrix(np.zeros((3, 3)))
     with pytest.raises(ContractError):
         AccuracyMatrix(np.full((3, 2), 1.5))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mulki.encoder import DualEncoder, snapshot, stack
-from mulki.errors import ContractError, DegenerateInputError
+from mulki.errors import ContractError
 from mulki.prototypes import PrototypeStore
 from mulki.runner import _label_positions
 from mulki.taskgen import StreamConfig, TaskSpec, batches, generate_stream
@@ -51,7 +51,7 @@ def test_init_identical_samples(rng):
 def test_init_degenerate_mean_errors(rng):
     v = rng.normal(size=4)
     images = [rng.normal(size=(2, 4)), np.stack([v, -v])]  # identity features: the second mean is exactly zero
-    with pytest.raises(DegenerateInputError, match="class position 1"):
+    with pytest.raises(ContractError, match="class position 1: feature mean has zero norm"):
         PrototypeStore.init_from_model(StubEncoder(), images)
 
 

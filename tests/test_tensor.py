@@ -1,6 +1,7 @@
 """Autodiff core and the generic ops in reference_ops.py: forward oracles, finite-difference gradients, semantics."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 import mulki.tensor as T
 import reference_ops as R
 from gradcheck import check_grads, prob_rows, unit_rows
-from mulki.errors import ContractError, DegenerateInputError, ShapeMismatchError
+from mulki.errors import ContractError
 from mulki.tensor import LOG_EPS, GradTape, Tensor
 
 
@@ -46,12 +47,12 @@ def test_matmul_grads(rng):
 
 
 def test_matmul_shape_error():
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(ContractError, match=re.escape("matmul: inner dims differ, (2, 3) @ (2, 3)")):
         R.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
 
 
 def test_add_shape_error():
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(ContractError, match=re.escape("add: (2, 3) vs (4, 5)")):
         T.add(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))))
 
 
@@ -144,7 +145,7 @@ def test_l2_normalize_unit_norm(rng):
 
 
 def test_l2_normalize_zero_error():
-    with pytest.raises(DegenerateInputError):
+    with pytest.raises(ContractError, match="zero-norm"):
         R.l2_normalize(Tensor(np.zeros((2, 3))), axis=1)
 
 
@@ -180,11 +181,11 @@ def test_cosine_sim_matrix(rng):
 
 
 def test_cosine_sim_zero_vector_error():
-    with pytest.raises(DegenerateInputError):
+    with pytest.raises(ContractError, match="zero-norm"):
         T.cosine_sim(Tensor(np.zeros((1, 3))), Tensor(np.ones((1, 3))))
-    with pytest.raises(DegenerateInputError):
+    with pytest.raises(ContractError, match="zero-norm"):
         T.cosine_softmax(Tensor(np.ones((2, 3))), Tensor(np.zeros((1, 3))), 2.0)
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(ContractError, match="cosine_sim needs 2-D inputs, got ranks 1 and 1"):
         T.cosine_sim(Tensor(np.ones(3)), Tensor(np.ones(3)))
 
 
