@@ -26,7 +26,7 @@ from .config import VARIANTS, ExperimentConfig, apply_env_overrides, apply_varia
 from .encoder import load_checkpoint, save_checkpoint, snapshot
 from .errors import ConfigError, MulkiError, TrainingDivergedError
 from .jsonutil import format_float, is_number, write_canonical, write_lines
-from .runner import evaluate_row, pretrain, run_stream, save_run_record
+from .runner import evaluate_row, pretrain, run_arms, save_run_record, stacks
 from .taskgen import generate_stream, load_stream, save_stream
 
 
@@ -62,23 +62,17 @@ def _stream_and_c0(args, cfg: ExperimentConfig):
     return stream, c0
 
 
-def _run_arm(stream, hyper, seeds: list, c0, echo: dict, out_dir: str, log_seeds: bool) -> list[dict]:
-    """Train `seeds` as one stack from `c0`, save each run under out_dir/seed_NN; the runs' summaries.
-
-    A divergence saves the runs of the seeds before the diverged one, as running them in turn would, then raises."""
+def _run_arms(stream, hypers: list, seeds: list, c0, echo: dict, out_dirs: list) -> tuple[list, TrainingDivergedError | None]:
+    """Train every arm's `seeds` from `c0` (`runner.run_arms`), save arm a's runs under out_dirs[a]/seed_NN:
+    (per arm, the summaries of its saved runs in seed order; the divergence, after which the last arm's list is partial, or None)."""
     try:
-        records, error = run_stream(stream, hyper, seeds, [c0] * len(seeds), config_echo=echo), None
+        arms, error = run_arms(stream, hypers, seeds, [c0] * len(seeds), config_echo=echo), None
     except TrainingDivergedError as err:
-        records, error = err.records, err
-    summaries = []
-    for record in records:
-        save_run_record(record, os.path.join(out_dir, f"seed_{record.seed:02d}"))
-        summaries.append(metrics.summaries(record.matrix))
-        if log_seeds:
-            print(f"seed {record.seed}: " + ", ".join(f"{k}={v:.4f}" for k, v in summaries[-1].items()))
-    if error is not None:
-        raise error
-    return summaries
+        arms, error = err.records, err
+    for out_dir, records in zip(out_dirs, arms):
+        for record in records:
+            save_run_record(record, os.path.join(out_dir, f"seed_{record.seed:02d}"))
+    return [[metrics.summaries(record.matrix) for record in records] for records in arms], error
 
 
 def cmd_generate(args) -> int:
@@ -107,7 +101,11 @@ def cmd_run(args) -> int:
     hyper = apply_variant(cfg.hyper, cfg.variant)
     stream, c0 = _stream_and_c0(args, cfg)
     out_root = _out_dir(args, cfg)
-    _run_arm(stream, hyper, cfg.seeds, c0, cfg.echo(), out_root, log_seeds=True)
+    (runs,), error = _run_arms(stream, [hyper], cfg.seeds, c0, cfg.echo(), [out_root])
+    for seed, summaries in zip(cfg.seeds, runs):
+        print(f"seed {seed}: " + ", ".join(f"{k}={v:.4f}" for k, v in summaries.items()))
+    if error is not None:
+        raise error
     print(f"wrote {len(cfg.seeds)} run(s) under {out_root}")
     return 0
 
@@ -117,20 +115,22 @@ def cmd_ablate(args) -> int:
     names = [v for v in args.variant.split(",") if v] if args.variant else list(VARIANTS)
     if len(set(names)) < len(names):
         raise ConfigError(f"--variant must not repeat an arm, got {args.variant!r}")
-    arms = [(name, apply_variant(cfg.hyper, name)) for name in names]  # every name checked before any run
+    hypers = [apply_variant(cfg.hyper, name) for name in names]  # every name checked before any run
+    cfg.check_run_bytes(max(map(len, stacks(hypers)), default=1))
     stream, c0 = _stream_and_c0(args, cfg)
     out_root = _out_dir(args, cfg)
 
-    echo = cfg.echo()
+    runs, error = _run_arms(stream, hypers, cfg.seeds, c0, cfg.echo(), [os.path.join(out_root, name) for name in names])
     table: dict[str, dict] = {}
-    for name, hyper in arms:
-        runs = _run_arm(stream, hyper, cfg.seeds, c0, echo, os.path.join(out_root, name), log_seeds=False)
+    for name, arm_runs in zip(names, runs if error is None else runs[:-1]):
         table[name] = {}
         for metric in metrics.SUMMARIES:
-            values = [float(run[metric]) for run in runs]
+            values = [float(summaries[metric]) for summaries in arm_runs]
             table[name][metric] = {"mean": float(np.mean(values)), "std": float(np.std(values)), "seeds": values}
         means = ", ".join(f"{metric}={table[name][metric]['mean']:.4f}" for metric in metrics.SUMMARIES)
         print(f"{name}: {means}")
+    if error is not None:
+        raise error
 
     write_canonical({"seeds": list(cfg.seeds), "variants": table}, os.path.join(out_root, "ablation.json"))
     columns = [(metric, stat) for metric in metrics.SUMMARIES for stat in ("mean", "std")]

@@ -208,19 +208,21 @@ class ExperimentConfig:
     variant: str = "full"
     out_dir: str | None = None
 
-    def check_run_bytes(self) -> None:
-        """ConfigError naming the count furthest above its default if a run's models and batches pass MAX_RUN_BYTES."""
+    def check_run_bytes(self, arms: int = 1) -> None:
+        """ConfigError naming the count furthest above its default if a run's models and batches pass MAX_RUN_BYTES;
+        `arms` is the most arms one stack trains (`runner.stacks`), each holding every seed's."""
         stream, model, hyper = self.stream, self.model, self.hyper
         vocab = stream.n_tasks * stream.classes_per_task + 1
         params = model.hidden * (stream.d_in + 2 * model.embed_dim + model.d_tok + 2) + vocab * model.d_tok + 2 * model.embed_dim
         rows = max(hyper.batch_size, stream.classes_per_task * max(stream.train_per_class, stream.test_per_class))
         width = max(stream.d_in, model.d_tok, model.hidden, model.embed_dim, vocab, hyper.batch_size)  # a batch's B x B similarities too
-        nbytes = 8 * len(self.seeds) * (params + rows * width)
+        nbytes = 8 * arms * len(self.seeds) * (params + rows * width)
         if nbytes > MAX_RUN_BYTES:
             named = {model: ("d_tok", "hidden", "embed_dim"), hyper: ("batch_size",), stream: ("n_tasks", "classes_per_task", "train_per_class", "test_per_class")}
             counts = [(f"{section.KEY}.{name}", getattr(section, name), getattr(type(section), name)) for section in named for name in named[section]]
-            key, value, _ = max(counts + [("seeds", len(self.seeds), 5)], key=lambda count: count[1] // count[2])  # furthest above its default
-            value = f"a list of {value}" if key == "seeds" else value
+            counts += [("seeds", len(self.seeds), 5), ("--variant", arms, 1)]
+            key, value, _ = max(counts, key=lambda count: count[1] // count[2])  # furthest above its default
+            value = {"seeds": f"a list of {value}", "--variant": f"{value} arms in one stack"}.get(key, value)
             raise ConfigError(f"{key} is {value}: a run's models and batches would take {nbytes} bytes, over the {MAX_RUN_BYTES}-byte budget")
 
     def echo(self) -> dict:

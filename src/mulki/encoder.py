@@ -19,11 +19,12 @@ All nine parameters are views into one float64 buffer in PARAM_ORDER
 layout: `params_flat` copies the buffer, `load_flat` assigns into it, and
 the optimizer and drift penalty step them directly. A snapshot
 (`snapshot`) is a frozen DualEncoder with a read-only buffer of its own
-and no gradient buffer. A stack (`stack`) is one trainable DualEncoder
-for S >= 1 models in lockstep: every parameter gains a leading seed axis, the
-buffers are [S, P], and the towers map [S, B, d_in] images (or [B, d_in]
-ones every seed sees) to [S, B, embed_dim]; `snapshot(stack)` freezes the
-whole stack, `snapshot(stack, s)` seed s's model alone.
+(of a frozen model, a view) and no gradient buffer. A stack (`stack`) is
+one trainable DualEncoder for S >= 1 models in lockstep: every parameter
+gains a leading seed axis, the buffers are [S, P], and the towers map
+[S, B, d_in] images (or [B, d_in] ones every seed sees) to [S, B,
+embed_dim]; `snapshot(stack)` freezes the whole stack, `snapshot(stack, s)`
+seed s's model alone.
 """
 
 from __future__ import annotations
@@ -183,13 +184,18 @@ def stack(models: list) -> DualEncoder:
 def snapshot(model: DualEncoder, index: int | None = None) -> DualEncoder:
     """A frozen copy of `model`, or with `index` of that seed's model in a stack: a DualEncoder whose
     parameters sit in a read-only buffer of its own, with no gradient buffer, so everything it encodes
-    is detached and later training of `model` does not reach it."""
+    is detached and later training of `model` does not reach it; of a frozen `model`, a view of its buffer."""
     frozen, lead, pick = copy.copy(model), model.parameters().flat.shape[:-1], slice(None)
     if index is not None:
         frozen.seed, lead, pick = model.seed[index], (), index
-    params = T.pack([Tensor(p.data[pick]) for p in model.parameters()], lead)
-    for array in (params.flat, *(p.data for p in params)):
-        array.flags.writeable = False
+    source = model.parameters()
+    if source.flat.flags.writeable:
+        params = T.pack([Tensor(p.data[pick]) for p in source], lead)
+        for array in (params.flat, *(p.data for p in params)):
+            array.flags.writeable = False
+    else:
+        params = T.Leaves(Tensor(p.data[pick]) for p in source)
+        params.flat, params.grad = source.flat[pick], None
     frozen._bind(params)
     return frozen
 

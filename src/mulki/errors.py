@@ -24,11 +24,12 @@ class ConfigError(MulkiError, ValueError):
 
 
 class TrainingDivergedError(MulkiError, RuntimeError):
-    """Training produced a non-finite loss; carries the loss breakdown dump, the seed that
-    diverged and (from `runner.run_stream`) in `records` the finished runs of the seeds before it."""
+    """Training produced a non-finite loss; carries the loss breakdown dump, the seed that diverged, its lane
+    (position in the stack) and in `records` the finished runs before it (from `runner.run_arms`, one list per arm)."""
 
-    def __init__(self, message: str, breakdown=None, seed=None):
+    def __init__(self, message: str, breakdown=None, seed=None, lane=None):
         super().__init__(message)
         self.breakdown = breakdown
         self.seed = seed
+        self.lane = lane
         self.records: list = []

@@ -19,10 +19,12 @@ on the initial model and 1 - w on the previous one; a teacher whose
 weight is exactly 0 is skipped, its prototype/text term with it
 (`weighted_teachers` decides this for the trainer and the loss alike).
 The prototype/text channel carries a fixed half weight per weighted
-teacher. A contrastive term aligns class prototypes with the student's
-texts, and cross-entropy on the current task is the supervised signal;
-distillation distributions use a soft temperature (default 2), the
-supervised logits a sharp one (default 0.07).
+teacher. A stack may give each lane its own weight (a list, `mdd_loss`),
+each lane getting the bits of its own run. A contrastive term aligns
+class prototypes with the student's texts, and cross-entropy on the
+current task is the supervised signal; distillation distributions use a
+soft temperature (default 2), the supervised logits a sharp one (default
+0.07).
 
 Each term is one tape node (`csa_loss`, `fd_loss`, `ird_loss`; i2t and
 p&t through `tensor.soft_ce_mean`, the distributions through
@@ -35,7 +37,7 @@ operands give one value per seed, each that seed's bits alone.
 Prototypes and teacher outputs are constants; gradients flow only into
 the student. Both teachers stay frozen for a task, so the trainer runs
 `teacher_outputs` once per weighted teacher per task over the task's
-training set (checked there) and cuts each batch's rows from that bundle
+training set (checked there) and cuts and normalizes each batch's rows
 with `TeacherOutputs.rows`; only the two K x K prototype-text
 distributions follow the moving prototypes and are rebuilt per batch.
 
@@ -58,6 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .encoder import snapshot
 from .errors import ContractError
 from .tensor import Tensor
 
@@ -198,9 +201,10 @@ def pt_loss(teacher: "TeacherOutputs", student_pt: Tensor, student_tp: Tensor) -
     return T.add(a, b)
 
 
-def weighted_teachers(teacher_weight: float | None) -> tuple[bool, bool]:
-    """Whether (c0, c_prev) carry any weight: a fixed weight of exactly 0 zeroes c0, of exactly 1 c_prev."""
-    return teacher_weight != 0, teacher_weight != 1
+def weighted_teachers(teacher_weight) -> tuple[bool, bool]:
+    """Whether (c0, c_prev) carry any weight, in some lane of per-lane weights: a weight of exactly 0 zeroes c0, of 1 c_prev."""
+    lanes = teacher_weight if isinstance(teacher_weight, list) else [teacher_weight]
+    return any(w != 0 for w in lanes), any(w != 1 for w in lanes)
 
 
 def sample_weights(dist_c0: Tensor, dist_prev: Tensor, dist_student: Tensor) -> tuple[Tensor, Tensor]:
@@ -280,8 +284,8 @@ class TeacherOutputs:
         Every op on the image rows is row-wise, so this equals
         `teacher_outputs` on those rows, bit for bit wherever BLAS computes
         each matmul row independently of the batch around it (checked in
-        the tests). The feature rows carry their unit rows, indexed from
-        the bundle's, which were normalized once. The result skips
+        the tests). The feature rows carry their unit rows, normalized
+        here for the batch alone (each row on its own). The result skips
         `__post_init__`: its rows come from this checked bundle, and the
         two new distributions (None when `protos` is) are softmax rows of
         constants.
@@ -289,7 +293,8 @@ class TeacherOutputs:
         if self.texts is None:
             raise ContractError("TeacherOutputs.rows needs the teacher's texts")
         out, at = copy.copy(self), T.row_index(self.feats.data, idx)
-        out.feats = T.take_rows(self.feats, at)
+        out.feats = Tensor(T.gather(self.feats.data, at))
+        T.unit_rows(out.feats)
         out.img_text_dist = Tensor(T.gather(self.img_text_dist.data, at))
         out.proto_text_dist, out.text_proto_dist = _proto_text_dists(protos, self.texts, tau)
         return out
@@ -316,11 +321,18 @@ def _proto_text_dists(protos: Tensor | None, texts: Tensor, tau: float) -> tuple
 def teacher_outputs(model, x, token_ids, protos: Tensor | None, tau: float) -> TeacherOutputs:
     """Run a frozen model over images `x`; see StudentOutputs for the live twin.
 
-    `protos` None skips the prototype-text distributions.
+    A frozen stack runs one lane at a time (a view, `snapshot(model, s)`) into the bundle's [S, ...]
+    arrays, the bits of a stacked call. `protos` None skips the prototype-text distributions.
     """
-    feats = model.encode_images(x)
-    texts = model.encode_texts(token_ids)
-    return TeacherOutputs(feats, image_text_dist(feats, texts, tau), *_proto_text_dists(protos, texts, tau), texts)
+    lead = model.parameters().flat.shape[:-1]
+    n, k, e = len(x), len(token_ids), model.embed_dim
+    feats, dist, texts = (np.empty(lead + shape) for shape in ((n, e), (n, k), (k, e)))
+    lanes = [snapshot(model, s) for s in range(lead[0])] if lead else [model]  # views: no parameter copies
+    for at, lane in zip(np.ndindex(lead), lanes):  # a single model's one index is ()
+        feats[at], texts[at] = lane.encode_images(x).data, lane.encode_texts(token_ids).data
+        dist[at] = image_text_dist(Tensor(feats[at]), Tensor(texts[at]), tau).data
+    texts = Tensor(texts)
+    return TeacherOutputs(Tensor(feats), Tensor(dist), *_proto_text_dists(protos, texts, tau), texts)
 
 
 def student_outputs(model, feats: Tensor, token_ids, protos: Tensor | None, tau: float, img_text: bool = True) -> StudentOutputs:
@@ -377,7 +389,7 @@ def mdd_loss(
     protos: Tensor,
     alpha: float = 1.0,
     beta: float = 1.0,
-    teacher_weight: float | None = None,
+    teacher_weight: float | list | None = None,
     enable_fd: bool = True,
     enable_ird: bool = True,
     enable_idd: bool = True,
@@ -392,20 +404,30 @@ def mdd_loss(
     per-sample similarity scores (`sample_weights`); a number w sets r_0 = w
     and r_prev = 1 - w on every sample. A teacher whose weight is exactly 0
     is skipped, p&t included (`weighted_teachers`); its bundle may be None.
+    A list gives each lane of a stack its own weight (a similarity lane its
+    rows of `sample_weights`), and a teacher runs when any lane weights it: a
+    lane whose weight on it is exactly 0 takes its fd, ird and i2t terms at
+    r = 0, its p&t term through a 0/1 lane mask, and logs 0 for it.
 
     Returns (loss tensor or None if every channel is disabled, info dict
     with raw term values and the per-sample weights).
     """
-    if teacher_weight is None:
+    rows = student.feats.shape[:-1]
+    unweighted = (None, None)  # per teacher, the lanes whose weight on it is exactly 0 (None: one weight for all)
+    if isinstance(teacher_weight, list):
+        sampled = sample_weights(c0_out.img_text_dist, prev_out.img_text_dist, student.img_text_dist)[0].data if None in teacher_weight else None
+        r0 = np.stack([sampled[s] if w is None else np.full(rows[-1], float(w)) for s, w in enumerate(teacher_weight)])
+        r0, r_prev = Tensor(r0), Tensor(1.0 - r0)
+        unweighted = tuple(np.array([w == zero for w in teacher_weight]) for zero in (0, 1))
+    elif teacher_weight is None:
         r0, r_prev = sample_weights(c0_out.img_text_dist, prev_out.img_text_dist, student.img_text_dist)
     else:
-        rows = student.feats.shape[:-1]
         r0, r_prev = Tensor(np.full(rows, float(teacher_weight))), Tensor(np.full(rows, 1.0 - teacher_weight))
 
     info = dict.fromkeys(("fd0", "fd_prev", "ird0", "ird_prev", "idd0", "idd_prev"), np.zeros(r0.shape[:-1]))
     info["r0"] = r0.data.copy()
     terms: list[Tensor] = []
-    for tag, teacher, r, weighted in zip(("0", "_prev"), (c0_out, prev_out), (r0, r_prev), weighted_teachers(teacher_weight)):
+    for tag, teacher, r, weighted, off in zip(("0", "_prev"), (c0_out, prev_out), (r0, r_prev), weighted_teachers(teacher_weight), unweighted):
         if not weighted:
             continue
         if enable_fd:
@@ -418,8 +440,10 @@ def mdd_loss(
             i2t, i2t_raw = i2t_loss(teacher.img_text_dist, student.img_text_dist, r, beta)
             pt = pt_loss(teacher, student.proto_text_dist, student.text_proto_dist)
             terms.append(i2t)
-            terms.append(T.scale(pt, 0.5 * beta))
+            terms.append(T.scale(pt, 0.5 * beta if off is None else 0.5 * beta * (1.0 - off)))
             info["idd" + tag] = i2t_raw + pt.data
+        if off is not None:
+            info.update({name + tag: np.where(off, 0.0, info[name + tag]) for name in ("fd", "ird", "idd")})
     if not terms:
         return None, info
     total = terms[0]
@@ -449,6 +473,7 @@ def total_loss(
     teachers: tuple[TeacherOutputs, TeacherOutputs] | None,
     batch_rows,
     wc_reference=None,
+    lane_weights: list | None = None,
 ) -> tuple[Tensor, LossBreakdown]:
     """Assemble the full objective for one batch.
 
@@ -460,13 +485,14 @@ def total_loss(
     training set the batch was drawn from (None when every distillation
     channel is off, and either entry None for a teacher without weight),
     and `batch_rows` the batch's row indices into it. The drift anchor is
-    added iff `wc_reference` is given. Teachers and prototypes are
+    added iff `wc_reference` is given. `lane_weights` (one per lane) stand in
+    for `hyper.teacher_weight` when the lanes differ in it. Teachers and prototypes are
     constants. Only the distributions an enabled term reads are built (see
     the module docstring); with every component disabled this reduces to
     plain supervised fine-tuning.
     """
     pt_protos = protos if hyper.enable_idd else None
-    weighs = hyper.distills and hyper.teacher_weight is None
+    weighs = hyper.distills and None in (lane_weights or [hyper.teacher_weight])
     student = student_outputs(student_model, feats, token_ids, pt_protos, hyper.tau, img_text=hyper.enable_idd or weighs)
 
     supervised = cross_entropy(image_text_dist(student.feats, student.texts, hyper.tau_ce), label_positions)
@@ -482,7 +508,7 @@ def total_loss(
     if hyper.distills:
         c0_out, prev_out = (None if t is None else t.rows(batch_rows, pt_protos, hyper.tau) for t in teachers)
         mdd, info = mdd_loss(
-            c0_out, prev_out, student, protos, hyper.alpha, hyper.beta, hyper.teacher_weight,
+            c0_out, prev_out, student, protos, hyper.alpha, hyper.beta, lane_weights or hyper.teacher_weight,
             hyper.enable_fd, hyper.enable_ird, hyper.enable_idd,
         )
         if mdd is not None:

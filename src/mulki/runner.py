@@ -16,13 +16,18 @@ slice runs a single model's numpy code, so each seed's artifacts are the
 bytes of that seed run alone. Per-seed loops remain for a diverged loss's
 breakdown, the checkpoints and evaluation. An initial model all seeds
 share stays one model, its prototypes and bundle built once per task.
+Arms that differ only in teacher weight train as one stack (`run_arms`) of
+(arm, seed) lanes, each with its own weight. To hold them all at once, a
+stacked teacher's bundle is built a lane at a time, teacher rows are normalized
+per batch, a task's checkpoints are lane views of one frozen stack (the next
+task's c_prev and drift anchor), and the graph goes before each AdamW step.
 
 One loop serves every arm, and it builds only what the enabled terms
 read (`HyperParams.distills`, `uses_prototypes`): the prototype store
 exists when alignment or a distillation channel is on, and a teacher
-bundle when a channel is on and that teacher's weight is not exactly 0
+bundle when a channel is on and some lane weights that teacher
 (`losses.weighted_teachers`). So `continual_ft` keeps no store and no
-bundle, `only_c0`/`only_prev` (teacher_weight 1 and 0) one bundle.
+bundle, `only_c0` or `only_prev` lanes alone (teacher_weight 1, 0) one.
 
 Per task, before the first iteration: look up every training label's
 class position at once (a label outside the task's classes raises
@@ -44,7 +49,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -65,7 +70,8 @@ _TAG_PRETRAIN_BATCH = 21
 class TaskResult:
     """What one task's training window leaves behind, for each seed of the stack."""
 
-    checkpoints: list          # per seed, frozen (`snapshot`)
+    final: DualEncoder         # the frozen stack of the task's final parameters (`snapshot`)
+    checkpoints: list          # per seed, frozen: lane s of `final`, a view
     losses: np.ndarray         # [iterations, S, len(FIELDS) + 1]: LossBreakdown.FIELDS, then r0_mean (NaN: None)
 
 
@@ -129,13 +135,7 @@ def _label_positions(task) -> np.ndarray:
 
 
 def train_task(
-    student: DualEncoder,
-    c0: DualEncoder,
-    c_prev: DualEncoder,
-    task,
-    hyper: HyperParams,
-    seeds: list,
-    wc_reference: np.ndarray | None = None,
+    student: DualEncoder, c0: DualEncoder, c_prev: DualEncoder, task, hyper: HyperParams, seeds: list, wc_reference=None, lane_weights=None
 ) -> TaskResult:
     """Train the stack `student` (`encoder.stack`, slice s for seeds[s]) on one task against both teachers, in place.
 
@@ -147,7 +147,8 @@ def train_task(
     the first iteration, dropped on return. Every batch's loss takes its
     teacher rows from the per-task bundles of the weighted teachers, and
     adds the drift anchor toward `wc_reference` ([S, P]) iff one is given.
-    A non-finite loss raises TrainingDivergedError for its first seed.
+    `lane_weights` (one per lane) stand in for `hyper.teacher_weight` when the
+    lanes differ in it. A non-finite loss raises TrainingDivergedError for its first lane.
     """
     positions = _label_positions(task)
     token_ids = task.token_ids
@@ -162,10 +163,10 @@ def train_task(
         pt_protos = protos if hyper.enable_idd else None
         teachers = tuple(
             losses.teacher_outputs(teacher, task.train_x, token_ids, pt_protos, hyper.tau) if weighted else None
-            for teacher, weighted in zip((c0, c_prev), losses.weighted_teachers(hyper.teacher_weight))
+            for teacher, weighted in zip((c0, c_prev), losses.weighted_teachers(lane_weights or hyper.teacher_weight))
         )
 
-    we_state = None if hyper.ensemble == "off" else we_init(params_flat(student), hyper.we_interval)
+    we_state = None if hyper.ensemble == "off" else we_init(student.parameters().flat, hyper.we_interval)
     opt = _adamw(student, hyper)
     log = np.empty((hyper.iterations_per_task, len(losses.LossBreakdown.FIELDS) + 1, n))
     draws = [taskgen.batches(task, hyper.batch_size, seed, hyper.iterations_per_task) for seed in seeds]
@@ -176,7 +177,7 @@ def train_task(
         if store is not None:
             store.ema_update(feats.data, batch_positions)
             protos = store.matrix()
-        loss, bd = losses.total_loss(student, feats, batch_positions, token_ids, protos, hyper, teachers, rows, wc_reference)
+        loss, bd = losses.total_loss(student, feats, batch_positions, token_ids, protos, hyper, teachers, rows, wc_reference, lane_weights)
         if not np.isfinite(bd.total).all():
             s = int(np.argmin(np.isfinite(bd.total)))
             dump = losses.LossBreakdown(*(float(v[s]) for v in [*bd.values(), bd.r0_mean] if v is not None))
@@ -185,11 +186,13 @@ def train_task(
                 + ", ".join(f"{name}={getattr(dump, name)!r}" for name in dump.FIELDS),
                 breakdown=dump,
                 seed=seeds[s],
+                lane=s,
             )
         log[k - 1, :-1] = bd.values()
         log[k - 1, -1] = np.nan if bd.r0_mean is None else bd.r0_mean
         opt.zero_grad()
         sum_seeds(loss).backward()
+        del loss, feats  # the graph goes before the step allocates
         opt.step()
         if we_state is not None and k % we_state.interval == 0:
             we_step(we_state, params_flat(student), k)
@@ -199,7 +202,8 @@ def train_task(
 
     if we_state is not None:
         load_flat(student, we_state.theta_hat)
-    return TaskResult(checkpoints=[snapshot(student, s) for s in range(n)], losses=log.transpose(0, 2, 1))
+    final = snapshot(student)  # also the next task's c_prev
+    return TaskResult(final, [snapshot(final, s) for s in range(n)], log.transpose(0, 2, 1))
 
 
 def evaluate_row(model, stream, model_row: int) -> np.ndarray:
@@ -207,34 +211,69 @@ def evaluate_row(model, stream, model_row: int) -> np.ndarray:
     return np.array([metrics.evaluate(model, task, metrics.evaluation_candidates(stream, model_row, task)) for task in stream.tasks])
 
 
-def run_stream(
-    stream,
-    hyper: HyperParams,
-    seeds: list,
-    c0s: list,
-    config_echo: dict | None = None,
-) -> list[RunRecord]:
-    """Sequential pass over the stream's tasks for each seed, seed s from `c0s[s]`, in lockstep; one record per seed.
+def stacks(hypers: list) -> list[list[int]]:
+    """The arms `run_arms` trains as one stack, as lists of positions in `hypers`: the arms that differ in
+    teacher_weight only, in the order of each stack's first arm."""
+    groups: dict = {}
+    for a, hyper in enumerate(hypers):
+        groups.setdefault(replace(hyper, teacher_weight=None), []).append(a)
+    return list(groups.values())
 
+
+def run_arms(stream, hypers: list, seeds: list, c0s: list, config_echo: dict | None = None) -> list[list[RunRecord]]:
+    """Every arm of `hypers` over `seeds` (seed s from `c0s[s]`): per arm, one record per seed.
+
+    Arms that differ in teacher_weight only train as one stack (`run_stream`) of (arm, seed) lanes in
+    arm-major order, each record the bytes of its arm and seed run alone. A divergence raises what training
+    the arms in turn would: the first diverged (arm, seed)'s error, `records` one list per arm up to it.
+    """
+    runs: list[list] = [[] for _ in hypers]
+    error, first = None, (len(hypers), 0)  # the first diverged (arm, seed position) so far
+    for arms in stacks(hypers):
+        if arms[0] > first[0]:
+            break
+        lanes = [(a, s) for a in arms for s in range(len(seeds))]
+        try:
+            records = run_stream(stream, [hypers[a] for a, _ in lanes], [seeds[s] for _, s in lanes], [c0s[s] for _, s in lanes], config_echo)
+        except TrainingDivergedError as err:
+            records = err.records
+            if lanes[err.lane] < first:
+                error, first = err, lanes[err.lane]
+        for (a, _), record in zip(lanes, records):
+            runs[a].append(record)
+    if error is not None:
+        error.records = runs[: first[0]] + [runs[first[0]][: first[1]]]
+        raise error
+    return runs
+
+
+def run_stream(stream, hyper, seeds: list, c0s: list, config_echo: dict | None = None) -> list[RunRecord]:
+    """Sequential pass over the stream's tasks for each lane, seeds[s] from `c0s[s]`, in lockstep; one record per lane.
+
+    `hyper` is one HyperParams for every lane, or a list of one per lane
+    that differ in teacher_weight only (as `run_arms` stacks arms).
     Task i's teacher pair is (c0, model after task i-1); for the first
     task both teachers coincide with c0 and similarity weighting
     degenerates to an even split. The drift penalty references the
     previous task's final parameters and only applies on multi-domain
     streams with `enable_wc`; this is the one place that decides it.
 
-    A divergence raises what running the seeds one after another would:
-    the error of the first seed in `seeds` order that diverges, with the
-    records of the seeds before it (trained again as a stack) in `records`.
+    A divergence raises what running the lanes one after another would:
+    the error of the first lane (by position) that diverges, with the
+    records of the lanes before it (trained again as a stack) in `records`.
     """
+    lanes = [hyper] * len(seeds) if isinstance(hyper, HyperParams) else list(hyper)
+    if len(lanes) != len(seeds) or len({replace(h, teacher_weight=None) for h in lanes}) > 1:
+        raise ContractError("run_stream takes one HyperParams, or one per seed that differ in teacher_weight only")
     try:
-        return _run_stack(stream, hyper, list(seeds), list(c0s), dict(config_echo or {}))
+        return _run_stack(stream, lanes, list(seeds), list(c0s), dict(config_echo or {}))
     except TrainingDivergedError as err:
-        first = list(seeds).index(err.seed)
-        err.records = run_stream(stream, hyper, seeds[:first], c0s[:first], config_echo) if first else []
+        err.records = run_stream(stream, lanes[: err.lane], seeds[: err.lane], c0s[: err.lane], config_echo) if err.lane else []
         raise
 
 
-def _run_stack(stream, hyper: HyperParams, seeds: list, c0s: list, config_echo: dict) -> list[RunRecord]:
+def _run_stack(stream, lanes: list, seeds: list, c0s: list, config_echo: dict) -> list[RunRecord]:
+    hyper, weights = lanes[0], [h.teacher_weight for h in lanes]
     n, iterations = stream.n_tasks, hyper.iterations_per_task
     matrices = [np.zeros((n + 1, n)) for _ in seeds]
     for matrix, c0 in zip(matrices, c0s):
@@ -245,10 +284,11 @@ def _run_stack(stream, hyper: HyperParams, seeds: list, c0s: list, config_echo: 
     use_wc = hyper.enable_wc and stream.mode == "multi_domain"
     log = np.empty((len(seeds), n * iterations, len(losses.LossBreakdown.FIELDS) + 3))  # RunRecord.losses of each seed
     checkpoints: list = [[] for _ in seeds]
+    c_prev = snapshot(student)
     for i, task in enumerate(stream.tasks, start=1):
-        c_prev = snapshot(student)
-        wc_reference = params_flat(student) if use_wc else None
-        result = train_task(student, c0, c_prev, task, hyper, seeds, wc_reference=wc_reference)
+        wc_reference = c_prev.parameters().flat if use_wc else None
+        result = train_task(student, c0, c_prev, task, hyper, seeds, wc_reference, weights if len(set(weights)) > 1 else None)
+        c_prev = result.final
         rows = slice((i - 1) * iterations, i * iterations)
         log[:, rows, 0], log[:, rows, 1], log[:, rows, 2:] = task.task_id, np.arange(1, iterations + 1), result.losses.transpose(1, 0, 2)
         for matrix, seed_checkpoints, checkpoint in zip(matrices, checkpoints, result.checkpoints):

@@ -159,7 +159,7 @@ class Leaves(tuple):
     then [S, ...]): each leaf's data is the view of its slice, so
     writing `flat` writes every leaf, and reading it reads them all without
     a copy. `grad` is the flat gradient buffer of the same layout, or None
-    when no leaf requires grad (a frozen copy). Only `pack` makes one.
+    when no leaf requires grad (a frozen copy). `pack` makes one; `encoder.snapshot` views a frozen one.
     """
 
     flat: np.ndarray
@@ -281,8 +281,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return node(data, (a, b), backward)
 
 
-def scale(a: Tensor, c: float) -> Tensor:
-    c = float(c)
+def scale(a: Tensor, c) -> Tensor:
+    """a * c for a number c, or for one factor per seed of a stack's [S] values."""
+    c = c if isinstance(c, np.ndarray) else float(c)
     data = a.data * c
 
     def backward(g):
@@ -385,12 +386,6 @@ class UnitRows:
     def grad(self, g: np.ndarray) -> np.ndarray:
         return _normalized_backward(g, self.data, self.norms, -1)
 
-    def take(self, at) -> "UnitRows":
-        """Rows `at` (see `gather`): each row is normalized on its own, so this equals normalizing those rows afresh."""
-        out = UnitRows.__new__(UnitRows)
-        out.data, out.norms, out._t = gather(self.data, at), gather(self.norms, at), None
-        return out
-
 
 def row_index(a: np.ndarray, idx):
     """`idx` as positions in `a`'s rows laid end to end: of an [n, d] array shared by every
@@ -418,13 +413,6 @@ def unit_rows(a: Tensor) -> UnitRows:
         if a._backward is not None or not a.requires_grad:
             a._unit = unit
     return unit
-
-
-def take_rows(a: Tensor, at) -> Tensor:
-    """Rows `at` (see `gather`) of the constant `a`, carrying the matching rows of `a`'s kept normalization."""
-    out = Tensor(gather(a.data, at))
-    out._unit = unit_rows(a).take(at)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -570,3 +570,17 @@ def test_corrupt_checkpoint_exits_2(pipeline, tmp_path, capsys, edit, message):
     ])
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+def test_ablate_refuses_a_stack_past_the_run_budget(tmp_path, capsys, monkeypatch):
+    """The four teacher-weight arms train as one stack: past the budget with all four, exit 2 naming
+    `--variant` before any input is read; without the stack the same config goes on to read its inputs."""
+    for env in list(os.environ):
+        if env.startswith("MULKI_"):
+            monkeypatch.delenv(env)
+    cfg = tmp_path / "wide.json"
+    cfg.write_text(json.dumps({"stream": {"n_tasks": 15, "classes_per_task": 15, "train_per_class": 600}, "seeds": list(range(19))}))
+    argv = ["ablate", "--config", str(cfg), "--stream", str(tmp_path / "missing.bin"), "--c0", str(tmp_path / "missing.ckpt")]
+    exits_2_with_one_line([*argv, "--out", str(tmp_path / "out"), "--variant", "full,only_c0,only_prev,average"], capsys, "--variant", "byte budget")
+    exits_2_with_one_line([*argv, "--out", str(tmp_path / "out"), "--variant", "full,continual_ft,only_c0"], capsys, "missing.bin")
+    assert not (tmp_path / "out").exists()

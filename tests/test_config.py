@@ -336,3 +336,12 @@ def test_sections_are_frozen():
     hyper = HyperParams()
     with pytest.raises(AttributeError):
         hyper.lambda1 = -3.0
+
+
+def test_run_bytes_count_each_arm_of_the_widest_stack():
+    """`ablate` stacks the teacher-weight arms, so the budget counts each seed once per arm of the widest stack."""
+    cfg = config_from_dict({"stream": {"n_tasks": 15, "classes_per_task": 15, "train_per_class": 600}, "seeds": list(range(19))})
+    for arms in (1, 2, 3):
+        cfg.check_run_bytes(arms)
+    with pytest.raises(ConfigError, match=f"^--variant is 4 arms in one stack: .*over the {MAX_RUN_BYTES}-byte budget"):
+        cfg.check_run_bytes(4)

@@ -20,11 +20,11 @@ import pytest
 import mulki.tensor as T
 import reference_ops as R
 from gradcheck import prob_rows
-from mulki import losses, taskgen
+from mulki import losses, runner, taskgen
 from mulki.cli import main
 from mulki.config import apply_variant, load_config
 from mulki.encoder import load_checkpoint, snapshot, tower
-from mulki.errors import TrainingDivergedError
+from mulki.errors import ContractError, TrainingDivergedError
 from mulki.runner import pretrain, run_stream, save_run_record
 from mulki.taskgen import generate_stream
 from mulki.tensor import Tensor
@@ -274,4 +274,163 @@ def test_a_diverged_seed_raises_what_the_seeds_one_at_a_time_raise(tiny_inputs, 
     assert main(["ablate", *tiny_inputs.argv, "--out", str(tmp_path / "ablate"), "--variant", "full,continual_ft"]) == 2
     assert capsys.readouterr().err == f"error: {expected}\n"
     assert sorted(p.relative_to(tmp_path / "ablate").as_posix() for p in (tmp_path / "ablate").glob("*/*")) == ["full/seed_00"]
+    assert not (tmp_path / "ablate" / "ablation.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# arms that differ only in teacher weight: one stack, the bytes of each arm run alone
+
+WEIGHT_ARMS = ["full", "only_c0", "only_prev", "average"]  # teacher_weight None, 1, 0 and 0.5
+
+
+def _tree(root: Path) -> dict:
+    return {path.relative_to(root).as_posix(): path.read_bytes() for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+@pytest.mark.parametrize("config_file", ["smoke.json", "default.json"])
+def test_one_stack_of_teacher_weight_arms_writes_the_bytes_of_each_arm_run(config_file, tmp_path, monkeypatch):
+    for env in list(os.environ):
+        if env.startswith("MULKI_"):
+            monkeypatch.delenv(env)
+    cfg = load_config(CONFIGS / config_file)
+    stream = generate_stream(cfg.stream)
+    c0s = [pretrain(stream, cfg.hyper, 0, cfg.model)] * len(SEEDS)
+    hypers = [apply_variant(cfg.hyper, name) for name in WEIGHT_ARMS]
+    echo = cfg.echo()
+    stacks = []
+    real_train_task = runner.train_task
+
+    def train_task(student, c0, c_prev, task, hyper, seeds, *args):
+        stacks.append(len(seeds))
+        return real_train_task(student, c0, c_prev, task, hyper, seeds, *args)
+
+    monkeypatch.setattr(runner, "train_task", train_task)
+    for name, records in zip(WEIGHT_ARMS, runner.run_arms(stream, hypers, SEEDS, c0s, config_echo=echo)):
+        assert [record.seed for record in records] == SEEDS
+        for record in records:
+            save_run_record(record, tmp_path / "grouped" / name / f"seed_{record.seed:02d}")
+    assert stacks == [len(WEIGHT_ARMS) * len(SEEDS)] * stream.n_tasks  # one stack of every (arm, seed) lane
+
+    for name, hyper in zip(WEIGHT_ARMS, hypers):
+        for record in run_stream(stream, hyper, SEEDS, c0s, config_echo=echo):
+            save_run_record(record, tmp_path / "alone" / name / f"seed_{record.seed:02d}")
+    grouped, alone = _tree(tmp_path / "grouped"), _tree(tmp_path / "alone")
+    assert len(grouped) == len(WEIGHT_ARMS) * len(SEEDS) * (3 + stream.n_tasks)
+    assert grouped == alone, sorted(n for n in grouped if grouped[n] != alone.get(n))
+
+
+def test_mdd_loss_on_a_mixed_weight_stack_equals_one_call_per_lane(rng):
+    """Values, the breakdown and every gradient of one call with per-lane weights equal per-lane calls, exactly."""
+    weights = [None, 1.0, 0.0, 0.5, 1, 0]
+    n, b, k, d = len(weights), 7, 3, 5
+    teacher_arrays = [
+        {
+            "feats": rng.normal(size=(n, b, d)),
+            "img_text_dist": np.stack([prob_rows(rng, b, k) for _ in range(n)]),
+            "proto_text_dist": np.stack([prob_rows(rng, k, k) for _ in range(n)]),
+            "text_proto_dist": np.stack([prob_rows(rng, k, k) for _ in range(n)]),
+            "texts": rng.normal(size=(n, k, d)),
+        }
+        for _ in range(2)
+    ]
+    student_arrays = {
+        "feats": rng.normal(size=(n, b, d)),
+        "texts": rng.normal(size=(n, k, d)),
+        "img_text_dist": np.stack([prob_rows(rng, b, k) for _ in range(n)]),
+        "proto_text_dist": np.stack([prob_rows(rng, k, k) for _ in range(n)]),
+        "text_proto_dist": np.stack([prob_rows(rng, k, k) for _ in range(n)]),
+    }
+    protos = rng.normal(size=(n, k, d))
+
+    def call(pick, teacher_weight):
+        teachers = [losses.TeacherOutputs(**{key: Tensor(v[pick]) for key, v in arrays.items()}) for arrays in teacher_arrays]
+        student = losses.StudentOutputs(**{key: Tensor(v[pick].copy(), requires_grad=True) for key, v in student_arrays.items()})
+        loss, info = losses.mdd_loss(*teachers, student, Tensor(protos[pick]), 0.7, 1.3, teacher_weight)
+        (loss if loss.shape == () else T.sum_seeds(loss)).backward()
+        grads = {key: getattr(student, key).grad for key in student_arrays}
+        return loss.data, info, grads
+
+    stacked, info, grads = call(slice(None), weights)
+    for s, w in enumerate(weights):
+        value, info_s, grads_s = call(s, w)
+        assert np.array_equal(stacked[s], value), s
+        assert set(info) == set(info_s)
+        for key in info:
+            assert np.array_equal(info[key][s], info_s[key]), (s, key)
+        for key, g in grads.items():
+            assert (g is None) == (grads_s[key] is None), (s, key)
+            if g is not None:
+                assert np.array_equal(g[s], grads_s[key]), (s, key)
+    for key in ("fd0", "ird0", "idd0"):  # the only_prev lanes log 0 for c0, as a run of that arm does
+        assert info[key][2] == info[key][5] == 0.0
+    for key in ("fd_prev", "ird_prev", "idd_prev"):
+        assert info[key][1] == info[key][4] == 0.0
+
+
+def test_lanes_that_differ_beyond_teacher_weight_raise_contract_error(tiny_inputs):
+    hyper, stream, c0 = tiny_inputs.cfg.hyper, tiny_inputs.stream, tiny_inputs.c0
+    for other in ("wo_we", "only_fd", "continual_ft"):
+        with pytest.raises(ContractError, match="differ in teacher_weight only"):
+            run_stream(stream, [apply_variant(hyper, "only_c0"), apply_variant(hyper, other)], [0, 0], [c0, c0])
+    with pytest.raises(ContractError, match="differ in teacher_weight only"):
+        run_stream(stream, [hyper, dataclasses.replace(hyper, lr=0.5)], [0, 1], [c0, c0])
+    with pytest.raises(ContractError, match="one per seed"):
+        run_stream(stream, [hyper, hyper], [0, 1, 2], [c0] * 3)
+
+
+def _ablate_arm_by_arm(inputs, names: list, out: Path):
+    """Each arm's seeds run one at a time, in arm order, saved as `ablate` lays them out; the first error."""
+    hyper, stream, c0 = inputs.cfg.hyper, inputs.stream, inputs.c0
+    for name in names:
+        for seed in inputs.cfg.seeds:
+            try:
+                (record,) = run_stream(stream, apply_variant(hyper, name), [seed], [c0], config_echo=inputs.cfg.echo())
+            except TrainingDivergedError as err:
+                return err
+            save_run_record(record, out / name / f"seed_{seed:02d}")
+    return None
+
+
+@pytest.mark.parametrize("order", ["full,continual_ft,only_c0", "continual_ft,full,only_c0"])
+def test_a_seed_that_diverges_in_every_arm_stops_ablate_where_arm_by_arm_runs_stop(order, tiny_inputs, tmp_path, monkeypatch, capsys):
+    poison_batches(monkeypatch, {(1, 2, 3)})
+    expected = _ablate_arm_by_arm(tiny_inputs, order.split(","), tmp_path / "serial")
+    assert expected is not None and str(expected).startswith("seed 1 task 2 iteration 3: non-finite loss")
+
+    capsys.readouterr()
+    assert main(["ablate", *tiny_inputs.argv, "--out", str(tmp_path / "ablate"), "--variant", order]) == 2
+    assert capsys.readouterr().err == f"error: {expected}\n"
+    assert _tree(tmp_path / "ablate") == _tree(tmp_path / "serial")
+    assert sorted(p.parent.name for p in (tmp_path / "ablate").glob("*/*")) == [order.split(",")[0]]
+    assert not (tmp_path / "ablate" / "ablation.json").exists()
+
+
+def test_a_later_arm_that_diverges_where_an_earlier_arm_does_not_is_found_by_its_lane(tiny_inputs, tmp_path, monkeypatch, capsys):
+    """only_c0's lanes (c0 weight exactly 1 on every row) turn non-finite; full's seed-0 lane, first in the stack, stays finite."""
+    real_fd_loss = losses.fd_loss
+
+    def fd_loss(teacher_feats, student_feats, weights=None):
+        value, raw = real_fd_loss(teacher_feats, student_feats, weights)
+        if weights is not None:
+            value.data = np.where(np.all(weights.data == 1.0, axis=-1), np.nan, value.data)
+        return value, raw
+
+    monkeypatch.setattr(losses, "fd_loss", fd_loss)
+    names = ["full", "continual_ft", "only_c0", "average"]
+    expected = _ablate_arm_by_arm(tiny_inputs, names, tmp_path / "serial")
+    assert expected is not None and expected.seed == 0 and str(expected).startswith("seed 0 task 1 iteration 1: non-finite loss")
+
+    hyper, stream, c0 = tiny_inputs.cfg.hyper, tiny_inputs.stream, tiny_inputs.c0
+    seeds = tiny_inputs.cfg.seeds
+    with pytest.raises(TrainingDivergedError) as err:
+        runner.run_arms(stream, [apply_variant(hyper, name) for name in names], seeds, [c0] * len(seeds))
+    assert (str(err.value), err.value.seed) == (str(expected), expected.seed)
+    assert [[record.seed for record in records] for records in err.value.records] == [seeds, seeds, []]
+
+    capsys.readouterr()
+    assert main(["ablate", *tiny_inputs.argv, "--out", str(tmp_path / "ablate"), "--variant", ",".join(names)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {expected}\n"
+    assert [line.split(":")[0] for line in captured.out.splitlines()] == ["full", "continual_ft"]
+    assert _tree(tmp_path / "ablate") == _tree(tmp_path / "serial")
     assert not (tmp_path / "ablate" / "ablation.json").exists()
