@@ -26,20 +26,22 @@ current task is the supervised signal; distillation distributions use a
 soft temperature (default 2), the supervised logits a sharp one (default
 0.07).
 
-Each term is one tape node (`csa_loss`, `fd_loss`, `ird_loss`; i2t and
-p&t through `tensor.soft_ce_mean`, the distributions through
+Each term is one node (`csa_loss`, `fd_loss`, `ird_loss`; i2t and p&t
+through `tensor.soft_ce_mean`, the distributions through
 `tensor.cosine_softmax`) that runs the numpy expressions of the generic-op
 chain it replaced (tests/reference_ops.py), so losses, gradients and
 artifacts are the chains' bits. `fd_loss`, `ird_loss` and `i2t_loss`
 also return the unweighted value the breakdown logs. A stack's [S, ...]
-operands give one value per seed, each that seed's bits alone.
+operands give one value per seed, each that seed's bits alone. The
+distillation block is one tape node (`mdd_loss`) over a teacher axis.
 
 Prototypes and teacher outputs are constants; gradients flow only into
 the student. Both teachers stay frozen for a task, so the trainer runs
-`teacher_outputs` once per weighted teacher per task over the task's
-training set (checked there) and cuts and normalizes each batch's rows
-with `TeacherOutputs.rows`; only the two K x K prototype-text
-distributions follow the moving prototypes and are rebuilt per batch.
+`teacher_outputs` once per task over the task's training set (checked
+there), both teachers into one bundle, and cuts and normalizes each
+batch's rows of both with `TeacherOutputs.rows`; only the K x K
+prototype-text distributions follow the moving prototypes and are rebuilt
+per batch.
 
 `total_loss` takes the prototypes as one constant matrix, `protos` (row
 k for the task's k-th class), and builds only what an enabled term
@@ -48,7 +50,7 @@ tau_ce; the prototypes for csa and relation distance; the student's
 image-text distribution at tau for distribution matching or similarity
 weighting; the student's and teachers' prototype-text and text-prototype
 distributions for distribution matching only. A teacher whose weight is
-exactly 0 has no bundle.
+exactly 0 has no place in the bundle.
 """
 
 from __future__ import annotations
@@ -148,6 +150,7 @@ def ird_loss(
         raise ContractError("ird_loss: empty prototype set")
     if teacher_feats.requires_grad:
         raise ContractError("ird_loss: teacher features must be detached")
+    # a teacher axis makes this [T, S, B, e] @ [S, e, K]: still one gemm per slice, so each teacher keeps its bits
     t_sims = T.cosine_sim(teacher_feats, protos).data
     us, up, s_sims = T.cosine_forward(student_feats, protos)
     diff = t_sims - s_sims
@@ -169,8 +172,11 @@ def ird_loss(
             g_diff = g_diff * r
         T.cosine_backward(-g_diff, student_feats, protos, us, up)
 
-    gaps = [math.sqrt(flat.dot(flat)) / math.sqrt(b * k) for flat in diff.reshape(-1, b * k)]
-    return T.node(data, (student_feats,), backward), np.array(gaps).reshape(diff.shape[:-2])
+    # each slice's ||diff|| as the per-slice loop `math.sqrt(flat.dot(flat))` gave it: np.vecdot matched
+    # ndarray.dot bit for bit on 5,000 random 160-wide rows here, np.add.reduce and einsum did not
+    flat = diff.reshape(diff.shape[:-2] + (b * k,))
+    gaps = np.sqrt(np.vecdot(flat, flat)) / math.sqrt(b * k)
+    return T.node(data, (student_feats,), backward), gaps
 
 
 def image_text_dist(feats: Tensor, texts: Tensor, tau: float) -> Tensor:
@@ -220,17 +226,11 @@ def sample_weights(dist_c0: Tensor, dist_prev: Tensor, dist_student: Tensor) -> 
             f"sample_weights: mismatched shapes {dist_c0.shape}, {dist_prev.shape}, {dist_student.shape}"
         )
 
-    def _row_cos(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        num = np.add.reduce(a * b, axis=-1)
-        # np.linalg.norm(., axis=-1) by its own formula, without the Python wrapper
-        den = np.sqrt(np.add.reduce(a * a, axis=-1)) * np.sqrt(np.add.reduce(b * b, axis=-1))
-        return num / den
-
-    s0 = _row_cos(dist_c0.data, dist_student.data)
-    s_prev = _row_cos(dist_prev.data, dist_student.data)
-    e0 = np.exp(-s0)
-    e_prev = np.exp(-s_prev)
-    r0 = e0 / (e0 + e_prev)
+    student, teachers = dist_student.data, np.array((dist_c0.data, dist_prev.data))  # both teachers in one pass
+    # each row's cosine, the norms by np.linalg.norm(., axis=-1)'s own formula
+    norms = np.sqrt(np.add.reduce(teachers * teachers, axis=-1)) * np.sqrt(np.add.reduce(student * student, axis=-1))
+    e = np.exp(-(np.add.reduce(teachers * student, axis=-1) / norms))
+    r0 = e[0] / (e[0] + e[1])
     return Tensor(r0), Tensor(1.0 - r0)
 
 
@@ -252,13 +252,16 @@ def wc_loss(theta_t, theta_prev) -> Tensor:
 
 @dataclass
 class TeacherOutputs:
-    """Everything a frozen teacher contributes for a set of images. All constant.
+    """Everything frozen teachers contribute for a set of images. All constant.
 
-    Built and checked once per teacher per task over the task's training
-    set; `rows` then cuts out each batch without re-running the checks.
-    `texts` (the teacher's class-text embeddings) is what `rows` needs to
-    rebuild the prototype-text distributions for moved prototypes. The
-    two prototype-text distributions are None when built without
+    One teacher's, or the weighted teachers' (`teacher_axis`: c0 first on a
+    leading axis). Built and checked once per task over the task's training
+    set; `rows` then cuts out each batch without re-running the checks. Its
+    `feats` and `img_text_dist` rows lie end to end, a block per model lane,
+    and `blocks` holds each lane's first row ([T, S], [S] or 0): a model
+    every lane shares has one block. `texts` (the teachers' class-text
+    embeddings) is what `rows` needs to rebuild the prototype-text
+    distributions for moved prototypes, which are None when built without
     prototypes (no enabled term reads them).
     """
 
@@ -267,6 +270,8 @@ class TeacherOutputs:
     proto_text_dist: Tensor | None = None
     text_proto_dist: Tensor | None = None
     texts: Tensor | None = None
+    teacher_axis: bool = False
+    blocks: np.ndarray | int = 0
 
     def __post_init__(self):
         for name in ("feats", "img_text_dist", "proto_text_dist", "text_proto_dist", "texts"):
@@ -284,18 +289,19 @@ class TeacherOutputs:
         Every op on the image rows is row-wise, so this equals
         `teacher_outputs` on those rows, bit for bit wherever BLAS computes
         each matmul row independently of the batch around it (checked in
-        the tests). The feature rows carry their unit rows, normalized
-        here for the batch alone (each row on its own). The result skips
-        `__post_init__`: its rows come from this checked bundle, and the
-        two new distributions (None when `protos` is) are softmax rows of
-        constants.
+        the tests). Each array comes in one take for every teacher, the
+        feature rows with their unit rows (one call, each row on its own).
+        The result skips `__post_init__`: its rows come from this checked
+        bundle, and the two new distributions (None when `protos` is) are
+        softmax rows of constants.
         """
         if self.texts is None:
             raise ContractError("TeacherOutputs.rows needs the teacher's texts")
-        out, at = copy.copy(self), T.row_index(self.feats.data, idx)
-        out.feats = Tensor(T.gather(self.feats.data, at))
+        out, at = copy.copy(self), np.asarray(self.blocks)[..., None] + idx  # row idx[s, b] of each teacher's lane s
+        # a take of the rows laid end to end keeps the cut C-contiguous: a fancy index over a reshaped [T, S, n, d]
+        # pair gave strides (8, 512, 16), and the raw fd/idd logs moved bits in losses.csv (training stayed identical)
+        out.feats, out.img_text_dist = (Tensor(a.data.take(at, axis=0)) for a in (self.feats, self.img_text_dist))
         T.unit_rows(out.feats)
-        out.img_text_dist = Tensor(T.gather(self.img_text_dist.data, at))
         out.proto_text_dist, out.text_proto_dist = _proto_text_dists(protos, self.texts, tau)
         return out
 
@@ -318,21 +324,39 @@ def _proto_text_dists(protos: Tensor | None, texts: Tensor, tau: float) -> tuple
     return image_text_dist(protos, texts, tau), image_text_dist(texts, protos, tau)
 
 
-def teacher_outputs(model, x, token_ids, protos: Tensor | None, tau: float) -> TeacherOutputs:
-    """Run a frozen model over images `x`; see StudentOutputs for the live twin.
+def teacher_outputs(models, x, token_ids, protos: Tensor | None, tau: float) -> TeacherOutputs:
+    """Run a frozen model, or the list of the weighted teachers (a bundle with the teacher axis), over images `x`.
 
-    A frozen stack runs one lane at a time (a view, `snapshot(model, s)`) into the bundle's [S, ...]
-    arrays, the bits of a stacked call. `protos` None skips the prototype-text distributions.
+    See StudentOutputs for the live twin. A frozen stack runs one lane at a time (a view, `snapshot(model, s)`) into
+    the bundle's preallocated arrays, the bits of a stacked call; a model every lane shares runs once, its one block
+    of rows serving every lane. `protos` None skips the prototype-text distributions.
     """
-    lead = model.parameters().flat.shape[:-1]
-    n, k, e = len(x), len(token_ids), model.embed_dim
-    feats, dist, texts = (np.empty(lead + shape) for shape in ((n, e), (n, k), (k, e)))
-    lanes = [snapshot(model, s) for s in range(lead[0])] if lead else [model]  # views: no parameter copies
-    for at, lane in zip(np.ndindex(lead), lanes):  # a single model's one index is ()
-        feats[at], texts[at] = lane.encode_images(x).data, lane.encode_texts(token_ids).data
-        dist[at] = image_text_dist(Tensor(feats[at]), Tensor(texts[at]), tau).data
-    texts = Tensor(texts)
-    return TeacherOutputs(Tensor(feats), Tensor(dist), *_proto_text_dists(protos, texts, tau), texts)
+    pair = isinstance(models, list)
+    models = models if pair else [models]
+    leads = [model.parameters().flat.shape[:-1] for model in models]
+    lanes = max(leads, key=len) or ((1,) if pair else ())  # shared models alone: one lane, for a stack's prototypes
+    n, k, e = len(x), len(token_ids), models[0].embed_dim
+    size = n * sum(own[0] if own else 1 for own in leads)  # one block of rows per model lane
+    feats, dist, texts = np.empty((size, e)), np.empty((size, k)), np.empty((len(models),) + lanes + (k, e))
+    blocks, first = np.empty((len(models),) + lanes, dtype=np.int64), 0
+    for t, (model, own) in enumerate(zip(models, leads)):
+        views = [snapshot(model, s) for s in range(own[0])] if own else [model]  # views: no parameter copies
+        for at, lane in zip(np.ndindex(own), views):  # a shared model's one index is (): it fills every lane
+            f, tx = lane.encode_images(x).data, lane.encode_texts(token_ids).data
+            feats[first : first + n], dist[first : first + n] = f, image_text_dist(Tensor(f), Tensor(tx), tau).data
+            texts[(t, *at)], blocks[(t, *at)], first = tx, first, first + n
+    texts, blocks = (Tensor(texts), blocks) if pair else (Tensor(texts[0]), blocks[0])
+    return TeacherOutputs(Tensor(feats), Tensor(dist), *_proto_text_dists(protos, texts, tau), texts, pair, blocks)
+
+
+def _paired(c0_out: TeacherOutputs | None, prev_out: TeacherOutputs | None, teacher_weight) -> TeacherOutputs:
+    """`c0_out` if it has the teacher axis, else the weighted one(s) of the two bundles stacked on it (broadcast)."""
+    if c0_out is not None and c0_out.teacher_axis:
+        return c0_out
+    bundles = [b for b, w in zip((c0_out, prev_out), weighted_teachers(teacher_weight)) if w]
+    names = ("feats", "img_text_dist", "proto_text_dist", "text_proto_dist", "texts")
+    parts = [[getattr(b, name) for b in bundles] for name in names]
+    return TeacherOutputs(*(None if None in p else Tensor(np.stack(np.broadcast_arrays(*(t.data for t in p)))) for p in parts), True)
 
 
 def student_outputs(model, feats: Tensor, token_ids, protos: Tensor | None, tau: float, img_text: bool = True) -> StudentOutputs:
@@ -383,8 +407,8 @@ class LossBreakdown:
 
 
 def mdd_loss(
-    c0_out: TeacherOutputs,
-    prev_out: TeacherOutputs,
+    c0_out: TeacherOutputs | None,
+    prev_out: TeacherOutputs | None,
     student: StudentOutputs,
     protos: Tensor,
     alpha: float = 1.0,
@@ -394,7 +418,7 @@ def mdd_loss(
     enable_ird: bool = True,
     enable_idd: bool = True,
 ) -> tuple[Tensor | None, dict]:
-    """Dual-teacher distillation: per-teacher weighted sum of the channels.
+    """Dual-teacher distillation: per-teacher weighted sum of the channels, as one node.
 
     Per teacher k with per-sample weights r_k:
 
@@ -409,47 +433,94 @@ def mdd_loss(
     lane whose weight on it is exactly 0 takes its fd, ird and i2t terms at
     r = 0, its p&t term through a 0/1 lane mask, and logs 0 for it.
 
+    The teachers come as one bundle with the teacher axis (`c0_out`;
+    `prev_out` None) or one bundle each. Each term runs once over the axis,
+    on per-teacher copies of the student outputs (`_Caught`); the node adds
+    the terms up and hands the student outputs their gradients in the tape
+    order of the per-teacher chain it replaced (feats: fd0, ird0, fd_prev,
+    ird_prev), so the bits are the chain's.
+
     Returns (loss tensor or None if every channel is disabled, info dict
     with raw term values and the per-sample weights).
     """
-    rows = student.feats.shape[:-1]
+    pair = _paired(c0_out, prev_out, teacher_weight)
+    kept = [t for t, w in enumerate(weighted_teachers(teacher_weight)) if w]
+    rows = student.feats.data.shape[:-1]
     unweighted = (None, None)  # per teacher, the lanes whose weight on it is exactly 0 (None: one weight for all)
+
+    def similarity() -> list:  # `sample_weights` from both teachers' rows: (r0, r_prev)
+        return [r.data for r in sample_weights(*map(Tensor, pair.img_text_dist.data), student.img_text_dist)]
+
     if isinstance(teacher_weight, list):
-        sampled = sample_weights(c0_out.img_text_dist, prev_out.img_text_dist, student.img_text_dist)[0].data if None in teacher_weight else None
+        sampled = similarity()[0] if None in teacher_weight else None
         r0 = np.stack([sampled[s] if w is None else np.full(rows[-1], float(w)) for s, w in enumerate(teacher_weight)])
-        r0, r_prev = Tensor(r0), Tensor(1.0 - r0)
+        r_prev = 1.0 - r0
         unweighted = tuple(np.array([w == zero for w in teacher_weight]) for zero in (0, 1))
     elif teacher_weight is None:
-        r0, r_prev = sample_weights(c0_out.img_text_dist, prev_out.img_text_dist, student.img_text_dist)
+        r0, r_prev = similarity()
     else:
-        r0, r_prev = Tensor(np.full(rows, float(teacher_weight))), Tensor(np.full(rows, 1.0 - teacher_weight))
+        r0, r_prev = np.full(rows, float(teacher_weight)), np.full(rows, 1.0 - teacher_weight)
+    r, off, n = Tensor(np.array([(r0, r_prev)[t] for t in kept])), [unweighted[t] for t in kept], len(kept)
 
-    info = dict.fromkeys(("fd0", "fd_prev", "ird0", "ird_prev", "idd0", "idd_prev"), np.zeros(r0.shape[:-1]))
-    info["r0"] = r0.data.copy()
-    terms: list[Tensor] = []
-    for tag, teacher, r, weighted, off in zip(("0", "_prev"), (c0_out, prev_out), (r0, r_prev), weighted_teachers(teacher_weight), unweighted):
-        if not weighted:
-            continue
-        if enable_fd:
-            fd, info["fd" + tag] = fd_loss(teacher.feats, student.feats, r)
-            terms.append(fd)
-        if enable_ird:
-            ird, info["ird" + tag] = ird_loss(teacher.feats, student.feats, protos, r, alpha)
-            terms.append(ird)
-        if enable_idd:
-            i2t, i2t_raw = i2t_loss(teacher.img_text_dist, student.img_text_dist, r, beta)
-            pt = pt_loss(teacher, student.proto_text_dist, student.text_proto_dist)
-            terms.append(i2t)
-            terms.append(T.scale(pt, 0.5 * beta if off is None else 0.5 * beta * (1.0 - off)))
-            info["idd" + tag] = i2t_raw + pt.data
-        if off is not None:
-            info.update({name + tag: np.where(off, 0.0, info[name + tag]) for name in ("fd", "ird", "idd")})
+    info = dict.fromkeys(("fd0", "fd_prev", "ird0", "ird_prev", "idd0", "idd_prev"), np.zeros(rows[:-1]))
+    info["r0"] = r0.copy()
+    terms, raw = [], {}  # terms: (node over the teacher axis, per-teacher scale or None, [(copy, student output)])
+    if enable_fd:
+        x = _Caught(student.feats, n)
+        node, raw["fd"] = fd_loss(pair.feats, x, r)
+        terms.append((node, None, [(x, student.feats)]))
+    if enable_ird:
+        x = _Caught(student.feats, n)
+        node, raw["ird"] = ird_loss(pair.feats, x, protos, r, alpha)
+        terms.append((node, None, [(x, student.feats)]))
+    if enable_idd:
+        outputs = (student.img_text_dist, student.proto_text_dist, student.text_proto_dist)
+        x, pt_x, tp_x = (_Caught(o, n) for o in outputs)
+        node, i2t_raw = i2t_loss(pair.img_text_dist, x, r, beta)
+        pt = pt_loss(pair, pt_x, tp_x)
+        scales = [0.5 * beta if o is None else 0.5 * beta * (1.0 - o) for o in off]
+        terms += [(node, None, [(x, outputs[0])]), (pt, scales, [(pt_x, outputs[1]), (tp_x, outputs[2])])]
+        raw["idd"] = i2t_raw + pt.data
+    for name, values in raw.items():
+        for t, value, o in zip(kept, values, off):
+            info[name + ("0", "_prev")[t]] = value if o is None else np.where(o, 0.0, value)
     if not terms:
         return None, info
-    total = terms[0]
-    for term in terms[1:]:
-        total = T.add(total, term)
-    return total, info
+
+    data = None
+    for t in range(n):
+        for node, scales, _ in terms:
+            value = node.data[t] if scales is None else node.data[t] * scales[t]
+            data = value if data is None else data + value
+
+    def backward(g):
+        for node, scales, _ in terms:
+            up = g if scales is None else np.array([g * c for c in scales])
+            for part in (node,) if scales is None else node._parents:  # p&t is the add of its two soft CE nodes
+                if part._backward is not None:
+                    part._backward(up)
+        for t in range(n):
+            for _, _, inputs in terms:
+                for x, output in inputs:
+                    if x._g is not None:
+                        output._accumulate(x._g[t])
+
+    parents = dict.fromkeys(output for _, _, inputs in terms for _, output in inputs)  # feats, then the distributions
+    return T.node(data, tuple(parents), backward), info
+
+
+class _Caught(Tensor):
+    """Student output `x` once per teacher, [n, ...], off every tape: a term run on it over the teacher axis leaves
+    its gradient here (`_g`) for `mdd_loss` to hand on to `x` teacher by teacher. It keeps `x`'s unit rows."""
+
+    __slots__ = ()
+
+    def __init__(self, x: Tensor, n: int):
+        super().__init__(x.data[None].repeat(n, 0), x.requires_grad)
+        self._unit = x._unit
+
+    def _accumulate(self, g: np.ndarray) -> None:
+        self._g = g
 
 
 def cross_entropy(dist: Tensor, label_positions) -> Tensor:
@@ -470,7 +541,7 @@ def total_loss(
     token_ids,
     protos: Tensor | None,
     hyper,
-    teachers: tuple[TeacherOutputs, TeacherOutputs] | None,
+    teachers: TeacherOutputs | tuple | None,
     batch_rows,
     wc_reference=None,
     lane_weights: list | None = None,
@@ -481,10 +552,11 @@ def total_loss(
     `label_positions` index into `token_ids` (the current task's classes,
     in a fixed order) and into the rows of `protos`, the prototypes in
     that order (None when no enabled term reads them).
-    `teachers` holds the (c0, c_prev) `teacher_outputs` over the whole
-    training set the batch was drawn from (None when every distillation
-    channel is off, and either entry None for a teacher without weight),
-    and `batch_rows` the batch's row indices into it. The drift anchor is
+    `teachers` is the weighted teachers' bundle over the whole training
+    set the batch was drawn from (`teacher_outputs` of them, with the
+    teacher axis; None when every distillation channel is off), or a
+    (c0, c_prev) pair of one bundle each (either None for a teacher
+    without weight), and `batch_rows` the batch's row indices into it. The drift anchor is
     added iff `wc_reference` is given. `lane_weights` (one per lane) stand in
     for `hyper.teacher_weight` when the lanes differ in it. Teachers and prototypes are
     constants. Only the distributions an enabled term reads are built (see
@@ -506,10 +578,10 @@ def total_loss(
         loss = T.add(loss, T.scale(csa, hyper.lambda1))
 
     if hyper.distills:
-        c0_out, prev_out = (None if t is None else t.rows(batch_rows, pt_protos, hyper.tau) for t in teachers)
+        bundles = (teachers, None) if isinstance(teachers, TeacherOutputs) else teachers
         mdd, info = mdd_loss(
-            c0_out, prev_out, student, protos, hyper.alpha, hyper.beta, lane_weights or hyper.teacher_weight,
-            hyper.enable_fd, hyper.enable_ird, hyper.enable_idd,
+            *(None if t is None else t.rows(batch_rows, pt_protos, hyper.tau) for t in bundles), student, protos,
+            hyper.alpha, hyper.beta, lane_weights or hyper.teacher_weight, hyper.enable_fd, hyper.enable_ird, hyper.enable_idd,
         )
         if mdd is not None:
             for name in ("fd0", "fd_prev", "ird0", "ird_prev", "idd0", "idd_prev"):

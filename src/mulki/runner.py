@@ -15,33 +15,35 @@ seed draws its own batches, and every loss is one value per seed. Each
 slice runs a single model's numpy code, so each seed's artifacts are the
 bytes of that seed run alone. Per-seed loops remain for a diverged loss's
 breakdown, the checkpoints and evaluation. An initial model all seeds
-share stays one model, its prototypes and bundle built once per task.
-Arms that differ only in teacher weight train as one stack (`run_arms`) of
-(arm, seed) lanes, each with its own weight. To hold them all at once, a
-stacked teacher's bundle is built a lane at a time, teacher rows are normalized
-per batch, a task's checkpoints are lane views of one frozen stack (the next
-task's c_prev and drift anchor), and the graph goes before each AdamW step.
+share stays one model, its zero-shot row evaluated once, its prototypes
+and block of the teachers' bundle built once per task. Arms that differ
+only in teacher weight train as one stack (`run_arms`) of (arm, seed)
+lanes, each with its own weight. To hold them all at once, the bundle is
+filled a lane at a time, teacher rows are normalized per batch, a task's
+checkpoints are lane views of one frozen stack (the next task's c_prev and
+drift anchor), and the graph goes before each AdamW step.
 
 One loop serves every arm, and it builds only what the enabled terms
 read (`HyperParams.distills`, `uses_prototypes`): the prototype store
-exists when alignment or a distillation channel is on, and a teacher
-bundle when a channel is on and some lane weights that teacher
+exists when alignment or a distillation channel is on, and a teachers'
+bundle when a channel is on, of the teachers some lane weights
 (`losses.weighted_teachers`). So `continual_ft` keeps no store and no
 bundle, `only_c0` or `only_prev` lanes alone (teacher_weight 1, 0) one.
 
 Per task, before the first iteration: look up every training label's
 class position at once (a label outside the task's classes raises
 ContractError), seed the store from the initial model(s), and run
-each weighted teacher once over the task's training set. Per iteration:
-draw each seed's batch (images and row indices) -> encode the stack ->
-with a store, EMA-update each seed's classes in its batch, in
+the weighted teachers once over the task's training set into one bundle.
+Per iteration: draw each seed's batch (images and row indices) -> encode
+the stack -> with a store, EMA-update each seed's classes in its batch, in
 label-position order -> build the loss from the batch's label positions,
-the prototypes, the teachers' rows for the batch and the drift anchor ->
-refuse a non-finite loss -> backward -> one flat AdamW step -> on every
-`we_interval`-th iteration, fold the flat parameters into the ensemble
-(and under "ewe", after every `ewe_eta`-th averaging, load the ensemble
-into the live parameters and reset AdamW's moments). A seed's run is a
-pure function of (stream, hyper, seed, initial model).
+the prototypes, the teachers' rows for the batch (one distillation node)
+and the drift anchor -> refuse a non-finite loss -> backward -> one flat
+AdamW step -> on every `we_interval`-th iteration, fold the flat
+parameters into the ensemble (and under "ewe", after every `ewe_eta`-th
+averaging, load the ensemble into the live parameters and reset AdamW's
+moments). A seed's run is a pure function of (stream, hyper, seed,
+initial model).
 """
 
 from __future__ import annotations
@@ -145,7 +147,7 @@ def train_task(
     unless `hyper.ensemble` is "off"). The prototype store, when an enabled
     term reads it, lives only inside this window: seeded from `c0` before
     the first iteration, dropped on return. Every batch's loss takes its
-    teacher rows from the per-task bundles of the weighted teachers, and
+    teacher rows from the per-task bundle of the weighted teachers, and
     adds the drift anchor toward `wc_reference` ([S, P]) iff one is given.
     `lane_weights` (one per lane) stand in for `hyper.teacher_weight` when the
     lanes differ in it. A non-finite loss raises TrainingDivergedError for its first lane.
@@ -160,11 +162,8 @@ def train_task(
         protos = store.matrix()
     teachers = None
     if hyper.distills:
-        pt_protos = protos if hyper.enable_idd else None
-        teachers = tuple(
-            losses.teacher_outputs(teacher, task.train_x, token_ids, pt_protos, hyper.tau) if weighted else None
-            for teacher, weighted in zip((c0, c_prev), losses.weighted_teachers(lane_weights or hyper.teacher_weight))
-        )
+        weighted = [t for t, w in zip((c0, c_prev), losses.weighted_teachers(lane_weights or hyper.teacher_weight)) if w]
+        teachers = losses.teacher_outputs(weighted, task.train_x, token_ids, protos if hyper.enable_idd else None, hyper.tau)
 
     we_state = None if hyper.ensemble == "off" else we_init(student.parameters().flat, hyper.we_interval)
     opt = _adamw(student, hyper)
@@ -276,8 +275,11 @@ def _run_stack(stream, lanes: list, seeds: list, c0s: list, config_echo: dict) -
     hyper, weights = lanes[0], [h.teacher_weight for h in lanes]
     n, iterations = stream.n_tasks, hyper.iterations_per_task
     matrices = [np.zeros((n + 1, n)) for _ in seeds]
+    zero_shot: dict = {}  # one evaluation per distinct initial model: `cli` hands every lane the same one
     for matrix, c0 in zip(matrices, c0s):
-        matrix[0] = evaluate_row(c0, stream, 0)
+        if id(c0) not in zero_shot:
+            zero_shot[id(c0)] = evaluate_row(c0, stream, 0)
+        matrix[0] = zero_shot[id(c0)]
 
     student = stack(c0s)
     c0 = c0s[0] if all(c is c0s[0] for c in c0s) else snapshot(stack(c0s))  # a model all seeds share stays one

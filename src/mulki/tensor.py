@@ -47,6 +47,12 @@ nodes work over the last two axes, so each slice of a stacked call runs
 the kernels of a 2-D call on arrays of the same layout (matmul calls gemm
 per slice, reductions run along each slice alike): every seed gets the
 bits of its own 2-D run. `sum_seeds` makes the [S] losses one scalar root.
+
+`losses.mdd_loss` adds a teacher axis in front, [T, S, B, d]: a matmul
+against [S, ...] broadcasts over it, still one gemm per slice. A node's
+gradient sums its contributions in the order `_accumulate` gets them, so
+a node that fuses several consumers of one input hands their parts on
+one call each, in the order the tape ran those consumers.
 """
 
 from __future__ import annotations
@@ -385,20 +391,6 @@ class UnitRows:
 
     def grad(self, g: np.ndarray) -> np.ndarray:
         return _normalized_backward(g, self.data, self.norms, -1)
-
-
-def row_index(a: np.ndarray, idx):
-    """`idx` as positions in `a`'s rows laid end to end: of an [n, d] array shared by every
-    seed, `idx` itself; of a stack's [S, n, d] array, with [S, B] indices, row idx[s, b] of slice s."""
-    if a.ndim == 2:
-        return idx
-    n = a.shape[-2]  # slice s's rows are rows s * n ... of the slices laid end to end
-    return idx + np.arange(0, len(a) * n, n)[:, None]
-
-
-def gather(a: np.ndarray, at) -> np.ndarray:
-    """Rows `at` (from `row_index` on an array of `a`'s leading shape) of `a`'s rows laid end to end."""
-    return a[at] if a.ndim == 2 else a.reshape(-1, a.shape[-1])[at]
 
 
 def unit_rows(a: Tensor) -> UnitRows:

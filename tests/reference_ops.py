@@ -3,12 +3,14 @@
 Every chain here builds, from generic ops, exactly the chain the package
 built before its fused node existed: the same ops on the same operands
 in the same order. A fused node must match its chain bit for bit, in the
-forward value and in every leaf gradient (tests/test_fused_ops.py). The
-generic ops themselves live here too, since no production code calls
-them any more: the elementwise arithmetic (mul, sub, log, sqrt,
-maximum_scalar), linear algebra and shapes (matmul, transpose, reshape,
-concat1d), tanh, the reductions (tsum, mean), softmax and l2_normalize,
-and the composites built from them (soft_cross_entropy, frobenius_norm);
+forward value and in every leaf gradient (tests/test_fused_ops.py); the
+one distillation node matches the per-term composition it replaced,
+`mdd_loss_per_term`. The generic ops themselves live here too, since no
+production code calls them any more: the elementwise arithmetic (mul,
+sub, log, sqrt, maximum_scalar), linear algebra and shapes (matmul,
+transpose, reshape, concat1d), tanh, the reductions (tsum, mean), softmax
+and l2_normalize, and the composites built from them (soft_cross_entropy,
+frobenius_norm);
 tests/test_tensor.py checks their gradients. They put themselves on the
 tape and hand gradients on through mulki.tensor's `Tensor._accumulate`,
 and reuse its normalization kernels, so a chain's bits are the ones the
@@ -18,12 +20,15 @@ the flat step replaced (tests/test_optim.py holds the flat step to it).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 import mulki.tensor as T
+from mulki import losses
 from mulki.encoder import TEMPLATE_TOKEN
 from mulki.errors import ContractError
-from mulki.losses import LossBreakdown, StudentOutputs, TeacherOutputs, sample_weights, wc_loss
+from mulki.losses import LossBreakdown, StudentOutputs, TeacherOutputs, sample_weights, wc_loss, weighted_teachers
 from mulki.tensor import LOG_EPS, Tensor
 
 # ---------------------------------------------------------------------------
@@ -373,6 +378,62 @@ def mdd_loss(c0_out, prev_out, student, protos, alpha=1.0, beta=1.0, teacher_wei
             terms.append(i2t)
             terms.append(T.scale(pt, 0.5 * beta))
             info["idd" + tag] = i2t_raw + pt.item()
+    if not terms:
+        return None, info
+    total = terms[0]
+    for term in terms[1:]:
+        total = T.add(total, term)
+    return total, info
+
+
+def mdd_loss_per_term(c0_out, prev_out, student, protos, alpha=1.0, beta=1.0, teacher_weight=None,
+                      enable_fd=True, enable_ird=True, enable_idd=True):
+    """The per-term node composition the fused `mulki.losses.mdd_loss` replaced, one teacher at a time.
+
+    Each teacher's fd, ird, i2t and p&t terms are their own nodes (`losses.fd_loss`, ...), joined by an add
+    chain: fd0 + ird0 + i2t0 + 0.5 * beta * p&t0 + fd_prev + ... Every weight shape as the fused node takes it:
+    similarity (None), a fixed w, or a per-lane list with the 0/1 p&t mask. The raw relation gaps are the
+    per-slice loop `math.sqrt(flat.dot(flat))` that `ird_loss` ran before `np.vecdot`.
+    """
+    rows = student.feats.shape[:-1]
+    unweighted = (None, None)
+    if isinstance(teacher_weight, list):
+        sampled = sample_weights(c0_out.img_text_dist, prev_out.img_text_dist, student.img_text_dist)[0].data if None in teacher_weight else None
+        r0 = np.stack([sampled[s] if w is None else np.full(rows[-1], float(w)) for s, w in enumerate(teacher_weight)])
+        r0, r_prev = Tensor(r0), Tensor(1.0 - r0)
+        unweighted = tuple(np.array([w == zero for w in teacher_weight]) for zero in (0, 1))
+    elif teacher_weight is None:
+        r0, r_prev = sample_weights(c0_out.img_text_dist, prev_out.img_text_dist, student.img_text_dist)
+    else:
+        r0, r_prev = Tensor(np.full(rows, float(teacher_weight))), Tensor(np.full(rows, 1.0 - teacher_weight))
+
+    info = dict.fromkeys(("fd0", "fd_prev", "ird0", "ird_prev", "idd0", "idd_prev"), np.zeros(r0.shape[:-1]))
+    info["r0"] = r0.data.copy()
+    terms = []
+    for tag, teacher, r, weighted, off in zip(("0", "_prev"), (c0_out, prev_out), (r0, r_prev), weighted_teachers(teacher_weight), unweighted):
+        if not weighted:
+            continue
+        if enable_fd:
+            fd, info["fd" + tag] = losses.fd_loss(teacher.feats, student.feats, r)
+            terms.append(fd)
+        if enable_ird:
+            ird, _ = losses.ird_loss(teacher.feats, student.feats, protos, r, alpha)
+            diff = T.cosine_sim(teacher.feats, protos).data - T.cosine_sim(student.feats, protos).data
+            b, k = diff.shape[-2:]
+            gaps = [math.sqrt(flat.dot(flat)) / math.sqrt(b * k) for flat in diff.reshape(-1, b * k)]
+            info["ird" + tag] = np.array(gaps).reshape(diff.shape[:-2])
+            terms.append(ird)
+        if enable_idd:
+            i2t, i2t_raw = losses.i2t_loss(teacher.img_text_dist, student.img_text_dist, r, beta)
+            pt = T.add(  # the p&t term as two soft CE nodes and an add, before `losses.pt_loss` was one node
+                T.soft_ce_mean(teacher.proto_text_dist, student.proto_text_dist),
+                T.soft_ce_mean(teacher.text_proto_dist, student.text_proto_dist),
+            )
+            terms.append(i2t)
+            terms.append(T.scale(pt, 0.5 * beta if off is None else 0.5 * beta * (1.0 - off)))
+            info["idd" + tag] = i2t_raw + pt.data
+        if off is not None:
+            info.update({name + tag: np.where(off, 0.0, info[name + tag]) for name in ("fd", "ird", "idd")})
     if not terms:
         return None, info
     total = terms[0]

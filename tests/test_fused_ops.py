@@ -9,6 +9,7 @@ cosine, inputs that are leaves or op outputs. Each node also passes the
 finite-difference check.
 """
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -22,7 +23,7 @@ import reference_ops as R
 from gradcheck import check_grads, prob_rows, unit_rows
 from mulki import losses
 from mulki.config import HyperParams
-from mulki.encoder import DualEncoder, load_flat, params_flat, snapshot, tower
+from mulki.encoder import DualEncoder, load_flat, params_flat, snapshot, stack, tower
 from mulki.errors import ContractError
 from mulki.losses import TeacherOutputs, sample_weights, weighted_teachers
 from mulki.prototypes import PrototypeStore
@@ -239,6 +240,16 @@ def test_i2t_loss_matches_chain(data, b, k, through_node, beta):
 
 
 @SETTINGS
+@given(st.data(), widths, st.booleans())
+def test_pt_loss_matches_chain(data, k, through_node):
+    teacher = SimpleNamespace(**{key: Tensor(data.draw(prob_matrices((k, k)))) for key in ("proto_text_dist", "text_proto_dist")})
+    pt, tp = data.draw(prob_matrices((k, k))), data.draw(prob_matrices((k, k)))
+    assert_same(
+        lambda x, y: losses.pt_loss(teacher, x, y), lambda x, y: R.pt_loss(teacher, x, y), [pt, tp], [True, True], through_node
+    )
+
+
+@SETTINGS
 @given(st.data(), dims, widths, st.booleans(), st.sampled_from([0.07, 2.0]))
 def test_csa_loss_matches_chain(data, k, d, through_node, tau):
     protos, texts = data.draw(matrices((k, d))), data.draw(matrices((k, d)))
@@ -313,8 +324,8 @@ def test_iteration_tape_is_fused():
     it = _iteration(0, HyperParams())
     loss, _ = it.fused()
     # 2 encoder towers, 2 supervised, 3 student distributions,
-    # 3 csa (+ scale, add), 23 distillation (7 per teacher, 7 adds, scale, add), 3 anchor
-    assert len(GradTape.trace(loss).nodes) == 36
+    # 3 csa (+ scale, add), 3 distillation (one node for both teachers, scale, add), 3 anchor
+    assert len(GradTape.trace(loss).nodes) == 16
     chain_loss, _ = it.chain()
     assert len(GradTape.trace(chain_loss).nodes) == 149  # leaves stay off every tape, the chain's 9 too
 
@@ -378,3 +389,104 @@ def test_fused_op_grads(rng):
     check_grads(lambda q: losses.fd_loss(Tensor(teacher), q[0], wts)[0], [student], rel=1e-6)
     check_grads(lambda q: losses.ird_loss(Tensor(teacher), q[0], Tensor(protos), wts, 0.7)[0], [student], rel=1e-6)
     check_grads(lambda q: losses.csa_loss(Tensor(protos), q[0], 2.0), [rng.normal(size=(3, 5))], rel=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# the distillation block: one node over the teacher axis against the per-term chain
+
+ALL_ON = dict(enable_fd=True, enable_ird=True, enable_idd=True)
+MIXED = [None, 1.0, 0.0, 0.5]  # per-lane weights: similarity, only c0, only c_prev, a fixed split
+DISTILL_CASES = {  # id: (lanes, teacher_weight, channels)
+    "similarity-S1": (1, None, ALL_ON),
+    "similarity-S3": (3, None, ALL_ON),
+    "w0-S3": (3, 0.0, ALL_ON),
+    "w0.5-S1": (1, 0.5, ALL_ON),
+    "w1-S3": (3, 1.0, ALL_ON),
+    "lanes": (4, MIXED, ALL_ON),
+    "no_fd": (3, None, dict(ALL_ON, enable_fd=False)),
+    "no_ird": (3, None, dict(ALL_ON, enable_ird=False)),
+    "no_idd": (3, 0.5, dict(ALL_ON, enable_idd=False)),
+    "lanes-no_idd": (4, MIXED, dict(ALL_ON, enable_idd=False)),
+}
+
+
+def _assert_same_distillation(fused, chain):
+    """(loss, info, gradients) of the fused node and of the per-term chain, equal with np.array_equal."""
+    (f_loss, f_info, f_grads), (c_loss, c_info, c_grads) = fused, chain
+    assert np.array_equal(f_loss, c_loss)
+    assert set(f_info) == set(c_info)
+    for key in c_info:
+        assert np.array_equal(f_info[key], c_info[key]), key
+    assert len(f_grads) == len(c_grads)
+    for f, c in zip(f_grads, c_grads):
+        assert (f is None) == (c is None)
+        if f is not None:
+            assert np.array_equal(f, c)
+
+
+@pytest.mark.parametrize("case", DISTILL_CASES.values(), ids=DISTILL_CASES.keys())
+def test_pair_bundle_distillation_matches_per_term_chain(case):
+    """The trainer's path (one bundle of both teachers, a shared c0 filling every lane beside c_prev's stack, cut with
+    one take per array) against a bundle per teacher and the per-term chain: value, six raw logs and r0, and every
+    student parameter's gradient, bit for bit."""
+    lanes, teacher_weight, channels = case
+    rng = np.random.default_rng(7)
+    dims = dict(vocab_size=8, d_in=12, d_tok=6, hidden=10, embed_dim=16)
+    c0 = snapshot(DualEncoder(50, **dims))
+    c_prev = snapshot(stack([DualEncoder(60 + s, **dims) for s in range(lanes)]))
+    x, token_ids = rng.normal(size=(40, 12)), [1, 2, 3, 4, 5]
+    protos = Tensor(np.stack([PrototypeStore.init_from_model(c0, [rng.normal(size=(4, 12)) for _ in range(5)]).matrix().data] * lanes))
+    idx = rng.integers(0, 40, size=(lanes, 32))
+    weighted = [t for t, w in zip((c0, c_prev), weighted_teachers(teacher_weight)) if w]
+    pair = losses.teacher_outputs(weighted, x, token_ids, protos, 2.0)
+    per_teacher = [losses.teacher_outputs(t, x, token_ids, protos, 2.0) for t in (c0, c_prev)]
+
+    def run(distill, teachers):
+        student = stack([DualEncoder(70 + s, **dims) for s in range(lanes)])
+        out = losses.student_outputs(student, student.encode_images(x[idx]), token_ids, protos, 2.0)
+        loss, info = distill(*teachers, out, protos, 0.7, 1.3, teacher_weight, **channels)
+        T.sum_seeds(loss).backward()
+        return loss.data, info, [p.grad for p in student.parameters()]
+
+    cut = [t.rows(idx, protos, 2.0) for t in per_teacher]
+    chain = run(R.mdd_loss_per_term, cut)
+    _assert_same_distillation(run(losses.mdd_loss, [pair.rows(idx, protos, 2.0), None]), chain)
+    _assert_same_distillation(run(losses.mdd_loss, cut), chain)  # a bundle per teacher, stacked by the node
+
+
+@pytest.mark.parametrize("teacher_weight", [None, 0.5, MIXED[1:]], ids=["similarity", "average", "lanes"])
+def test_distillation_of_a_shared_2d_bundle_beside_a_stack_matches_per_term_chain(teacher_weight, rng):
+    """A c0 bundle every lane shares ([B, ...]) beside c_prev's [S, B, ...], against the chain given c0 per lane."""
+    s, b, k, d = 3, 7, 3, 5
+
+    def bundle(lead):
+        return {
+            "feats": rng.normal(size=lead + (b, d)),
+            "img_text_dist": np.stack([prob_rows(rng, b, k) for _ in range(math.prod(lead))]).reshape(lead + (b, k)),
+            "proto_text_dist": np.stack([prob_rows(rng, k, k) for _ in range(math.prod(lead))]).reshape(lead + (k, k)),
+            "text_proto_dist": np.stack([prob_rows(rng, k, k) for _ in range(math.prod(lead))]).reshape(lead + (k, k)),
+        }
+
+    c0, prev = bundle(()), bundle((s,))
+    student = {**bundle((s,)), "texts": rng.normal(size=(s, k, d))}
+    protos = Tensor(rng.normal(size=(s, k, d)))
+
+    def run(distill, c0_arrays):
+        leaves = {key: Tensor(v.copy(), requires_grad=True) for key, v in student.items()}
+        out = losses.StudentOutputs(**{key: T.scale(t, 1.0) for key, t in leaves.items()})  # op outputs, as in training
+        teachers = [losses.TeacherOutputs(**{key: Tensor(v) for key, v in arrays.items()}) for arrays in (c0_arrays, prev)]
+        loss, info = distill(*teachers, out, protos, 0.7, 1.3, teacher_weight)
+        T.sum_seeds(loss).backward()
+        return loss.data, info, [leaves[key].grad for key in sorted(leaves)]
+
+    tiled = {key: np.broadcast_to(v, (s,) + v.shape).copy() for key, v in c0.items()}
+    _assert_same_distillation(run(losses.mdd_loss, c0), run(R.mdd_loss_per_term, tiled))
+
+
+def test_distillation_is_one_node_whose_parents_are_the_student_outputs():
+    """Both teachers' terms are one tape node over (feats, image-text, prototype-text, text-prototype distributions)."""
+    it = _iteration(0, HyperParams())
+    loss, _ = it.fused()
+    distill = [n for n in GradTape.trace(loss).nodes if len(n._parents) == 4]
+    assert len(distill) == 1
+    assert [p.shape for p in distill[0]._parents] == [(32, 16), (32, 5), (5, 5), (5, 5)]

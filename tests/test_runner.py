@@ -168,7 +168,7 @@ def count_calls(monkeypatch, owner, name) -> list:
     ],
 )
 def test_each_arm_builds_only_what_its_terms_read(tiny_stream, monkeypatch, variant, keeps_store, bundles):
-    """The prototype store exists iff some term reads it; a teacher bundle is built iff its teacher has weight."""
+    """The prototype store exists iff some term reads it; the per-task teacher bundle holds exactly the teachers with weight."""
     c0 = make_c0(tiny_stream)
     calls = {
         name: count_calls(monkeypatch, owner, attr)
@@ -186,8 +186,8 @@ def test_each_arm_builds_only_what_its_terms_read(tiny_stream, monkeypatch, vari
     n, iters = tiny_stream.n_tasks, hyper.iterations_per_task
     assert len(calls["init"]) == (n if keeps_store else 0)
     assert len(calls["ema"]) == (n * iters if keeps_store else 0)
-    assert ["c0" if args[0] is c0 else "prev" for args in calls["teacher"]] == bundles * n
-    assert len(calls["rows"]) == len(bundles) * n * iters
+    assert [["c0" if model is c0 else "prev" for model in args[0]] for args in calls["teacher"]] == ([bundles] * n if bundles else [])
+    assert len(calls["rows"]) == (n * iters if bundles else 0)  # both teachers' rows in one call per batch
     if variant == "continual_ft":
         assert len(calls["dist"]) == n * iters  # the supervised distribution at tau_ce, nothing else
 
