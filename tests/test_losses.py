@@ -17,12 +17,8 @@ from mulki.losses import (
     TeacherOutputs,
     cross_entropy,
     csa_loss,
-    fd_loss,
-    i2t_loss,
     image_text_dist,
-    ird_loss,
     mdd_loss,
-    pt_loss,
     sample_weights,
     student_outputs,
     teacher_outputs,
@@ -139,13 +135,13 @@ def test_csa_grads(rng):
 
 def test_fd_zero_at_equality(rng):
     f = unit_rows(rng, 4, 6)
-    loss, raw = fd_loss(Tensor(f), Tensor(f.copy()))
+    loss, raw = R.fd_node(Tensor(f), Tensor(f.copy()))
     assert loss.item() == 0.0 and raw == 0.0
 
 
 def test_fd_antipodal(rng):
     u = unit_rows(rng, 3, 6)
-    loss, raw = fd_loss(Tensor(u), Tensor(-u))
+    loss, raw = R.fd_node(Tensor(u), Tensor(-u))
     assert abs(loss.item() - 4.0) < 1e-12
     assert abs(raw - 4.0) < 1e-12
 
@@ -153,21 +149,21 @@ def test_fd_antipodal(rng):
 def test_fd_oracle(rng):
     t, s = rng.normal(size=(5, 4)), rng.normal(size=(5, 4))
     expected = ((t - s) ** 2).sum(axis=1)
-    loss, raw = fd_loss(Tensor(t), Tensor(s))
+    loss, raw = R.fd_node(Tensor(t), Tensor(s))
     assert abs(loss.item() - expected.mean()) < 1e-12
     assert abs(raw - expected.mean()) < 1e-12
     # one-hot weights pick out each row's distance
     for i in range(5):
-        picked, raw_again = fd_loss(Tensor(t), Tensor(s), weights=Tensor(5.0 * np.eye(5)[i]))
+        picked, raw_again = R.fd_node(Tensor(t), Tensor(s), weights=Tensor(5.0 * np.eye(5)[i]))
         assert abs(picked.item() - expected[i]) < 1e-12
         assert raw_again == raw
 
 
 def test_fd_shape_error(rng):
-    with pytest.raises(ContractError, match=re.escape("fd_loss: (2, 3) vs (2, 4)")):
-        fd_loss(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))))
+    with pytest.raises(ContractError, match=re.escape("fd_node: (2, 3) vs (2, 4)")):
+        R.fd_node(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))))
     with pytest.raises(ContractError):
-        fd_loss(Tensor(np.ones((2, 3)), requires_grad=True), Tensor(np.zeros((2, 3))))
+        R.fd_node(Tensor(np.ones((2, 3)), requires_grad=True), Tensor(np.zeros((2, 3))))
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +172,7 @@ def test_fd_shape_error(rng):
 
 def test_ird_zero_at_equality(rng):
     f, p = unit_rows(rng, 4, 6), unit_rows(rng, 3, 6)
-    loss, raw = ird_loss(Tensor(f), Tensor(f.copy()), Tensor(p))
+    loss, raw = R.ird_node(Tensor(f), Tensor(f.copy()), Tensor(p))
     assert loss.item() == 0.0 and raw == 0.0
 
 
@@ -185,31 +181,31 @@ def test_ird_single_cell_delta():
     s = Tensor(np.array([[0.0, 1.0]]))
     p = Tensor(np.array([[1.0, 0.0]]))
     # similarities are 1 and 0, so the single matrix cell differs by 1
-    assert abs(ird_loss(t, s, p)[0].item() - 1.0) < 1e-12
+    assert abs(R.ird_node(t, s, p)[0].item() - 1.0) < 1e-12
 
 
 def test_ird_oracle_and_weights(rng):
     t, s = rng.normal(size=(5, 6)), rng.normal(size=(5, 6))
     p = unit_rows(rng, 3, 6)
-    loss, raw = ird_loss(Tensor(t), Tensor(s), Tensor(p))
+    loss, raw = R.ird_node(Tensor(t), Tensor(s), Tensor(p))
     assert abs(loss.item() - np_ird(t, s, p)) < 1e-12
     assert abs(raw - np_ird(t, s, p)) < 1e-12
 
     w = rng.uniform(0.1, 1.0, size=5)
-    got, raw_weighted = ird_loss(Tensor(t), Tensor(s), Tensor(p), weights=Tensor(w), alpha=0.6)
+    got, raw_weighted = R.ird_node(Tensor(t), Tensor(s), Tensor(p), weights=Tensor(w), alpha=0.6)
     assert abs(got.item() - 0.6 * np_ird(t, s, p, weights=w)) < 1e-12
     assert raw_weighted == raw  # the logged value is the unweighted, unscaled gap
 
     # a uniform weight c scales the whole value by c
     c = 0.37
-    flat = ird_loss(Tensor(t), Tensor(s), Tensor(p), weights=Tensor(np.full(5, c)))[0].item()
+    flat = R.ird_node(Tensor(t), Tensor(s), Tensor(p), weights=Tensor(np.full(5, c)))[0].item()
     assert abs(flat - c * np_ird(t, s, p)) < 1e-12
 
 
 def test_ird_empty_protos_error(rng):
     f = unit_rows(rng, 2, 4)
     with pytest.raises(ContractError):
-        ird_loss(Tensor(f), Tensor(f), Tensor(np.zeros((0, 4))))
+        R.ird_node(Tensor(f), Tensor(f), Tensor(np.zeros((0, 4))))
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +231,7 @@ def test_image_text_dist_uniform_when_sims_equal(rng):
 def test_i2t_uniform_self_is_log_k(rng):
     b, k = 3, 5
     u = Tensor(np.full((b, k), 1.0 / k))
-    loss, raw = i2t_loss(u, Tensor(u.data.copy()))
+    loss, raw = R.i2t_node(u, Tensor(u.data.copy()))
     assert abs(loss.item() - math.log(k)) < 1e-12 and abs(raw - math.log(k)) < 1e-12
 
 
@@ -245,18 +241,18 @@ def test_i2t_oracle_and_weighting(rng):
     td = image_text_dist(Tensor(f), Tensor(t), 2.0)
     sd = image_text_dist(Tensor(s), Tensor(t), 2.0)
     expected = np_soft_ce(td.data, sd.data).mean()
-    assert abs(i2t_loss(td, sd)[0].item() - expected) < 1e-12
+    assert abs(R.i2t_node(td, sd)[0].item() - expected) < 1e-12
 
     w = rng.uniform(0.1, 1.0, size=4)
     weighted = (np_soft_ce(td.data, sd.data) * w).mean()
-    loss, raw = i2t_loss(td, sd, weights=Tensor(w), beta=1.7)
+    loss, raw = R.i2t_node(td, sd, weights=Tensor(w), beta=1.7)
     assert abs(loss.item() - 1.7 * weighted) < 1e-12
     assert abs(raw - expected) < 1e-12
 
 
 def test_pt_self_is_entropy_sum(rng):
     teacher, _ = teacher_pack(rng, 4, 3, 6)
-    val = pt_loss(teacher, Tensor(teacher.proto_text_dist.data.copy()), Tensor(teacher.text_proto_dist.data.copy()))
+    val = R.pt_node(teacher, Tensor(teacher.proto_text_dist.data.copy()), Tensor(teacher.text_proto_dist.data.copy()))
     ent = np_soft_ce(teacher.proto_text_dist.data, teacher.proto_text_dist.data).mean() + np_soft_ce(
         teacher.text_proto_dist.data, teacher.text_proto_dist.data
     ).mean()
@@ -265,7 +261,7 @@ def test_pt_self_is_entropy_sum(rng):
 
 def test_pt_single_class_is_zero(rng):
     teacher, _ = teacher_pack(rng, 2, 1, 6)
-    val = pt_loss(teacher, Tensor(teacher.proto_text_dist.data.copy()), Tensor(teacher.text_proto_dist.data.copy()))
+    val = R.pt_node(teacher, Tensor(teacher.proto_text_dist.data.copy()), Tensor(teacher.text_proto_dist.data.copy()))
     assert abs(val.item()) < 1e-9
 
 
@@ -440,7 +436,7 @@ def build_packs(rng, b=4, k=3, d=6, tau=2.0):
 )
 def test_mdd_matches_numpy_oracle(rng, teacher_weight):
     c0_out, prev_out, student, protos, packs = build_packs(rng)
-    loss, info = mdd_loss(c0_out, prev_out, student, protos, alpha=0.7, beta=1.3, teacher_weight=teacher_weight)
+    loss, info = mdd_loss(R.pair(c0_out, prev_out, teacher_weight), student, protos, alpha=0.7, beta=1.3, teacher_weight=teacher_weight)
     expected = np_mdd(packs["c0"], packs["prev"], packs["student"], protos.data, 0.7, 1.3, teacher_weight)
     assert abs(loss.item() - expected) < 1e-12
     assert loss.requires_grad
@@ -450,14 +446,14 @@ def test_mdd_average_equals_similarity_when_teachers_coincide(rng):
     seed = int(rng.integers(0, 2**31))
     r1 = np.random.default_rng(seed)
     c0_out, _, student, protos, _ = build_packs(r1)
-    sim, _ = mdd_loss(c0_out, c0_out, student, protos)
-    avg, _ = mdd_loss(c0_out, c0_out, student, protos, teacher_weight=0.5)
+    sim, _ = mdd_loss(R.pair(c0_out, c0_out), student, protos)
+    avg, _ = mdd_loss(R.pair(c0_out, c0_out), student, protos, teacher_weight=0.5)
     assert sim.item() == avg.item()
 
 
 def test_mdd_alpha_beta_zero_is_weighted_fd(rng):
     c0_out, prev_out, student, protos, packs = build_packs(rng)
-    loss, _ = mdd_loss(c0_out, prev_out, student, protos, alpha=0.0, beta=0.0, enable_ird=False, enable_idd=False)
+    loss, _ = mdd_loss(R.pair(c0_out, prev_out), student, protos, alpha=0.0, beta=0.0, enable_ird=False, enable_idd=False)
     r0 = np_weights(packs["c0"]["itd"], packs["prev"]["itd"], packs["student"]["itd"])
     fd0 = (((packs["c0"]["feats"] - packs["student"]["feats"]) ** 2).sum(axis=1) * r0).mean()
     fdp = (((packs["prev"]["feats"] - packs["student"]["feats"]) ** 2).sum(axis=1) * (1 - r0)).mean()
@@ -466,7 +462,7 @@ def test_mdd_alpha_beta_zero_is_weighted_fd(rng):
 
 def test_mdd_all_channels_disabled_returns_none(rng):
     c0_out, prev_out, student, protos, _ = build_packs(rng)
-    loss, info = mdd_loss(c0_out, prev_out, student, protos, enable_fd=False, enable_ird=False, enable_idd=False)
+    loss, info = mdd_loss(R.pair(c0_out, prev_out), student, protos, enable_fd=False, enable_ird=False, enable_idd=False)
     assert loss is None
 
 
@@ -540,7 +536,7 @@ def test_total_loss_with_teacher_bundles_matches_per_batch():
     pool = np.random.default_rng(1).normal(size=(10, 6))
     rows = np.array([3, 1, 4, 1, 5, 9])
     protos = store.matrix()
-    teachers = tuple(teacher_outputs(t, pool, token_ids, protos, hyper.tau) for t in (c0, c_prev))
+    teachers = R.weighted_bundle(c0, c_prev, pool, token_ids, protos, hyper)
     _, fresh = R.total_loss(pool[rows], labels, token_ids, student, c0, c_prev, protos, hyper)
     feats = student.encode_images(pool[rows])
     _, cached = total_loss(student, feats, labels, token_ids, protos, hyper, teachers, rows)
@@ -570,7 +566,7 @@ def test_distillation_fixed_point_values_and_gradients():
     prev_out = teacher_outputs(frozen, x, token_ids, protos, tau=2.0)
     student = student_outputs(model, model.encode_images(x), token_ids, protos, tau=2.0)
 
-    loss, info = mdd_loss(c0_out, prev_out, student, protos)
+    loss, info = mdd_loss(R.pair(c0_out, prev_out), student, protos)
     # hard-zero structure: feature and relation gaps are exactly zero
     assert info["fd0"] == 0.0 and info["fd_prev"] == 0.0
     assert info["ird0"] == 0.0 and info["ird_prev"] == 0.0
@@ -616,9 +612,9 @@ def total_loss_setup(seed=0, hyper=None):
 
 
 def bundled_loss(student, c0, c_prev, store, x, labels, token_ids, hyper, wc_reference=None):
-    """total_loss on batch `x` with both teacher bundles built over `x` itself (batch rows 0..B-1)."""
+    """total_loss on batch `x` with the teachers' bundle built over `x` itself (batch rows 0..B-1)."""
     protos = store.matrix()
-    teachers = tuple(teacher_outputs(t, x, token_ids, protos, hyper.tau) for t in (c0, c_prev))
+    teachers = R.weighted_bundle(c0, c_prev, x, token_ids, protos, hyper)
     feats = student.encode_images(x)
     return total_loss(student, feats, labels, token_ids, protos, hyper, teachers, np.arange(len(x)), wc_reference)
 

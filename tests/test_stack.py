@@ -123,14 +123,14 @@ def test_soft_ce_and_distillation_terms(shape, rng):
     w = rng.uniform(0.1, 1.0, size=(S, b))
     assert_stack_equals_slices(lambda t, p: T.soft_ce_mean(t, p, scale=1.3), [target, pred], [False, True])
     assert_stack_equals_slices(lambda t, p, r: T.soft_ce_mean(t, p, r, 0.8), [target, pred, w], [False, True, False])
-    assert_stack_equals_slices(lambda t, p, r: losses.i2t_loss(t, p, r, 0.6), [target, pred, w], [False, True, False])
+    assert_stack_equals_slices(lambda t, p, r: R.i2t_node(t, p, r, 0.6), [target, pred, w], [False, True, False])
     teacher, student, protos = rng.normal(size=(S, b, d)), rng.normal(size=(S, b, d)), rng.normal(size=(S, k, d))
-    assert_stack_equals_slices(losses.fd_loss, [teacher, student], [False, True])
-    assert_stack_equals_slices(losses.fd_loss, [teacher, student, w], [False, True, False])
-    assert_stack_equals_slices(losses.ird_loss, [teacher, student, protos], [False, True, False])
-    assert_stack_equals_slices(lambda t, s, p, r: losses.ird_loss(t, s, p, r, 0.7), [teacher, student, protos, w], [False, True, False, False])
+    assert_stack_equals_slices(R.fd_node, [teacher, student], [False, True])
+    assert_stack_equals_slices(R.fd_node, [teacher, student, w], [False, True, False])
+    assert_stack_equals_slices(R.ird_node, [teacher, student, protos], [False, True, False])
+    assert_stack_equals_slices(lambda t, s, p, r: R.ird_node(t, s, p, r, 0.7), [teacher, student, protos, w], [False, True, False, False])
     student[1] = teacher[1]  # a zero relation gap in one seed
-    assert_stack_equals_slices(losses.ird_loss, [teacher, student, protos], [False, True, False])
+    assert_stack_equals_slices(R.ird_node, [teacher, student, protos], [False, True, False])
     texts = rng.normal(size=(S, k, d))
     assert_stack_equals_slices(lambda p, t: losses.csa_loss(p, t, 2.0), [protos, texts], [False, True])
     dists = [np.stack([prob_rows(rng, b, k) for _ in range(S)]) for _ in range(3)]
@@ -345,7 +345,7 @@ def test_mdd_loss_on_a_mixed_weight_stack_equals_one_call_per_lane(rng):
     def call(pick, teacher_weight):
         teachers = [losses.TeacherOutputs(**{key: Tensor(v[pick]) for key, v in arrays.items()}) for arrays in teacher_arrays]
         student = losses.StudentOutputs(**{key: Tensor(v[pick].copy(), requires_grad=True) for key, v in student_arrays.items()})
-        loss, info = losses.mdd_loss(*teachers, student, Tensor(protos[pick]), 0.7, 1.3, teacher_weight)
+        loss, info = losses.mdd_loss(R.pair(*teachers, teacher_weight), student, Tensor(protos[pick]), 0.7, 1.3, teacher_weight)
         (loss if loss.shape == () else T.sum_seeds(loss)).backward()
         grads = {key: getattr(student, key).grad for key in student_arrays}
         return loss.data, info, grads
@@ -407,15 +407,14 @@ def test_a_seed_that_diverges_in_every_arm_stops_ablate_where_arm_by_arm_runs_st
 
 def test_a_later_arm_that_diverges_where_an_earlier_arm_does_not_is_found_by_its_lane(tiny_inputs, tmp_path, monkeypatch, capsys):
     """only_c0's lanes (c0 weight exactly 1 on every row) turn non-finite; full's seed-0 lane, first in the stack, stays finite."""
-    real_fd_loss = losses.fd_loss
+    real_mdd_loss = losses.mdd_loss
 
-    def fd_loss(teacher_feats, student_feats, weights=None):
-        value, raw = real_fd_loss(teacher_feats, student_feats, weights)
-        if weights is not None:
-            value.data = np.where(np.all(weights.data == 1.0, axis=-1), np.nan, value.data)
-        return value, raw
+    def mdd_loss(*args, **kwargs):
+        value, info = real_mdd_loss(*args, **kwargs)
+        value.data = np.where(np.all(info["r0"] == 1.0, axis=-1), np.nan, value.data)
+        return value, info
 
-    monkeypatch.setattr(losses, "fd_loss", fd_loss)
+    monkeypatch.setattr(losses, "mdd_loss", mdd_loss)
     names = ["full", "continual_ft", "only_c0", "average"]
     expected = _ablate_arm_by_arm(tiny_inputs, names, tmp_path / "serial")
     assert expected is not None and expected.seed == 0 and str(expected).startswith("seed 0 task 1 iteration 1: non-finite loss")
