@@ -171,7 +171,7 @@ def cmd_report(args) -> int:
         ):
             raise ConfigError(f"{path}: key 'matrix' must be a non-empty list of equally long, non-empty lists of finite numbers")
         try:
-            expected = metrics.summaries(metrics.AccuracyMatrix(matrix))
+            expected = metrics.summaries(matrix)
         except MulkiError as exc:
             raise ConfigError(f"{path}: key 'matrix': {exc}") from None
         for name, value in expected.items():

@@ -11,20 +11,20 @@ distillation channels connect student to each teacher:
   * distribution match   - soft cross-entropy on image-text, prototype-
                            text, and text-prototype distributions.
 
-One number, `teacher_weight`, mixes the two teachers. None (the
-default) weights each sample by how similar each teacher's image-text
-distribution is to the student's: the teacher the student has drifted
-away from gets the larger pull. A number w in [0, 1] is a fixed weight w
-on the initial model and 1 - w on the previous one; a teacher whose
-weight is exactly 0 is skipped, its prototype/text term with it
-(`weighted_teachers` decides this for the trainer and the loss alike).
-The prototype/text channel carries a fixed half weight per weighted
-teacher. A stack may give each lane its own weight (a list, `mdd_loss`),
-each lane getting the bits of its own run. A contrastive term aligns
-class prototypes with the student's texts, and cross-entropy on the
-current task is the supervised signal; distillation distributions use a
-soft temperature (default 2), the supervised logits a sharp one (default
-0.07).
+Each lane of a stack mixes the two teachers by its own teacher weight
+(`weights`, one per lane). NaN (the config's `teacher_weight` None) weights
+each sample by how similar each teacher's image-text distribution is to
+the student's: the teacher the student has drifted away from gets the
+larger pull. A number w in [0, 1] is a fixed weight w on the initial
+model and 1 - w on the previous one. A teacher runs when some lane weights
+it (`weighted_teachers`, for the trainer and the loss alike); a lane whose
+weight on it is exactly 0 takes it at r = 0 and its prototype/text term
+through a 0/1 mask, so each lane gets the bits of its own run. The
+prototype/text channel carries a fixed half weight per weighted teacher.
+A contrastive term aligns class prototypes with the student's texts, and
+cross-entropy on the current task is the supervised signal; distillation
+distributions use a soft temperature (default 2), the supervised logits a
+sharp one (default 0.07).
 
 Each term is one node that runs the numpy expressions of the generic-op
 chain it replaced (tests/reference_ops.py), so losses, gradients and
@@ -113,32 +113,25 @@ def image_text_dist(feats: Tensor, texts: Tensor, tau: float) -> Tensor:
     return T.cosine_softmax(feats, texts, tau)
 
 
-def weighted_teachers(teacher_weight) -> tuple[bool, bool]:
-    """Whether (c0, c_prev) carry any weight, in some lane of per-lane weights: a weight of exactly 0 zeroes c0, of 1 c_prev."""
-    if isinstance(teacher_weight, list):
-        return any(w != 0 for w in teacher_weight), any(w != 1 for w in teacher_weight)
-    return teacher_weight != 0, teacher_weight != 1
+def weighted_teachers(weights: np.ndarray) -> tuple[bool, bool]:
+    """Whether (c0, c_prev) carry weight in some lane of `weights`: a weight of exactly 0 zeroes c0, of 1 c_prev (NaN weights both)."""
+    return (weights != 0).any(), (weights != 1).any()
 
 
-def sample_weights(dist_c0: Tensor, dist_prev: Tensor, dist_student: Tensor) -> tuple[Tensor, Tensor]:
-    """Per-sample teacher mixing weights, as constants.
+def sample_weights(teachers: np.ndarray, student: np.ndarray) -> np.ndarray:
+    """Per-sample weight r0 on the initial model (1 - r0 on the previous one), a constant array.
 
-    For each sample, each teacher is scored by the cosine similarity
-    between its image-text distribution row and the student's; the
-    weights are a softmax over the negated scores, so they sum to one
-    and the less-similar teacher gets the larger weight.
+    Each teacher's image-text distribution row (`teachers`, c0 first on the
+    teacher axis) is scored by its cosine similarity with the student's; the
+    weights are a softmax over the negated scores, so they sum to one and
+    the less-similar teacher gets the larger weight.
     """
-    if not dist_c0.shape == dist_prev.shape == dist_student.shape:
-        raise ContractError(
-            f"sample_weights: mismatched shapes {dist_c0.shape}, {dist_prev.shape}, {dist_student.shape}"
-        )
-
-    student, teachers = dist_student.data, np.array((dist_c0.data, dist_prev.data))  # both teachers in one pass
+    if teachers.shape != (2,) + student.shape:
+        raise ContractError(f"sample_weights: teacher rows {teachers.shape} for student rows {student.shape}")
     # each row's cosine, the norms by np.linalg.norm(., axis=-1)'s own formula
     norms = np.sqrt(np.add.reduce(teachers * teachers, axis=-1)) * np.sqrt(np.add.reduce(student * student, axis=-1))
     e = np.exp(-(np.add.reduce(teachers * student, axis=-1) / norms))
-    r0 = e[0] / (e[0] + e[1])
-    return Tensor(r0), Tensor(1.0 - r0)
+    return e[0] / (e[0] + e[1])
 
 
 def wc_loss(theta_t, theta_prev) -> Tensor:
@@ -161,12 +154,12 @@ def wc_loss(theta_t, theta_prev) -> Tensor:
 class TeacherOutputs:
     """Everything frozen teachers contribute for a set of images. All constant.
 
-    One teacher's, or the weighted teachers' (c0 first on a leading teacher
-    axis). Built and checked once per task over the task's training set;
-    `rows` then cuts out each batch without re-running the checks. Its
-    `feats` and `img_text_dist` rows lie end to end, a block per model lane,
-    and `blocks` holds each lane's first row ([T, S], [S] or 0): a model
-    every lane shares has one block. `texts` (the teachers' class-text
+    The weighted teachers', c0 first on a leading teacher axis. Built and
+    checked once per task over the task's training set; `rows` then cuts out
+    each batch without re-running the checks. Its `feats` and
+    `img_text_dist` rows lie end to end, a block per model lane, and
+    `blocks` holds each lane's first row ([T, S] from `teacher_outputs`): a
+    model every lane shares has one block. `texts` (the teachers' class-text
     embeddings) is what `rows` needs to rebuild the prototype-text
     distributions for moved prototypes, which are None when built without
     prototypes (no enabled term reads them).
@@ -233,17 +226,15 @@ def _proto_text_dists(protos: Tensor | None, texts: Tensor, tau: float) -> tuple
     return image_text_dist(protos, texts, tau), image_text_dist(texts, protos, tau)
 
 
-def teacher_outputs(models, x, token_ids, protos: Tensor | None, tau: float) -> TeacherOutputs:
-    """Run a frozen model, or the list of the weighted teachers (a bundle with the teacher axis), over images `x`.
+def teacher_outputs(models: list, x, token_ids, protos: Tensor | None, tau: float) -> TeacherOutputs:
+    """Run the list of the weighted teachers, c0 first, over images `x`: one bundle with the teacher axis.
 
     See StudentOutputs for the live twin. A frozen stack runs one lane at a time (a view, `snapshot(model, s)`) into
     the bundle's preallocated arrays, the bits of a stacked call; a model every lane shares runs once, its one block
     of rows serving every lane. `protos` None skips the prototype-text distributions.
     """
-    pair = isinstance(models, list)
-    models = models if pair else [models]
     leads = [model.parameters().flat.shape[:-1] for model in models]
-    lanes = max(leads, key=len) or ((1,) if pair else ())  # shared models alone: one lane, for a stack's prototypes
+    lanes = max(leads, key=len) or (1,)  # shared models alone: one lane, for a stack's prototypes
     n, k, e = len(x), len(token_ids), models[0].embed_dim
     size = n * sum(own[0] if own else 1 for own in leads)  # one block of rows per model lane
     feats, dist, texts = np.empty((size, e)), np.empty((size, k)), np.empty((len(models),) + lanes + (k, e))
@@ -254,7 +245,7 @@ def teacher_outputs(models, x, token_ids, protos: Tensor | None, tau: float) -> 
             f, tx = lane.encode_images(x).data, lane.encode_texts(token_ids).data
             feats[first : first + n], dist[first : first + n] = f, image_text_dist(Tensor(f), Tensor(tx), tau).data
             texts[(t, *at)], blocks[(t, *at)], first = tx, first, first + n
-    texts, blocks = (Tensor(texts), blocks) if pair else (Tensor(texts[0]), blocks[0])
+    texts = Tensor(texts)
     return TeacherOutputs(Tensor(feats), Tensor(dist), *_proto_text_dists(protos, texts, tau), texts, blocks)
 
 
@@ -312,9 +303,9 @@ def mdd_loss(
     teachers: TeacherOutputs,
     student: StudentOutputs,
     protos: Tensor,
+    weights: np.ndarray,
     alpha: float = 1.0,
     beta: float = 1.0,
-    teacher_weight: float | list | None = None,
     enable_fd: bool = True,
     enable_ird: bool = True,
     enable_idd: bool = True,
@@ -325,14 +316,13 @@ def mdd_loss(
 
         r_k * (FD + alpha * IRD + beta * i2t) + 0.5 * beta * (p&t)
 
-    summed over both teachers. `teacher_weight` None forms r from
-    per-sample similarity scores (`sample_weights`); a number w sets r_0 = w
-    and r_prev = 1 - w on every sample. A teacher whose weight is exactly 0
-    is skipped, p&t included (`weighted_teachers`). A list gives each lane of
-    a stack its own weight (a similarity lane its rows of `sample_weights`),
-    and a teacher runs when any lane weights it: a lane whose weight on it is
-    exactly 0 takes its fd, ird and i2t terms at r = 0, its p&t term through
-    a 0/1 lane mask, and logs 0 for it.
+    summed over both teachers. `weights` holds each lane's teacher weight
+    ([S]; 0-d for an unstacked [B, ...] student): a number w sets r_0 = w and
+    r_prev = 1 - w on the lane's samples, NaN takes its rows of
+    `sample_weights`. A teacher runs when any lane weights it
+    (`weighted_teachers`): a lane whose weight on it is exactly 0 takes its
+    fd, ird and i2t terms at r = 0, its p&t term through a 0/1 lane mask,
+    and logs 0 for it, so each lane gets the bits of its own run.
 
     `teachers` holds the weighted teachers' rows for the batch on a leading
     teacher axis, c0 first (`TeacherOutputs.rows` of the trainer's bundle).
@@ -348,26 +338,20 @@ def mdd_loss(
     Returns (loss tensor or None if every channel is disabled, info dict
     with raw term values and the per-sample weights).
     """
-    w0, w_prev = weighted_teachers(teacher_weight)
+    w0, w_prev = weighted_teachers(weights)
     kept = slice(0 if w0 else 1, 2 if w_prev else 1)  # the weighted teachers of (c0, c_prev)
     n, rows = kept.stop - kept.start, student.feats.data.shape[:-1]
     if teachers.feats.data.shape[:-1] != (n,) + rows:
         raise ContractError(f"mdd_loss: teacher rows {teachers.feats.shape} for {n} teacher(s) and student rows {rows}")
-    unweighted = (None, None)  # per teacher, the lanes whose weight on it is exactly 0 (None: one weight for all)
-    if isinstance(teacher_weight, list):
-        sampled = sample_weights(*map(Tensor, teachers.img_text_dist.data), student.img_text_dist)[0].data if None in teacher_weight else None
-        r0 = np.stack([sampled[s] if w is None else np.full(rows[-1], float(w)) for s, w in enumerate(teacher_weight)])
-        r_prev = 1.0 - r0
-        unweighted = tuple(np.array([w == zero for w in teacher_weight]) for zero in (0, 1))
-    elif teacher_weight is None:
-        r0, r_prev = sample_weights(*map(Tensor, teachers.img_text_dist.data), student.img_text_dist)
-        r0, r_prev = r0.data, r_prev.data
-    else:
-        r0, r_prev = np.full(rows, float(teacher_weight)), np.full(rows, 1.0 - teacher_weight)
-    r, off, tags = np.array((r0, r_prev)[kept]), unweighted[kept], ("0", "_prev")[kept]
+    r0 = np.empty(rows)
+    r0[...] = weights[..., None]  # each lane's fixed weight on all its rows
+    similar = np.isnan(weights)
+    if similar.any():
+        r0 = np.where(similar[..., None], sample_weights(teachers.img_text_dist.data, student.img_text_dist.data), r0)
+    off = (weights == 0, weights == 1)[kept]  # per weighted teacher, the lanes whose weight on it is exactly 0
+    r, tags = np.array((r0, 1.0 - r0)[kept]), ("0", "_prev")[kept]
 
-    info = dict.fromkeys(("fd0", "fd_prev", "ird0", "ird_prev", "idd0", "idd_prev"), np.zeros(rows[:-1]))
-    info["r0"] = r0.copy()
+    info = {**dict.fromkeys(("fd0", "fd_prev", "ird0", "ird_prev", "idd0", "idd_prev"), np.zeros(rows[:-1])), "r0": r0}
     terms, raw = [], {}  # terms: each channel's [T, S] values, in the chain's order; raw: the unweighted values logged
     if enable_fd:
         diff = teachers.feats.data - student.feats.data
@@ -397,12 +381,12 @@ def mdd_loss(
         c_i2t, c_pt, scale = float(1.0 / i2t_rows.shape[-1]), float(1.0 / pt_rows.shape[-1]), float(beta)  # K x K: one c for both
         terms.append(np.add.reduce(i2t_rows * r, axis=-1) * c_i2t * scale)
         pt = np.add.reduce(pt_rows, axis=-1) * c_pt + np.add.reduce(tp_rows, axis=-1) * c_pt
-        pt_scales = [0.5 * beta if o is None else 0.5 * beta * (1.0 - o) for o in off]
+        pt_scales = [0.5 * beta * (1.0 - o) for o in off]
         terms.append([value * c for value, c in zip(pt, pt_scales)])
         raw["idd"] = np.add.reduce(i2t_rows, axis=-1) * c_i2t + pt
     for name, values in raw.items():
         for tag, value, o in zip(tags, values, off):
-            info[name + tag] = value if o is None else np.where(o, 0.0, value)
+            info[name + tag] = np.where(o, 0.0, value)
     if not terms:
         return None, info
 
@@ -455,8 +439,8 @@ def total_loss(
     hyper,
     teachers: TeacherOutputs | None,
     batch_rows,
+    weights: np.ndarray,
     wc_reference=None,
-    lane_weights: list | None = None,
 ) -> tuple[Tensor, LossBreakdown]:
     """Assemble the full objective for one batch.
 
@@ -467,15 +451,15 @@ def total_loss(
     `teachers` is the weighted teachers' bundle over the whole training
     set the batch was drawn from (`teacher_outputs` of them, with the
     teacher axis; None when every distillation channel is off), and
-    `batch_rows` the batch's row indices into it. The drift anchor is
-    added iff `wc_reference` is given. `lane_weights` (one per lane) stand in
-    for `hyper.teacher_weight` when the lanes differ in it. Teachers and prototypes are
-    constants. Only the distributions an enabled term reads are built (see
-    the module docstring); with every component disabled this reduces to
-    plain supervised fine-tuning.
+    `batch_rows` the batch's row indices into it. `weights` holds each
+    lane's teacher weight (NaN: per-sample similarity; see `mdd_loss`). The
+    drift anchor is added iff `wc_reference` is given. Teachers and
+    prototypes are constants. Only the distributions an enabled term reads
+    are built (see the module docstring); with every component disabled
+    this reduces to plain supervised fine-tuning.
     """
     pt_protos, distills = protos if hyper.enable_idd else None, hyper.distills
-    weighs = distills and None in (lane_weights or [hyper.teacher_weight])
+    weighs = distills and np.isnan(weights).any()  # some lane's r0 needs the student's image-text distribution
     student = student_outputs(student_model, feats, token_ids, pt_protos, hyper.tau, img_text=hyper.enable_idd or weighs)
 
     supervised = cross_entropy(image_text_dist(student.feats, student.texts, hyper.tau_ce), label_positions)
@@ -491,7 +475,7 @@ def total_loss(
     if distills:
         mdd, info = mdd_loss(
             teachers.rows(batch_rows, pt_protos, hyper.tau), student, protos,
-            hyper.alpha, hyper.beta, lane_weights or hyper.teacher_weight, hyper.enable_fd, hyper.enable_ird, hyper.enable_idd,
+            weights, hyper.alpha, hyper.beta, hyper.enable_fd, hyper.enable_ird, hyper.enable_idd,
         )
         if mdd is not None:
             bd.fd0, bd.fd_prev, bd.ird0, bd.ird_prev = info["fd0"], info["fd_prev"], info["ird0"], info["ird_prev"]

@@ -24,24 +24,16 @@ import numpy as np
 from .errors import ContractError
 
 
-class AccuracyMatrix:
-    """(N + 1) x N accuracies with entries validated into [0, 1]."""
-
-    def __init__(self, values):
-        arr = np.asarray(values, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] + 1:
-            raise ContractError(f"accuracy matrix must be (N + 1) x N, got {arr.shape}")
-        if arr.shape[1] < 1:
-            raise ContractError("accuracy matrix needs at least one task")
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
-            raise ContractError("accuracy entries must lie in [0, 1]")
-        self.values = arr
-
-
-def _as_matrix(matrix) -> np.ndarray:
-    if isinstance(matrix, AccuracyMatrix):
-        return matrix.values
-    return AccuracyMatrix(matrix).values
+def _as_matrix(values) -> np.ndarray:
+    """`values` as an (N + 1) x N float array, its accuracies checked to lie in [0, 1]."""
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] + 1:
+        raise ContractError(f"accuracy matrix must be (N + 1) x N, got {arr.shape}")
+    if arr.shape[1] < 1:
+        raise ContractError("accuracy matrix needs at least one task")
+    if np.any(arr < 0.0) or np.any(arr > 1.0):
+        raise ContractError("accuracy entries must lie in [0, 1]")
+    return arr
 
 
 def transfer(matrix) -> float:
@@ -61,13 +53,11 @@ def transfer(matrix) -> float:
 
 
 def avg(matrix) -> float:
-    a = _as_matrix(matrix)
-    return float(a[1:].mean())
+    return float(_as_matrix(matrix)[1:].mean())
 
 
 def last(matrix) -> float:
-    a = _as_matrix(matrix)
-    return float(a[-1].mean())
+    return float(_as_matrix(matrix)[-1].mean())
 
 
 def current_avg(matrix) -> float:

@@ -16,9 +16,9 @@ slice runs a single model's numpy code, so each seed's artifacts are the
 bytes of that seed run alone. Per-seed loops remain for a diverged loss's
 breakdown, the checkpoints and evaluation. An initial model all seeds
 share stays one model, its zero-shot row evaluated once, its prototypes
-and block of the teachers' bundle built once per task. Arms that differ
-only in teacher weight train as one stack (`run_arms`) of (arm, seed)
-lanes, each with its own weight. To hold them all at once, the bundle is
+and block of the teachers' bundle built once per task. Each lane carries
+its own teacher weight, so arms that differ only in it train as one stack
+(`run_arms`) of (arm, seed) lanes. To hold them all at once, the bundle is
 filled a lane at a time, teacher rows are normalized per batch, a task's
 checkpoints are lane views of one frozen stack (the next task's c_prev and
 drift anchor), and the graph goes before each AdamW step.
@@ -137,7 +137,7 @@ def _label_positions(task) -> np.ndarray:
 
 
 def train_task(
-    student: DualEncoder, c0: DualEncoder, c_prev: DualEncoder, task, hyper: HyperParams, seeds: list, wc_reference=None, lane_weights=None
+    student: DualEncoder, c0: DualEncoder, c_prev: DualEncoder, task, hyper: HyperParams, seeds: list, weights: np.ndarray, wc_reference=None
 ) -> TaskResult:
     """Train the stack `student` (`encoder.stack`, slice s for seeds[s]) on one task against both teachers, in place.
 
@@ -146,11 +146,11 @@ def train_task(
     the student carries the task's final parameters (the ensemble mean
     unless `hyper.ensemble` is "off"). The prototype store, when an enabled
     term reads it, lives only inside this window: seeded from `c0` before
-    the first iteration, dropped on return. Every batch's loss takes its
-    teacher rows from the per-task bundle of the weighted teachers, and
-    adds the drift anchor toward `wc_reference` ([S, P]) iff one is given.
-    `lane_weights` (one per lane) stand in for `hyper.teacher_weight` when the
-    lanes differ in it. A non-finite loss raises TrainingDivergedError for its first lane.
+    the first iteration, dropped on return. `weights` holds each lane's
+    teacher weight (NaN: per-sample similarity). Every batch's loss takes its
+    teacher rows from the per-task bundle of the weighted teachers, and adds
+    the drift anchor toward `wc_reference` ([S, P]) iff one is given. A
+    non-finite loss raises TrainingDivergedError for its first lane.
     """
     positions = _label_positions(task)
     token_ids = task.token_ids
@@ -162,7 +162,7 @@ def train_task(
         protos = store.matrix()
     teachers = None
     if hyper.distills:
-        weighted = [t for t, w in zip((c0, c_prev), losses.weighted_teachers(lane_weights or hyper.teacher_weight)) if w]
+        weighted = [t for t, w in zip((c0, c_prev), losses.weighted_teachers(weights)) if w]
         teachers = losses.teacher_outputs(weighted, task.train_x, token_ids, protos if hyper.enable_idd else None, hyper.tau)
 
     we_state = None if hyper.ensemble == "off" else we_init(student.parameters().flat, hyper.we_interval)
@@ -176,7 +176,7 @@ def train_task(
         if store is not None:
             store.ema_update(feats.data, batch_positions)
             protos = store.matrix()
-        loss, bd = losses.total_loss(student, feats, batch_positions, token_ids, protos, hyper, teachers, rows, wc_reference, lane_weights)
+        loss, bd = losses.total_loss(student, feats, batch_positions, token_ids, protos, hyper, teachers, rows, weights, wc_reference)
         if not np.isfinite(bd.total).all():
             s = int(np.argmin(np.isfinite(bd.total)))
             dump = losses.LossBreakdown(*(float(v[s]) for v in [*bd.values(), bd.r0_mean] if v is not None))
@@ -272,7 +272,7 @@ def run_stream(stream, hyper, seeds: list, c0s: list, config_echo: dict | None =
 
 
 def _run_stack(stream, lanes: list, seeds: list, c0s: list, config_echo: dict) -> list[RunRecord]:
-    hyper, weights = lanes[0], [h.teacher_weight for h in lanes]
+    hyper, weights = lanes[0], np.array([h.teacher_weight for h in lanes], dtype=np.float64)  # None (similarity): NaN
     n, iterations = stream.n_tasks, hyper.iterations_per_task
     matrices = [np.zeros((n + 1, n)) for _ in seeds]
     zero_shot: dict = {}  # one evaluation per distinct initial model: `cli` hands every lane the same one
@@ -289,7 +289,7 @@ def _run_stack(stream, lanes: list, seeds: list, c0s: list, config_echo: dict) -
     c_prev = snapshot(student)
     for i, task in enumerate(stream.tasks, start=1):
         wc_reference = c_prev.parameters().flat if use_wc else None
-        result = train_task(student, c0, c_prev, task, hyper, seeds, wc_reference, weights if len(set(weights)) > 1 else None)
+        result = train_task(student, c0, c_prev, task, hyper, seeds, weights, wc_reference)
         c_prev = result.final
         rows = slice((i - 1) * iterations, i * iterations)
         log[:, rows, 0], log[:, rows, 1], log[:, rows, 2:] = task.task_id, np.arange(1, iterations + 1), result.losses.transpose(1, 0, 2)

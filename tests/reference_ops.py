@@ -356,7 +356,8 @@ def mdd_loss(c0_out, prev_out, student, protos, alpha=1.0, beta=1.0, teacher_wei
              enable_fd=True, enable_ird=True, enable_idd=True):
     batch = student.feats.shape[0]
     if teacher_weight is None:
-        r0, r_prev = sample_weights(c0_out.img_text_dist, prev_out.img_text_dist, student.img_text_dist)
+        r0 = _similarity(c0_out, prev_out, student)
+        r0, r_prev = Tensor(r0), Tensor(1.0 - r0)
     else:
         r0, r_prev = Tensor(np.full(batch, float(teacher_weight))), Tensor(np.full(batch, 1.0 - teacher_weight))
     info = {
@@ -529,26 +530,27 @@ def mdd_loss_per_term(c0_out, prev_out, student, protos, alpha=1.0, beta=1.0, te
     """The per-term node composition the fused `mulki.losses.mdd_loss` replaced, one teacher at a time.
 
     Each teacher's fd, ird, i2t and p&t terms are their own nodes (`fd_node`, ...), joined by an add chain:
-    fd0 + ird0 + i2t0 + 0.5 * beta * p&t0 + fd_prev + ... Every weight shape as the fused node takes it:
-    similarity (None), a fixed w, or a per-lane list with the 0/1 p&t mask. Each teacher's bundle comes on
-    its own (None for a teacher without weight); `pair` stacks them for the fused node.
+    fd0 + ird0 + i2t0 + 0.5 * beta * p&t0 + fd_prev + ... The weight comes in a config's shape: similarity (None),
+    a fixed w, or a per-lane list with the 0/1 p&t mask (`per_lane` gives the fused node's array for each).
+    Each teacher's bundle comes on its own (None for a teacher without weight); `pair` stacks them for the fused node.
     """
     rows = student.feats.shape[:-1]
     unweighted = (None, None)
     if isinstance(teacher_weight, list):
-        sampled = sample_weights(c0_out.img_text_dist, prev_out.img_text_dist, student.img_text_dist)[0].data if None in teacher_weight else None
+        sampled = _similarity(c0_out, prev_out, student) if None in teacher_weight else None
         r0 = np.stack([sampled[s] if w is None else np.full(rows[-1], float(w)) for s, w in enumerate(teacher_weight)])
         r0, r_prev = Tensor(r0), Tensor(1.0 - r0)
         unweighted = tuple(np.array([w == zero for w in teacher_weight]) for zero in (0, 1))
     elif teacher_weight is None:
-        r0, r_prev = sample_weights(c0_out.img_text_dist, prev_out.img_text_dist, student.img_text_dist)
+        r0 = _similarity(c0_out, prev_out, student)
+        r0, r_prev = Tensor(r0), Tensor(1.0 - r0)
     else:
         r0, r_prev = Tensor(np.full(rows, float(teacher_weight))), Tensor(np.full(rows, 1.0 - teacher_weight))
 
     info = dict.fromkeys(("fd0", "fd_prev", "ird0", "ird_prev", "idd0", "idd_prev"), np.zeros(r0.shape[:-1]))
     info["r0"] = r0.data.copy()
     terms = []
-    for tag, teacher, r, weighted, off in zip(("0", "_prev"), (c0_out, prev_out), (r0, r_prev), weighted_teachers(teacher_weight), unweighted):
+    for tag, teacher, r, weighted, off in zip(("0", "_prev"), (c0_out, prev_out), (r0, r_prev), weighted_teachers(per_lane(teacher_weight)), unweighted):
         if not weighted:
             continue
         if enable_fd:
@@ -576,7 +578,7 @@ def mdd_loss_per_term(c0_out, prev_out, student, protos, alpha=1.0, beta=1.0, te
 def pair(c0_out, prev_out, teacher_weight=None) -> TeacherOutputs:
     """The weighted one(s) of two cut bundles (either None for a teacher without weight) on a leading teacher axis,
     c0 first, as `mulki.losses.mdd_loss` takes them; a bundle shared by every lane is broadcast over the lanes."""
-    bundles = [b for b, w in zip((c0_out, prev_out), weighted_teachers(teacher_weight)) if w]
+    bundles = [b for b, w in zip((c0_out, prev_out), weighted_teachers(per_lane(teacher_weight))) if w]
     names = ("feats", "img_text_dist", "proto_text_dist", "text_proto_dist", "texts")
     parts = [[getattr(b, name) for b in bundles] for name in names]
     return TeacherOutputs(*(None if None in p else Tensor(np.stack(np.broadcast_arrays(*(t.data for t in p)))) for p in parts))
@@ -589,12 +591,33 @@ def weighted_bundle(c0, c_prev, x, token_ids, protos, hyper) -> TeacherOutputs:
     teacher's own bundle, their rows laid end to end, one block per teacher, and the rest on the teacher axis.
     """
     pt_protos = protos if hyper.enable_idd else None
-    weighted = [t for t, w in zip((c0, c_prev), weighted_teachers(hyper.teacher_weight)) if w]
-    own = [losses.teacher_outputs(t, x, token_ids, pt_protos, hyper.tau) for t in weighted]
+    weighted = [t for t, w in zip((c0, c_prev), weighted_teachers(per_lane(hyper.teacher_weight))) if w]
+    own = [teacher_outputs(t, x, token_ids, pt_protos, hyper.tau) for t in weighted]
     rows = [Tensor(np.concatenate([getattr(b, name).data for b in own])) for name in ("feats", "img_text_dist")]
     names = ("proto_text_dist", "text_proto_dist", "texts")
     rest = [None if getattr(own[0], name) is None else Tensor(np.stack([getattr(b, name).data for b in own])) for name in names]
     return TeacherOutputs(*rows, *rest, np.arange(len(own)) * len(x))
+
+
+def teacher_outputs(model, x, token_ids, protos, tau) -> TeacherOutputs:
+    """One frozen model's bundle, as the per-term nodes take it: `losses.teacher_outputs([model], ...)` without its
+    teacher axis of one, and, for an unstacked model, without the lane axis of one it fills for a stack."""
+    whole = losses.teacher_outputs([model], x, token_ids, protos, tau)
+    at = (0,) if model.parameters().flat.ndim > 1 else (0, 0)
+    names = ("proto_text_dist", "text_proto_dist", "texts")
+    rest = [None if getattr(whole, name) is None else Tensor(getattr(whole, name).data[at]) for name in names]
+    return TeacherOutputs(whole.feats, whole.img_text_dist, *rest, whole.blocks[at])
+
+
+def per_lane(teacher_weight) -> np.ndarray:
+    """A config's `teacher_weight` (None, a number, or a list of one per lane) as the per-lane weights `mulki.losses`
+    takes: a float array, NaN for similarity weighting (None), 0-d for one value."""
+    return np.array(teacher_weight, dtype=np.float64)
+
+
+def _similarity(c0_out, prev_out, student) -> np.ndarray:
+    """`sample_weights` over two teachers' own bundles: r0, a constant."""
+    return sample_weights(np.array((c0_out.img_text_dist.data, prev_out.img_text_dist.data)), student.img_text_dist.data)
 
 
 # ---------------------------------------------------------------------------

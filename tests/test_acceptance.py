@@ -20,7 +20,6 @@ from mulki import losses, metrics
 from mulki.cli import main as cli_main
 from mulki.config import apply_variant
 from mulki.encoder import DualEncoder, params_flat, snapshot
-from mulki.metrics import AccuracyMatrix
 from mulki.prototypes import PrototypeStore
 from mulki.runner import HyperParams, ModelConfig, pretrain, run_arms
 from mulki.taskgen import StreamConfig, generate_stream
@@ -56,9 +55,9 @@ class _freeze_weights(contextlib.AbstractContextManager):
         self._real = losses.sample_weights
         cache = []
 
-        def frozen(dist_c0, dist_prev, dist_student):
+        def frozen(teachers, student):
             if not cache:
-                cache.append(self._real(dist_c0, dist_prev, dist_student))
+                cache.append(self._real(teachers, student))
             return cache[0]
 
         losses.sample_weights = frozen
@@ -124,7 +123,7 @@ def _bare_loss_checks(rng):
 
     def mdd(teacher_weight):
         def make(lv):
-            loss, _ = losses.mdd_loss(R.pair(c0_pack, prev_pack, teacher_weight), _student_pack(lv, protos), protos, teacher_weight=teacher_weight)
+            loss, _ = losses.mdd_loss(R.pair(c0_pack, prev_pack, teacher_weight), _student_pack(lv, protos), protos, R.per_lane(teacher_weight))
             return loss
         return make
 
@@ -188,7 +187,7 @@ def _mulki_gap(seed: int, coords_per_seed: int = 40) -> float:
 
     def make():
         feats = student.encode_images(x)
-        loss, _ = losses.total_loss(student, feats, label_positions, token_ids, protos, hyper, teachers, rows, wc_ref)
+        loss, _ = losses.total_loss(student, feats, label_positions, token_ids, protos, hyper, teachers, rows, R.per_lane(hyper.teacher_weight), wc_ref)
         return loss
 
     gap = 0.0
@@ -246,11 +245,12 @@ def test_criterion_2_identities():
         d_c0 = _random_dist(rng, (B, 6))
         d_prev = _random_dist(rng, (B, 6))
         d_stu = _random_dist(rng, (B, 6))
-        r0, r_prev = losses.sample_weights(d_c0, d_prev, d_stu)
-        worst_sum = max(worst_sum, float(np.max(np.abs(r0.data + r_prev.data - 1.0))))
+        r0 = losses.sample_weights(np.array((d_c0.data, d_prev.data)), d_stu.data)
+        r_prev = 1.0 - r0
+        worst_sum = max(worst_sum, float(np.max(np.abs(r0 + r_prev - 1.0))))
     shared = _random_dist(rng, (B, 6))
-    r0_eq, _ = losses.sample_weights(shared, shared, _random_dist(rng, (B, 6)))
-    ok_a = worst_sum <= 1e-12 and np.all(r0_eq.data == 0.5)
+    r0_eq = losses.sample_weights(np.array((shared.data, shared.data)), _random_dist(rng, (B, 6)).data)
+    ok_a = worst_sum <= 1e-12 and np.all(r0_eq == 0.5)
 
     dims = dict(vocab_size=K + 1, d_in=D, d_tok=8, hidden=8, embed_dim=D)
     teacher = snapshot(DualEncoder(7, **dims))
@@ -284,7 +284,7 @@ def test_criterion_2_identities():
     _verdict(
         2, "weighting/distillation/ensembling identities",
         ok_a and ok_b and ok_c and ok_d,
-        f"r-sum gap {worst_sum:.1e}, equal-score r0 exactly 0.5: {bool(np.all(r0_eq.data == 0.5))}, "
+        f"r-sum gap {worst_sum:.1e}, equal-score r0 exactly 0.5: {bool(np.all(r0_eq == 0.5))}, "
         f"FD {fd_val}, IRD {ird_val} at parameter equality, "
         f"WE uniform-mean gap {worst_we:.1e}, constant-stream fixed point exact: {ok_d}",
     )
@@ -405,16 +405,16 @@ def test_criterion_6_weighting_strategy(grid):
 
 
 def test_criterion_7_metric_fixtures():
-    fixture = AccuracyMatrix(np.array([[0.5, 0.5], [1.0, 0.5], [1.0, 1.0]]))
+    fixture = np.array([[0.5, 0.5], [1.0, 0.5], [1.0, 1.0]])
     exact = (
         metrics.transfer(fixture) == 0.5
         and metrics.avg(fixture) == 0.875
         and metrics.last(fixture) == 1.0
         and metrics.current_avg(fixture) == 1.0
     )
-    half = AccuracyMatrix(np.full((4, 3), 0.5))
+    half = np.full((4, 3), 0.5)
     const_exact = all(fn(half) == 0.5 for fn in (metrics.transfer, metrics.avg, metrics.last, metrics.current_avg))
-    seven = AccuracyMatrix(np.full((4, 3), 0.7))
+    seven = np.full((4, 3), 0.7)
     const_close = all(
         abs(fn(seven) - 0.7) <= 1e-12
         for fn in (metrics.transfer, metrics.avg, metrics.last, metrics.current_avg)

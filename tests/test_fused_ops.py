@@ -87,10 +87,11 @@ def assert_same(fused, chain, values, grads=None, through_node=False, seed=0):
 
 def weights_for(teacher_weight, d0, dp, ds, teacher):
     """The row weights mdd_loss hands teacher 0 or 1 under `teacher_weight` (None: that teacher is off)."""
-    if not weighted_teachers(teacher_weight)[teacher]:
+    if not weighted_teachers(R.per_lane(teacher_weight))[teacher]:
         return None
     if teacher_weight is None:
-        return sample_weights(Tensor(d0), Tensor(dp), Tensor(ds))[teacher]
+        r0 = sample_weights(np.array((d0, dp)), ds)
+        return Tensor((r0, 1.0 - r0)[teacher])
     return Tensor(np.full(ds.shape[0], 1.0 - teacher_weight if teacher else float(teacher_weight)))
 
 
@@ -276,7 +277,7 @@ def _iteration(seed, hyper):
         protos = store.matrix()
         teachers = R.weighted_bundle(c0, c_prev, x, token_ids, protos, hyper)
         feats = student.encode_images(x)
-        return losses.total_loss(student, feats, labels, token_ids, protos, hyper, teachers, np.arange(32), ref)
+        return losses.total_loss(student, feats, labels, token_ids, protos, hyper, teachers, np.arange(32), R.per_lane(hyper.teacher_weight), ref)
 
     def chain():
         return R.total_loss(x, labels, token_ids, student, c0, c_prev, store.matrix(), hyper, ref)
@@ -424,6 +425,11 @@ def _assert_same_distillation(fused, chain):
             assert np.array_equal(f, c)
 
 
+def _fused(teachers, student, protos, alpha, beta, teacher_weight, **channels):
+    """`losses.mdd_loss` called as the per-term chain is: the weight in a config's shape, here made per lane."""
+    return losses.mdd_loss(teachers, student, protos, R.per_lane(teacher_weight), alpha, beta, **channels)
+
+
 @pytest.mark.parametrize("case", DISTILL_CASES.values(), ids=DISTILL_CASES.keys())
 def test_pair_bundle_distillation_matches_per_term_chain(case):
     """The trainer's path (one bundle of both teachers, a shared c0 filling every lane beside c_prev's stack, cut with
@@ -437,9 +443,9 @@ def test_pair_bundle_distillation_matches_per_term_chain(case):
     x, token_ids = rng.normal(size=(40, 12)), [1, 2, 3, 4, 5]
     protos = Tensor(np.stack([PrototypeStore.init_from_model(c0, [rng.normal(size=(4, 12)) for _ in range(5)]).matrix().data] * lanes))
     idx = rng.integers(0, 40, size=(lanes, 32))
-    weighted = [t for t, w in zip((c0, c_prev), weighted_teachers(teacher_weight)) if w]
+    weighted = [t for t, w in zip((c0, c_prev), weighted_teachers(R.per_lane(teacher_weight))) if w]
     pair = losses.teacher_outputs(weighted, x, token_ids, protos, 2.0)
-    per_teacher = [losses.teacher_outputs(t, x, token_ids, protos, 2.0) for t in (c0, c_prev)]
+    per_teacher = [R.teacher_outputs(t, x, token_ids, protos, 2.0) for t in (c0, c_prev)]
 
     def run(distill, teachers):
         student = stack([DualEncoder(70 + s, **dims) for s in range(lanes)])
@@ -450,8 +456,8 @@ def test_pair_bundle_distillation_matches_per_term_chain(case):
 
     cut = [t.rows(idx, protos, 2.0) for t in per_teacher]
     chain = run(R.mdd_loss_per_term, cut)
-    _assert_same_distillation(run(losses.mdd_loss, [pair.rows(idx, protos, 2.0)]), chain)
-    _assert_same_distillation(run(losses.mdd_loss, [R.pair(*cut, teacher_weight)]), chain)  # a bundle per teacher, stacked
+    _assert_same_distillation(run(_fused, [pair.rows(idx, protos, 2.0)]), chain)
+    _assert_same_distillation(run(_fused, [R.pair(*cut, teacher_weight)]), chain)  # a bundle per teacher, stacked
 
 
 @pytest.mark.parametrize("teacher_weight", [None, 0.5, MIXED[1:]], ids=["similarity", "average", "lanes"])
@@ -480,7 +486,7 @@ def test_distillation_of_a_shared_2d_bundle_beside_a_stack_matches_per_term_chai
         return loss.data, info, [leaves[key].grad for key in sorted(leaves)]
 
     def fused(c0_out, prev_out, *args):
-        return losses.mdd_loss(R.pair(c0_out, prev_out, teacher_weight), *args)
+        return _fused(R.pair(c0_out, prev_out, teacher_weight), *args)
 
     tiled = {key: np.broadcast_to(v, (s,) + v.shape).copy() for key, v in c0.items()}
     _assert_same_distillation(run(fused, c0), run(R.mdd_loss_per_term, tiled))

@@ -1,10 +1,11 @@
-"""The trainer reads every distillation knob from the config: a value off the default moves a byte.
+"""The trainer reads every training knob from the config: a value off the default moves a byte.
 
 The tiny config of conftest trains twice per knob, once at the default and
-once at an in-bound value off it, and losses.csv or a task checkpoint must
-differ. The unit tests hand the loss kernels their values directly, so a
-trainer that passes a knob's default literal instead of the config's value
-passes them all; it fails here.
+once at an in-bound value off it (both under the arm in `ARMS` where the
+default arm never reads the knob), and losses.csv or a task checkpoint must
+differ. The unit tests hand the loss kernels, the prototype store and the
+optimizer their values directly, so a trainer that passes a knob's default
+literal instead of the config's value passes them all; it fails here.
 """
 
 from pathlib import Path
@@ -17,7 +18,12 @@ from mulki.runner import pretrain, run_stream, save_run_record
 
 from conftest import TINY_MODEL, fast_hyper
 
-OFF_DEFAULT = {"alpha": 0.5, "beta": 0.5, "tau": 1.0, "lambda2": 0.5, "teacher_weight": 0.25}
+OFF_DEFAULT = {
+    "alpha": 0.5, "beta": 0.5, "tau": 1.0, "lambda1": 0.5, "lambda2": 0.5, "lambda_wc": 0.5, "teacher_weight": 0.25,
+    "gamma0": 0.5, "gamma_max": 0.1, "gamma_step": 0.2, "lr": 3e-3, "weight_decay": 0.05, "adam_beta1": 0.5,
+    "adam_beta2": 0.9, "adam_eps": 1e-3, "we_interval": 2, "ewe_eta": 1,
+}
+ARMS = {"ewe_eta": dict(ensemble="ewe")}  # the setting a knob needs to be read at all, on both runs
 
 
 def _artifacts(stream, c0, hyper, out: Path) -> dict:
@@ -43,7 +49,10 @@ def test_off_default_values_are_in_bounds_and_off_the_default():
 @pytest.mark.parametrize("name", OFF_DEFAULT)
 def test_a_knob_off_its_default_moves_the_run(name, tiny_stream, default_run, tmp_path):
     c0, default = default_run
-    moved = _artifacts(tiny_stream, c0, fast_hyper(**{name: OFF_DEFAULT[name]}), tmp_path)
+    arm = ARMS.get(name, {})
+    if arm:
+        default = _artifacts(tiny_stream, c0, fast_hyper(**arm), tmp_path / "default")
+    moved = _artifacts(tiny_stream, c0, fast_hyper(**arm, **{name: OFF_DEFAULT[name]}), tmp_path / "moved")
     assert moved.keys() == default.keys()
     assert moved != default, f"{name}={OFF_DEFAULT[name]} wrote the bytes of the default run"
 

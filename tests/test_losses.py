@@ -272,18 +272,20 @@ def test_pt_single_class_is_zero(rng):
 def test_weights_equal_similarity_gives_half(rng):
     d = Tensor(np_dist(unit_rows(rng, 4, 6), unit_rows(rng, 3, 6), 2.0))
     ds = Tensor(np_dist(unit_rows(rng, 4, 6), unit_rows(rng, 3, 6), 2.0))
-    r0, r_prev = sample_weights(d, Tensor(d.data.copy()), ds)
-    assert np.array_equal(r0.data, np.full(4, 0.5))
-    assert np.array_equal(r_prev.data, np.full(4, 0.5))
+    r0 = sample_weights(np.array((d.data, d.data.copy())), ds.data)
+    r_prev = 1.0 - r0
+    assert np.array_equal(r0, np.full(4, 0.5))
+    assert np.array_equal(r_prev, np.full(4, 0.5))
 
 
 def test_weights_analytic_extreme():
     student = Tensor(np.array([[1.0, 0.0]]))
     same = Tensor(np.array([[1.0, 0.0]]))      # cosine 1 with student
     orthogonal = Tensor(np.array([[0.0, 1.0]]))  # cosine 0 with student
-    r0, r_prev = sample_weights(same, orthogonal, student)
-    assert abs(r0.data[0] - 1.0 / (1.0 + math.e)) < 1e-12
-    assert abs(r_prev.data[0] - math.e / (1.0 + math.e)) < 1e-12
+    r0 = sample_weights(np.array((same.data, orthogonal.data)), student.data)
+    r_prev = 1.0 - r0
+    assert abs(r0[0] - 1.0 / (1.0 + math.e)) < 1e-12
+    assert abs(r_prev[0] - math.e / (1.0 + math.e)) < 1e-12
 
 
 def test_weights_sum_to_one_and_oracle(rng):
@@ -291,10 +293,11 @@ def test_weights_sum_to_one_and_oracle(rng):
         d0 = np_dist(unit_rows(rng, 6, 5), unit_rows(rng, 4, 5), 2.0)
         dp = np_dist(unit_rows(rng, 6, 5), unit_rows(rng, 4, 5), 2.0)
         ds = np_dist(unit_rows(rng, 6, 5), unit_rows(rng, 4, 5), 2.0)
-        r0, r_prev = sample_weights(Tensor(d0), Tensor(dp), Tensor(ds))
-        assert np.all(np.abs(r0.data + r_prev.data - 1.0) <= 1e-12)
-        assert np.allclose(r0.data, np_weights(d0, dp, ds), atol=1e-12)
-        assert not r0.requires_grad and not r_prev.requires_grad
+        r0 = sample_weights(np.array((d0, dp)), ds)
+        r_prev = 1.0 - r0
+        assert np.all(np.abs(r0 + r_prev - 1.0) <= 1e-12)
+        assert np.allclose(r0, np_weights(d0, dp, ds), atol=1e-12)
+        assert type(r0) is np.ndarray  # a constant: no Tensor, so no gradient
 
 
 def test_weights_strictly_decreasing_in_s0():
@@ -436,7 +439,7 @@ def build_packs(rng, b=4, k=3, d=6, tau=2.0):
 )
 def test_mdd_matches_numpy_oracle(rng, teacher_weight):
     c0_out, prev_out, student, protos, packs = build_packs(rng)
-    loss, info = mdd_loss(R.pair(c0_out, prev_out, teacher_weight), student, protos, alpha=0.7, beta=1.3, teacher_weight=teacher_weight)
+    loss, info = mdd_loss(R.pair(c0_out, prev_out, teacher_weight), student, protos, R.per_lane(teacher_weight), alpha=0.7, beta=1.3)
     expected = np_mdd(packs["c0"], packs["prev"], packs["student"], protos.data, 0.7, 1.3, teacher_weight)
     assert abs(loss.item() - expected) < 1e-12
     assert loss.requires_grad
@@ -446,14 +449,14 @@ def test_mdd_average_equals_similarity_when_teachers_coincide(rng):
     seed = int(rng.integers(0, 2**31))
     r1 = np.random.default_rng(seed)
     c0_out, _, student, protos, _ = build_packs(r1)
-    sim, _ = mdd_loss(R.pair(c0_out, c0_out), student, protos)
-    avg, _ = mdd_loss(R.pair(c0_out, c0_out), student, protos, teacher_weight=0.5)
+    sim, _ = mdd_loss(R.pair(c0_out, c0_out), student, protos, R.per_lane(None))
+    avg, _ = mdd_loss(R.pair(c0_out, c0_out), student, protos, R.per_lane(0.5))
     assert sim.item() == avg.item()
 
 
 def test_mdd_alpha_beta_zero_is_weighted_fd(rng):
     c0_out, prev_out, student, protos, packs = build_packs(rng)
-    loss, _ = mdd_loss(R.pair(c0_out, prev_out), student, protos, alpha=0.0, beta=0.0, enable_ird=False, enable_idd=False)
+    loss, _ = mdd_loss(R.pair(c0_out, prev_out), student, protos, R.per_lane(None), alpha=0.0, beta=0.0, enable_ird=False, enable_idd=False)
     r0 = np_weights(packs["c0"]["itd"], packs["prev"]["itd"], packs["student"]["itd"])
     fd0 = (((packs["c0"]["feats"] - packs["student"]["feats"]) ** 2).sum(axis=1) * r0).mean()
     fdp = (((packs["prev"]["feats"] - packs["student"]["feats"]) ** 2).sum(axis=1) * (1 - r0)).mean()
@@ -462,7 +465,7 @@ def test_mdd_alpha_beta_zero_is_weighted_fd(rng):
 
 def test_mdd_all_channels_disabled_returns_none(rng):
     c0_out, prev_out, student, protos, _ = build_packs(rng)
-    loss, info = mdd_loss(R.pair(c0_out, prev_out), student, protos, enable_fd=False, enable_ird=False, enable_idd=False)
+    loss, info = mdd_loss(R.pair(c0_out, prev_out), student, protos, R.per_lane(None), enable_fd=False, enable_ird=False, enable_idd=False)
     assert loss is None
 
 
@@ -487,10 +490,10 @@ def test_teacher_rows_equal_per_batch_teacher_outputs(tiny_stream):
     task = tiny_stream.tasks[0]
     teacher = snapshot(DualEncoder(5, vocab_size=tiny_stream.vocab_size, d_in=tiny_stream.d_in, d_tok=8, hidden=16, embed_dim=8))
     protos = PrototypeStore.init_from_model(teacher, task.images_by_class()).matrix()
-    whole = teacher_outputs(teacher, task.train_x, task.token_ids, protos, tau=2.0)
+    whole = R.teacher_outputs(teacher, task.train_x, task.token_ids, protos, tau=2.0)
     for it, (x, idx) in enumerate(batches(task, 8, seed=3, iterations=40)):
         moved = Tensor(np.roll(protos.data, it, axis=1))  # prototypes drift between batches
-        fresh = teacher_outputs(teacher, x, task.token_ids, moved, tau=2.0)
+        fresh = R.teacher_outputs(teacher, x, task.token_ids, moved, tau=2.0)
         cut = whole.rows(idx, moved, tau=2.0)
         for name in ("feats", "img_text_dist", "proto_text_dist", "text_proto_dist", "texts"):
             assert np.array_equal(getattr(cut, name).data, getattr(fresh, name).data), (it, name)
@@ -502,7 +505,7 @@ def test_teacher_rows_carry_unit_rows_equal_to_a_fresh_normalization(tiny_stream
 
     task = tiny_stream.tasks[0]
     teacher = snapshot(DualEncoder(5, vocab_size=tiny_stream.vocab_size, d_in=tiny_stream.d_in))  # default widths
-    whole = teacher_outputs(teacher, task.train_x, task.token_ids, None, tau=2.0)
+    whole = teacher_outputs([teacher], task.train_x, task.token_ids, None, tau=2.0)
     for it, (_, idx) in enumerate(batches(task, 32, seed=3, iterations=50)):
         cut = whole.rows(idx, None, tau=2.0)
         kept = cut.feats._unit
@@ -514,7 +517,7 @@ def test_teacher_rows_carry_unit_rows_equal_to_a_fresh_normalization(tiny_stream
 def test_bundles_without_prototypes_skip_the_prototype_text_distributions(tiny_stream):
     task = tiny_stream.tasks[0]
     model = DualEncoder(5, vocab_size=tiny_stream.vocab_size, d_in=tiny_stream.d_in, d_tok=8, hidden=16, embed_dim=8)
-    whole = teacher_outputs(snapshot(model), task.train_x, task.token_ids, None, tau=2.0)
+    whole = R.teacher_outputs(snapshot(model), task.train_x, task.token_ids, None, tau=2.0)
     cut = whole.rows([0, 3], None, tau=2.0)
     student = student_outputs(model, model.encode_images(task.train_x[:2]), task.token_ids, None, 2.0, img_text=False)
     for bundle in (whole, cut, student):
@@ -539,7 +542,7 @@ def test_total_loss_with_teacher_bundles_matches_per_batch():
     teachers = R.weighted_bundle(c0, c_prev, pool, token_ids, protos, hyper)
     _, fresh = R.total_loss(pool[rows], labels, token_ids, student, c0, c_prev, protos, hyper)
     feats = student.encode_images(pool[rows])
-    _, cached = total_loss(student, feats, labels, token_ids, protos, hyper, teachers, rows)
+    _, cached = total_loss(student, feats, labels, token_ids, protos, hyper, teachers, rows, R.per_lane(hyper.teacher_weight))
     assert fresh.values() == cached.values()
     assert fresh.r0_mean == cached.r0_mean is not None
 
@@ -562,11 +565,11 @@ def fixed_point_setup(seed=0):
 
 def test_distillation_fixed_point_values_and_gradients():
     model, frozen, x, token_ids, protos = fixed_point_setup()
-    c0_out = teacher_outputs(frozen, x, token_ids, protos, tau=2.0)
-    prev_out = teacher_outputs(frozen, x, token_ids, protos, tau=2.0)
+    c0_out = R.teacher_outputs(frozen, x, token_ids, protos, tau=2.0)
+    prev_out = R.teacher_outputs(frozen, x, token_ids, protos, tau=2.0)
     student = student_outputs(model, model.encode_images(x), token_ids, protos, tau=2.0)
 
-    loss, info = mdd_loss(R.pair(c0_out, prev_out), student, protos)
+    loss, info = mdd_loss(R.pair(c0_out, prev_out), student, protos, R.per_lane(None))
     # hard-zero structure: feature and relation gaps are exactly zero
     assert info["fd0"] == 0.0 and info["fd_prev"] == 0.0
     assert info["ird0"] == 0.0 and info["ird_prev"] == 0.0
@@ -616,7 +619,7 @@ def bundled_loss(student, c0, c_prev, store, x, labels, token_ids, hyper, wc_ref
     protos = store.matrix()
     teachers = R.weighted_bundle(c0, c_prev, x, token_ids, protos, hyper)
     feats = student.encode_images(x)
-    return total_loss(student, feats, labels, token_ids, protos, hyper, teachers, np.arange(len(x)), wc_reference)
+    return total_loss(student, feats, labels, token_ids, protos, hyper, teachers, np.arange(len(x)), R.per_lane(hyper.teacher_weight), wc_reference)
 
 
 def test_total_loss_breakdown_identity():
@@ -684,9 +687,9 @@ def test_total_loss_grad_matches_finite_differences(monkeypatch):
     real_weights = losses_mod.sample_weights
     frozen = {}
 
-    def frozen_weights(d0, dp, ds):
+    def frozen_weights(teachers, student):
         if "value" not in frozen:
-            frozen["value"] = real_weights(d0, dp, ds)
+            frozen["value"] = real_weights(teachers, student)
         return frozen["value"]
 
     monkeypatch.setattr(losses_mod, "sample_weights", frozen_weights)

@@ -8,7 +8,6 @@ import pytest
 from mulki.encoder import DualEncoder, snapshot
 from mulki.errors import ContractError
 from mulki.metrics import (
-    AccuracyMatrix,
     avg,
     current_avg,
     evaluate,
@@ -82,11 +81,11 @@ def test_summaries_within_bounds(rng):
 
 def test_matrix_validation():
     with pytest.raises(ContractError, match=re.escape("accuracy matrix must be (N + 1) x N, got (3, 3)")):
-        AccuracyMatrix(np.zeros((3, 3)))
+        summaries(np.zeros((3, 3)))
     with pytest.raises(ContractError):
-        AccuracyMatrix(np.full((3, 2), 1.5))
+        summaries(np.full((3, 2), 1.5))
     with pytest.raises(ContractError):
-        AccuracyMatrix(np.zeros((1, 0)))
+        summaries(np.zeros((1, 0)))
     with pytest.raises(ContractError):
         transfer(np.full((2, 1), 0.5))  # single task has no unseen cells
 

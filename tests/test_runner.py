@@ -23,6 +23,7 @@ from mulki.runner import (
     train_task,
 )
 from mulki.taskgen import StreamSpec, generate_stream
+import reference_ops as R
 
 from conftest import TINY_MODEL, fast_hyper, tiny_stream_config
 
@@ -41,7 +42,7 @@ def trainable(model):
 def train_alone(c0, task, hyper, seed):
     """train_task on a stack of one seed starting from c0, with c0 as both teachers; (student, result)."""
     student = stack([c0])
-    return student, train_task(student, c0, c0, task, hyper, [seed])
+    return student, train_task(student, c0, c0, task, hyper, [seed], R.per_lane([hyper.teacher_weight]))
 
 
 TOTAL = losses.LossBreakdown.FIELDS.index("total")
@@ -360,9 +361,9 @@ def test_first_task_weights_degenerate_to_half(tiny_stream, monkeypatch):
     weights = []
 
     def recording_sample_weights(*args):
-        r0, r_prev = real_sample_weights(*args)
-        weights.append(r0.data)
-        return r0, r_prev
+        r0 = real_sample_weights(*args)
+        weights.append(r0)
+        return r0
 
     real_sample_weights = losses.sample_weights
     monkeypatch.setattr(losses, "sample_weights", recording_sample_weights)

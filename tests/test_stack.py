@@ -134,10 +134,10 @@ def test_soft_ce_and_distillation_terms(shape, rng):
     texts = rng.normal(size=(S, k, d))
     assert_stack_equals_slices(lambda p, t: losses.csa_loss(p, t, 2.0), [protos, texts], [False, True])
     dists = [np.stack([prob_rows(rng, b, k) for _ in range(S)]) for _ in range(3)]
-    stacked = losses.sample_weights(*map(Tensor, dists))
+    stacked = losses.sample_weights(np.array(dists[:2]), dists[2])
     for s in range(S):
-        alone = losses.sample_weights(*(Tensor(dist[s]) for dist in dists))
-        assert all(np.array_equal(x.data[s], y.data) for x, y in zip(stacked, alone))
+        alone = losses.sample_weights(np.array([dist[s] for dist in dists[:2]]), dists[2][s])
+        assert all(np.array_equal(x[s], y) for x, y in zip((stacked, 1.0 - stacked), (alone, 1.0 - alone)))
 
 
 def test_drift_anchor_over_a_stacked_buffer(rng):
@@ -321,7 +321,7 @@ def test_one_stack_of_teacher_weight_arms_writes_the_bytes_of_each_arm_run(confi
 
 def test_mdd_loss_on_a_mixed_weight_stack_equals_one_call_per_lane(rng):
     """Values, the breakdown and every gradient of one call with per-lane weights equal per-lane calls, exactly."""
-    weights = [None, 1.0, 0.0, 0.5, 1, 0]
+    weights = R.per_lane([None, 1.0, 0.0, 0.5, 1, 0])
     n, b, k, d = len(weights), 7, 3, 5
     teacher_arrays = [
         {
@@ -345,7 +345,7 @@ def test_mdd_loss_on_a_mixed_weight_stack_equals_one_call_per_lane(rng):
     def call(pick, teacher_weight):
         teachers = [losses.TeacherOutputs(**{key: Tensor(v[pick]) for key, v in arrays.items()}) for arrays in teacher_arrays]
         student = losses.StudentOutputs(**{key: Tensor(v[pick].copy(), requires_grad=True) for key, v in student_arrays.items()})
-        loss, info = losses.mdd_loss(R.pair(*teachers, teacher_weight), student, Tensor(protos[pick]), 0.7, 1.3, teacher_weight)
+        loss, info = losses.mdd_loss(R.pair(*teachers, teacher_weight), student, Tensor(protos[pick]), teacher_weight, 0.7, 1.3)
         (loss if loss.shape == () else T.sum_seeds(loss)).backward()
         grads = {key: getattr(student, key).grad for key in student_arrays}
         return loss.data, info, grads
