@@ -130,13 +130,7 @@ class DualEncoder:
 
     @property
     def dims(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "d_in": self.d_in,
-            "d_tok": self.d_tok,
-            "hidden": self.hidden,
-            "embed_dim": self.embed_dim,
-        }
+        return {name: getattr(self, name) for name in ("vocab_size", "d_in", "d_tok", "hidden", "embed_dim")}
 
     def parameters(self) -> T.Leaves:
         """The parameter leaves in PARAM_ORDER; `.flat` is the buffer they tile."""

@@ -30,9 +30,10 @@ Each term is one node that runs the numpy expressions of the generic-op
 chain it replaced (tests/reference_ops.py), so losses, gradients and
 artifacts are the chains' bits: `csa_loss`, the supervised term through
 `tensor.soft_ce_mean`, the distributions through `tensor.cosine_softmax`,
-and the whole distillation block, every channel of both teachers, as
-`mdd_loss` over a leading teacher axis. A stack's [S, ...] operands give
-one value per seed, each that seed's bits alone.
+the whole distillation block, every channel of both teachers, as
+`mdd_loss` over a leading teacher axis, and the terms' weighted sum. A
+stack's [S, ...] operands give one value per seed, each that seed's bits
+alone; what its lanes' weights fix for a run is one `LanePlan`.
 
 Prototypes and teacher outputs are constants; gradients flow only into
 the student. Both teachers stay frozen for a task, so the trainer runs
@@ -116,6 +117,19 @@ def image_text_dist(feats: Tensor, texts: Tensor, tau: float) -> Tensor:
 def weighted_teachers(weights: np.ndarray) -> tuple[bool, bool]:
     """Whether (c0, c_prev) carry weight in some lane of `weights`: a weight of exactly 0 zeroes c0, of 1 c_prev (NaN weights both)."""
     return (weights != 0).any(), (weights != 1).any()
+
+
+class LanePlan:
+    """What the lanes' teacher weights ([S], 0-d unstacked; NaN: similarity) fix for a whole run, derived once."""
+
+    def __init__(self, weights):
+        self.weights = w = np.asarray(weights, dtype=np.float64)
+        w0, w_prev = weighted_teachers(w)
+        self.kept = slice(0 if w0 else 1, 2 if w_prev else 1)  # the weighted teachers of (c0, c_prev)
+        self.off = (w == 0, w == 1)[self.kept]  # per weighted teacher, the lanes whose weight on it is exactly 0
+        self.any_off, self.on = any(o.any() for o in self.off), [1.0 - o for o in self.off]  # any such lane; p&t's 0/1 factors
+        self.similar = np.isnan(w)
+        self.weighs, self.all_similar = self.similar.any(), self.similar.all()  # some lane's r0 is by similarity, every lane's
 
 
 def sample_weights(teachers: np.ndarray, student: np.ndarray) -> np.ndarray:
@@ -303,7 +317,7 @@ def mdd_loss(
     teachers: TeacherOutputs,
     student: StudentOutputs,
     protos: Tensor,
-    weights: np.ndarray,
+    weights: np.ndarray | LanePlan,
     alpha: float = 1.0,
     beta: float = 1.0,
     enable_fd: bool = True,
@@ -317,11 +331,11 @@ def mdd_loss(
         r_k * (FD + alpha * IRD + beta * i2t) + 0.5 * beta * (p&t)
 
     summed over both teachers. `weights` holds each lane's teacher weight
-    ([S]; 0-d for an unstacked [B, ...] student): a number w sets r_0 = w and
-    r_prev = 1 - w on the lane's samples, NaN takes its rows of
-    `sample_weights`. A teacher runs when any lane weights it
-    (`weighted_teachers`): a lane whose weight on it is exactly 0 takes its
-    fd, ird and i2t terms at r = 0, its p&t term through a 0/1 lane mask,
+    ([S]; 0-d for an unstacked [B, ...] student), or is its `LanePlan`: a
+    number w sets r_0 = w and r_prev = 1 - w on the lane's samples, NaN
+    takes its rows of `sample_weights`. A teacher runs when any lane weights
+    it (`weighted_teachers`): a lane whose weight on it is exactly 0 takes its
+    fd, ird and i2t terms at r = 0, its p&t term through a 0/1 lane factor,
     and logs 0 for it, so each lane gets the bits of its own run.
 
     `teachers` holds the weighted teachers' rows for the batch on a leading
@@ -338,17 +352,16 @@ def mdd_loss(
     Returns (loss tensor or None if every channel is disabled, info dict
     with raw term values and the per-sample weights).
     """
-    w0, w_prev = weighted_teachers(weights)
-    kept = slice(0 if w0 else 1, 2 if w_prev else 1)  # the weighted teachers of (c0, c_prev)
-    n, rows = kept.stop - kept.start, student.feats.data.shape[:-1]
+    lanes = weights if isinstance(weights, LanePlan) else LanePlan(weights)
+    kept, rows = lanes.kept, student.feats.data.shape[:-1]
+    n = kept.stop - kept.start
     if teachers.feats.data.shape[:-1] != (n,) + rows:
         raise ContractError(f"mdd_loss: teacher rows {teachers.feats.shape} for {n} teacher(s) and student rows {rows}")
-    r0 = np.empty(rows)
-    r0[...] = weights[..., None]  # each lane's fixed weight on all its rows
-    similar = np.isnan(weights)
-    if similar.any():
-        r0 = np.where(similar[..., None], sample_weights(teachers.img_text_dist.data, student.img_text_dist.data), r0)
-    off = (weights == 0, weights == 1)[kept]  # per weighted teacher, the lanes whose weight on it is exactly 0
+    r0 = sample_weights(teachers.img_text_dist.data, student.img_text_dist.data) if lanes.weighs else None
+    if not lanes.all_similar:
+        fixed = np.empty(rows)
+        fixed[...] = lanes.weights[..., None]  # each lane's fixed weight on all its rows
+        r0 = fixed if r0 is None else np.where(lanes.similar[..., None], r0, fixed)
     r, tags = np.array((r0, 1.0 - r0)[kept]), ("0", "_prev")[kept]
 
     info = {**dict.fromkeys(("fd0", "fd_prev", "ird0", "ird_prev", "idd0", "idd_prev"), np.zeros(rows[:-1])), "r0": r0}
@@ -371,8 +384,7 @@ def mdd_loss(
         norm = np.sqrt(total)
         c_ird, a = float(1.0 / np.sqrt(b * k)), float(alpha)
         terms.append(norm * c_ird * a)
-        # each slice's ||diff|| by ndarray.dot: np.add.reduce and einsum round differently
-        gaps = np.sqrt([flat.dot(flat) for flat in rel.reshape(-1, b * k)]) / math.sqrt(b * k)
+        gaps = np.sqrt(T.row_dots(rel.reshape(-1, b * k))) / math.sqrt(b * k)  # each slice's ||diff||
         raw["ird"] = gaps.reshape(rel.shape[:-2])
     if enable_idd:
         s_itd, s_ptd, s_tpd = student.img_text_dist, student.proto_text_dist, student.text_proto_dist
@@ -381,12 +393,12 @@ def mdd_loss(
         c_i2t, c_pt, scale = float(1.0 / i2t_rows.shape[-1]), float(1.0 / pt_rows.shape[-1]), float(beta)  # K x K: one c for both
         terms.append(np.add.reduce(i2t_rows * r, axis=-1) * c_i2t * scale)
         pt = np.add.reduce(pt_rows, axis=-1) * c_pt + np.add.reduce(tp_rows, axis=-1) * c_pt
-        pt_scales = [0.5 * beta * (1.0 - o) for o in off]
+        pt_scales = [0.5 * beta * on for on in lanes.on]
         terms.append([value * c for value, c in zip(pt, pt_scales)])
         raw["idd"] = np.add.reduce(i2t_rows, axis=-1) * c_i2t + pt
     for name, values in raw.items():
-        for tag, value, o in zip(tags, values, off):
-            info[name + tag] = np.where(o, 0.0, value)
+        for tag, value, o in zip(tags, values, lanes.off):
+            info[name + tag] = np.where(o, 0.0, value) if lanes.any_off else value
     if not terms:
         return None, info
 
@@ -439,7 +451,7 @@ def total_loss(
     hyper,
     teachers: TeacherOutputs | None,
     batch_rows,
-    weights: np.ndarray,
+    weights: np.ndarray | LanePlan,
     wc_reference=None,
 ) -> tuple[Tensor, LossBreakdown]:
     """Assemble the full objective for one batch.
@@ -459,35 +471,43 @@ def total_loss(
     this reduces to plain supervised fine-tuning.
     """
     pt_protos, distills = protos if hyper.enable_idd else None, hyper.distills
-    weighs = distills and np.isnan(weights).any()  # some lane's r0 needs the student's image-text distribution
-    student = student_outputs(student_model, feats, token_ids, pt_protos, hyper.tau, img_text=hyper.enable_idd or weighs)
+    weights = LanePlan(weights) if distills and not isinstance(weights, LanePlan) else weights
+    student = student_outputs(student_model, feats, token_ids, pt_protos, hyper.tau, img_text=hyper.enable_idd or (distills and weights.weighs))
 
     supervised = cross_entropy(image_text_dist(student.feats, student.texts, hyper.tau_ce), label_positions)
     bd = LossBreakdown(*np.zeros((len(LossBreakdown.FIELDS),) + supervised.shape))
     bd.ce = supervised.data
-    loss = supervised
+    terms = [(supervised, 1.0)]  # (term, its lambda), in the order they add up
 
     if hyper.enable_csa:
         csa = csa_loss(protos, student.texts, hyper.tau)
         bd.csa = csa.data
-        loss = T.add(loss, T.scale(csa, hyper.lambda1))
+        terms.append((csa, hyper.lambda1))
 
     if distills:
-        mdd, info = mdd_loss(
-            teachers.rows(batch_rows, pt_protos, hyper.tau), student, protos,
-            weights, hyper.alpha, hyper.beta, hyper.enable_fd, hyper.enable_ird, hyper.enable_idd,
-        )
+        batch = teachers.rows(batch_rows, pt_protos, hyper.tau)
+        mdd, info = mdd_loss(batch, student, protos, weights, hyper.alpha, hyper.beta, hyper.enable_fd, hyper.enable_ird, hyper.enable_idd)
         if mdd is not None:
             bd.fd0, bd.fd_prev, bd.ird0, bd.ird_prev = info["fd0"], info["fd_prev"], info["ird0"], info["ird_prev"]
             bd.idd0, bd.idd_prev = info["idd0"], info["idd_prev"]
             bd.r0_mean = np.add.reduce(info["r0"], axis=-1) / info["r0"].shape[-1]  # np.mean's own arithmetic
             bd.mdd = mdd.data
-            loss = T.add(loss, T.scale(mdd, hyper.lambda2))
+            terms.append((mdd, hyper.lambda2))
 
     if wc_reference is not None:
         wc = wc_loss(student_model.parameters(), wc_reference)
         bd.wc = wc.data
-        loss = T.add(loss, T.scale(wc, hyper.lambda_wc))
+        terms.append((wc, hyper.lambda_wc))
 
-    bd.total = loss.data
-    return loss, bd
+    # one node with the bits of the add/scale chain: its value in the chain's order, each term's g * c as the term's
+    # scale node handed it on, and with the parents in the chain's order the tape walks every node as the chain's did
+    data = supervised.data
+    for term, c in terms[1:]:
+        data = data + term.data * c
+
+    def backward(g):
+        for term, c in terms:
+            term._accumulate(g * c)  # every term carries the student's gradient
+
+    bd.total = data
+    return (T.node(data, tuple([term for term, _ in terms]), backward) if len(terms) > 1 else supervised), bd

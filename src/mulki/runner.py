@@ -10,8 +10,8 @@ teacher - is the ensemble, not the raw last iterate, unless
 
 An arm's seeds train in lockstep as one stack (`encoder.stack`), a single
 seed as a stack of one: the parameters, gradients, AdamW moments and
-ensemble are [S, P] buffers, the prototypes one [S, K, d] store, each
-seed draws its own batches, and every loss is one value per seed. Each
+ensemble are [S, P] buffers, the prototypes one [S, K, d] store, and
+every loss is one value per seed; a seed's lanes share its batches. Each
 slice runs a single model's numpy code, so each seed's artifacts are the
 bytes of that seed run alone. Per-seed loops remain for a diverged loss's
 breakdown, the checkpoints and evaluation. An initial model all seeds
@@ -34,9 +34,9 @@ Per task, before the first iteration: look up every training label's
 class position at once (a label outside the task's classes raises
 ContractError), seed the store from the initial model(s), and run
 the weighted teachers once over the task's training set into one bundle.
-Per iteration: draw each seed's batch (images and row indices) -> encode
-the stack -> with a store, EMA-update each seed's classes in its batch, in
-label-position order -> build the loss from the batch's label positions,
+Per iteration: draw each distinct seed's batch (images and row indices)
+-> encode the stack -> with a store, EMA-update every seed's classes at
+once -> build the loss (one node) from the batch's label positions,
 the prototypes, the teachers' rows for the batch (one distillation node)
 and the drift anchor -> refuse a non-finite loss -> backward -> one flat
 AdamW step -> on every `we_interval`-th iteration, fold the flat
@@ -62,7 +62,7 @@ from .errors import ConfigError, ContractError, TrainingDivergedError
 from .jsonutil import format_float, write_canonical, write_lines
 from .optim import AdamW
 from .prototypes import PrototypeStore
-from .tensor import Tensor, sum_seeds
+from .tensor import sum_seeds
 from .weightspace import we_init, we_step
 
 _TAG_PRETRAIN_BATCH = 21
@@ -147,10 +147,11 @@ def train_task(
     unless `hyper.ensemble` is "off"). The prototype store, when an enabled
     term reads it, lives only inside this window: seeded from `c0` before
     the first iteration, dropped on return. `weights` holds each lane's
-    teacher weight (NaN: per-sample similarity). Every batch's loss takes its
-    teacher rows from the per-task bundle of the weighted teachers, and adds
-    the drift anchor toward `wc_reference` ([S, P]) iff one is given. A
-    non-finite loss raises TrainingDivergedError for its first lane.
+    teacher weight (NaN: per-sample similarity), or is its `losses.LanePlan`.
+    The lanes of a seed share its batches. Each batch's loss takes its teacher
+    rows from the per-task bundle of the weighted teachers, and the drift anchor
+    toward `wc_reference` ([S, P]) iff one is given. A non-finite loss raises
+    TrainingDivergedError for its first lane.
     """
     positions = _label_positions(task)
     token_ids = task.token_ids
@@ -162,16 +163,19 @@ def train_task(
         protos = store.matrix()
     teachers = None
     if hyper.distills:
-        weighted = [t for t, w in zip((c0, c_prev), losses.weighted_teachers(weights)) if w]
+        weights = weights if isinstance(weights, losses.LanePlan) else losses.LanePlan(weights)
+        weighted = [c0, c_prev][weights.kept]
         teachers = losses.teacher_outputs(weighted, task.train_x, token_ids, protos if hyper.enable_idd else None, hyper.tau)
 
     we_state = None if hyper.ensemble == "off" else we_init(student.parameters().flat, hyper.we_interval)
     opt = _adamw(student, hyper)
     log = np.empty((hyper.iterations_per_task, len(losses.LossBreakdown.FIELDS) + 1, n))
-    draws = [taskgen.batches(task, hyper.batch_size, seed, hyper.iterations_per_task) for seed in seeds]
+    distinct = list(dict.fromkeys(seeds))  # a batch is a function of (seed, task, iteration): one draw per seed
+    draw = [distinct.index(seed) for seed in seeds]  # lane s takes the draw of its seed
+    draws = [taskgen.batches(task, hyper.batch_size, seed, hyper.iterations_per_task) for seed in distinct]
     for k, batch in enumerate(zip(*draws), start=1):
-        rows = np.array([idx for _, idx in batch])
-        feats = student.encode_images(np.array([x for x, _ in batch]))
+        rows = np.array([batch[d][1] for d in draw])
+        feats = student.encode_images(np.array([batch[d][0] for d in draw]))
         batch_positions = positions[rows]
         if store is not None:
             store.ema_update(feats.data, batch_positions)
@@ -272,7 +276,7 @@ def run_stream(stream, hyper, seeds: list, c0s: list, config_echo: dict | None =
 
 
 def _run_stack(stream, lanes: list, seeds: list, c0s: list, config_echo: dict) -> list[RunRecord]:
-    hyper, weights = lanes[0], np.array([h.teacher_weight for h in lanes], dtype=np.float64)  # None (similarity): NaN
+    hyper, weights = lanes[0], losses.LanePlan(np.array([h.teacher_weight for h in lanes], dtype=np.float64))  # None: NaN
     n, iterations = stream.n_tasks, hyper.iterations_per_task
     matrices = [np.zeros((n + 1, n)) for _ in seeds]
     zero_shot: dict = {}  # one evaluation per distinct initial model: `cli` hands every lane the same one

@@ -18,8 +18,8 @@ each node to its chain). Gradients a chain would sum inside itself are
 summed in its order before the one `_accumulate` call per parent. The
 kernels the nodes share (`cosine_forward`/`_backward`, `softmax_forward`/
 `_backward`, `soft_ce_rows`, `soft_ce_backward`, `row_terms_backward`,
-`UnitRows`, and `node` to put a result on the tape) are public, for
-`losses` and `encoder`. Every value is a contiguous float64 numpy array.
+`UnitRows`, `row_dots`, and `node` to put a result on the tape) are
+public. Every value is a contiguous float64 numpy array.
 
 Op outputs are never mutated; optimizers rewrite leaf parameter storage
 between tape builds, and a graph never outlives its backward pass. So a
@@ -313,9 +313,9 @@ def sum_sq_diff(parts, ref: np.ndarray) -> Tensor:
 
     `Leaves` are read straight from their flat buffer (a stack's gives one
     value per seed); other parts are concatenated. The backward pass hands
-    each part its slice of 2 * g * (theta - ref), so a list of parameter
-    leaves gets one contribution each, written into its lanes of the
-    gradient buffer, with no reshape or concatenation nodes on the tape.
+    each part its slice of 2 * g * (theta - ref), so parameter leaves get
+    one contribution each in their lanes of the gradient buffer (one add, once
+    all hold their lanes), with no reshape or concatenation nodes on the tape.
     """
     if not parts:
         raise ContractError("sum_sq_diff needs at least one tensor")
@@ -329,6 +329,9 @@ def sum_sq_diff(parts, ref: np.ndarray) -> Tensor:
 
     def backward(g):
         grad = 2.0 * (g[..., None] * diff)  # exactly (g * diff) + (g * diff), the product rule's two terms
+        if isinstance(parts, Leaves) and parts.grad is not None and all([p.grad is p._lane for p in parts]):
+            parts.grad += grad  # the per-leaf `+=` of every element at once
+            return
         offset = 0
         for p in parts:
             width = p.size // seeds
@@ -366,6 +369,11 @@ def _normalized(x: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
 def _normalized_backward(g: np.ndarray, unit: np.ndarray, norms: np.ndarray, axis: int) -> np.ndarray:
     inner = np.add.reduce(g * unit, axis=axis, keepdims=True)
     return (g - unit * inner) / norms
+
+
+def row_dots(v: np.ndarray) -> np.ndarray:
+    """Each row's dot with itself for [n, d] `v`, in one call running `ndarray.dot`'s BLAS dot per row (pinned in tests)."""
+    return np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0]
 
 
 class UnitRows:

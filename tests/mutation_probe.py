@@ -4,7 +4,8 @@ Each mutant replaces one piece of text, on one line of `src/mulki/`, in a
 temporary copy of the repository (src, tests, configs and pyproject.toml),
 then runs Tier-1 there with `-x` and reports the first failing test. Most of
 them make the trainer ignore a config key by passing the key's default
-literal instead; the rest break the teacher-weight rule. A mutant whose text
+literal instead; the rest break the teacher-weight rule or the work a
+stack shares between its lanes. A mutant whose text
 no longer occurs exactly once is reported as stale, so the list has to keep
 up with the code. Standard library only; pytest does not collect this file.
 
@@ -36,9 +37,9 @@ MUTANTS = {
     "beta": ("losses.py", "weights, hyper.alpha, hyper.beta,", "weights, hyper.alpha, 1.0,"),
     "tau@csa_loss": ("losses.py", "csa_loss(protos, student.texts, hyper.tau)", "csa_loss(protos, student.texts, 2.0)"),
     "tau@student_outputs": ("losses.py", "token_ids, pt_protos, hyper.tau, img_text=", "token_ids, pt_protos, 2.0, img_text="),
-    "lambda1": ("losses.py", "T.scale(csa, hyper.lambda1)", "T.scale(csa, 1.0)"),
-    "lambda2": ("losses.py", "T.scale(mdd, hyper.lambda2)", "T.scale(mdd, 1.0)"),
-    "lambda_wc": ("losses.py", "T.scale(wc, hyper.lambda_wc)", "T.scale(wc, 0.1)"),
+    "lambda1": ("losses.py", "terms.append((csa, hyper.lambda1))", "terms.append((csa, 1.0))"),
+    "lambda2": ("losses.py", "terms.append((mdd, hyper.lambda2))", "terms.append((mdd, 1.0))"),
+    "lambda_wc": ("losses.py", "terms.append((wc, hyper.lambda_wc))", "terms.append((wc, 0.1))"),
     "gamma0": ("runner.py", "gamma0=hyper.gamma0", "gamma0=0.0"),
     "gamma_max": ("runner.py", "gamma_max=hyper.gamma_max", "gamma_max=0.98"),
     "gamma_step": ("prototypes.py", "self._updates * self.gamma_step", "self._updates * 0.04"),
@@ -47,10 +48,18 @@ MUTANTS = {
     # the teacher-weight rule
     "similarity@sample_weights": ("losses.py", "return e[0] / (e[0] + e[1])", "return np.full_like(e[0], 0.5)"),
     "similarity@mdd_loss": (  # still calls sample_weights, so the caller gate cannot be what kills it
-        "losses.py", "student.img_text_dist.data), r0)", "student.img_text_dist.data) * 0.0 + 0.5, r0)",
+        "losses.py", "student.img_text_dist.data) if lanes.weighs", "student.img_text_dist.data) * 0.0 + 0.5 if lanes.weighs",
     ),
-    "fixed_lane_takes_similarity": ("losses.py", "r0 = np.where(similar[..., None],", "r0 = np.where(True,"),
-    "p&t_lane_mask_dropped": ("losses.py", "[0.5 * beta * (1.0 - o) for o in off]", "[0.5 * beta for o in off]"),
+    "fixed_lane_takes_similarity": ("losses.py", "np.where(lanes.similar[..., None], r0, fixed)", "np.where(True, r0, fixed)"),
+    "p&t_lane_mask_dropped": ("losses.py", "[0.5 * beta * on for on in lanes.on]", "[0.5 * beta for on in lanes.on]"),
+    # the stack's shared work: one draw per seed, the scatter-add EMA, the loss sum
+    "draw_map_shifted": (  # lane s takes the draw of lane s - 1's seed
+        "runner.py", "draw = [distinct.index(seed) for seed in seeds]", "draw = np.roll([distinct.index(seed) for seed in seeds], 1).tolist()",
+    ),
+    "scatter_lane_offset_dropped": ("prototypes.py", "(by_seed + np.arange(0, rows.shape[0], k)[:, None])", "(by_seed + 0)"),
+    "loss_sum_csa_mdd_swapped": (  # csa gets lambda2 and mdd lambda1, in the value and the gradients
+        "losses.py", "    data = supervised.data", "    data, terms = supervised.data, [terms[0], (terms[1][0], terms[2][1]), (terms[2][0], terms[1][1]), *terms[3:]]",
+    ),
 }
 
 

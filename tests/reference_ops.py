@@ -17,7 +17,9 @@ tests/test_tensor.py checks their gradients. They put themselves on the
 tape and hand gradients on through mulki.tensor's `Tensor._accumulate`,
 and reuse its normalization kernels, so a chain's bits are the ones the
 package computed. So does `AdamW`, the per-parameter optimizer loop that
-the flat step replaced (tests/test_optim.py holds the flat step to it).
+the flat step replaced (tests/test_optim.py holds the flat step to it),
+and `ema_update_per_cell`, the per-(lane, class) prototype loop that the
+array update replaced (tests/test_prototypes.py).
 """
 
 from __future__ import annotations
@@ -654,3 +656,23 @@ class AdamW:
             m_hat = state["m"] / (1.0 - self.beta1**t)
             v_hat = state["v"] / (1.0 - self.beta2**t)
             p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+# ---------------------------------------------------------------------------
+# the prototype EMA as the per-(lane, class) loop the array update replaced
+
+
+def ema_update_per_cell(rows: np.ndarray, gamma: float, feats: np.ndarray, positions: np.ndarray) -> None:
+    """`PrototypeStore.ema_update`'s loop, on C-contiguous [..., K, d] `rows` in place: lane by lane, each present
+    position in ascending order, the block mean by np.add.reduce, the blend at `gamma`, the norm by ndarray.dot.
+    A zero norm raises at its cell, with the cells before it already written."""
+    k, d = rows.shape[-2:]
+    by_seed = positions.reshape(-1, positions.shape[-1])
+    for lane_rows, seed_feats, seed_positions in zip(rows.reshape(-1, k, d), feats.reshape(-1, *feats.shape[-2:]), by_seed):
+        for position in sorted(set(seed_positions.tolist())):
+            block = seed_feats[seed_positions == position]
+            vec = gamma * lane_rows[position] + (1.0 - gamma) * (np.add.reduce(block, axis=0) / block.shape[0])
+            norm = math.sqrt(vec.dot(vec))
+            if norm == 0.0:
+                raise ContractError(f"class position {position}: feature mean has zero norm")
+            lane_rows[position] = vec / norm

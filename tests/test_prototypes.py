@@ -1,10 +1,11 @@
-"""Prototype store: init oracle, EMA schedule, partition commute, the task-ordered rows, a stack's store."""
+"""Prototype store: init oracle, EMA schedule, partition commute, the task-ordered rows, a stack's store, the per-cell loop."""
 
 import math
 
 import numpy as np
 import pytest
 
+import reference_ops as R
 from mulki.encoder import DualEncoder, snapshot, stack
 from mulki.errors import ContractError
 from mulki.prototypes import PrototypeStore
@@ -249,3 +250,44 @@ def test_task_ordered_store_matches_the_class_id_rule_bit_for_bit():
         oracle.ema_update(feats, shuffled.train_y[rows])
         assert np.array_equal(store.matrix().data, oracle.matrix(shuffled.class_ids))
     assert store.gamma == min(40 * 0.04, 0.98)
+
+
+# ---------------------------------------------------------------------------
+# the array update against the per-(lane, class) loop it replaced
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["one_shared_c0", "own_c0s"])
+def test_ema_update_has_the_bits_of_the_per_cell_loop(shared, rng):
+    """A 3-lane store seeded from one model every lane shares (broadcast rows) or from each lane's own, against
+    reference_ops' loop, byte for byte after every update: absent classes, one-row classes and long blocks."""
+    models = [make_c0(seed) for seed in range(3)]
+    images = [rng.normal(size=(n, 6)) for n in (5, 1, 3, 2)]
+    c0 = models[0] if shared else snapshot(stack(models))
+    store = PrototypeStore.init_from_model(c0, images, lead=(3,), gamma0=0.1, gamma_step=0.07)
+    assert store.rows.flags.c_contiguous  # the update writes through a flat view of it
+    oracle = store.rows.copy()
+    for it in range(20):
+        feats = rng.normal(size=(3, 32, 5))
+        positions = rng.integers(0, 4, size=(3, 32))
+        positions[0] = [0] * 31 + [2]  # classes 1 and 3 absent, class 2 in one row
+        positions[1, :24] = 1  # a block of at least 24 rows
+        R.ema_update_per_cell(oracle, store.gamma, feats, positions)
+        store.ema_update(feats, positions)
+        assert store.rows.tobytes() == oracle.tobytes(), it
+
+
+def test_a_zero_norm_blend_names_its_first_cell_and_writes_nothing(rng):
+    """At gamma 0 a blend is its batch mean: class 3 of lane 0 and class 1 of lane 1 average to zero.
+    The message names lane 0's, the first in the loop's order, and no lane is written."""
+    store = PrototypeStore(rng.normal(size=(2, 4, 3)))
+    before = store.rows.copy()
+    v, w = rng.normal(size=3), rng.normal(size=3)
+    feats = np.array([[v, v, w, -w], [v, -v, w, w]])
+    positions = np.array([[0, 0, 3, 3], [1, 1, 2, 2]])
+    message = "class position 3: feature mean has zero norm"
+    with pytest.raises(ContractError, match=message):
+        R.ema_update_per_cell(before.copy(), store.gamma, feats, positions)
+    with pytest.raises(ContractError, match=message):
+        store.ema_update(feats, positions)
+    assert store.rows.tobytes() == before.tobytes()
+    assert store.gamma == 0.0

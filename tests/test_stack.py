@@ -319,6 +319,21 @@ def test_one_stack_of_teacher_weight_arms_writes_the_bytes_of_each_arm_run(confi
     assert grouped == alone, sorted(n for n in grouped if grouped[n] != alone.get(n))
 
 
+def test_a_stack_of_arms_draws_once_per_seed_and_task(tiny_inputs, monkeypatch):
+    """4 teacher-weight arms x 2 seeds train as one stack of 8 lanes, but the lanes of a seed share its batches:
+    `taskgen.batches` runs once per (task, seed), not once per lane."""
+    real, draws = taskgen.batches, []
+
+    def batches(task, batch_size, seed, iterations):
+        draws.append((task.task_id, seed))
+        return real(task, batch_size, seed, iterations)
+
+    monkeypatch.setattr(taskgen, "batches", batches)
+    hyper, stream, c0, seeds = tiny_inputs.cfg.hyper, tiny_inputs.stream, tiny_inputs.c0, [0, 1]
+    runner.run_arms(stream, [apply_variant(hyper, name) for name in WEIGHT_ARMS], seeds, [c0] * len(seeds))
+    assert draws == [(task.task_id, seed) for task in stream.tasks for seed in seeds]
+
+
 def test_mdd_loss_on_a_mixed_weight_stack_equals_one_call_per_lane(rng):
     """Values, the breakdown and every gradient of one call with per-lane weights equal per-lane calls, exactly."""
     weights = R.per_lane([None, 1.0, 0.0, 0.5, 1, 0])

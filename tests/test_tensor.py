@@ -423,3 +423,16 @@ def test_flat_grad_takes_gradients_assigned_by_hand(rng):
     flat = leaves.flat_grad()
     assert flat is leaves.grad
     assert np.array_equal(flat[:2], [1.0, 2.0]) and np.array_equal(flat[5:], 2.0 * c.data)
+
+
+# ---------------------------------------------------------------------------
+# the one-call row dot
+
+
+@pytest.mark.parametrize("width", [1, 8, 16, 160])
+def test_row_dots_is_the_per_row_ndarray_dot(width, rng):
+    """The stacked matmul reaches the BLAS dot `ndarray.dot` runs, so the prototype norms and the logged relation
+    gaps keep their bits; a numpy whose matmul stops reaching it fails here, not in a golden hash."""
+    for n in range(1, 51):
+        v = rng.normal(size=(n, width))
+        assert T.row_dots(v).tobytes() == np.array([row.dot(row) for row in v]).tobytes(), n
