@@ -507,7 +507,7 @@ def total_loss(
 
     def backward(g):
         for term, c in terms:
-            term._accumulate(g * c)  # every term carries the student's gradient
+            term._accumulate(g * c)  # every term reads the student, so each one requires grad
 
     bd.total = data
     return (T.node(data, tuple([term for term, _ in terms]), backward) if len(terms) > 1 else supervised), bd
