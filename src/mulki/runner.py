@@ -34,9 +34,10 @@ Per task, before the first iteration: look up every training label's
 class position at once (a label outside the task's classes raises
 ContractError), seed the store from the initial model(s), and run
 the weighted teachers once over the task's training set into one bundle.
-Per iteration: draw each distinct seed's batch (images and row indices)
--> encode the stack -> with a store, EMA-update every seed's classes at
-once -> build the loss (one node) from the batch's label positions,
+Per iteration: take every lane's batch (images in one take, row indices
+drawn once per distinct seed a block of iterations at a time) -> encode
+the stack -> with a store, EMA-update every seed's classes at once ->
+build the loss (one node) from the batch's label positions,
 the prototypes, the teachers' rows for the batch (one distillation node)
 and the drift anchor -> refuse a non-finite loss -> backward -> one flat
 AdamW step -> on every `we_interval`-th iteration, fold the flat
@@ -100,6 +101,8 @@ def pretrain(stream, hyper: HyperParams, seed: int, model_cfg: ModelConfig | Non
     the batch's texts, and vice versa. The pool covers every class in
     the stream, which is what gives the result zero-shot ability on all
     tasks; its small size and label noise keep that ability imperfect.
+    Batch it's rows are `default_rng([seed, 21, it]).integers(0, n, B)`,
+    drawn a block of iterations at a time (`taskgen.keyed_rows`).
     """
     model_cfg = model_cfg or ModelConfig()
     widths = dict(d_tok=model_cfg.d_tok, hidden=model_cfg.hidden, embed_dim=model_cfg.embed_dim)
@@ -110,9 +113,7 @@ def pretrain(stream, hyper: HyperParams, seed: int, model_cfg: ModelConfig | Non
     if n == 0:
         raise ConfigError("pretraining pool is empty")
     diag = np.arange(hyper.batch_size)
-    for it in range(1, hyper.pretrain_iterations + 1):
-        rng = np.random.default_rng([seed, _TAG_PRETRAIN_BATCH, it])
-        idx = rng.integers(0, n, size=hyper.batch_size)
+    for it, (idx,) in enumerate(taskgen.keyed_rows([[seed, _TAG_PRETRAIN_BATCH]], n, hyper.batch_size, hyper.pretrain_iterations), start=1):
         feats = model.encode_images(pool_x[idx])
         texts = model.encode_texts(pool_tokens[idx])
         img_to_text = losses.cross_entropy(losses.image_text_dist(feats, texts, hyper.tau_ce), diag)
@@ -148,7 +149,7 @@ def train_task(
     term reads it, lives only inside this window: seeded from `c0` before
     the first iteration, dropped on return. `weights` holds each lane's
     teacher weight (NaN: per-sample similarity), or is its `losses.LanePlan`.
-    The lanes of a seed share its batches. Each batch's loss takes its teacher
+    The lanes of a seed share its batches (`taskgen.batches`). Each batch's loss takes its teacher
     rows from the per-task bundle of the weighted teachers, and the drift anchor
     toward `wc_reference` ([S, P]) iff one is given. A non-finite loss raises
     TrainingDivergedError for its first lane.
@@ -170,12 +171,8 @@ def train_task(
     we_state = None if hyper.ensemble == "off" else we_init(student.parameters().flat, hyper.we_interval)
     opt = _adamw(student, hyper)
     log = np.empty((hyper.iterations_per_task, len(losses.LossBreakdown.FIELDS) + 1, n))
-    distinct = list(dict.fromkeys(seeds))  # a batch is a function of (seed, task, iteration): one draw per seed
-    draw = [distinct.index(seed) for seed in seeds]  # lane s takes the draw of its seed
-    draws = [taskgen.batches(task, hyper.batch_size, seed, hyper.iterations_per_task) for seed in distinct]
-    for k, batch in enumerate(zip(*draws), start=1):
-        rows = np.array([batch[d][1] for d in draw])
-        feats = student.encode_images(np.array([batch[d][0] for d in draw]))
+    for k, (images, rows) in enumerate(taskgen.batches(task, hyper.batch_size, seeds, hyper.iterations_per_task), start=1):
+        feats = student.encode_images(images)
         batch_positions = positions[rows]
         if store is not None:
             store.ema_update(feats.data, batch_positions)

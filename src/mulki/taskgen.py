@@ -20,11 +20,14 @@ byte budget were checked when it was built.
 
 Everything is a pure function of (config, seed): per-purpose RNG streams
 are derived from the seed, and per-iteration batch sampling is keyed by
-(seed, task, iteration) so any batch can be regenerated independently.
+(seed, task, iteration) so any batch can be regenerated independently;
+`keyed_integers` draws many keys at once, with `default_rng`'s bits.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -245,18 +248,102 @@ def _pretrain_pool(tasks, config: StreamConfig, seed: int):
     return np.concatenate(xs), np.concatenate(ys)
 
 
-def batches(task: TaskSpec, batch_size: int, seed: int, iterations: int):
-    """Yield `iterations` batches sampled with replacement from task.train.
+def batches(task: TaskSpec, batch_size: int, seeds: list, iterations: int):
+    """Yield `iterations` batches drawn with replacement from task.train: (images [S, B, d], rows [S, B]), lane s
+    of seeds[s]. Lane s's rows of batch i are `default_rng([seeds[s], 16, task_id, i]).integers(0, n, B)`, drawn
+    once per distinct seed (`keyed_rows`); the images are one take."""
+    prefixes = [[seed, _TAG_BATCH, task.task_id] for seed in seeds]
+    for rows in keyed_rows(prefixes, task.train_x.shape[0], batch_size, iterations):
+        yield task.train_x[rows], rows
 
-    Each batch is (images, row indices into task.train_x).
-    Batch i is a pure function of (seed, task_id, i): regenerating the
-    stream and re-running gives identical batches.
+
+# ---------------------------------------------------------------------------
+# keyed draws: numpy's SeedSequence, PCG64 and Generator.integers for many keys at once
+
+BLOCK = 2**12  # the most row indices `keyed_rows` draws for one distinct prefix at a time: bounds its arrays
+_M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+_LOW, _32 = np.uint64(_M32), np.uint64(32)
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED  # SeedSequence's hash constants
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341  # PCG64's 128-bit LCG multiplier
+
+
+def keyed_rows(prefixes: list, n: int, size: int, iterations: int):
+    """Yield, for it = 1 .. `iterations`, [len(prefixes), size] rows: `keyed_integers` of each prefix + [it], every
+    distinct prefix drawn once, at most BLOCK indices of it at a time."""
+    distinct = list(dict.fromkeys(map(tuple, prefixes)))
+    lanes = [distinct.index(tuple(prefix)) for prefix in prefixes]
+    step = max(1, BLOCK // size)
+    for first in range(1, iterations + 1, step):
+        its = np.arange(first, min(first + step, iterations + 1), dtype=np.uint64)
+        keys = np.empty((len(its), len(distinct), len(distinct[0]) + 1), dtype=np.uint64)
+        keys[..., :-1], keys[..., -1] = distinct, its[:, None]
+        yield from keyed_integers(keys.reshape(-1, keys.shape[-1]), n, size).reshape(len(its), len(distinct), size)[:, lanes]
+
+
+def keyed_integers(keys, n: int, size: int) -> np.ndarray:
+    """Row k is `np.random.default_rng(keys[k]).integers(0, n, size)`, bit for bit: [len(keys), size] int64.
+
+    `keys` holds equally long lists of ints in [0, 2**64). SeedSequence, PCG64 and `integers`' Lemire mapping of
+    the 32-bit outputs (low half first) run as uint32/uint64 array ops. `default_rng` itself draws a key with an
+    int past 2**32 - 1 or a rejection among its first `size` draws, and every key when n is outside [1, 2**32 - 1].
     """
-    n = task.train_x.shape[0]
-    for it in range(1, iterations + 1):
-        rng = _rng(seed, _TAG_BATCH, task.task_id, it)
-        idx = rng.integers(0, n, size=batch_size)
-        yield task.train_x[idx], idx
+    keys = np.asarray(keys, dtype=np.uint64)
+    if not 1 <= n <= _M32 or not len(keys):
+        return np.array([np.random.default_rng(key).integers(0, n, size) for key in keys.tolist()], dtype=np.int64).reshape(len(keys), size)
+    long = (keys > _LOW).any(1)  # SeedSequence splits an int past 2**32 - 1 into several words: default_rng draws these
+    words = np.pad(keys.astype(np.uint32), ((0, 0), (0, max(0, 4 - keys.shape[1]))))  # absent pool words hash as 0
+    # PCG64: state s, increment 2 * initseq + 1; output j's state is M**(j+1) * (s + inc) + (1 + M + ... + M**j) * inc
+    s_hi, s_lo, seq_hi, seq_lo = _seed_state(words).T
+    inc_hi, inc_lo = seq_hi << np.uint64(1) | seq_lo >> np.uint64(63), seq_lo << np.uint64(1) | np.uint64(1)
+    x_lo = s_lo + inc_lo
+    powers, totals = _pcg_powers((size + 1) // 2)
+    lo1, hi1 = _mul128(s_hi + inc_hi + (x_lo < s_lo), x_lo, *powers)
+    lo2, hi2 = _mul128(inc_hi, inc_lo, *totals)
+    lo = lo1 + lo2
+    hi = hi1 + hi2 + (lo < lo1)
+    out, rot = hi ^ lo, hi >> np.uint64(58)  # XSL-RR output
+    out = out >> rot | out << ((np.uint64(64) - rot) & np.uint64(63))
+    draws = np.stack((out & _LOW, out >> _32), axis=-1).reshape(len(keys), -1)[:, :size] * np.uint64(n)
+    rows = (draws >> _32).astype(np.int64)
+    for k in np.flatnonzero(long | ((draws & _LOW) < (2**32 - n) % n).any(1)):
+        rows[k] = np.random.default_rng(keys[k].tolist()).integers(0, n, size)
+    return rows
+
+
+@functools.lru_cache(maxsize=16)
+def _pcg_powers(count: int) -> list:
+    """(high, low) uint64 arrays of M**(j+1) and of 1 + M + ... + M**j, for j = 1 .. count."""
+    powers = list(itertools.accumulate([1] + [_PCG_MULT] * (count + 1), lambda a, b: a * b & _M128))
+    totals = list(itertools.accumulate(powers[: count + 1]))[1:]
+    return [np.array([[v >> 64 & _M64, v & _M64] for v in vs], dtype=np.uint64).reshape(-1, 2).T for vs in (powers[2:], totals)]
+
+
+def _mul128(x_hi, x_lo, c_hi, c_lo) -> tuple:
+    """(low, high) words [K, J] of the low 128 bits of x * c, for 128-bit x of [K] and c of [J] as uint64 halves."""
+    x_hi, x_lo = x_hi[:, None], x_lo[:, None]
+    x0, x1, c0, c1 = x_lo & _LOW, x_lo >> _32, c_lo & _LOW, c_lo >> _32
+    p01, p10 = x0 * c1, x1 * c0
+    carry = (x0 * c0 >> _32) + (p01 & _LOW) + (p10 & _LOW)
+    return x_lo * c_lo, x1 * c1 + (p01 >> _32) + (p10 >> _32) + (carry >> _32) + x_hi * c_lo + x_lo * c_hi
+
+
+def _hash(value, init: int, mult: int, i: int):
+    """SeedSequence's hashmix as its i-th call: xor by init * mult**i, multiply by init * mult**(i + 1), mod 2**32."""
+    value = (value ^ np.uint32(init * pow(mult, i, 2**32) & _M32)) * np.uint32(init * pow(mult, i + 1, 2**32) & _M32)
+    return value ^ value >> np.uint32(16)
+
+
+def _seed_state(words: np.ndarray) -> np.ndarray:
+    """`SeedSequence(row).generate_state(4, np.uint64)` of each row of uint32 entropy words [K, >= 4]: [K, 4]."""
+    calls = itertools.count()
+    pool = [_hash(words[:, i], _INIT_A, _MULT_A, next(calls)) for i in range(4)]
+    # mix_entropy: every pool word into every other, then every word past the pool into every pool word
+    for src, dst in itertools.chain(itertools.permutations(range(4), 2), itertools.product(range(4, words.shape[1]), range(4))):
+        value = _hash(pool[src] if src < 4 else words[:, src], _INIT_A, _MULT_A, next(calls))
+        mixed = np.uint32(0xCA01F9DD) * pool[dst] - np.uint32(0x4973F715) * value
+        pool[dst] = mixed ^ mixed >> np.uint32(16)
+    state = [_hash(pool[i % 4], _INIT_B, _MULT_B, i).astype(np.uint64) for i in range(8)]  # generate_state's 8 words
+    return np.stack([state[i] | state[i + 1] << _32 for i in range(0, 8, 2)], axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ Each mutant replaces one piece of text, on one line of `src/mulki/`, in a
 temporary copy of the repository (src, tests, configs and pyproject.toml),
 then runs Tier-1 there with `-x` and reports the first failing test. Most of
 them make the trainer ignore a config key by passing the key's default
-literal instead; the rest break the teacher-weight rule or the work a
-stack shares between its lanes. A mutant whose text
+literal instead; the rest break the teacher-weight rule, the work a
+stack shares between its lanes, or the keyed batch draw. A mutant whose text
 no longer occurs exactly once is reported as stale, so the list has to keep
 up with the code. Standard library only; pytest does not collect this file.
 
@@ -54,12 +54,17 @@ MUTANTS = {
     "p&t_lane_mask_dropped": ("losses.py", "[0.5 * beta * on for on in lanes.on]", "[0.5 * beta for on in lanes.on]"),
     # the stack's shared work: one draw per seed, the scatter-add EMA, the loss sum
     "draw_map_shifted": (  # lane s takes the draw of lane s - 1's seed
-        "runner.py", "draw = [distinct.index(seed) for seed in seeds]", "draw = np.roll([distinct.index(seed) for seed in seeds], 1).tolist()",
+        "taskgen.py", "lanes = [distinct.index(tuple(prefix)) for prefix in prefixes]",
+        "lanes = np.roll([distinct.index(tuple(prefix)) for prefix in prefixes], 1).tolist()",
     ),
     "scatter_lane_offset_dropped": ("prototypes.py", "(by_seed + np.arange(0, rows.shape[0], k)[:, None])", "(by_seed + 0)"),
     "loss_sum_csa_mdd_swapped": (  # csa gets lambda2 and mdd lambda1, in the value and the gradients
         "losses.py", "    data = supervised.data", "    data, terms = supervised.data, [terms[0], (terms[1][0], terms[2][1]), (terms[2][0], terms[1][1]), *terms[3:]]",
     ),
+    # the keyed draw: numpy's SeedSequence, PCG64 and Lemire mapping in array arithmetic
+    "seed_sequence_init_b_off_by_one": ("taskgen.py", "0x8B51F9DD, 0x58F38DED", "0x8B51F9DE, 0x58F38DED"),
+    "pcg_output_halves_swapped": ("taskgen.py", "np.stack((out & _LOW, out >> _32), axis=-1)", "np.stack((out >> _32, out & _LOW), axis=-1)"),
+    "rejection_fallback_dropped": ("taskgen.py", "np.flatnonzero(long | ((draws & _LOW) < (2**32 - n) % n).any(1))", "np.flatnonzero(long)"),
 }
 
 

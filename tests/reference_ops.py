@@ -19,7 +19,10 @@ and reuse its normalization kernels, so a chain's bits are the ones the
 package computed. So does `AdamW`, the per-parameter optimizer loop that
 the flat step replaced (tests/test_optim.py holds the flat step to it),
 and `ema_update_per_cell`, the per-(lane, class) prototype loop that the
-array update replaced (tests/test_prototypes.py).
+array update replaced (tests/test_prototypes.py), and `batches`, the
+per-key `default_rng` batch source that `mulki.taskgen.keyed_integers`
+replaced: tests that need a task's batches from an independent source
+draw them here, so the package's draws are held to numpy.
 """
 
 from __future__ import annotations
@@ -676,3 +679,16 @@ def ema_update_per_cell(rows: np.ndarray, gamma: float, feats: np.ndarray, posit
             if norm == 0.0:
                 raise ContractError(f"class position {position}: feature mean has zero norm")
             lane_rows[position] = vec / norm
+
+
+# ---------------------------------------------------------------------------
+# a task's batches, one default_rng per key, as the package drew them before its keyed draw
+
+
+def batches(task, batch_size: int, seed: int, iterations: int):
+    """Yield (images [B, d], row indices [B]) of one seed's batches: batch i's rows are
+    `np.random.default_rng([seed, 16, task_id, i]).integers(0, n, batch_size)`, 16 the batch tag."""
+    n = task.train_x.shape[0]
+    for it in range(1, iterations + 1):
+        idx = np.random.default_rng([seed, 16, task.task_id, it]).integers(0, n, size=batch_size)
+        yield task.train_x[idx], idx

@@ -485,13 +485,11 @@ def test_teacher_outputs_rows_must_sum_to_one(rng):
 
 
 def test_teacher_rows_equal_per_batch_teacher_outputs(tiny_stream):
-    from mulki.taskgen import batches
-
     task = tiny_stream.tasks[0]
     teacher = snapshot(DualEncoder(5, vocab_size=tiny_stream.vocab_size, d_in=tiny_stream.d_in, d_tok=8, hidden=16, embed_dim=8))
     protos = PrototypeStore.init_from_model(teacher, task.images_by_class()).matrix()
     whole = R.teacher_outputs(teacher, task.train_x, task.token_ids, protos, tau=2.0)
-    for it, (x, idx) in enumerate(batches(task, 8, seed=3, iterations=40)):
+    for it, (x, idx) in enumerate(R.batches(task, 8, seed=3, iterations=40)):
         moved = Tensor(np.roll(protos.data, it, axis=1))  # prototypes drift between batches
         fresh = R.teacher_outputs(teacher, x, task.token_ids, moved, tau=2.0)
         cut = whole.rows(idx, moved, tau=2.0)
@@ -501,12 +499,10 @@ def test_teacher_rows_equal_per_batch_teacher_outputs(tiny_stream):
 
 def test_teacher_rows_carry_unit_rows_equal_to_a_fresh_normalization(tiny_stream):
     """The bundle's feature rows are normalized once per task; each batch's indexed unit rows are bit-exact."""
-    from mulki.taskgen import batches
-
     task = tiny_stream.tasks[0]
     teacher = snapshot(DualEncoder(5, vocab_size=tiny_stream.vocab_size, d_in=tiny_stream.d_in))  # default widths
     whole = teacher_outputs([teacher], task.train_x, task.token_ids, None, tau=2.0)
-    for it, (_, idx) in enumerate(batches(task, 32, seed=3, iterations=50)):
+    for it, (_, idx) in enumerate(R.batches(task, 32, seed=3, iterations=50)):
         cut = whole.rows(idx, None, tau=2.0)
         kept = cut.feats._unit
         assert kept is not None and T.unit_rows(cut.feats) is kept  # handed over, not recomputed

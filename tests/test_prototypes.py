@@ -10,7 +10,7 @@ from mulki.encoder import DualEncoder, snapshot, stack
 from mulki.errors import ContractError
 from mulki.prototypes import PrototypeStore
 from mulki.runner import _label_positions
-from mulki.taskgen import StreamConfig, TaskSpec, batches, generate_stream
+from mulki.taskgen import StreamConfig, TaskSpec, generate_stream
 from mulki.tensor import Tensor
 
 
@@ -244,7 +244,7 @@ def test_task_ordered_store_matches_the_class_id_rule_bit_for_bit():
     oracle = ClassIdOracle(c0, shuffled)
     assert np.array_equal(store.matrix().data, oracle.matrix(shuffled.class_ids))
     positions = _label_positions(shuffled)
-    for x, rows in batches(shuffled, 8, seed=1, iterations=40):
+    for x, rows in R.batches(shuffled, 8, seed=1, iterations=40):
         feats = student.encode_images(x).data
         store.ema_update(feats, positions[rows])
         oracle.ema_update(feats, shuffled.train_y[rows])

@@ -66,7 +66,7 @@ def test_continual_ft_bitwise_matches_reference_loop(tiny_stream):
             weight_decay=hyper.weight_decay,
         )
         position_of = {cid: p for p, cid in enumerate(task.class_ids)}
-        for x, rows in taskgen.batches(task, hyper.batch_size, seed, hyper.iterations_per_task):
+        for x, rows in R.batches(task, hyper.batch_size, seed, hyper.iterations_per_task):
             labels = task.train_y[rows]
             feats = student.encode_images(x)
             texts = student.encode_texts(task.token_ids)

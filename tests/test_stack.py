@@ -217,9 +217,11 @@ def poison_batches(monkeypatch, at: set) -> None:
     """Turn the images of the batches keyed (seed, task id, iteration) in `at` into NaN."""
     real = taskgen.batches
 
-    def batches(task, batch_size, seed, iterations):
-        for k, (x, idx) in enumerate(real(task, batch_size, seed, iterations), start=1):
-            yield (x * np.nan if (seed, task.task_id, k) in at else x), idx
+    def batches(task, batch_size, seeds, iterations):
+        for k, (x, rows) in enumerate(real(task, batch_size, seeds, iterations), start=1):
+            x = x.copy()
+            x[np.array([(seed, task.task_id, k) in at for seed in seeds], dtype=bool)] = np.nan
+            yield x, rows
 
     monkeypatch.setattr(taskgen, "batches", batches)
 
@@ -321,17 +323,18 @@ def test_one_stack_of_teacher_weight_arms_writes_the_bytes_of_each_arm_run(confi
 
 def test_a_stack_of_arms_draws_once_per_seed_and_task(tiny_inputs, monkeypatch):
     """4 teacher-weight arms x 2 seeds train as one stack of 8 lanes, but the lanes of a seed share its batches:
-    `taskgen.batches` runs once per (task, seed), not once per lane."""
-    real, draws = taskgen.batches, []
+    the keyed draw takes each (seed, task, iteration) key once, 2 seeds' keys per task, not once per lane."""
+    real, keys = taskgen.keyed_integers, []
 
-    def batches(task, batch_size, seed, iterations):
-        draws.append((task.task_id, seed))
-        return real(task, batch_size, seed, iterations)
+    def keyed_integers(batch_keys, n, size):
+        keys.extend(map(tuple, np.asarray(batch_keys).tolist()))
+        return real(batch_keys, n, size)
 
-    monkeypatch.setattr(taskgen, "batches", batches)
+    monkeypatch.setattr(taskgen, "keyed_integers", keyed_integers)
     hyper, stream, c0, seeds = tiny_inputs.cfg.hyper, tiny_inputs.stream, tiny_inputs.c0, [0, 1]
     runner.run_arms(stream, [apply_variant(hyper, name) for name in WEIGHT_ARMS], seeds, [c0] * len(seeds))
-    assert draws == [(task.task_id, seed) for task in stream.tasks for seed in seeds]
+    its = range(1, hyper.iterations_per_task + 1)
+    assert keys == [(seed, 16, task.task_id, it) for task in stream.tasks for it in its for seed in seeds]
 
 
 def test_mdd_loss_on_a_mixed_weight_stack_equals_one_call_per_lane(rng):

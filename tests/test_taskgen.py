@@ -1,5 +1,6 @@
-"""Synthetic streams: determinism, structure, statistics, serialization."""
+"""Synthetic streams: determinism, structure, statistics, serialization, the keyed batch draw."""
 
+import itertools
 import json
 import math
 import os
@@ -12,6 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mulki.taskgen as taskgen
+import reference_ops as R
 from mulki.cli import main
 from mulki.config import config_from_dict
 from mulki.encoder import DualEncoder, save_checkpoint, snapshot
@@ -25,6 +28,7 @@ from mulki.taskgen import (
     _rng,
     batches,
     generate_stream,
+    keyed_integers,
     load_stream,
     save_stream,
 )
@@ -204,27 +208,97 @@ def test_train_test_disjoint():
 def test_batches_deterministic_and_varied():
     stream = generate_stream(small_config())
     task = stream.tasks[0]
-    run1 = [(x.copy(), idx.copy()) for x, idx in batches(task, 8, seed=5, iterations=4)]
-    run2 = [(x.copy(), idx.copy()) for x, idx in batches(task, 8, seed=5, iterations=4)]
+    run1 = [(x.copy(), idx.copy()) for x, idx in batches(task, 8, seeds=[5], iterations=4)]
+    run2 = [(x.copy(), idx.copy()) for x, idx in batches(task, 8, seeds=[5], iterations=4)]
     for (x1, y1), (x2, y2) in zip(run1, run2):
         assert np.array_equal(x1, x2) and np.array_equal(y1, y2)
     assert not np.array_equal(run1[0][0], run1[1][0])  # iterations differ
 
-    other_seed = next(iter(batches(task, 8, seed=6, iterations=1)))[0]
+    other_seed = next(iter(batches(task, 8, seeds=[6], iterations=1)))[0]
     assert not np.array_equal(run1[0][0], other_seed)
 
     for x, idx in run1:
-        assert x.shape == (8, stream.d_in)
-        assert set(task.train_y[idx]) <= set(task.class_ids)
+        assert x.shape == (1, 8, stream.d_in)
+        assert set(task.train_y[idx[0]]) <= set(task.class_ids)
 
 
 def test_batch_indices_select_the_batch():
     task = generate_stream(small_config()).tasks[0]
-    for it, (x, idx) in enumerate(batches(task, 8, seed=5, iterations=3), start=1):
+    seeds = [5, 6, 5]
+    for it, (x, idx) in enumerate(batches(task, 8, seeds=seeds, iterations=3), start=1):
+        assert x.shape == (3, 8, task.train_x.shape[1]) and idx.shape == (3, 8)
         assert np.array_equal(x, task.train_x[idx])
-        # the batch's key: (seed, the batch tag 16, task id, iteration)
-        want = np.random.default_rng([5, 16, task.task_id, it]).integers(0, len(task.train_x), size=8)
-        assert np.array_equal(idx, want)
+        for lane, seed in enumerate(seeds):
+            # the batch's key: (seed, the batch tag 16, task id, iteration)
+            want = np.random.default_rng([seed, 16, task.task_id, it]).integers(0, len(task.train_x), size=8)
+            assert np.array_equal(idx[lane], want)
+
+
+# ---------------------------------------------------------------------------
+# the keyed draw: `np.random.default_rng(key).integers(0, n, size)` for many keys at once, bit for bit.
+# A numpy that changes SeedSequence, PCG64's seeding or output, or `integers`' Lemire mapping fails these.
+
+EDGE_INTS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1]  # one word, the largest one-word int, two words, the largest seed
+BOUNDS = [1, 2, 1000, 2**31 + 5, 2**32 - 1]  # at 2**31 + 5 about half the draws reject, so the fallback runs
+
+
+def assert_matches_default_rng(keys, n: int, size: int) -> None:
+    got = keyed_integers(keys, n, size)
+    assert got.shape == (len(keys), size) and got.dtype == np.int64
+    for key, row in zip(keys, got):
+        assert np.array_equal(row, np.random.default_rng(key).integers(0, n, size)), (key, n, size)
+
+
+@pytest.mark.parametrize("n", BOUNDS)
+@pytest.mark.parametrize("length", range(1, 7))
+def test_keyed_integers_equal_default_rng_draw_by_draw(length, n):
+    """Keys of 1 to 6 ints: every edge int at every position, keys of edge ints only and small random keys, in one
+    call, so one call mixes word counts from 1 to 12 (past 4 words SeedSequence runs a second mixing loop)."""
+    rng = np.random.default_rng([length, n])
+    keys = [[int(v) for v in rng.integers(0, 100, length)] for _ in range(20)]
+    for position, value in itertools.product(range(length), EDGE_INTS):
+        keys.append([int(v) for v in rng.integers(0, 2**32, length)])
+        keys[-1][position] = value
+    keys += [[EDGE_INTS[i] for i in rng.integers(0, len(EDGE_INTS), length)] for _ in range(20)]
+    assert_matches_default_rng(keys, n, 33)  # an odd size: the last 64-bit output's high half goes unused
+
+
+@pytest.mark.parametrize("n", BOUNDS)
+@pytest.mark.parametrize("size", [0, 1, 2])
+def test_keyed_integers_of_short_draws(size, n):
+    assert_matches_default_rng([[0, 0], [2**63 - 1, 3], [5, 16], [2**32, 2**32 - 1]], n, size)
+
+
+def test_keyed_integers_of_no_keys():
+    assert keyed_integers(np.empty((0, 4), dtype=np.uint64), 10, 3).shape == (0, 3)
+    assert keyed_integers([], 10, 3).shape == (0, 3)
+
+
+def test_batches_across_block_boundaries_equal_the_per_key_oracle(monkeypatch):
+    """Three iterations of 8 rows per block; repeated seeds, and a seed past 2**32 (5-word keys)."""
+    monkeypatch.setattr(taskgen, "BLOCK", 24)
+    task = generate_stream(small_config()).tasks[1]
+    seeds = [5, 2**40, 5, 0]
+    want = [list(R.batches(task, 8, seed, 7)) for seed in seeds]
+    got = list(batches(task, 8, seeds, 7))
+    assert len(got) == 7
+    for it, (x, rows) in enumerate(got):
+        for lane in range(len(seeds)):
+            assert np.array_equal(rows[lane], want[lane][it][1]) and np.array_equal(x[lane], want[lane][it][0]), (it, lane)
+
+
+@pytest.mark.parametrize("batch_size", [32, 2**16])
+def test_the_first_batch_of_a_long_task_draws_one_block(batch_size, monkeypatch):
+    real, drawn = taskgen.keyed_integers, []
+
+    def keyed_integers(keys, n, size):
+        drawn.append(len(keys) * size)
+        return real(keys, n, size)
+
+    monkeypatch.setattr(taskgen, "keyed_integers", keyed_integers)
+    task = generate_stream(small_config()).tasks[0]
+    next(batches(task, batch_size, [3, 4, 3], 10**6))
+    assert drawn == [2 * max(taskgen.BLOCK // batch_size, 1) * batch_size]
 
 
 def test_pretrain_pool_composition():
